@@ -5,78 +5,16 @@ measure of the set where a sparse averaging operator applied to an indicator
 reaches a level, simulates dyadic configurations exactly, constructs the
 configurations attaining the bound, and verifies the defining inequalities
 with exact rational arithmetic.
+
+The top level holds only the names of the README example; everything else
+is imported from its module (``sparsebound.candidate``, ``.dyadic``,
+``.extremal``, ``.verify`` and so on).
 """
 
-from .candidate import (
-    Family,
-    RegionKind,
-    RegionTag,
-    bellman_value,
-    classify_region,
-    corollary_bound,
-    curve_height,
-    curve_vertices,
-    curve_x,
-    f_extended,
-    f_value,
-    g_value,
-    profile_slopes,
-    profile_vertices,
-    vertex_f,
-    vertex_g,
-)
-from .dyadic import (
-    CarlesonSequence,
-    Config,
-    DyadicInterval,
-    DyadicSet,
-    StepFunction,
-    carleson_constant,
-    carleson_height,
-    check_dynamics,
-    concat_seqs,
-    concat_sets,
-    is_carleson,
-    level_set_measure,
-    sparse_apply,
-)
-from .extremal import (
-    base_double_config,
-    base_root_config,
-    corollary_config,
-    curve_vertex_config,
-    mix_config,
-    tower_config,
-    x1_chain_config,
-)
-from .geometry import (
-    AngleSector,
-    PiecewiseLinearFn,
-    PlanePoint,
-    Ray,
-    jump_map,
-    jump_parameter,
-    jump_ray,
-    jump_sector,
-    lerp,
-    ray_x,
-    scale_map,
-    sector_interp_value,
-    step_map,
-)
-from .rational import DomainError, format_rational, parse_rational
-from .verify import (
-    BruteForceReport,
-    SampleSpec,
-    Violation,
-    brute_force_sup,
-    check_dynamics_suite,
-    check_fJ_ge_g,
-    check_g_consistency,
-    check_jump,
-    check_midpoint_concavity,
-    check_obstacle,
-    check_slopes,
-)
+from .candidate import bellman_value, vertex_f
+from .extremal import curve_vertex_config
+from .rational import DomainError
+
+__all__ = ["bellman_value", "vertex_f", "curve_vertex_config", "DomainError", "__version__"]
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ is a linear interpolation along horizontal lines.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -58,6 +59,19 @@ class Family(Enum):
 
     F = "F"
     G = "G"
+
+
+def _exact(value: Fraction | int, name: str) -> Fraction:
+    """An argument of a public entry point as a Fraction.
+
+    Floats and bools are refused rather than rounded or read as 0/1, so no
+    inexact value gets into the exact arithmetic or leaks out of it.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
 
 
 def _pow2(k: int) -> Fraction:
@@ -164,6 +178,7 @@ def f_value(x: Fraction, level: Fraction) -> Fraction:
     horizontally between consecutive curves, 1 at and below curve 0, and 0
     on the axis x = 0.
     """
+    x, level = _exact(x, "x"), _exact(level, "level")
     if not ZERO <= x <= ONE:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if level <= 0:
@@ -207,6 +222,7 @@ def f_value_nodes(x: Fraction, level: Fraction) -> Fraction:
 
 def f_extended(x: Fraction, level: Fraction) -> Fraction:
     """``f_value`` extended beyond x = 1 by its boundary value."""
+    x, level = _exact(x, "x"), _exact(level, "level")
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     return f_value(min(x, ONE), level)
@@ -228,6 +244,7 @@ def g_value(x: Fraction, level: Fraction) -> Fraction:
     larger levels: the same strip construction as ``f_value`` but over the
     G family of curves.
     """
+    x, level = _exact(x, "x"), _exact(level, "level")
     if not ZERO <= x <= ONE:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if level <= 0:
@@ -291,6 +308,7 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
     neutral).  For larger levels the tag is the F-strip of the rescaled
     point (2x/a clamped to 1, level).
     """
+    x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
     _check_box(x, a)
     if level <= 0:
         return RegionTag(RegionKind.OBSTACLE)
@@ -311,7 +329,7 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
 
 def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
     """The sharp level-set bound at measure ``x``, height ``a``, given level."""
-    x, a = Fraction(x), Fraction(a)
+    x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
     tag = classify_region(x, a, level)
     if tag.kind in (RegionKind.OBSTACLE, RegionKind.FULL):
         return ONE

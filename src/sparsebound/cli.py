@@ -80,8 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_brute = sub.add_parser(
         "brute",
         help="enumerate configurations at one depth",
-        description="Exhaustive up to depth 3; deeper runs need --sample. "
-        "Set SPARSEBOUND_WORKERS to fan the enumeration across processes.",
+        description="Exhaustive up to depth 3; deeper runs need --sample.",
     )
     p_brute.add_argument("depth", type=int)
     p_brute.add_argument("--sample", type=int, default=None)
@@ -166,6 +165,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise DomainError(f"--count must be at least 1, got {args.count}")
     spec = SampleSpec(seed=args.seed, count=args.count)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     report = []

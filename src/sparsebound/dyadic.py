@@ -34,7 +34,7 @@ __all__ = [
     "concat_sets",
     "concat_seqs",
     "concat_configs",
-    "check_dynamics",
+    "concat_identity",
     "interval_to_json",
     "interval_from_json",
     "set_to_json",
@@ -424,16 +424,18 @@ def concat_configs(first: Config, second: Config, gamma: Fraction) -> Config:
     )
 
 
-def check_dynamics(c1: Config, c2: Config, gamma: Fraction, level: Fraction) -> bool:
-    """Exact concatenation identity for the level-set functional.
+def concat_identity(
+    c1: Config, c2: Config, gamma: Fraction, level: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the exact concatenation identity for the level-set functional.
 
     Concatenating shifts the threshold by gamma times the combined measure
-    and averages the two level-set measures.
+    and averages the two level-set measures, so the two values are equal.
     """
     combined = concat_configs(c1, c2, gamma)
     lhs = combined.level_set(level + gamma * combined.measure)
     rhs = (c1.level_set(level) + c2.level_set(level)) / 2
-    return lhs == rhs
+    return lhs, rhs
 
 
 # JSON forms used by the command-line tools.

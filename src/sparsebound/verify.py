@@ -2,21 +2,25 @@
 
 Every check here is exact: samples are rational, comparisons are rational,
 and a reported violation carries a witness from which both sides can be
-recomputed bit for bit.  The brute-force driver enumerates, at small depth,
-every binary weight sequence with Carleson constant at most 2 against every
-set resolved at that depth, and certifies that no configuration's level-set
-measure ever exceeds ``bellman_value`` while recording where equality is
-attained.
+recomputed bit for bit.  Two tables drive the checks.  Each suite has a
+sampler that lays out its witnesses from a seed, and each check has one
+evaluator of both sides and the relation they must satisfy; ``run_suite``
+and ``replay`` both go through the evaluators.  The brute-force driver
+enumerates, at small depth, every binary weight sequence with Carleson
+constant at most 2 against every set resolved at that depth, and certifies
+that no configuration's level-set measure ever exceeds ``bellman_value``
+while recording where equality is attained.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +39,7 @@ from .dyadic import (
     DyadicInterval,
     DyadicSet,
     carleson_constant,
-    concat_configs,
-    config_to_json,
+    concat_identity,
 )
 from .rational import DomainError, format_rational
 
@@ -44,15 +47,10 @@ __all__ = [
     "SampleSpec",
     "Violation",
     "replay",
-    "check_obstacle",
-    "check_midpoint_concavity",
-    "check_jump",
-    "check_fJ_ge_g",
-    "check_g_consistency",
-    "check_slopes",
-    "check_dynamics_suite",
     "default_level_grid",
     "DEFAULT_CONCAVITY_GRID",
+    "SLOPES_X_MIN",
+    "SLOPES_MAX_INDEX",
     "SUITE_NAMES",
     "run_suite",
     "ExhaustiveModeError",
@@ -111,8 +109,24 @@ def _sample_fraction(rng: random.Random, lo: Fraction, hi: Fraction, bound: int)
     return Fraction(p, q)
 
 
-# Witness evaluators, keyed by check name.  replay() recomputes both sides
-# of a violation exactly from the recorded witness.
+# One-entry memos (these two and ``_dynamics_instance``).  A sampler
+# computes them to lay out its witnesses and the evaluators read them back,
+# so each is computed once per level, form pair or instance.  The candidate
+# functions are looked up at call time, so wrappers installed on them see
+# every call.
+
+@lru_cache(maxsize=1)
+def _profile_slopes(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
+    return profile_slopes(level, x_min)
+
+
+@lru_cache(maxsize=1)
+def _form_pair(window: int, m: int) -> tuple[dict, dict]:
+    return recip_slope_forms(window, m), recip_slope_forms(window, m + 1)
+
+
+# Evaluators, one per check: both sides of the check recomputed exactly
+# from a witness.
 
 def _eval_obstacle(w: dict) -> tuple[Fraction, Fraction]:
     return bellman_value(w["x"], w["A"], w["lambda"]), ONE
@@ -149,7 +163,7 @@ def _eval_gconsist(w: dict) -> tuple[Fraction, Fraction]:
 
 
 def _eval_slopes_monotone(w: dict) -> tuple[Fraction, Fraction]:
-    slopes = profile_slopes(w["lambda"], w["x_min"])
+    slopes = _profile_slopes(w["lambda"], w["x_min"])
     i = int(w["i"])
     return slopes[i], slopes[i + 1]
 
@@ -160,17 +174,15 @@ def _form_value(form: tuple[Fraction, Fraction], level: Fraction) -> Fraction:
 
 
 def _eval_slopes_mid_vs_low(w: dict) -> tuple[Fraction, Fraction]:
-    window, m = int(w["window"]), int(w["m"])
-    inner = recip_slope_forms(window, m)["mid"][0]
-    outer = recip_slope_forms(window, m + 1)["low"][0]
-    return _form_value(inner, w["lambda"]), _form_value(outer, w["lambda"])
+    forms, forms_next = _form_pair(int(w["window"]), int(w["m"]))
+    level = w["lambda"]
+    return _form_value(forms["mid"][0], level), _form_value(forms_next["low"][0], level)
 
 
 def _eval_slopes_high_vs_mid(w: dict) -> tuple[Fraction, Fraction]:
-    window, m = int(w["window"]), int(w["m"])
-    inner = recip_slope_forms(window, m)["high"][0]
-    outer = recip_slope_forms(window, m + 1)["mid"][0]
-    return _form_value(inner, w["lambda"]), _form_value(outer, w["lambda"])
+    forms, forms_next = _form_pair(int(w["window"]), int(w["m"]))
+    level = w["lambda"]
+    return _form_value(forms["high"][0], level), _form_value(forms_next["mid"][0], level)
 
 
 def _eval_slopes_form(w: dict) -> tuple[Fraction, Fraction]:
@@ -181,46 +193,48 @@ def _eval_slopes_form(w: dict) -> tuple[Fraction, Fraction]:
 
 def _eval_dynamics(w: dict) -> tuple[Fraction, Fraction]:
     c1, c2, gamma, level = _dynamics_instance(int(w["seed"]), int(w["index"]))
-    combined = concat_configs(c1, c2, gamma)
-    lhs = combined.level_set(level + gamma * combined.measure)
-    rhs = (c1.level_set(level) + c2.level_set(level)) / 2
-    return lhs, rhs
+    return concat_identity(c1, c2, gamma, level)
 
 
 _FORM_NAMES = {0: "low", 1: "mid", 2: "high"}
 
-_WITNESS_EVALUATORS: dict[str, Callable[[dict], tuple[Fraction, Fraction]]] = {
-    "obstacle": _eval_obstacle,
-    "concavity": _eval_concavity,
-    "jump": _eval_jump,
-    "fjg": _eval_fjg,
-    "gconsist": _eval_gconsist,
-    "slopes:monotone": _eval_slopes_monotone,
-    "slopes:mid-vs-low": _eval_slopes_mid_vs_low,
-    "slopes:high-vs-mid": _eval_slopes_high_vs_mid,
-    "slopes:form": _eval_slopes_form,
-    "dynamics": _eval_dynamics,
+
+def _both_positive_and_ge(lhs: Fraction, rhs: Fraction) -> bool:
+    return lhs > 0 and rhs > 0 and lhs >= rhs
+
+
+# Check name -> (evaluator, relation the two sides must satisfy).
+_CHECKS = {
+    "obstacle": (_eval_obstacle, operator.eq),
+    "concavity": (_eval_concavity, operator.ge),
+    "jump": (_eval_jump, operator.ge),
+    "fjg": (_eval_fjg, operator.ge),
+    "gconsist": (_eval_gconsist, operator.eq),
+    "slopes:monotone": (_eval_slopes_monotone, operator.ge),
+    "slopes:mid-vs-low": (_eval_slopes_mid_vs_low, _both_positive_and_ge),
+    "slopes:high-vs-mid": (_eval_slopes_high_vs_mid, _both_positive_and_ge),
+    "slopes:form": (_eval_slopes_form, operator.eq),
+    "dynamics": (_eval_dynamics, operator.eq),
 }
 
 
 def replay(violation: Violation) -> tuple[Fraction, Fraction]:
     """Recompute both sides of a violation from its witness."""
-    return _WITNESS_EVALUATORS[violation.check](violation.witness_dict())
+    evaluate, _ = _CHECKS[violation.check]
+    return evaluate(violation.witness_dict())
 
 
-def check_obstacle(spec: SampleSpec) -> list[Violation]:
+# Samplers, one per suite: the (check name, witness) pairs it checks, in a
+# fixed order drawn from the spec's seed.
+
+def _sample_obstacle(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The bound is identically 1 at nonpositive levels."""
     rng = random.Random(spec.seed)
-    out = []
     for _ in range(spec.count):
         x = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
         a = _sample_fraction(rng, ZERO, TWO, spec.denominator_bound)
         level = _sample_fraction(rng, Fraction(-5), ZERO, spec.denominator_bound)
-        w = _witness(x=x, A=a, **{"lambda": level})
-        lhs, rhs = _eval_obstacle(dict(w))
-        if lhs != rhs:
-            out.append(Violation("obstacle", w, lhs, rhs))
-    return out
+        yield "obstacle", _witness(x=x, A=a, **{"lambda": level})
 
 
 DEFAULT_CONCAVITY_GRID = (
@@ -234,57 +248,40 @@ DEFAULT_CONCAVITY_GRID = (
 )
 
 
-def check_midpoint_concavity(spec: SampleSpec) -> list[Violation]:
+def _sample_concavity(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Midpoint concavity of the bound in (x, height) at each grid level."""
-    grid = spec.lambda_grid or DEFAULT_CONCAVITY_GRID
-    out = []
-    for level in grid:
+    for level in spec.lambda_grid or DEFAULT_CONCAVITY_GRID:
         rng = random.Random(f"{spec.seed}:{level}")
         for _ in range(spec.count):
             x1 = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
             a1 = _sample_fraction(rng, ZERO, TWO, spec.denominator_bound)
             x2 = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
             a2 = _sample_fraction(rng, ZERO, TWO, spec.denominator_bound)
-            w = _witness(x1=x1, A1=a1, x2=x2, A2=a2, **{"lambda": level})
-            lhs, rhs = _eval_concavity(dict(w))
-            if lhs < rhs:
-                out.append(Violation("concavity", w, lhs, rhs))
-    return out
+            yield "concavity", _witness(x1=x1, A1=a1, x2=x2, A2=a2, **{"lambda": level})
 
 
-def check_jump(spec: SampleSpec) -> list[Violation]:
+def _sample_jump(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Raising the height by 1 and the level by x never lowers the bound (heights in [0, 1])."""
     rng = random.Random(spec.seed)
-    out = []
     for _ in range(spec.count):
         x = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
         a = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
         level = _sample_fraction(rng, Fraction(-1), Fraction(5), spec.denominator_bound)
-        w = _witness(x=x, A=a, **{"lambda": level})
-        lhs, rhs = _eval_jump(dict(w))
-        if lhs < rhs:
-            out.append(Violation("jump", w, lhs, rhs))
-    return out
+        yield "jump", _witness(x=x, A=a, **{"lambda": level})
 
 
-def check_fJ_ge_g(spec: SampleSpec) -> list[Violation]:
+def _sample_fjg(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The a=2 profile after a jump dominates the a=1 profile."""
     rng = random.Random(spec.seed)
-    out = []
     for _ in range(spec.count):
         x = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
         level = _sample_fraction(rng, Fraction(1, spec.denominator_bound), Fraction(6), spec.denominator_bound)
-        w = _witness(x=x, **{"lambda": level})
-        lhs, rhs = _eval_fjg(dict(w))
-        if lhs < rhs:
-            out.append(Violation("fjg", w, lhs, rhs))
-    return out
+        yield "fjg", _witness(x=x, **{"lambda": level})
 
 
-def check_g_consistency(spec: SampleSpec) -> list[Violation]:
+def _sample_gconsist(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The a=1 profile agrees with the bound at height 1 (both level regimes)."""
     rng = random.Random(spec.seed)
-    out = []
     for i in range(spec.count):
         x = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
         if i % 2 == 0:
@@ -293,11 +290,7 @@ def check_g_consistency(spec: SampleSpec) -> list[Violation]:
             level = _sample_fraction(rng, ONE, Fraction(6), spec.denominator_bound)
             if level == 1:
                 level = Fraction(3, 2)
-        w = _witness(x=x, **{"lambda": level})
-        lhs, rhs = _eval_gconsist(dict(w))
-        if lhs != rhs:
-            out.append(Violation("gconsist", w, lhs, rhs))
-    return out
+        yield "gconsist", _witness(x=x, **{"lambda": level})
 
 
 def default_level_grid(count: int = 50) -> tuple[Fraction, ...]:
@@ -305,11 +298,13 @@ def default_level_grid(count: int = 50) -> tuple[Fraction, ...]:
     return tuple(Fraction(10 * j, count) for j in range(1, count + 1))
 
 
-def check_slopes(
-    lambda_grid: Sequence[Fraction],
-    x_min: Fraction = Fraction(1, 4096),
-    max_index: int = 10,
-) -> list[Violation]:
+# The slopes suite checks the profile on [SLOPES_X_MIN, 1] and the slope
+# certificates for window and curve indices up to SLOPES_MAX_INDEX.
+SLOPES_X_MIN = Fraction(1, 4096)
+SLOPES_MAX_INDEX = 10
+
+
+def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Concavity of the a=2 profile, plus the closed-form slope certificates.
 
     Profile slopes listed left to right must be non-increasing.  The closed
@@ -318,36 +313,23 @@ def check_slopes(
     on the whole range; the forms themselves are cross-checked against the
     geometric segment slope at interior points.
     """
-    out: list[Violation] = []
-    for level in lambda_grid:
-        slopes = profile_slopes(level, x_min)
-        for i in range(len(slopes) - 1):
-            if slopes[i] < slopes[i + 1]:
-                w = _witness(i=i, x_min=x_min, **{"lambda": level})
-                out.append(Violation("slopes:monotone", w, slopes[i], slopes[i + 1]))
-    for window in range(2, max_index + 1):
-        for m in range(max(1, window - 1), max_index + 1):
-            forms = recip_slope_forms(window, m)
-            forms_next = recip_slope_forms(window, m + 1)
+    for level in spec.lambda_grid or default_level_grid():
+        for i in range(len(_profile_slopes(level, SLOPES_X_MIN)) - 1):
+            yield "slopes:monotone", _witness(i=i, x_min=SLOPES_X_MIN, **{"lambda": level})
+    for window in range(2, SLOPES_MAX_INDEX + 1):
+        for m in range(max(1, window - 1), SLOPES_MAX_INDEX + 1):
+            forms, forms_next = _form_pair(window, m)
             for fi, name in _FORM_NAMES.items():
-                (c0, c1), (lo, hi) = forms[name]
+                lo, hi = forms[name][1]
                 probe = (lo + hi) / 2
-                w = _witness(window=window, m=m, form=fi, **{"lambda": probe})
-                lhs, rhs = _eval_slopes_form(dict(w))
-                if lhs != rhs:
-                    out.append(Violation("slopes:form", w, lhs, rhs))
+                yield "slopes:form", _witness(window=window, m=m, form=fi, **{"lambda": probe})
             pairs = (
-                ("slopes:mid-vs-low", forms["mid"], forms_next["low"], forms["mid"][1]),
-                ("slopes:high-vs-mid", forms["high"], forms_next["mid"], forms_next["mid"][1]),
+                ("slopes:mid-vs-low", forms["mid"][1]),
+                ("slopes:high-vs-mid", forms_next["mid"][1]),
             )
-            for name, inner, outer, (lo, hi) in pairs:
-                for level in (lo, hi):
-                    lhs = _form_value(inner[0], level)
-                    rhs = _form_value(outer[0], level)
-                    if lhs <= 0 or rhs <= 0 or lhs < rhs:
-                        w = _witness(window=window, m=m, **{"lambda": level})
-                        out.append(Violation(name, w, lhs, rhs))
-    return out
+            for name, levels in pairs:
+                for level in levels:
+                    yield name, _witness(window=window, m=m, **{"lambda": level})
 
 
 def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -> Config:
@@ -364,6 +346,7 @@ def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -
     return Config.build(subset, CarlesonSequence.from_mapping(mapping))
 
 
+@lru_cache(maxsize=1)
 def _dynamics_instance(seed: int, index: int) -> tuple[Config, Config, Fraction, Fraction]:
     rng = random.Random(f"{seed}:{index}")
     c1 = _random_config(rng)
@@ -373,41 +356,38 @@ def _dynamics_instance(seed: int, index: int) -> tuple[Config, Config, Fraction,
     return c1, c2, gamma, level
 
 
-def check_dynamics_suite(spec: SampleSpec) -> list[Violation]:
+def _sample_dynamics(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Exact concatenation identity on seeded random configuration pairs."""
-    out = []
     for index in range(spec.count):
-        c1, c2, gamma, level = _dynamics_instance(spec.seed, index)
-        combined = concat_configs(c1, c2, gamma)
-        lhs = combined.level_set(level + gamma * combined.measure)
-        rhs = (c1.level_set(level) + c2.level_set(level)) / 2
-        if lhs != rhs:
-            w = _witness(seed=spec.seed, index=index, gamma=gamma, **{"lambda": level})
-            out.append(Violation("dynamics", w, lhs, rhs))
-    return out
+        _, _, gamma, level = _dynamics_instance(spec.seed, index)
+        yield "dynamics", _witness(seed=spec.seed, index=index, gamma=gamma, **{"lambda": level})
 
 
-SUITE_NAMES = ("obstacle", "concavity", "jump", "fjg", "slopes", "gconsist", "dynamics")
+# Suite name -> sampler, in the order ``verify all`` runs them.
+_SUITES = {
+    "obstacle": _sample_obstacle,
+    "concavity": _sample_concavity,
+    "jump": _sample_jump,
+    "fjg": _sample_fjg,
+    "slopes": _sample_slopes,
+    "gconsist": _sample_gconsist,
+    "dynamics": _sample_dynamics,
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
-    """Run one named check with the given sampling plan."""
-    if name == "obstacle":
-        return check_obstacle(spec)
-    if name == "concavity":
-        return check_midpoint_concavity(spec)
-    if name == "jump":
-        return check_jump(spec)
-    if name == "fjg":
-        return check_fJ_ge_g(spec)
-    if name == "slopes":
-        grid = spec.lambda_grid or default_level_grid()
-        return check_slopes(grid)
-    if name == "gconsist":
-        return check_g_consistency(spec)
-    if name == "dynamics":
-        return check_dynamics_suite(spec)
-    raise DomainError(f"unknown suite {name!r}")
+    """Run one named suite with the given sampling plan."""
+    if name not in _SUITES:
+        raise DomainError(f"unknown suite {name!r}")
+    out = []
+    for check, witness in _SUITES[name](spec):
+        evaluate, holds = _CHECKS[check]
+        lhs, rhs = evaluate(dict(witness))
+        if not holds(lhs, rhs):
+            out.append(Violation(check, witness, lhs, rhs))
+    return out
 
 
 # Brute force over all small-depth configurations.
@@ -611,17 +591,11 @@ def _exhaustive_tables(
     return gmax, qmax
 
 
-def _worker_tables(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    depth, chunk, query_scaled = args
-    return _exhaustive_tables(depth, chunk, query_scaled)
-
-
 def brute_force_sup(
     depth: int,
     lambda_values: Sequence[Fraction] = (),
     sample: int | None = None,
     seed: int = 0,
-    workers: int | None = None,
 ) -> BruteForceReport:
     """Scan configurations at one depth and table max level sets against the bound.
 
@@ -641,24 +615,10 @@ def brute_force_sup(
     if sample is not None:
         return _brute_sampled(depth, lambda_values, sample, seed)
 
-    if workers is None:
-        workers = int(os.environ.get("SPARSEBOUND_WORKERS", "1"))
     cells = 2**depth
     seq_masks = list(iter_binary_carleson(depth))
     query_scaled = [math.ceil(q * cells) for q in lambda_values]
-    if workers > 1 and len(seq_masks) > workers:
-        import multiprocessing
-
-        chunks = [seq_masks[i::workers] for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_worker_tables, [(depth, c, query_scaled) for c in chunks])
-        gmax = parts[0][0]
-        qmax = parts[0][1]
-        for g, q in parts[1:]:
-            np.maximum(gmax, g, out=gmax)
-            np.maximum(qmax, q, out=qmax)
-    else:
-        gmax, qmax = _exhaustive_tables(depth, seq_masks, query_scaled)
+    gmax, qmax = _exhaustive_tables(depth, seq_masks, query_scaled)
 
     n_x = cells + 1
     n_v = (depth + 1) * cells + 1
@@ -678,31 +638,44 @@ def brute_force_sup(
             a_scaled = int(key) // n_x
             k = (Fraction(x_cnt, cells), Fraction(a_scaled, cells), Fraction(level))
             table[k] = max(table.get(k, ZERO), Fraction(count, cells))
-    entries, domination = _table_entries(table)
+    return _report(depth, True, len(seq_masks) * (1 << cells), table)
+
+
+def _scan(
+    table: dict[tuple[Fraction, Fraction, Fraction], Fraction],
+    config: Config,
+    lambda_values: Sequence[Fraction],
+) -> None:
+    """Fold one configuration's level-set measures into ``table``.
+
+    It is measured at every positive breakpoint of its step function and at
+    the extra levels; the table keeps the maximum per (x, A, level).
+    """
+    levels = [v for v in config.breakpoints() if v > 0]
+    levels.extend(lambda_values)
+    for level in levels:
+        key = (config.measure, config.height, Fraction(level))
+        table[key] = max(table.get(key, ZERO), config.level_set(level))
+
+
+def _report(
+    depth: int,
+    exhaustive: bool,
+    configs_scanned: int,
+    table: dict[tuple[Fraction, Fraction, Fraction], Fraction],
+) -> BruteForceReport:
+    """Compare each maximum in ``table`` with the bound, in key order."""
+    entries = []
+    for (x, a, level), max_v in sorted(table.items()):
+        bound = bellman_value(x, a, level)
+        entries.append(ReportEntry(x, a, level, max_v, bound, max_v == bound))
     return BruteForceReport(
         depth=depth,
-        exhaustive=True,
-        configs_scanned=len(seq_masks) * (1 << cells),
-        entries=entries,
-        domination=domination,
+        exhaustive=exhaustive,
+        configs_scanned=configs_scanned,
+        entries=tuple(entries),
+        domination=all(e.max_v <= e.bound for e in entries),
     )
-
-
-def _table_entries(
-    table: dict[tuple[Fraction, Fraction, Fraction], Fraction]
-) -> tuple[tuple[ReportEntry, ...], bool]:
-    bound_cache: dict[tuple[Fraction, Fraction, Fraction], Fraction] = {}
-    entries = []
-    domination = True
-    for (x, a, level), max_v in sorted(table.items()):
-        key = (x, a, level)
-        if key not in bound_cache:
-            bound_cache[key] = bellman_value(x, a, level)
-        bound = bound_cache[key]
-        if max_v > bound:
-            domination = False
-        entries.append(ReportEntry(x, a, level, max_v, bound, max_v == bound))
-    return tuple(entries), domination
 
 
 def _brute_sampled(
@@ -727,22 +700,9 @@ def _brute_sampled(
         if seq is None:
             continue
         subset = DyadicSet.from_cells(depth, rng.getrandbits(cells))
-        config = Config.build(subset, seq)
+        _scan(table, Config.build(subset, seq), lambda_values)
         scanned += 1
-        levels = [v for v in config.breakpoints() if v > 0]
-        levels.extend(lambda_values)
-        for level in levels:
-            v = config.level_set(level)
-            k2 = (config.measure, config.height, Fraction(level))
-            table[k2] = max(table.get(k2, ZERO), v)
-    entries, domination = _table_entries(table)
-    return BruteForceReport(
-        depth=depth,
-        exhaustive=False,
-        configs_scanned=scanned,
-        entries=entries,
-        domination=domination,
-    )
+    return _report(depth, False, scanned, table)
 
 
 def brute_reference(depth: int, lambda_values: Sequence[Fraction] = ()) -> BruteForceReport:
@@ -759,20 +719,6 @@ def brute_reference(depth: int, lambda_values: Sequence[Fraction] = ()) -> Brute
     for mask in iter_binary_carleson(depth, prune=False):
         seq = _mask_to_sequence(depth, mask)
         for emask in range(1 << cells):
-            subset = DyadicSet.from_cells(depth, emask)
-            config = Config.build(subset, seq)
+            _scan(table, Config.build(DyadicSet.from_cells(depth, emask), seq), lambda_values)
             scanned += 1
-            levels = [v for v in config.breakpoints() if v > 0]
-            levels.extend(lambda_values)
-            for level in levels:
-                v = config.level_set(level)
-                k = (config.measure, config.height, Fraction(level))
-                table[k] = max(table.get(k, ZERO), v)
-    entries, domination = _table_entries(table)
-    return BruteForceReport(
-        depth=depth,
-        exhaustive=True,
-        configs_scanned=scanned,
-        entries=entries,
-        domination=domination,
-    )
+    return _report(depth, True, scanned, table)

@@ -21,14 +21,12 @@ from sparsebound.candidate import (
 )
 from sparsebound.extremal import corollary_config, curve_vertex_config, tower_config
 from sparsebound.verify import (
+    SLOPES_MAX_INDEX,
+    SLOPES_X_MIN,
     SampleSpec,
     brute_force_sup,
-    check_dynamics_suite,
-    check_fJ_ge_g,
-    check_jump,
-    check_midpoint_concavity,
-    check_slopes,
     default_level_grid,
+    run_suite,
 )
 
 
@@ -92,14 +90,14 @@ def test_criterion_4_main_inequality():
     start = time.time()
     grid = (F(1, 4), F(1, 2), F(1), F(3, 2), F(5, 2), F(7, 2), F(9, 2))
     spec = SampleSpec(seed=404, count=10_000, lambda_grid=grid)
-    assert check_midpoint_concavity(spec) == []
-    assert check_jump(SampleSpec(seed=405, count=10_000)) == []
+    assert run_suite("concavity", spec) == []
+    assert run_suite("jump", SampleSpec(seed=405, count=10_000)) == []
     _report(4, time.time() - start, "70k concavity and 10k jump samples, zero violations")
 
 
 def test_criterion_5_profile_jump_and_consistency():
     start = time.time()
-    assert check_fJ_ge_g(SampleSpec(seed=505, count=10_000)) == []
+    assert run_suite("fjg", SampleSpec(seed=505, count=10_000)) == []
     rng = random.Random(506)
     for _ in range(10_000):
         x = F(rng.randint(0, 64), 64)
@@ -110,8 +108,9 @@ def test_criterion_5_profile_jump_and_consistency():
 
 def test_criterion_6_profile_concavity():
     start = time.time()
-    violations = check_slopes(default_level_grid(50), max_index=10)
-    assert violations == []
+    assert (SLOPES_X_MIN, SLOPES_MAX_INDEX) == (F(1, 4096), 10)
+    spec = SampleSpec(seed=0, count=1, lambda_grid=default_level_grid(50))
+    assert run_suite("slopes", spec) == []
     _report(6, time.time() - start, "slope monotonicity on 50 levels plus closed-form certificates")
 
 
@@ -136,7 +135,7 @@ def test_criterion_7_brute_force_depth_3():
 
 def test_criterion_8_dynamics_identity():
     start = time.time()
-    assert check_dynamics_suite(SampleSpec(seed=808, count=1000)) == []
+    assert run_suite("dynamics", SampleSpec(seed=808, count=1000)) == []
     _report(8, time.time() - start, "1000 concatenation triples satisfy the identity exactly")
 
 

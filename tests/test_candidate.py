@@ -334,3 +334,31 @@ def test_corollary_bound_values():
         corollary_bound(0, 2)
     with pytest.raises(DomainError):
         corollary_bound(-1, 3)
+
+
+
+# Each public entry point with integer arguments inside its domain.
+ENTRY_POINTS = {
+    "bellman_value": (bellman_value, (1, 2, 3)),
+    "classify_region": (classify_region, (1, 1, 1)),
+    "f_value": (f_value, (1, 3)),
+    "g_value": (g_value, (1, 3)),
+    "f_extended": (f_extended, (2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False], ids=["0.5", "1.0", "True", "False"])
+def test_entry_points_refuse_floats_and_bools(name, bad):
+    fn, args = ENTRY_POINTS[name]
+    for position in range(len(args)):
+        with pytest.raises(DomainError):
+            fn(*args[:position], bad, *args[position + 1 :])
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_convert_ints(name):
+    fn, args = ENTRY_POINTS[name]
+    result = fn(*args)
+    assert result == fn(*(F(v) for v in args))
+    assert name == "classify_region" or type(result) is F

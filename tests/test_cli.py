@@ -1,8 +1,11 @@
 import json
+import sys
+from fractions import Fraction as F
 
 import pytest
 
 from sparsebound.cli import main
+from sparsebound.rational import parse_rational
 
 
 def run_cli(capsys, *args):
@@ -144,3 +147,22 @@ def test_corollary(capsys):
     assert payload["report"]["attained"] is True
     assert main(["corollary", "0", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["jump", "--count", "-5"], ["all", "--count", "0"]])
+def test_verify_count_below_one_is_usage_error(capsys, argv):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_eval_prints_beyond_digit_limit(capsys, default_digit_limit):
+    code, out = run_cli(capsys, "eval", "--which", "B", "1", "2", "15000")
+    assert code == 0
+    value, tag = out.split(" ", 1)
+    assert tag == "(strip m=14998, plateau)\n"
+    assert parse_rational(value) == F(1, 2**14998)
+    assert len(value.split("/")[1]) == 4515
+    assert sys.get_int_max_str_digits() == default_digit_limit

@@ -11,8 +11,8 @@ from sparsebound.dyadic import (
     ROOT,
     carleson_constant,
     carleson_height,
-    check_dynamics,
     concat_configs,
+    concat_identity,
     concat_seqs,
     concat_sets,
     config_from_json,
@@ -214,13 +214,16 @@ def test_concat_seqs_height_identity():
 def test_check_dynamics_examples():
     rng = random.Random(8)
     c1, c2 = random_config(rng), random_config(rng)
-    assert check_dynamics(c1, c2, F(0), F(3, 4))
-    assert check_dynamics(c1, c1, F(1), F(3, 2))
+    lhs, rhs = concat_identity(c1, c2, F(0), F(3, 4))
+    assert lhs == rhs
+    lhs, rhs = concat_identity(c1, c1, F(1), F(3, 2))
+    assert lhs == rhs
     for _ in range(60):
         a, b = random_config(rng), random_config(rng)
         gamma = (F(0), F(1, 2), F(1))[rng.randint(0, 2)]
         level = F(rng.randint(-8, 40), 8)
-        assert check_dynamics(a, b, gamma, level)
+        lhs, rhs = concat_identity(a, b, gamma, level)
+        assert lhs == rhs
 
 
 def test_level_set_monotone_and_obstacle():

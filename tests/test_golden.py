@@ -6,7 +6,7 @@ change to a report shows here.  The fault-injected case breaks every
 function the verify suites evaluate, so that the violation reports, their
 witnesses and their order are pinned too, not only clean runs.
 
-To print the table for the current code: ``python tests/test_golden.py``.
+To print the table for the current code: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
@@ -103,7 +103,8 @@ def clear_memos():
 def inject_faults(monkeypatch):
     """Break every function the verify suites evaluate."""
     clear_memos()
-    slopes, forms, concat = candidate.profile_slopes, candidate.recip_slope_forms, dyadic.concat_configs
+    slopes, forms = candidate.profile_slopes, candidate.recip_slope_forms
+    concat = dyadic.concat_configs
 
     def negated_forms(window, m):
         return {

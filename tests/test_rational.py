@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -29,3 +30,11 @@ def test_format_basic():
 def test_round_trip():
     for q in (F(0), F(22, 7), F(-9, 8), F(10**9, 3)):
         assert parse_rational(format_rational(q)) == q
+
+
+def test_round_trip_beyond_digit_limit(default_digit_limit):
+    for q in (F(1, 2**20000), F(-(3**12000), 7), F(2**20000 + 1, 3**9000)):
+        text = format_rational(q)
+        assert len(text) > default_digit_limit
+        assert parse_rational(text) == q
+    assert sys.get_int_max_str_digits() == default_digit_limit

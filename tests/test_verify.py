@@ -13,13 +13,6 @@ from sparsebound.verify import (
     _mask_to_sequence,
     brute_force_sup,
     brute_reference,
-    check_dynamics_suite,
-    check_fJ_ge_g,
-    check_g_consistency,
-    check_jump,
-    check_midpoint_concavity,
-    check_obstacle,
-    check_slopes,
     default_level_grid,
     intervals_to_depth,
     iter_binary_carleson,
@@ -31,31 +24,32 @@ SPEC = SampleSpec(seed=7, count=400)
 
 
 def test_obstacle_clean():
-    assert check_obstacle(SPEC) == []
+    assert run_suite("obstacle", SPEC) == []
 
 
 def test_midpoint_concavity_clean():
-    assert check_midpoint_concavity(SampleSpec(seed=7, count=200)) == []
+    assert run_suite("concavity", SampleSpec(seed=7, count=200)) == []
 
 
 def test_jump_clean():
-    assert check_jump(SPEC) == []
+    assert run_suite("jump", SPEC) == []
 
 
 def test_fjg_clean():
-    assert check_fJ_ge_g(SPEC) == []
+    assert run_suite("fjg", SPEC) == []
 
 
 def test_gconsist_clean():
-    assert check_g_consistency(SPEC) == []
+    assert run_suite("gconsist", SPEC) == []
 
 
 def test_slopes_clean():
-    assert check_slopes(default_level_grid(20), max_index=6) == []
+    spec = SampleSpec(seed=7, count=1, lambda_grid=default_level_grid(20))
+    assert run_suite("slopes", spec) == []
 
 
 def test_dynamics_clean():
-    assert check_dynamics_suite(SampleSpec(seed=7, count=100)) == []
+    assert run_suite("dynamics", SampleSpec(seed=7, count=100)) == []
 
 
 def test_run_suite_dispatch():
@@ -80,10 +74,10 @@ def test_violations_replay_exactly():
         ("slopes:form", {"window": F(2), "m": F(1), "form": F(1), "lambda": F(21, 8)}),
         ("dynamics", {"seed": F(7), "index": F(3), "gamma": F(0), "lambda": F(1)}),
     ]
-    from sparsebound.verify import _WITNESS_EVALUATORS
+    from sparsebound.verify import _CHECKS
 
     for name, witness in cases:
-        lhs, rhs = _WITNESS_EVALUATORS[name](witness)
+        lhs, rhs = _CHECKS[name][0](witness)
         violation = Violation(name, tuple(witness.items()), lhs, rhs)
         assert replay(violation) == (lhs, rhs)
         payload = violation.to_json()
@@ -165,14 +159,6 @@ def test_brute_sampled_mode():
     assert not report.exhaustive
     assert report.domination
     assert report.configs_scanned <= 150
-
-
-def test_brute_workers_merge():
-    single = brute_force_sup(2, workers=1)
-    multi = brute_force_sup(2, workers=2)
-    assert {(e.x, e.height, e.level): e.max_v for e in single.entries} == {
-        (e.x, e.height, e.level): e.max_v for e in multi.entries
-    }
 
 
 def test_report_serialization():
