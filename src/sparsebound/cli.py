@@ -2,17 +2,18 @@
 
 Subcommands: ``eval`` (exact bound and profile values), ``curves`` (level
 curve vertices as CSV or JSON), ``verify`` (property suites), ``brute``
-(small-depth enumeration report), ``extremize`` and ``corollary``
+(small-depth brute-force report), ``extremize`` and ``corollary``
 (constructive extremizers with attainment reports).  Every printed value is
 an exact rational string.  Exit status: 0 all checks pass, 1 a violation or
-missed attainment was found, 2 usage error.
+missed attainment was found, 2 usage error, 3 the run did not complete (an
+unexpected error, or stdout closed before the report was written).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -186,6 +187,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
+    if args.sample is not None and args.sample < 1:
+        raise DomainError(f"--sample must be at least 1, got {args.sample}")
     report = brute_force_sup(
         args.depth, lambda_values=args.lambdas, sample=args.sample, seed=args.seed
     )
@@ -234,13 +237,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except ExhaustiveModeError as exc:
+        status = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return status
+    except (ExhaustiveModeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # The reader is gone; what is still buffered goes nowhere at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

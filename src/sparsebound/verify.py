@@ -6,10 +6,11 @@ recomputed bit for bit.  Two tables drive the checks.  Each suite has a
 sampler that lays out its witnesses from a seed, and each check has one
 evaluator of both sides and the relation they must satisfy; ``run_suite``
 and ``replay`` both go through the evaluators.  The brute-force driver
-enumerates, at small depth, every binary weight sequence with Carleson
-constant at most 2 against every set resolved at that depth, and certifies
-that no configuration's level-set measure ever exceeds ``bellman_value``
-while recording where equality is attained.
+certifies, over every binary weight sequence with Carleson constant at most
+2 against every set resolved at a small depth, that no level-set measure
+ever exceeds ``bellman_value``, and records where equality is attained.  It
+runs the paper's Bellman recursion over the dyadic tree instead of
+enumerating the configurations.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .candidate import (
     bellman_value,
@@ -519,76 +518,69 @@ class BruteForceReport:
         return rows
 
 
-def _exhaustive_tables(
-    depth: int, seq_masks: Sequence[int], query_scaled: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate max level-set counts over all sets for the given sequences.
+# An E entry of a level no configuration takes; sums with it stay negative.
+_MISSING = -(1 << 62)
 
-    Returns ``gmax`` indexed by (height, set size, scaled breakpoint) and
-    ``qmax`` by (query, height, set size); counts are cell counts, -1 where
-    the key never occurs.  All cell values are integers once scaled by the
-    cell count, so the whole sweep runs in integer arithmetic.
+
+def _merge(tables: dict, key: tuple[int, int], v: list[int], hit: list[int]) -> None:
+    if key in tables:
+        v = list(map(max, v, tables[key][0]))
+        hit = list(map(max, hit, tables[key][1]))
+    tables[key] = (v, hit)
+
+
+def _sup_tables(depth: int) -> tuple[dict[tuple[int, int], tuple[list[int], list[int]]], int]:
+    """The ``V`` and ``E`` tables per (measure, height) at one depth, and the sequence count.
+
+    Everything at depth e is scaled by 2**e.  A configuration is a root
+    weight gamma in {0, 1} and two depth e - 1 configurations on the halves:
+    its set has ``xc = xc1 + xc2`` cells, its height is
+    ``hs = gamma * 2**e + hs1 + hs2 <= 2**(e + 1)``, and a cell's value is
+    ``gamma * xc`` plus twice its value in its half.  So the level ``t``
+    asks the halves for ``ceil((t - gamma * xc) / 2)``, whose maxima add,
+    and ``E`` hits ``t`` exactly when one half hits ``(t - gamma * xc) / 2``.
+    The halves run over ordered pairs, and swapping them keeps (xc, hs) and
+    every level set, so only hits in the left half need counting.
+
+    ``tables[xc, hs] = (V, E)`` lists the levels 0 .. (depth + 1) * 2**depth:
+    ``V[t]`` is the most cells of value >= t, and ``E[t]`` the most among
+    configurations with a cell of value exactly t (negative if none).
     """
-    ivs = intervals_to_depth(depth)
-    n = len(ivs)
-    cells = 2**depth
-    nsets = 1 << cells
-    masks_j = np.array(
-        [sum(1 << c for c in range(cells) if iv.contains(DyadicInterval(depth, c))) for iv in ivs],
-        dtype=np.int64,
-    )
-    emasks = np.arange(nsets, dtype=np.int64)
-    pop = np.zeros(nsets, dtype=np.int64)
-    for c in range(cells):
-        pop += (emasks >> c) & 1
-    count_je = np.zeros((n, nsets), dtype=np.int64)
-    for j in range(n):
-        inter = emasks & masks_j[j]
-        cnt = np.zeros(nsets, dtype=np.int64)
-        for c in range(cells):
-            cnt += (inter >> c) & 1
-        count_je[j] = cnt
-    contain = np.array(
-        [[iv.contains(DyadicInterval(depth, c)) for c in range(cells)] for iv in ivs],
-        dtype=bool,
-    )
-    scale_j = np.array([2**iv.depth for iv in ivs], dtype=np.int64)
-    a_scaled_j = np.array([cells // 2**iv.depth for iv in ivs], dtype=np.int64)
-
-    n_a = 2 * cells + 1
-    n_x = cells + 1
-    n_v = (depth + 1) * cells + 1
-    gmax = np.full(n_a * n_x * n_v, -1, dtype=np.int64)
-    qmax = np.full((len(query_scaled), n_a * n_x), -1, dtype=np.int64)
-
-    chunk_size = max(1, 2**22 // (nsets * cells))
-    seq_arr = np.array(seq_masks, dtype=np.int64)
-    for start in range(0, len(seq_arr), chunk_size):
-        block = seq_arr[start : start + chunk_size]
-        b = len(block)
-        w = ((block[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
-        a8 = w @ a_scaled_j
-        values = np.zeros((b, nsets, cells), dtype=np.int64)
-        for c in range(cells):
-            sel = (w * (contain[:, c] * scale_j)[None, :]).astype(np.int64)
-            values[:, :, c] = sel @ count_je
-        svals = -np.sort(-values, axis=2)
-        nxt = np.concatenate(
-            [svals[:, :, 1:], np.full((b, nsets, 1), -1, dtype=np.int64)], axis=2
-        )
-        is_bp = (svals > 0) & (svals > nxt)
-        counts = np.broadcast_to(np.arange(1, cells + 1, dtype=np.int64), svals.shape)
-        base_key = a8[:, None, None] * n_x + pop[None, :, None]
-        keys = base_key * n_v + svals
-        sel_keys = keys[is_bp]
-        sel_counts = counts[is_bp]
-        np.maximum.at(gmax, sel_keys, sel_counts)
-        if query_scaled:
-            flat_key = (a8[:, None] * n_x + pop[None, :]).ravel()
-            for qi, threshold in enumerate(query_scaled):
-                cnt = (values >= threshold).sum(axis=2).ravel()
-                np.maximum.at(qmax[qi], flat_key, cnt)
-    return gmax, qmax
+    # Depth 0: one cell with weight gamma, of value gamma * xc.
+    tables = {
+        (xc, gamma): ([1, xc * gamma], [_MISSING, 1] if xc * gamma else [1, _MISSING])
+        for xc in (0, 1)
+        for gamma in (0, 1)
+    }
+    counts = {0: 1, 1: 1}  # binary Carleson sequences by scaled height
+    for e in range(1, depth + 1):
+        pairs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        for (x1, h1), (v1, e1) in tables.items():
+            for (x2, h2), (v2, _) in tables.items():
+                v, hit = list(map(operator.add, v1, v2)), list(map(operator.add, e1, v2))
+                _merge(pairs, (x1 + x2, h1 + h2), v, hit)
+        pair_counts: dict[int, int] = {}
+        for h1, n1 in counts.items():
+            for h2, n2 in counts.items():
+                pair_counts[h1 + h2] = pair_counts.get(h1 + h2, 0) + n1 * n2
+        cells = 1 << e
+        tables = {}
+        for (xc, hs), (v, hit) in pairs.items():
+            # The halves' tables at the doubled levels u = 2 * t1, padded
+            # by one root weight's worth of levels.
+            v = [v[(u + 1) // 2] for u in range(2 * len(v) - 1)] + [0] * cells
+            hit = [hit[u // 2] if u % 2 == 0 else _MISSING for u in range(2 * len(hit) - 1)]
+            hit += [_MISSING] * cells
+            for gamma in (0, 1):
+                height, shift = (gamma << e) + hs, gamma * xc
+                if height <= 2 * cells:
+                    v_root = [cells] * shift + v[: len(v) - shift]
+                    hit_root = [_MISSING] * shift + hit[: len(hit) - shift]
+                    _merge(tables, (xc, height), v_root, hit_root)
+        counts = {
+            h: pair_counts.get(h, 0) + pair_counts.get(h - cells, 0) for h in range(2 * cells + 1)
+        }
+    return tables, sum(counts.values())
 
 
 def brute_force_sup(
@@ -597,13 +589,14 @@ def brute_force_sup(
     sample: int | None = None,
     seed: int = 0,
 ) -> BruteForceReport:
-    """Scan configurations at one depth and table max level sets against the bound.
+    """Table the largest level sets at one depth against the bound.
 
-    Exhaustive for depth at most 3: every binary Carleson sequence on
-    intervals of depth <= depth against every set resolved at that depth,
-    checked at every breakpoint of each configuration's step function and
-    at the extra ``lambda_values``.  Beyond the cap a seeded random sample
-    must be requested explicitly; no exhaustiveness is claimed there.
+    Exhaustive for depth at most 3, over every binary Carleson sequence on
+    intervals of depth <= depth and every set resolved at that depth: each
+    (x, A) gets an entry at every positive level some configuration takes
+    as a value (from ``E``) and at each of ``lambda_values`` (from ``V``);
+    see ``_sup_tables``.  Beyond the cap a seeded random sample must be
+    requested explicitly; no exhaustiveness is claimed there.
     """
     if depth < 1:
         raise DomainError(f"depth must be at least 1, got {depth}")
@@ -616,29 +609,19 @@ def brute_force_sup(
         return _brute_sampled(depth, lambda_values, sample, seed)
 
     cells = 2**depth
-    seq_masks = list(iter_binary_carleson(depth))
-    query_scaled = [math.ceil(q * cells) for q in lambda_values]
-    gmax, qmax = _exhaustive_tables(depth, seq_masks, query_scaled)
-
-    n_x = cells + 1
-    n_v = (depth + 1) * cells + 1
+    tables, sequences = _sup_tables(depth)
     table: dict[tuple[Fraction, Fraction, Fraction], Fraction] = {}
-    for key in np.nonzero(gmax >= 0)[0]:
-        count = int(gmax[key])
-        v_scaled = int(key % n_v)
-        rest = int(key // n_v)
-        x_cnt = rest % n_x
-        a_scaled = rest // n_x
-        k = (Fraction(x_cnt, cells), Fraction(a_scaled, cells), Fraction(v_scaled, cells))
-        table[k] = max(table.get(k, ZERO), Fraction(count, cells))
-    for qi, level in enumerate(lambda_values):
-        for key in np.nonzero(qmax[qi] >= 0)[0]:
-            count = int(qmax[qi][key])
-            x_cnt = int(key) % n_x
-            a_scaled = int(key) // n_x
-            k = (Fraction(x_cnt, cells), Fraction(a_scaled, cells), Fraction(level))
-            table[k] = max(table.get(k, ZERO), Fraction(count, cells))
-    return _report(depth, True, len(seq_masks) * (1 << cells), table)
+    for (xc, hs), (v, hit) in tables.items():
+        x, a = Fraction(xc, cells), Fraction(hs, cells)
+        for t in range(1, len(hit)):
+            if hit[t] >= 0:
+                table[x, a, Fraction(t, cells)] = Fraction(hit[t], cells)
+        for level in lambda_values:
+            t = math.ceil(level * cells)
+            count = v[max(t, 0)] if t < len(v) else 0
+            key = (x, a, Fraction(level))
+            table[key] = max(table.get(key, ZERO), Fraction(count, cells))
+    return _report(depth, True, sequences << cells, table)
 
 
 def _scan(

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +169,51 @@ def test_eval_prints_beyond_digit_limit(capsys, default_digit_limit):
     assert parse_rational(value) == F(1, 2**14998)
     assert len(value.split("/")[1]) == 4515
     assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+@pytest.mark.parametrize("sample", ["0", "-4"])
+def test_brute_sample_below_one_is_usage_error(capsys, sample):
+    code = main(["brute", "3", "--sample", sample])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+PATH = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+ENV = {**os.environ, "PYTHONPATH": PATH}
+
+
+def run_python(args, **kwargs):
+    return subprocess.run(
+        [sys.executable, *args], env=ENV, stderr=subprocess.PIPE, text=True, timeout=120, **kwargs
+    )
+
+
+@pytest.mark.parametrize("argv", [["curves", "3"], ["brute", "2", "--lambda", "1"]])
+def test_closed_stdout_exits_3_without_traceback(argv):
+    # A pipe whose read end is already closed: the first write or flush fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python(["-m", "sparsebound.cli", *argv], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_unexpected_error_exits_3_with_one_line(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    proc = run_python(["-m", "sparsebound.cli", "brute", "1", "--output", str(target)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: unexpected FileNotFoundError: ")
+    assert proc.stderr.endswith(f"'{target}'\n") and len(proc.stderr.splitlines()) == 1
+
+
+def test_numpy_is_not_imported():
+    code = "import sys, sparsebound.verify, sparsebound.cli; print('numpy' in sys.modules)"
+    proc = run_python(["-c", code], stdout=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -55,6 +55,10 @@ GOLDEN = {
         ["brute", "2", *LAMBDAS], 0, 28095,
         "b7f49fb71afb437371a1f47cedf0b22ea6e1e99a76621cf62e349e256229f568",
     ),
+    "brute-3": (
+        ["brute", "3", *LAMBDAS], 0, 183424,
+        "af67bbf9864c2c6208b676aea568dbabce4222eb87b4a308348919decf70d846",
+    ),
     "brute-5-sampled": (
         ["brute", "5", "--sample", "200", "--seed", "1"], 0, 72344,
         "7ff32be261b12d03d9f20e5b55ad58fd1752bbb1c0f30767ddc9866d9ec787ba",

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebound.candidate import bellman_value
 from sparsebound.dyadic import carleson_constant
@@ -137,6 +139,39 @@ def test_brute_matches_reference():
         assert fast_table == ref_table
         assert fast.configs_scanned == ref.configs_scanned
         assert fast.domination and ref.domination
+
+
+# Query levels at or below zero, on and off the depth-2 grid, and above the
+# top value a configuration reaches at depth 1 or 2 (2 and 3).
+LEVEL_LISTS = st.lists(
+    st.one_of(
+        st.fractions(min_value=-5, max_value=0, max_denominator=8),
+        st.fractions(min_value=0, max_value=3, max_denominator=12),
+        st.fractions(min_value=3, max_value=50, max_denominator=4),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(levels=LEVEL_LISTS)
+def test_bellman_engine_matches_reference_depth_1(levels):
+    assert brute_force_sup(1, levels) == brute_reference(1, levels)
+
+
+@settings(max_examples=4, deadline=None)
+@given(levels=LEVEL_LISTS)
+def test_bellman_engine_matches_reference_depth_2(levels):
+    assert brute_force_sup(2, levels) == brute_reference(2, levels)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_configs_scanned_counts_enumerated_configurations(depth):
+    sequences = sum(1 for _ in iter_binary_carleson(depth))
+    scanned = brute_force_sup(depth).configs_scanned
+    assert scanned == sequences * 2 ** (2**depth)
+    if depth == 3:
+        assert scanned == 3_485_440
 
 
 def test_brute_monotone_in_depth():
