@@ -20,7 +20,6 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
 
 from .geometry import PiecewiseLinearFn, PlanePoint, lerp
 from .rational import DomainError
@@ -36,7 +35,6 @@ __all__ = [
     "curve_x",
     "origin_parameter",
     "f_value",
-    "f_value_nodes",
     "f_extended",
     "g_value",
     "f_region",
@@ -72,6 +70,13 @@ def _exact(value: Fraction | int, name: str) -> Fraction:
     if isinstance(value, numbers.Rational) and not isinstance(value, bool):
         return Fraction(value)
     raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
+
+
+def _index(value: int, name: str) -> int:
+    """A curve or strip index argument of a public entry point, as an int."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{name} must be an int, got {value!r}")
 
 
 def _pow2(k: int) -> Fraction:
@@ -117,6 +122,7 @@ def _segment_denominator(family: Family, k: int) -> int:
 
 def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
     """Level of the m-th curve above ``x`` in [0, 1]."""
+    m, x = _index(m, "curve index"), _exact(x, "x")
     if not ZERO <= x <= ONE:
         raise DomainError(f"curve argument must lie in [0, 1], got {x}")
     if m < 0:
@@ -134,8 +140,8 @@ def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
     return x * _segment_denominator(family, k) + (m - k + 2)
 
 
-def _curve_top(family: Family, m: int) -> Fraction:
-    return Fraction(m + 2) if family is Family.F else Fraction(m + 1)
+def _curve_top(family: Family, m: int) -> int:
+    return m + 2 if family is Family.F else m + 1
 
 
 def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
@@ -144,6 +150,7 @@ def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
     For the G family the inverse of the flat top segment is taken to be its
     left endpoint x = 1/2.
     """
+    m, level = _index(m, "curve index"), _exact(level, "level")
     top = _curve_top(family, m)
     if not ZERO <= level <= top:
         raise DomainError(f"level {level} outside curve range [0, {top}]")
@@ -156,19 +163,41 @@ def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
     raise AssertionError("unreachable: segment search exhausted")
 
 
-def _f_strip(x: Fraction, level: Fraction) -> tuple[int, bool]:
-    """Strip index of (x, level) in the F foliation and a plateau flag.
+def _strip(family: Family, x: Fraction, level: Fraction) -> tuple[int, bool]:
+    """Strip index of (x, level) over the family's curves and a plateau flag.
 
     Strip m is the set where the level exceeds curve m-1 but not curve m
-    (strip 0: at or below curve 0).  The value is constant there exactly
-    when the level exceeds m + 1.  Requires 0 < x <= 1 and level > 0.
+    (strip 0: at or below curve 0).  A curve whose top is below the level
+    lies below it everywhere, so the search starts at the first curve whose
+    top reaches the level.  The profile is constant on strip 0 and wherever
+    the level exceeds the top of curve m-1.  Requires 0 < x <= 1 and
+    level > 0 (level > 1 for the G family).
     """
-    if level <= curve_height(Family.F, 0, x):
-        return 0, True
-    m = max(1, math.ceil(level) - 2)
-    while level > curve_height(Family.F, m, x):
+    m = max(0, math.ceil(level) - _curve_top(family, 0))
+    while level > curve_height(family, m, x):
         m += 1
-    return m, level > m + 1
+    return m, m == 0 or level > _curve_top(family, m - 1)
+
+
+def _strip_value(family: Family, x: Fraction, level: Fraction) -> Fraction:
+    """The profile over the family's curves at 0 < x <= 1: 2**-m on curve m.
+
+    Between curves m and m-1 it interpolates linearly along the horizontal
+    line at ``level``, except on a plateau.
+    """
+    m, plateau = _strip(family, x, level)
+    if plateau:
+        return _pow2(m)
+    left = (curve_x(family, m, level), _pow2(m))
+    right = (curve_x(family, m - 1, level), _pow2(m - 1))
+    return lerp(left, right, x)
+
+
+def _check_profile_args(x: Fraction, level: Fraction) -> None:
+    if not ZERO <= x <= ONE:
+        raise DomainError(f"x must lie in [0, 1], got {x}")
+    if level <= 0:
+        raise DomainError(f"level must be positive, got {level}")
 
 
 def f_value(x: Fraction, level: Fraction) -> Fraction:
@@ -179,45 +208,10 @@ def f_value(x: Fraction, level: Fraction) -> Fraction:
     on the axis x = 0.
     """
     x, level = _exact(x, "x"), _exact(level, "level")
-    if not ZERO <= x <= ONE:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if level <= 0:
-        raise DomainError(f"level must be positive, got {level}")
+    _check_profile_args(x, level)
     if x == 0:
         return ZERO
-    m, plateau = _f_strip(x, level)
-    if m == 0:
-        return ONE
-    if plateau:
-        return _pow2(m)
-    left = (curve_x(Family.F, m, level), _pow2(m))
-    right = (curve_x(Family.F, m - 1, level), _pow2(m - 1))
-    return lerp(left, right, x)
-
-
-def f_value_nodes(x: Fraction, level: Fraction) -> Fraction:
-    """Independent form of ``f_value`` for levels in (0, 1].
-
-    For small levels every curve is still in its origin segment, so the
-    profile is the interpolation through the nodes
-    (level / (3*2**k - 1), 2**-k), constant 1 to the right of the k = 0 node.
-    """
-    if not ZERO <= x <= ONE:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if not ZERO < level <= ONE:
-        raise DomainError(f"node form only valid for levels in (0, 1], got {level}")
-    if x == 0:
-        return ZERO
-
-    def node(k: int) -> Fraction:
-        return level * origin_parameter(Family.F, k)
-
-    if x >= node(0):
-        return ONE
-    k = 1
-    while x < node(k):
-        k += 1
-    return lerp((node(k), _pow2(k)), (node(k - 1), _pow2(k - 1)), x)
+    return _strip_value(Family.F, x, level)
 
 
 def f_extended(x: Fraction, level: Fraction) -> Fraction:
@@ -226,14 +220,6 @@ def f_extended(x: Fraction, level: Fraction) -> Fraction:
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     return f_value(min(x, ONE), level)
-
-
-def _g_strip(x: Fraction, level: Fraction) -> tuple[int, bool]:
-    """Strip index in the G foliation and a plateau flag (level > 1, x > 0)."""
-    m = max(1, math.ceil(level) - 1)
-    while level > curve_height(Family.G, m, x):
-        m += 1
-    return m, level > m
 
 
 def g_value(x: Fraction, level: Fraction) -> Fraction:
@@ -245,10 +231,7 @@ def g_value(x: Fraction, level: Fraction) -> Fraction:
     G family of curves.
     """
     x, level = _exact(x, "x"), _exact(level, "level")
-    if not ZERO <= x <= ONE:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if level <= 0:
-        raise DomainError(f"level must be positive, got {level}")
+    _check_profile_args(x, level)
     if level <= 1:
         if 4 * x <= level:
             return f_value(2 * x, level) / 2
@@ -257,12 +240,7 @@ def g_value(x: Fraction, level: Fraction) -> Fraction:
         return ONE
     if x == 0:
         return ZERO
-    m, plateau = _g_strip(x, level)
-    if plateau:
-        return _pow2(m)
-    left = (curve_x(Family.G, m, level), _pow2(m))
-    right = (curve_x(Family.G, m - 1, level), _pow2(m - 1))
-    return lerp(left, right, x)
+    return _strip_value(Family.G, x, level)
 
 
 class RegionKind(Enum):
@@ -284,12 +262,9 @@ class RegionTag:
     plateau: bool = False
 
     def describe(self) -> str:
-        if self.kind is RegionKind.STRIP:
-            text = f"strip m={self.strip}"
-            if self.plateau:
-                text += ", plateau"
-            return text
-        return self.kind.value
+        if self.kind is not RegionKind.STRIP:
+            return self.kind.value
+        return f"strip m={self.strip}" + (", plateau" if self.plateau else "")
 
 
 def _check_box(x: Fraction, a: Fraction) -> None:
@@ -323,7 +298,7 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
     if a == 0 or x == 0:
         return RegionTag(RegionKind.ZERO)
     scaled = min(2 * x / a, ONE)
-    m, plateau = _f_strip(scaled, level)
+    m, plateau = _strip(Family.F, scaled, level)
     return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau)
 
 
@@ -351,23 +326,23 @@ def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
 
 def f_region(x: Fraction, level: Fraction) -> RegionTag:
     """Strip tag of the a=2 profile at (x, level)."""
-    if not ZERO <= x <= ONE:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if level <= 0:
-        return RegionTag(RegionKind.OBSTACLE)
-    if x == 0:
-        return RegionTag(RegionKind.ZERO)
-    m, plateau = _f_strip(x, level)
-    return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau or m == 0)
+    return _profile_region(Family.F, x, level)
 
 
 def g_region(x: Fraction, level: Fraction) -> RegionTag:
     """Region tag of the a=1 profile at (x, level)."""
+    return _profile_region(Family.G, x, level)
+
+
+def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
+    # The branch of f_value or g_value taken at (x, level); below level 1
+    # the a=1 profile has the three closed forms of g_value.
+    x, level = _exact(x, "x"), _exact(level, "level")
     if not ZERO <= x <= ONE:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if level <= 0:
         return RegionTag(RegionKind.OBSTACLE)
-    if level <= 1:
+    if family is Family.G and level <= 1:
         if 4 * x <= level:
             return RegionTag(RegionKind.PROFILE)
         if x <= level:
@@ -375,7 +350,7 @@ def g_region(x: Fraction, level: Fraction) -> RegionTag:
         return RegionTag(RegionKind.FULL)
     if x == 0:
         return RegionTag(RegionKind.ZERO)
-    m, plateau = _g_strip(x, level)
+    m, plateau = _strip(family, x, level)
     return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau)
 
 
@@ -431,6 +406,7 @@ def segment_slope(strip: int, level: Fraction) -> Fraction:
     (curve_x(F, strip - 1), 2**(1 - strip)); defined for levels at most
     strip + 1 (beyond that the strip is a plateau).
     """
+    strip, level = _index(strip, "strip index"), _exact(level, "level")
     if strip < 1:
         raise DomainError(f"strip index must be at least 1, got {strip}")
     if not ZERO < level <= strip + 1:

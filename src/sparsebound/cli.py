@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +30,6 @@ from .candidate import (
     g_region,
     g_value,
     vertex_f,
-    vertex_g,
 )
 from .dyadic import config_to_json
 from .extremal import (
@@ -56,8 +56,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-p/q`` as a negative rational, not an option."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsebound",
         description="Exact level-set bounds for dyadic sparse averaging operators.",
     )
@@ -125,12 +133,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if len(values) != 2:
             raise DomainError(f"eval --which {args.which} needs x lambda")
         x, level = values
-        if args.which == "f":
-            result = f_value(x, level)
-            tag = f_region(x, level).describe()
-        else:
-            result = g_value(x, level)
-            tag = g_region(x, level).describe()
+        value, region = (f_value, f_region) if args.which == "f" else (g_value, g_region)
+        result, tag = value(x, level), region(x, level).describe()
     print(f"{format_rational(result)} ({tag})")
     return 0
 
@@ -139,27 +143,19 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     if args.m_max < 0:
         raise DomainError("m_max must be nonnegative")
     family = Family(args.family)
-    vertex = vertex_f if family is Family.F else vertex_g
+    curves = [(m, curve_vertices(family, m)) for m in range(args.m_max + 1)]
     if args.format == "json":
-        payload = []
-        for m in range(args.m_max + 1):
-            verts = curve_vertices(family, m)
-            payload.append(
-                {
-                    "m": m,
-                    "vertices": [
-                        [format_rational(p.x), format_rational(p.y)] for p in verts
-                    ],
-                }
-            )
+        payload = [
+            {"m": m, "vertices": [[format_rational(p.x), format_rational(p.y)] for p in verts]}
+            for m, verts in curves
+        ]
         _emit(json.dumps(payload, indent=2), args.output)
         return 0
     rows = [["m", "k", "x", "lambda"]]
-    for m in range(args.m_max + 1):
-        rows.append([str(m), "", "0", "0"])
-        for k in range(m, -1, -1):
-            p = vertex(k, m)
-            rows.append([str(m), str(k), format_rational(p.x), format_rational(p.y)])
+    for m, verts in curves:
+        # The origin has no vertex index; then k runs from m down to 0.
+        ks = [""] + [str(k) for k in range(m, -1, -1)]
+        rows += [[str(m), k, format_rational(p.x), format_rational(p.y)] for k, p in zip(ks, verts)]
     text = "\n".join(",".join(row) for row in rows) + "\n"
     _emit(text, args.output)
     return 0

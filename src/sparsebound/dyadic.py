@@ -3,31 +3,29 @@
 Exact model of the unit interval split dyadically.  A ``DyadicSet`` is a
 canonical finite union of dyadic intervals (the indicator supports), a
 ``CarlesonSequence`` a finitely supported weight map on dyadic intervals.
-``sparse_apply`` forms the weighted sum of local averages of the indicator,
-``level_set_measure`` the exact measure where that sum reaches a threshold,
-and the concatenation operators place rescaled copies of two configurations
-on the two halves of the unit interval.
+``step_pieces`` gives the weighted sum of local averages of the indicator
+exactly, piece by piece on adaptive dyadic intervals, ``level_set_measure``
+the exact measure where that sum reaches a threshold, and the concatenation
+operators place rescaled copies of two configurations on the two halves of
+the unit interval.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .rational import DomainError, format_rational, parse_rational
+from .rational import DomainError, format_rational
 
 __all__ = [
     "DyadicInterval",
     "DyadicSet",
     "CarlesonSequence",
-    "StepFunction",
     "Config",
     "ROOT",
     "carleson_height",
     "carleson_constant",
-    "is_carleson",
-    "sparse_apply",
     "step_pieces",
     "value_breakpoints",
     "level_set_measure",
@@ -35,14 +33,7 @@ __all__ = [
     "concat_seqs",
     "concat_configs",
     "concat_identity",
-    "interval_to_json",
-    "interval_from_json",
-    "set_to_json",
-    "set_from_json",
-    "seq_to_json",
-    "seq_from_json",
     "config_to_json",
-    "config_from_json",
 ]
 
 ZERO = Fraction(0)
@@ -171,20 +162,6 @@ class DyadicSet:
     def measure(self) -> Fraction:
         return sum((iv.measure for iv in self.intervals), ZERO)
 
-    @property
-    def max_depth(self) -> int:
-        return max((iv.depth for iv in self.intervals), default=0)
-
-    def intersection_measure(self, region: DyadicInterval) -> Fraction:
-        """Exact measure of the intersection with one dyadic interval."""
-        total = ZERO
-        for iv in self.intervals:
-            if region.contains(iv):
-                total += iv.measure
-            elif iv.contains(region):
-                total += region.measure
-        return total
-
 
 @dataclass(frozen=True)
 class CarlesonSequence:
@@ -206,22 +183,6 @@ class CarlesonSequence:
     @classmethod
     def empty(cls) -> CarlesonSequence:
         return cls(())
-
-    def as_dict(self) -> dict[DyadicInterval, Fraction]:
-        return dict(self.weights)
-
-    @property
-    def support(self) -> tuple[DyadicInterval, ...]:
-        return tuple(iv for iv, _ in self.weights)
-
-    @property
-    def max_depth(self) -> int:
-        return max((iv.depth for iv, _ in self.weights), default=0)
-
-    @property
-    def is_binary(self) -> bool:
-        """Whether all weights are 0/1, i.e. the sequence is a collection."""
-        return all(w == 1 for _, w in self.weights)
 
 
 def carleson_height(seq: CarlesonSequence, base: DyadicInterval = ROOT) -> Fraction:
@@ -257,34 +218,6 @@ def carleson_constant(seq: CarlesonSequence) -> Fraction:
     return max(weighted[iv] / iv.measure for iv in nodes)
 
 
-def is_carleson(seq: CarlesonSequence) -> bool:
-    """Whether the sequence has Carleson constant at most 2."""
-    return carleson_constant(seq) <= 2
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Function constant on the uniform cells of one depth, tiling [0, 1)."""
-
-    depth: int
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != 2**self.depth:
-            raise DomainError("value list must cover every cell of the depth")
-
-    def cells(self) -> Iterator[tuple[DyadicInterval, Fraction]]:
-        for i, v in enumerate(self.values):
-            yield DyadicInterval(self.depth, i), v
-
-    def level_set_measure(self, level: Fraction) -> Fraction:
-        width = Fraction(1, 2**self.depth)
-        return sum((width for v in self.values if v >= level), ZERO)
-
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(set(self.values)))
-
-
 def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
     """Adaptive piecewise-constant form of the weighted-average sum.
 
@@ -293,7 +226,7 @@ def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicIn
     set intervals, so the piece count stays proportional to the input size
     regardless of depth.
     """
-    weight_of = seq.as_dict()
+    weight_of = dict(seq.weights)
     support_above: set[DyadicInterval] = set()
     for iv in weight_of:
         support_above.update(iv.ancestors())
@@ -330,22 +263,6 @@ def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicIn
 
     descend(ROOT, ZERO)
     return pieces
-
-
-def sparse_apply(subset: DyadicSet, seq: CarlesonSequence) -> StepFunction:
-    """The operator as a uniform-depth step function.
-
-    The depth is the deeper of the set's and the support's resolution; cell
-    values are the exact weighted sums of local averages.
-    """
-    depth = max(subset.max_depth, seq.max_depth)
-    values = [ZERO] * (2**depth)
-    for piece, v in step_pieces(subset, seq):
-        span = 2 ** (depth - piece.depth)
-        start = piece.index * span
-        for i in range(start, start + span):
-            values[i] = v
-    return StepFunction(depth, tuple(values))
 
 
 def value_breakpoints(subset: DyadicSet, seq: CarlesonSequence) -> tuple[Fraction, ...]:
@@ -438,43 +355,14 @@ def concat_identity(
     return lhs, rhs
 
 
-# JSON forms used by the command-line tools.
-
-def interval_to_json(iv: DyadicInterval) -> dict:
-    return {"d": iv.depth, "i": iv.index}
-
-
-def interval_from_json(data: dict) -> DyadicInterval:
-    return DyadicInterval(int(data["d"]), int(data["i"]))
-
-
-def set_to_json(subset: DyadicSet) -> dict:
-    return {"intervals": [interval_to_json(iv) for iv in subset.intervals]}
-
-
-def set_from_json(data: dict) -> DyadicSet:
-    return DyadicSet.from_intervals(interval_from_json(item) for item in data["intervals"])
-
-
-def seq_to_json(seq: CarlesonSequence) -> dict:
-    return {
-        "weights": [
-            {"d": iv.depth, "i": iv.index, "w": format_rational(w)} for iv, w in seq.weights
-        ]
-    }
-
-
-def seq_from_json(data: dict) -> CarlesonSequence:
-    mapping = {
-        DyadicInterval(int(item["d"]), int(item["i"])): parse_rational(str(item["w"]))
-        for item in data["weights"]
-    }
-    return CarlesonSequence.from_mapping(mapping)
-
-
 def config_to_json(config: Config) -> dict:
-    return {"E": set_to_json(config.subset), "alpha": seq_to_json(config.seq)}
-
-
-def config_from_json(data: dict) -> Config:
-    return Config.build(set_from_json(data["E"]), seq_from_json(data["alpha"]))
+    """JSON form of a configuration, as the command-line tools print it."""
+    return {
+        "E": {"intervals": [{"d": iv.depth, "i": iv.index} for iv in config.subset.intervals]},
+        "alpha": {
+            "weights": [
+                {"d": iv.depth, "i": iv.index, "w": format_rational(w)}
+                for iv, w in config.seq.weights
+            ]
+        },
+    }

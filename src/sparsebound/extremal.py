@@ -34,16 +34,13 @@ __all__ = [
     "MixZero",
     "Mix",
     "interpret",
-    "recipe_nodes",
     "base_root_config",
     "base_double_config",
     "x1_chain_recipe",
-    "x1_chain_config",
     "curve_vertex_recipe",
     "curve_vertex_config",
     "corollary_config",
     "tower_config",
-    "mix_config",
     "AttainmentTarget",
     "curve_vertex_target",
     "attainment_report",
@@ -137,17 +134,6 @@ def interpret(recipe: Recipe) -> Config:
     raise DomainError(f"unknown recipe node {recipe!r}")
 
 
-def recipe_nodes(recipe: Recipe) -> list[Recipe]:
-    """Every node of the recipe tree, leaves first."""
-    if isinstance(recipe, Base):
-        return [recipe]
-    if isinstance(recipe, (Jump, Halve, MixZero)):
-        return recipe_nodes(recipe.inner) + [recipe]
-    if isinstance(recipe, Mix):
-        return recipe_nodes(recipe.left) + recipe_nodes(recipe.right) + [recipe]
-    raise DomainError(f"unknown recipe node {recipe!r}")
-
-
 def x1_chain_recipe(m: int) -> Recipe:
     """Chain pinned at full measure: m rounds of averaging with the bare full set, then a jump."""
     if m < 0:
@@ -156,11 +142,6 @@ def x1_chain_recipe(m: int) -> Recipe:
     for _ in range(m):
         recipe = Jump(MixZero(recipe))
     return recipe
-
-
-def x1_chain_config(m: int) -> Config:
-    """Configuration with measure 1, height 2, and level-set 2**-m at level m + 2."""
-    return interpret(x1_chain_recipe(m))
 
 
 def curve_vertex_recipe(m: int, k: int) -> Recipe:
@@ -200,11 +181,6 @@ def tower_config(n: int) -> Config:
         raise DomainError(f"tower height must be nonnegative, got {n}")
     seq = CarlesonSequence.from_mapping({DyadicInterval(j, 0): ONE for j in range(n + 1)})
     return Config.build(DyadicSet.full(), seq)
-
-
-def mix_config(c1: Config, c2: Config) -> Config:
-    """Plain concatenation: measures, heights and level sets all average."""
-    return concat_configs(c1, c2, ZERO)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,8 @@
 """Exact rational geometry in the (x, level) half-plane.
 
-The transport machinery used throughout the package: the jump move
-``(x, l) -> (x, l + x)``, the halving move ``(x, l) -> (x/2, l)``, their
-composition, upward rays, fans of rays (angle sectors), and exact linear
-interpolation.  All operations are pure and take and return ``Fraction``
-values; no rounding ever occurs.
+Points of the plane, exact linear interpolation between two points, and
+piecewise-linear functions given by their vertices.  All operations are
+pure and take and return ``Fraction`` values; no rounding ever occurs.
 """
 
 from __future__ import annotations
@@ -16,21 +14,7 @@ from typing import NamedTuple
 
 from .rational import DomainError
 
-__all__ = [
-    "PlanePoint",
-    "Ray",
-    "AngleSector",
-    "PiecewiseLinearFn",
-    "lerp",
-    "jump_map",
-    "scale_map",
-    "step_map",
-    "jump_parameter",
-    "ray_x",
-    "jump_ray",
-    "jump_sector",
-    "sector_interp_value",
-]
+__all__ = ["PlanePoint", "PiecewiseLinearFn", "lerp"]
 
 Pair = tuple[Fraction, Fraction]
 
@@ -57,91 +41,6 @@ def lerp(p1: Pair, p2: Pair, x: Fraction) -> Fraction:
     return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
 
-def jump_map(p: PlanePoint) -> PlanePoint:
-    """The jump move: raise the level by the x-coordinate."""
-    return PlanePoint(p.x, p.y + p.x)
-
-
-def scale_map(p: PlanePoint) -> PlanePoint:
-    """The halving move: halve the x-coordinate, keep the level."""
-    return PlanePoint(p.x / 2, p.y)
-
-
-def step_map(p: PlanePoint) -> PlanePoint:
-    """Halving followed by jump: ``(x, l) -> (x/2, l + x/2)``."""
-    return jump_map(scale_map(p))
-
-
-def jump_parameter(a: Fraction) -> Fraction:
-    """Reciprocal-slope parameter of the image of a ray under the jump.
-
-    Strictly increasing and concave on ``a > 0``.
-    """
-    if a <= 0:
-        raise DomainError(f"ray parameter must be positive, got {a}")
-    return a / (1 + a)
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Upward ray from ``center`` with reciprocal slope ``parameter`` > 0."""
-
-    center: PlanePoint
-    parameter: Fraction
-
-    def __post_init__(self) -> None:
-        if self.parameter <= 0:
-            raise DomainError(f"ray parameter must be positive, got {self.parameter}")
-
-
-def ray_x(ray: Ray, level: Fraction) -> Fraction:
-    """x-coordinate of the ray at a level at or above its center."""
-    if level < ray.center.y:
-        raise DomainError(f"level {level} below ray center {ray.center.y}")
-    return ray.parameter * (level - ray.center.y) + ray.center.x
-
-
-def jump_ray(ray: Ray) -> Ray:
-    """Image of a ray under the jump move: center jumped, parameter mapped."""
-    return Ray(jump_map(ray.center), jump_parameter(ray.parameter))
-
-
-@dataclass(frozen=True)
-class AngleSector:
-    """Fan of rays from ``center`` with parameters in ``[a_lo, a_hi]``."""
-
-    center: PlanePoint
-    a_lo: Fraction
-    a_hi: Fraction
-
-    def __post_init__(self) -> None:
-        if not (0 < self.a_lo < self.a_hi):
-            raise DomainError(f"sector needs 0 < a_lo < a_hi, got {self.a_lo}, {self.a_hi}")
-
-
-def jump_sector(sector: AngleSector) -> AngleSector:
-    """Image of a sector under the jump move; ordering is preserved."""
-    return AngleSector(
-        jump_map(sector.center),
-        jump_parameter(sector.a_lo),
-        jump_parameter(sector.a_hi),
-    )
-
-
-def sector_interp_value(
-    sector: AngleSector, v_lo: Fraction, v_hi: Fraction, a: Fraction
-) -> Fraction:
-    """Value of the per-level linear interpolant along the ray with parameter ``a``.
-
-    Interpolating ``v_lo`` on the ``a_lo`` edge and ``v_hi`` on the ``a_hi``
-    edge along each horizontal line yields a function that is constant on
-    rays; this returns its value on the ray with parameter ``a``.
-    """
-    if not (sector.a_lo <= a <= sector.a_hi):
-        raise DomainError(f"parameter {a} outside sector [{sector.a_lo}, {sector.a_hi}]")
-    return (v_hi - v_lo) * (a - sector.a_lo) / (sector.a_hi - sector.a_lo) + v_lo
-
-
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
     """Piecewise-linear function given by vertices with strictly increasing x.
@@ -159,18 +58,10 @@ class PiecewiseLinearFn:
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise DomainError("vertex x-coordinates must be strictly increasing")
 
-    @property
-    def x_min(self) -> Fraction:
-        return self.vertices[0][0]
-
-    @property
-    def x_max(self) -> Fraction:
-        return self.vertices[-1][0]
-
     def value(self, x: Fraction) -> Fraction:
-        if not (self.x_min <= x <= self.x_max):
-            raise DomainError(f"x={x} outside span [{self.x_min}, {self.x_max}]")
         xs = [v[0] for v in self.vertices]
+        if not (xs[0] <= x <= xs[-1]):
+            raise DomainError(f"x={x} outside span [{xs[0]}, {xs[-1]}]")
         i = bisect_right(xs, x)
         if i == len(xs):
             return self.vertices[-1][1]

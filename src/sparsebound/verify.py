@@ -57,7 +57,6 @@ __all__ = [
     "intervals_to_depth",
     "iter_binary_carleson",
     "brute_force_sup",
-    "brute_reference",
     "ReportEntry",
     "BruteForceReport",
 ]
@@ -74,7 +73,6 @@ class SampleSpec:
     seed: int
     count: int
     lambda_grid: tuple[Fraction, ...] = ()
-    denominator_bound: int = 32
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,6 @@ class Violation:
     witness: tuple[tuple[str, Fraction], ...]
     lhs: Fraction
     rhs: Fraction
-
-    def witness_dict(self) -> dict[str, Fraction]:
-        return dict(self.witness)
 
     def to_json(self) -> dict:
         return {
@@ -102,8 +97,12 @@ def _witness(**values: Fraction | int) -> tuple[tuple[str, Fraction], ...]:
     return tuple((k, Fraction(v)) for k, v in values.items())
 
 
-def _sample_fraction(rng: random.Random, lo: Fraction, hi: Fraction, bound: int) -> Fraction:
-    q = rng.randint(1, bound)
+# Sampled rationals have denominators up to this bound.
+_DENOMINATOR_BOUND = 32
+
+
+def _sample_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    q = rng.randint(1, _DENOMINATOR_BOUND)
     p = rng.randint(math.ceil(lo * q), math.floor(hi * q))
     return Fraction(p, q)
 
@@ -220,7 +219,7 @@ _CHECKS = {
 def replay(violation: Violation) -> tuple[Fraction, Fraction]:
     """Recompute both sides of a violation from its witness."""
     evaluate, _ = _CHECKS[violation.check]
-    return evaluate(violation.witness_dict())
+    return evaluate(dict(violation.witness))
 
 
 # Samplers, one per suite: the (check name, witness) pairs it checks, in a
@@ -230,9 +229,9 @@ def _sample_obstacle(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The bound is identically 1 at nonpositive levels."""
     rng = random.Random(spec.seed)
     for _ in range(spec.count):
-        x = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
-        a = _sample_fraction(rng, ZERO, TWO, spec.denominator_bound)
-        level = _sample_fraction(rng, Fraction(-5), ZERO, spec.denominator_bound)
+        x = _sample_fraction(rng, ZERO, ONE)
+        a = _sample_fraction(rng, ZERO, TWO)
+        level = _sample_fraction(rng, Fraction(-5), ZERO)
         yield "obstacle", _witness(x=x, A=a, **{"lambda": level})
 
 
@@ -252,10 +251,10 @@ def _sample_concavity(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     for level in spec.lambda_grid or DEFAULT_CONCAVITY_GRID:
         rng = random.Random(f"{spec.seed}:{level}")
         for _ in range(spec.count):
-            x1 = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
-            a1 = _sample_fraction(rng, ZERO, TWO, spec.denominator_bound)
-            x2 = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
-            a2 = _sample_fraction(rng, ZERO, TWO, spec.denominator_bound)
+            x1 = _sample_fraction(rng, ZERO, ONE)
+            a1 = _sample_fraction(rng, ZERO, TWO)
+            x2 = _sample_fraction(rng, ZERO, ONE)
+            a2 = _sample_fraction(rng, ZERO, TWO)
             yield "concavity", _witness(x1=x1, A1=a1, x2=x2, A2=a2, **{"lambda": level})
 
 
@@ -263,9 +262,9 @@ def _sample_jump(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Raising the height by 1 and the level by x never lowers the bound (heights in [0, 1])."""
     rng = random.Random(spec.seed)
     for _ in range(spec.count):
-        x = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
-        a = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
-        level = _sample_fraction(rng, Fraction(-1), Fraction(5), spec.denominator_bound)
+        x = _sample_fraction(rng, ZERO, ONE)
+        a = _sample_fraction(rng, ZERO, ONE)
+        level = _sample_fraction(rng, Fraction(-1), Fraction(5))
         yield "jump", _witness(x=x, A=a, **{"lambda": level})
 
 
@@ -273,8 +272,8 @@ def _sample_fjg(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The a=2 profile after a jump dominates the a=1 profile."""
     rng = random.Random(spec.seed)
     for _ in range(spec.count):
-        x = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
-        level = _sample_fraction(rng, Fraction(1, spec.denominator_bound), Fraction(6), spec.denominator_bound)
+        x = _sample_fraction(rng, ZERO, ONE)
+        level = _sample_fraction(rng, Fraction(1, _DENOMINATOR_BOUND), Fraction(6))
         yield "fjg", _witness(x=x, **{"lambda": level})
 
 
@@ -282,11 +281,11 @@ def _sample_gconsist(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The a=1 profile agrees with the bound at height 1 (both level regimes)."""
     rng = random.Random(spec.seed)
     for i in range(spec.count):
-        x = _sample_fraction(rng, ZERO, ONE, spec.denominator_bound)
+        x = _sample_fraction(rng, ZERO, ONE)
         if i % 2 == 0:
-            level = _sample_fraction(rng, Fraction(1, spec.denominator_bound), ONE, spec.denominator_bound)
+            level = _sample_fraction(rng, Fraction(1, _DENOMINATOR_BOUND), ONE)
         else:
-            level = _sample_fraction(rng, ONE, Fraction(6), spec.denominator_bound)
+            level = _sample_fraction(rng, ONE, Fraction(6))
             if level == 1:
                 level = Fraction(3, 2)
         yield "gconsist", _witness(x=x, **{"lambda": level})
@@ -448,13 +447,6 @@ def iter_binary_carleson(depth: int, prune: bool = True) -> Iterator[int]:
     yield from rec(0)
 
 
-def _mask_to_sequence(depth: int, mask: int) -> CarlesonSequence:
-    ivs = intervals_to_depth(depth)
-    return CarlesonSequence.from_mapping(
-        {iv: ONE for j, iv in enumerate(ivs) if mask >> j & 1}
-    )
-
-
 @dataclass(frozen=True)
 class ReportEntry:
     x: Fraction
@@ -483,16 +475,6 @@ class BruteForceReport:
     entries: tuple[ReportEntry, ...]
     domination: bool
 
-    def entry(self, x: Fraction, height: Fraction, level: Fraction) -> ReportEntry | None:
-        for e in self.entries:
-            if (e.x, e.height, e.level) == (x, height, level):
-                return e
-        return None
-
-    def max_v(self, x: Fraction, height: Fraction, level: Fraction) -> Fraction | None:
-        e = self.entry(x, height, level)
-        return e.max_v if e else None
-
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
@@ -503,18 +485,11 @@ class BruteForceReport:
         }
 
     def to_csv_rows(self) -> list[list[str]]:
+        """The JSON entries as rows under their keys, with ``attained`` as 1 or 0."""
         rows = [["x", "A", "lambda", "maxV", "B", "attained"]]
         for e in self.entries:
-            rows.append(
-                [
-                    format_rational(e.x),
-                    format_rational(e.height),
-                    format_rational(e.level),
-                    format_rational(e.max_v),
-                    format_rational(e.bound),
-                    "1" if e.attained else "0",
-                ]
-            )
+            *fields, _ = e.to_json().values()
+            rows.append([*fields, "1" if e.attained else "0"])
         return rows
 
 
@@ -686,22 +661,3 @@ def _brute_sampled(
         _scan(table, Config.build(subset, seq), lambda_values)
         scanned += 1
     return _report(depth, False, scanned, table)
-
-
-def brute_reference(depth: int, lambda_values: Sequence[Fraction] = ()) -> BruteForceReport:
-    """Pure-fraction reference enumeration (small depths only).
-
-    Same table as ``brute_force_sup`` computed directly through the
-    simulator, used to cross-check the integer fast path.
-    """
-    if depth > 2:
-        raise DomainError("the reference path is meant for depth <= 2")
-    cells = 2**depth
-    table: dict[tuple[Fraction, Fraction, Fraction], Fraction] = {}
-    scanned = 0
-    for mask in iter_binary_carleson(depth, prune=False):
-        seq = _mask_to_sequence(depth, mask)
-        for emask in range(1 << cells):
-            _scan(table, Config.build(DyadicSet.from_cells(depth, emask), seq), lambda_values)
-            scanned += 1
-    return _report(depth, True, scanned, table)

@@ -122,10 +122,10 @@ def test_criterion_7_brute_force_depth_3():
     assert report.domination
     targets = [(F(1), F(2), F(2)), (F(1, 2), F(2), F(5, 2)), (F(1), F(1), F(1))]
     targets += [(F(1), F(2), q) for q in queries]
-    for x, a, level in targets:
-        entry = report.entry(x, a, level)
-        assert entry is not None, (x, a, level)
-        assert entry.attained, (x, a, level)
+    entries = {(e.x, e.height, e.level): e for e in report.entries}
+    for target in targets:
+        assert target in entries, target
+        assert entries[target].attained, target
     _report(
         7,
         time.time() - start,

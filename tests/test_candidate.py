@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from lemmas import jump_map, scale_map
+from reference import f_value_nodes
 from sparsebound.candidate import (
     Family,
     RegionKind,
@@ -14,7 +16,6 @@ from sparsebound.candidate import (
     f_extended,
     f_region,
     f_value,
-    f_value_nodes,
     g_region,
     g_value,
     profile_slopes,
@@ -24,7 +25,7 @@ from sparsebound.candidate import (
     vertex_f,
     vertex_g,
 )
-from sparsebound.geometry import PlanePoint, jump_map, scale_map
+from sparsebound.geometry import PlanePoint
 from sparsebound.rational import DomainError
 
 
@@ -336,29 +337,35 @@ def test_corollary_bound_values():
         corollary_bound(-1, 3)
 
 
-
-# Each public entry point with integer arguments inside its domain.
+# Each public entry point: integer arguments inside its domain, the
+# positions that take a rational, and those that take a curve or strip
+# index (an int only).
 ENTRY_POINTS = {
-    "bellman_value": (bellman_value, (1, 2, 3)),
-    "classify_region": (classify_region, (1, 1, 1)),
-    "f_value": (f_value, (1, 3)),
-    "g_value": (g_value, (1, 3)),
-    "f_extended": (f_extended, (2, 3)),
+    "bellman_value": (bellman_value, (1, 2, 3), (0, 1, 2), ()),
+    "classify_region": (classify_region, (1, 1, 1), (0, 1, 2), ()),
+    "f_value": (f_value, (1, 3), (0, 1), ()),
+    "g_value": (g_value, (1, 3), (0, 1), ()),
+    "f_extended": (f_extended, (2, 3), (0, 1), ()),
+    "f_region": (f_region, (1, 3), (0, 1), ()),
+    "g_region": (g_region, (1, 3), (0, 1), ()),
+    "curve_x": (curve_x, (Family.F, 3, 2), (2,), (1,)),
+    "curve_height": (curve_height, (Family.G, 2, 1), (2,), (1,)),
+    "segment_slope": (segment_slope, (2, 2), (1,), (0,)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("bad", [0.5, 1.0, True, False], ids=["0.5", "1.0", "True", "False"])
 def test_entry_points_refuse_floats_and_bools(name, bad):
-    fn, args = ENTRY_POINTS[name]
-    for position in range(len(args)):
+    fn, args, rationals, indices = ENTRY_POINTS[name]
+    for position in rationals + indices:
         with pytest.raises(DomainError):
             fn(*args[:position], bad, *args[position + 1 :])
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_points_convert_ints(name):
-    fn, args = ENTRY_POINTS[name]
+    fn, args, rationals, _ = ENTRY_POINTS[name]
     result = fn(*args)
-    assert result == fn(*(F(v) for v in args))
-    assert name == "classify_region" or type(result) is F
+    assert result == fn(*(F(v) if i in rationals else v for i, v in enumerate(args)))
+    assert name.endswith("region") or type(result) is F

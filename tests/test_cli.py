@@ -180,7 +180,29 @@ def test_brute_sample_below_one_is_usage_error(capsys, sample):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+def test_negative_rationals_are_values(capsys):
+    assert run_cli(capsys, "eval", "--which", "B", "1/2", "2", "-1/2") == (0, "1 (obstacle)\n")
+    spaced = run_cli(capsys, "brute", "1", "--lambda", "-1/2")
+    assert spaced == run_cli(capsys, "brute", "1", "--lambda=-1/2")
+    assert spaced[0] == 0 and '"lambda": "-1/2"' in spaced[1]
+
+
+def test_negative_profile_level_is_usage_error(capsys):
+    code = main(["eval", "--which", "f", "1/2", "-1/2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_unknown_option_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["brute", "1", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+SRC =str(Path(__file__).resolve().parents[1] / "src")
 PATH = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 ENV = {**os.environ, "PYTHONPATH": PATH}
 

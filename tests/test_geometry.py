@@ -4,21 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsebound.geometry import (
+from lemmas import (
     AngleSector,
-    PiecewiseLinearFn,
-    PlanePoint,
     Ray,
     jump_map,
     jump_parameter,
     jump_ray,
     jump_sector,
-    lerp,
     ray_x,
     scale_map,
     sector_interp_value,
     step_map,
 )
+from sparsebound.geometry import PiecewiseLinearFn, PlanePoint, lerp
 from sparsebound.rational import DomainError
 
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=64)

@@ -35,6 +35,40 @@ GOLDEN = {
         ["eval", "--which", "B", "1/4", "1", "1/2"], 0, 12,
         "e4ef45c94799920261e6f972d1e75df24c6335b4b50ac49ddee0ea3698c52bcf",
     ),
+    "eval-f-strip-0": (
+        ["eval", "--which", "f", "1", "1/2"], 0, 23,
+        "83efdb4328da3c75087a96e9a0e88233e622cb3b172830e90410b4f585191c4c",
+    ),
+    # The a=1 profile in each of its branches.  At (1/2, 1/2) it prints
+    # "mixed" where classify_region(1/2, 1, 1/2) says "full"; both are 1.
+    "eval-g-profile": (
+        ["eval", "--which", "g", "1/10", "1"], 0, 14,
+        "974e974d2952eb0dba7b7f9f96e4caa013bfcb04d928df1caf7d06b361a6f323",
+    ),
+    "eval-g-mixed": (
+        ["eval", "--which", "g", "1/2", "1"], 0, 12,
+        "e4ef45c94799920261e6f972d1e75df24c6335b4b50ac49ddee0ea3698c52bcf",
+    ),
+    "eval-g-mixed-at-full-edge": (
+        ["eval", "--which", "g", "1/2", "1/2"], 0, 10,
+        "6c871ba32649d65b630e8e5145d69108dcfe227c0fda8d1aca3bb8533754f955",
+    ),
+    "eval-g-full": (
+        ["eval", "--which", "g", "3/4", "1/2"], 0, 9,
+        "f47d8586b0074cca3a1014a50a868537ad7396ea85a32d51cd2bb76983ba4a7a",
+    ),
+    "eval-g-zero": (
+        ["eval", "--which", "g", "0", "5/2"], 0, 9,
+        "fc5654e124ee91abe06968cc7859b3023ffcbb7d133c6fc5d75f82fe247d1495",
+    ),
+    "eval-g-strip": (
+        ["eval", "--which", "g", "1/3", "3/2"], 0, 19,
+        "75ec0ca116a7f6b9db715523bb9dffad3dcef5a86ad68f8db313d214e02abbcc",
+    ),
+    "eval-g-plateau": (
+        ["eval", "--which", "g", "1", "5/2"], 0, 25,
+        "e826d33c06fa1188151b9b75c88f328a377bfb667506ac7a5c8a3965f45a907a",
+    ),
     "curves-F-csv": (
         ["curves", "3", "--family", "F"], 0, 148,
         "f8f67ea852232c4ea63b46656865892c8ceb4557c6ef150d8235813530850cf6",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import brute_reference, mask_to_sequence
 from sparsebound.candidate import bellman_value
 from sparsebound.dyadic import carleson_constant
 from sparsebound.rational import DomainError
@@ -12,9 +13,7 @@ from sparsebound.verify import (
     ExhaustiveModeError,
     SampleSpec,
     Violation,
-    _mask_to_sequence,
     brute_force_sup,
-    brute_reference,
     default_level_grid,
     intervals_to_depth,
     iter_binary_carleson,
@@ -111,7 +110,7 @@ def test_enumeration_pruning_is_exact():
         expected = {
             mask
             for mask in range(1 << n)
-            if carleson_constant(_mask_to_sequence(depth, mask)) <= 2
+            if carleson_constant(mask_to_sequence(depth, mask)) <= 2
         }
         assert pruned == expected
 
@@ -124,10 +123,11 @@ def test_brute_counts():
 def test_brute_depth1_attains_corner():
     report = brute_force_sup(1, lambda_values=[F(1, 2), F(1), F(3, 2), F(2)])
     assert report.domination
-    entry = report.entry(F(1), F(2), F(2))
-    assert entry is not None and entry.attained and entry.max_v == F(1)
+    entries = {(e.x, e.height, e.level): e for e in report.entries}
+    entry = entries[F(1), F(2), F(2)]
+    assert entry.attained and entry.max_v == F(1)
     for level in (F(1, 2), F(1), F(3, 2), F(2)):
-        assert report.max_v(F(1), F(2), level) == F(1) == bellman_value(F(1), F(2), level)
+        assert entries[F(1), F(2), level].max_v == F(1) == bellman_value(F(1), F(2), level)
 
 
 def test_brute_matches_reference():
