@@ -83,18 +83,43 @@ def _pow2(k: int) -> Fraction:
     return Fraction(1, 2**k) if k >= 0 else Fraction(2 ** (-k))
 
 
+def _floor_log2(r: Fraction) -> int:
+    """The largest integer e with 2**e <= r, for r > 0, read off bit lengths."""
+    p, q = r.numerator, r.denominator
+    e = p.bit_length() - q.bit_length()  # 2**(e-1) < r < 2**(e+1)
+    at_least = p >= q << e if e >= 0 else p << -e >= q
+    return e if at_least else e - 1
+
+
+def _segment(x: Fraction) -> int:
+    """The index k of the dyadic segment 2**-k < x <= 2**(1-k) holding 0 < x <= 1."""
+    return 1 + _floor_log2(1 / x)
+
+
+def _offset(family: Family) -> int:
+    # The F and G formulas differ only in this factor s: vertex k of curve m
+    # lies at level m - k + 3 - s * 2**-k, the segment ending at vertex k-1
+    # has reciprocal slope 2**k - s, the origin segment 3 * 2**m - s, and
+    # curve m tops out at level m + 3 - s.
+    return 1 if family is Family.F else 2
+
+
+def _vertex_level(family: Family, k: int, m: int) -> Fraction:
+    return m - k + 3 - _offset(family) * _pow2(k)
+
+
 def vertex_f(k: int, m: int) -> PlanePoint:
     """k-th vertex of the m-th F curve: (2**-k, m - k + 3 - 2**-k)."""
     if not 0 <= k <= m:
         raise DomainError(f"vertex indices need 0 <= k <= m, got k={k}, m={m}")
-    return PlanePoint(_pow2(k), m - k + 3 - _pow2(k))
+    return PlanePoint(_pow2(k), _vertex_level(Family.F, k, m))
 
 
 def vertex_g(k: int, m: int) -> PlanePoint:
     """k-th vertex of the m-th G curve: (2**-k, m - k + 3 - 2**(1-k))."""
     if not 0 <= k <= m:
         raise DomainError(f"vertex indices need 0 <= k <= m, got k={k}, m={m}")
-    return PlanePoint(_pow2(k), m - k + 3 - 2 * _pow2(k))
+    return PlanePoint(_pow2(k), _vertex_level(Family.G, k, m))
 
 
 def _vertex(family: Family, k: int, m: int) -> PlanePoint:
@@ -110,14 +135,12 @@ def origin_parameter(family: Family, m: int) -> Fraction:
     """Reciprocal slope of the m-th curve's segment through the origin."""
     if m < 0:
         raise DomainError(f"curve index must be nonnegative, got {m}")
-    if family is Family.F:
-        return Fraction(1, 3 * 2**m - 1)
-    return Fraction(1, 3 * 2**m - 2)
+    return Fraction(1, 3 * 2**m - _offset(family))
 
 
 def _segment_denominator(family: Family, k: int) -> int:
     # Reciprocal slope of the segment ending at vertex k-1 is this over 1.
-    return 2**k - 1 if family is Family.F else 2**k - 2
+    return 2**k - _offset(family)
 
 
 def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
@@ -129,19 +152,15 @@ def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
         raise DomainError(f"curve index must be nonnegative, got {m}")
     if x == 0:
         return ZERO
-    if x <= _pow2(m):
+    k = _segment(x)
+    if k > m:  # x <= 2**-m: the origin segment
         return x / origin_parameter(family, m)
-    k = 1
-    while x <= _pow2(k):
-        k += 1
-    # Now 2**-k < x <= 2**(1-k) with 1 <= k <= m.
-    if family is Family.G and k == 1:
-        return Fraction(m + 1)  # G curves are flat at level m+1 on [1/2, 1]
+    # Segment k; for G it is flat at level m + 1 when k = 1.
     return x * _segment_denominator(family, k) + (m - k + 2)
 
 
 def _curve_top(family: Family, m: int) -> int:
-    return m + 2 if family is Family.F else m + 1
+    return m + 3 - _offset(family)
 
 
 def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
@@ -154,43 +173,52 @@ def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
     top = _curve_top(family, m)
     if not ZERO <= level <= top:
         raise DomainError(f"level {level} outside curve range [0, {top}]")
-    if level <= _vertex(family, m, m).y:
+    # Vertex m, where the origin segment ends, lies below level 3, so a
+    # higher level is past it without building 2**-m.
+    if level < 3 and level <= _vertex_level(family, m, m):
         return level * origin_parameter(family, m)
-    k_min = 2 if family is Family.G else 1
-    for k in range(m, k_min - 1, -1):
-        if level <= _vertex(family, k - 1, m).y:
-            return (level - (m - k + 2)) / _segment_denominator(family, k)
-    raise AssertionError("unreachable: segment search exhausted")
+    # Vertex k-1 lies at a level in [m-k+3, m-k+4), so the segment ending at
+    # the first vertex at or above the level is k = m + 4 - ceil(level) or
+    # the next one up, k - 1.  (For G, k - 1 >= 2: the flat top segment
+    # k = 1 is never taken.)
+    k = m + 4 - math.ceil(level)
+    if level > _vertex_level(family, k - 1, m):
+        k -= 1
+    return (level - (m - k + 2)) / _segment_denominator(family, k)
 
 
 def _strip(family: Family, x: Fraction, level: Fraction) -> tuple[int, bool]:
     """Strip index of (x, level) over the family's curves and a plateau flag.
 
     Strip m is the set where the level exceeds curve m-1 but not curve m
-    (strip 0: at or below curve 0).  A curve whose top is below the level
-    lies below it everywhere, so the search starts at the first curve whose
-    top reaches the level.  The profile is constant on strip 0 and wherever
-    the level exceeds the top of curve m-1.  Requires 0 < x <= 1 and
-    level > 0 (level > 1 for the G family).
+    (strip 0: at or below curve 0), so m is the first curve that reaches
+    the level above x.  Curves 0 to k-1 pass over x's segment k on their
+    origin segments, curves k and up on their segment k; on either part
+    the curve's level above x is explicit in m and solved for it.  The
+    profile is constant on strip 0 and wherever the level exceeds the top
+    of curve m-1.  Requires 0 < x <= 1 and level > 0 (level > 1 for the G
+    family).
     """
-    m = max(0, math.ceil(level) - _curve_top(family, 0))
-    while level > curve_height(family, m, x):
-        m += 1
+    s, k = _offset(family), _segment(x)
+    # The first m with x * (3 * 2**m - s) >= level, i.e. 2**m >= (level + s*x) / (3*x).
+    m = max(0, -_floor_log2(3 * x / (level + s * x)))
+    if m >= k:
+        # The first m >= k with curve_height = x * (2**k - s) + m - k + 2 >= level.
+        m = max(k, math.ceil(level - x * _segment_denominator(family, k)) + k - 2)
     return m, m == 0 or level > _curve_top(family, m - 1)
 
 
-def _strip_value(family: Family, x: Fraction, level: Fraction) -> Fraction:
-    """The profile over the family's curves at 0 < x <= 1: 2**-m on curve m.
+def _strip_value(family: Family, x: Fraction, level: Fraction, m: int, plateau: bool) -> Fraction:
+    """The profile over the family's curves at 0 < x <= 1 in strip m: 2**-m on curve m.
 
     Between curves m and m-1 it interpolates linearly along the horizontal
-    line at ``level``, except on a plateau.
+    line at ``level``, from 2**-m to 2**(1-m), except on a plateau.
     """
-    m, plateau = _strip(family, x, level)
     if plateau:
         return _pow2(m)
-    left = (curve_x(family, m, level), _pow2(m))
-    right = (curve_x(family, m - 1, level), _pow2(m - 1))
-    return lerp(left, right, x)
+    left = (curve_x(family, m, level), ONE)
+    right = (curve_x(family, m - 1, level), Fraction(2))
+    return lerp(left, right, x) * _pow2(m)
 
 
 def _check_profile_args(x: Fraction, level: Fraction) -> None:
@@ -211,7 +239,7 @@ def f_value(x: Fraction, level: Fraction) -> Fraction:
     _check_profile_args(x, level)
     if x == 0:
         return ZERO
-    return _strip_value(Family.F, x, level)
+    return _strip_value(Family.F, x, level, *_strip(Family.F, x, level))
 
 
 def f_extended(x: Fraction, level: Fraction) -> Fraction:
@@ -240,7 +268,7 @@ def g_value(x: Fraction, level: Fraction) -> Fraction:
         return ONE
     if x == 0:
         return ZERO
-    return _strip_value(Family.G, x, level)
+    return _strip_value(Family.G, x, level, *_strip(Family.G, x, level))
 
 
 class RegionKind(Enum):
@@ -318,10 +346,9 @@ def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
         return a / 2 * f_value(2 * x / a, level)
     if tag.kind is RegionKind.ZERO:
         return ZERO
-    # Strip region: level > 1.
-    if 2 * x <= a:
-        return a / 2 * f_value(2 * x / a, level)
-    return a / 2 * f_value(ONE, level)
+    # Strip region: level > 1, and the tag holds the strip of the scaled point.
+    scaled = min(2 * x / a, ONE)
+    return a / 2 * _strip_value(Family.F, scaled, level, tag.strip, tag.plateau)
 
 
 def f_region(x: Fraction, level: Fraction) -> RegionTag:
@@ -343,48 +370,38 @@ def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
     if level <= 0:
         return RegionTag(RegionKind.OBSTACLE)
     if family is Family.G and level <= 1:
+        # classify_region at height 1, ties broken the same way.
+        if x >= level:
+            return RegionTag(RegionKind.FULL)
         if 4 * x <= level:
             return RegionTag(RegionKind.PROFILE)
-        if x <= level:
-            return RegionTag(RegionKind.MIXED)
-        return RegionTag(RegionKind.FULL)
+        return RegionTag(RegionKind.MIXED)
     if x == 0:
         return RegionTag(RegionKind.ZERO)
     m, plateau = _strip(family, x, level)
     return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau)
 
 
-def _profile_base_index(level: Fraction) -> int:
-    # Smallest m with level <= m + 2, i.e. the strip met first when x = 1.
-    return max(0, math.ceil(level) - 2)
-
-
 def profile_vertices(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn:
     """Vertex list of ``f_value(., level)`` restricted to [x_min, 1].
 
     The full vertex set accumulates at x = 0, hence the positive left
-    cutoff; the leftmost vertex is (x_min, f(x_min)) when x_min falls
-    strictly inside a segment.
+    cutoff; the leftmost vertex is (x_min, f(x_min)).
     """
     if level <= 0:
         raise DomainError(f"level must be positive, got {level}")
     if not ZERO < x_min <= ONE:
         raise DomainError(f"x_min must lie in (0, 1], got {x_min}")
-    collected: list[tuple[Fraction, Fraction]] = []
-    m = _profile_base_index(level)
-    while True:
-        xm = curve_x(Family.F, m, level)
-        m += 1
-        if xm >= 1:
-            continue
-        if xm <= x_min:
-            if xm == x_min:
-                collected.append((xm, _pow2(m - 1)))
-            break
-        collected.append((xm, _pow2(m - 1)))
-    if not collected or collected[-1][0] != x_min:
-        collected.append((x_min, f_value(x_min, level)))
-    vertices = list(reversed(collected))
+    # Curves first to last cross the level in [x_min, 1], left to right
+    # from last, first and last being the strips of x = 1 and of x_min.
+    # The ends take f's values unless a crossing is x_min itself; a curve
+    # crossing at x = 1 (when the level is its top) gives way to f(1).
+    first, _ = _strip(Family.F, ONE, level)
+    last, _ = _strip(Family.F, x_min, level)
+    crossings = ((curve_x(Family.F, m, level), _pow2(m)) for m in range(last, first - 1, -1))
+    vertices = [(xm, value) for xm, value in crossings if x_min <= xm < 1]
+    if not vertices or vertices[0][0] != x_min:
+        vertices.insert(0, (x_min, f_value(x_min, level)))
     if vertices[-1][0] != 1:
         vertices.append((ONE, f_value(ONE, level)))
     return PiecewiseLinearFn(tuple(vertices))

@@ -38,6 +38,7 @@ from .extremal import (
     curve_vertex_config,
     curve_vertex_target,
     AttainmentTarget,
+    EXTREMIZER_CURVE_CAP,
 )
 from .rational import DomainError, format_rational, parse_rational
 from .verify import (
@@ -100,11 +101,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_brute.add_argument("--format", choices=("json", "csv"), default="json")
     p_brute.add_argument("--output", "-o", default=None)
 
-    p_ext = sub.add_parser("extremize", help="construct a curve-vertex extremizer")
+    p_ext = sub.add_parser(
+        "extremize",
+        help="construct a curve-vertex extremizer",
+        description=(
+            "The configuration of curve m has 2**(m+2) - 1 weights; "
+            f"m above {EXTREMIZER_CURVE_CAP} is a usage error."
+        ),
+    )
     p_ext.add_argument("m", type=int)
     p_ext.add_argument("k", type=int)
 
-    p_cor = sub.add_parser("corollary", help="construct a lattice-bound extremizer")
+    p_cor = sub.add_parser(
+        "corollary",
+        help="construct a lattice-bound extremizer",
+        description=(
+            "The extremizer is that of curve m = N + n - 3, with 2**(m+2) - 1 weights; "
+            f"m above {EXTREMIZER_CURVE_CAP} is a usage error."
+        ),
+    )
     p_cor.add_argument("n", type=int)
     p_cor.add_argument("N", type=int)
 

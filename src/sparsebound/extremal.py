@@ -38,6 +38,7 @@ __all__ = [
     "base_double_config",
     "x1_chain_recipe",
     "curve_vertex_recipe",
+    "EXTREMIZER_CURVE_CAP",
     "curve_vertex_config",
     "corollary_config",
     "tower_config",
@@ -154,8 +155,26 @@ def curve_vertex_recipe(m: int, k: int) -> Recipe:
     return recipe
 
 
+# The configuration of curve m has 2**(m+2) - 1 weights, so the time and
+# memory to build it double with m: about a second at m = 10, and m near 22
+# no longer fits in memory.
+EXTREMIZER_CURVE_CAP = 10
+
+
+def _check_curve_cap(m: int, context: str = "") -> None:
+    if m > EXTREMIZER_CURVE_CAP:
+        raise DomainError(
+            f"{context}the extremizer of curve m={m} has 2**{m + 2} - 1 weights; "
+            f"extremizers are capped at m={EXTREMIZER_CURVE_CAP}"
+        )
+
+
 def curve_vertex_config(m: int, k: int) -> Config:
-    """Configuration with measure 2**-k, height 2, level-set 2**-m at the vertex level."""
+    """Configuration with measure 2**-k, height 2, level-set 2**-m at the vertex level.
+
+    Raises ``DomainError`` above ``EXTREMIZER_CURVE_CAP`` before building anything.
+    """
+    _check_curve_cap(m)
     config = interpret(curve_vertex_recipe(m, k))
     if carleson_constant(config.seq) > 2:
         raise AssertionError("constructed sequence exceeds the height budget")
@@ -168,7 +187,9 @@ def corollary_config(n: int, big_n: int) -> Config:
         raise DomainError(f"n must be nonnegative, got {n}")
     if big_n < 3:
         raise DomainError(f"the lattice bound needs big_n >= 3, got {big_n}")
-    return curve_vertex_config(big_n + n - 3, n)
+    m = big_n + n - 3
+    _check_curve_cap(m, f"the lattice point n={n}, N={big_n} lies on curve m={m}: ")
+    return curve_vertex_config(m, n)
 
 
 def tower_config(n: int) -> Config:

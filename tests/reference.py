@@ -2,16 +2,20 @@
 
 Each one computes what a fast path of the package computes, by a more
 direct route: the a=2 profile by node interpolation at small levels, the
-operator on the uniform cells of one depth, and the brute-force table by
-simulating every configuration one by one.
+level curves' indices by scanning their segments and the strips by
+scanning the curves, the operator on the uniform cells of one depth, and
+the brute-force table by simulating every configuration one by one.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from sparsebound.candidate import Family, origin_parameter, vertex_f, vertex_g
 from sparsebound.dyadic import CarlesonSequence, Config, DyadicSet, step_pieces
+from sparsebound.geometry import PiecewiseLinearFn, lerp
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
     BruteForceReport,
@@ -46,6 +50,85 @@ def f_value_nodes(x: Fraction, level: Fraction) -> Fraction:
         k += 1
     lo, hi = Fraction(1, 2**k), Fraction(1, 2 ** (k - 1))
     return lo + (hi - lo) * (x - node(k)) / (node(k - 1) - node(k))
+
+
+def _vertex(family: Family, k: int, m: int):
+    return vertex_f(k, m) if family is Family.F else vertex_g(k, m)
+
+
+def _segment_denominator(family: Family, k: int) -> int:
+    # Reciprocal slope of the segment ending at vertex k-1.
+    return 2**k - 1 if family is Family.F else 2**k - 2
+
+
+def curve_top(family: Family, m: int) -> int:
+    return m + 2 if family is Family.F else m + 1
+
+
+def curve_height_scan(family: Family, m: int, x: Fraction) -> Fraction:
+    """``curve_height`` with x's segment found by halving 1 until it drops below x."""
+    if x == 0:
+        return Fraction(0)
+    if x <= Fraction(1, 2**m):
+        return x / origin_parameter(family, m)
+    k = 1
+    while x <= Fraction(1, 2**k):
+        k += 1
+    # Now 2**-k < x <= 2**(1-k) with 1 <= k <= m.
+    if family is Family.G and k == 1:
+        return Fraction(m + 1)  # G curves are flat at level m+1 on [1/2, 1]
+    return x * _segment_denominator(family, k) + (m - k + 2)
+
+
+def curve_x_scan(family: Family, m: int, level: Fraction) -> Fraction:
+    """``curve_x`` with the segment found by walking the vertices k = m, m-1, ... upward."""
+    if level <= _vertex(family, m, m).y:
+        return level * origin_parameter(family, m)
+    k_min = 2 if family is Family.G else 1
+    for k in range(m, k_min - 1, -1):
+        if level <= _vertex(family, k - 1, m).y:
+            return (level - (m - k + 2)) / _segment_denominator(family, k)
+    raise AssertionError("unreachable: segment search exhausted")
+
+
+def strip_scan(family: Family, x: Fraction, level: Fraction) -> tuple[int, bool]:
+    """``candidate._strip`` by trying curves upward from the first whose top reaches the level."""
+    m = max(0, math.ceil(level) - curve_top(family, 0))
+    while level > curve_height_scan(family, m, x):
+        m += 1
+    return m, m == 0 or level > curve_top(family, m - 1)
+
+
+def profile_scan(family: Family, x: Fraction, level: Fraction) -> Fraction:
+    """``f_value`` (F) or ``g_value`` above level 1 (G) at 0 < x <= 1, from the scans."""
+    m, plateau = strip_scan(family, x, level)
+    if plateau:
+        return Fraction(1, 2**m)
+    left = (curve_x_scan(family, m, level), Fraction(1, 2**m))
+    right = (curve_x_scan(family, m - 1, level), Fraction(2, 2**m))
+    return lerp(left, right, x)
+
+
+def profile_vertices_scan(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn:
+    """``profile_vertices`` by walking curves upward from the first to reach the level at x = 1."""
+    collected: list[tuple[Fraction, Fraction]] = []
+    m = max(0, math.ceil(level) - 2)
+    while True:
+        xm = curve_x_scan(Family.F, m, level)
+        m += 1
+        if xm >= 1:
+            continue
+        if xm <= x_min:
+            if xm == x_min:
+                collected.append((xm, Fraction(1, 2 ** (m - 1))))
+            break
+        collected.append((xm, Fraction(1, 2 ** (m - 1))))
+    if not collected or collected[-1][0] != x_min:
+        collected.append((x_min, profile_scan(Family.F, x_min, level)))
+    vertices = list(reversed(collected))
+    if vertices[-1][0] != 1:
+        vertices.append((Fraction(1), profile_scan(Family.F, Fraction(1), level)))
+    return PiecewiseLinearFn(tuple(vertices))
 
 
 class StepFunction(NamedTuple):

@@ -227,6 +227,16 @@ def test_profile_region_tags():
     assert g_region(F(1, 2), F(2)).kind is RegionKind.STRIP
 
 
+def test_g_region_breaks_ties_as_classify_region():
+    # g is B at height 1, and both name the same branch, edges included:
+    # x = level (full over mixed) and x = level / 4 (profile over mixed).
+    levels = [F(j, 16) for j in range(1, 17)] + [F(1, 3), F(5, 7), F(1, 1000)]
+    for level in levels:
+        xs = {F(i, 64) for i in range(65)} | {level, level / 4}
+        for x in sorted(xs):
+            assert g_region(x, level).kind is classify_region(x, 1, level).kind, (x, level)
+
+
 def test_bellman_point_values():
     for x, a in ((F(0), F(0)), (F(1), F(2)), (F(1, 3), F(7, 4))):
         assert bellman_value(x, a, F(-1)) == F(1)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sparsebound import extremal
 from sparsebound.cli import main
 from sparsebound.rational import parse_rational
 
@@ -150,6 +151,31 @@ def test_corollary(capsys):
     assert payload["report"]["attained"] is True
     assert main(["corollary", "0", "2"]) == 2
     capsys.readouterr()
+
+
+# Curve indices above the extremizer cap of 10: extremize m k uses curve m,
+# corollary n N curve N + n - 3.  Without the cap the first two take seconds
+# and the others do not fit in memory.
+@pytest.mark.parametrize(
+    "argv",
+    [["extremize", "11", "0"], ["corollary", "5", "9"], ["extremize", "40", "3"], ["corollary", "0", "40"]],
+)
+def test_extremizer_above_cap_is_usage_error(capsys, time_limit, argv):
+    assert extremal.EXTREMIZER_CURVE_CAP == 10
+    with time_limit(1):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "capped at m=10" in captured.err
+
+
+@pytest.mark.parametrize("command", ["extremize", "corollary"])
+def test_extremizer_help_states_the_cap(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "m above 10 is a usage error" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("argv", [["jump", "--count", "-5"], ["all", "--count", "0"]])

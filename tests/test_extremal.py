@@ -15,6 +15,7 @@ from sparsebound.extremal import (
     attainment_report,
     base_double_config,
     base_root_config,
+    EXTREMIZER_CURVE_CAP,
     corollary_config,
     curve_vertex_config,
     curve_vertex_recipe,
@@ -24,6 +25,18 @@ from sparsebound.extremal import (
     x1_chain_recipe,
 )
 from sparsebound.rational import DomainError
+
+
+def test_extremizers_above_the_cap_are_refused(time_limit):
+    # Refused before any weight is built: curve m has 2**(m+2) - 1 weights.
+    with time_limit(1):
+        for m, k in ((EXTREMIZER_CURVE_CAP + 1, 0), (EXTREMIZER_CURVE_CAP + 1, 5), (64, 3)):
+            with pytest.raises(DomainError, match="capped"):
+                curve_vertex_config(m, k)
+        # corollary n N is the extremizer of curve N + n - 3.
+        for n, big_n in ((0, EXTREMIZER_CURVE_CAP + 4), (EXTREMIZER_CURVE_CAP, 4), (3, 64)):
+            with pytest.raises(DomainError, match="capped"):
+                corollary_config(n, big_n)
 
 
 def test_base_root_config():

@@ -39,8 +39,13 @@ GOLDEN = {
         ["eval", "--which", "f", "1", "1/2"], 0, 23,
         "83efdb4328da3c75087a96e9a0e88233e622cb3b172830e90410b4f585191c4c",
     ),
-    # The a=1 profile in each of its branches.  At (1/2, 1/2) it prints
-    # "mixed" where classify_region(1/2, 1, 1/2) says "full"; both are 1.
+    # Lattice point 5 of level 10**5: 2**-100002 in full, at the cost of any level.
+    "eval-B-far-level": (
+        ["eval", "--which", "B", "1/32", "2", "3199999/32"], 0, 30124,
+        "f3c9ff9c9a11f96ce78594b7b5abf4032766a56df83409210678761d8b74b2c4",
+    ),
+    # The a=1 profile in each of its branches.  At (1/2, 1/2), on the edge
+    # x = level, it prints "full" as classify_region(1/2, 1, 1/2) does.
     "eval-g-profile": (
         ["eval", "--which", "g", "1/10", "1"], 0, 14,
         "974e974d2952eb0dba7b7f9f96e4caa013bfcb04d928df1caf7d06b361a6f323",
@@ -50,8 +55,8 @@ GOLDEN = {
         "e4ef45c94799920261e6f972d1e75df24c6335b4b50ac49ddee0ea3698c52bcf",
     ),
     "eval-g-mixed-at-full-edge": (
-        ["eval", "--which", "g", "1/2", "1/2"], 0, 10,
-        "6c871ba32649d65b630e8e5145d69108dcfe227c0fda8d1aca3bb8533754f955",
+        ["eval", "--which", "g", "1/2", "1/2"], 0, 9,
+        "f47d8586b0074cca3a1014a50a868537ad7396ea85a32d51cd2bb76983ba4a7a",
     ),
     "eval-g-full": (
         ["eval", "--which", "g", "3/4", "1/2"], 0, 9,
