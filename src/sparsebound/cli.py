@@ -50,6 +50,10 @@ from .verify import (
 )
 
 
+# The curves output grows about as m_max**3 bytes: 11 MB of CSV at the cap.
+CURVES_CAP = 400
+
+
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -76,7 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--which", choices=("B", "f", "g"), default="B")
     p_eval.add_argument("args", nargs="+", type=_rational, metavar="RATIONAL")
 
-    p_curves = sub.add_parser("curves", help="emit level-curve vertices")
+    p_curves = sub.add_parser(
+        "curves",
+        help="emit level-curve vertices",
+        description=f"Output grows as m_max**3 bytes; m_max above {CURVES_CAP} is a usage error.",
+    )
     p_curves.add_argument("m_max", type=int)
     p_curves.add_argument("--family", choices=("F", "G"), default="F")
     p_curves.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -157,6 +165,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     if args.m_max < 0:
         raise DomainError("m_max must be nonnegative")
+    if args.m_max > CURVES_CAP:
+        raise DomainError(f"curves are capped at m_max={CURVES_CAP}, got {args.m_max}")
     family = Family(args.family)
     curves = [(m, curve_vertices(family, m)) for m in range(args.m_max + 1)]
     if args.format == "json":

@@ -1,13 +1,14 @@
 """Dyadic simulator: intervals, sets, weight sequences, and level sets.
 
 Exact model of the unit interval split dyadically.  A ``DyadicSet`` is a
-canonical finite union of dyadic intervals (the indicator supports), a
-``CarlesonSequence`` a finitely supported weight map on dyadic intervals.
-``step_pieces`` gives the weighted sum of local averages of the indicator
-exactly, piece by piece on adaptive dyadic intervals, ``level_set_measure``
-the exact measure where that sum reaches a threshold, and the concatenation
-operators place rescaled copies of two configurations on the two halves of
-the unit interval.
+canonical finite union of dyadic intervals, a ``CarlesonSequence`` a
+finitely supported weight map.  One descent, ``_split``, walks the tree
+down from ``ROOT`` and deals each node's intervals and weights to its two
+children by one index bit: ``_canonicalize`` keeps the topmost covered
+nodes, ``step_pieces`` carries the operator's value (the weighted sum of
+local averages of the indicator) down to where it is constant, and
+``carleson_constant`` adds the weights up.  The concatenation operators
+place rescaled copies of two configurations on the two halves of [0, 1).
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ class DyadicInterval:
             DyadicInterval(self.depth + 1, 2 * self.index + 1),
         )
 
-    def sibling(self) -> DyadicInterval:
-        return DyadicInterval(self.depth, self.index ^ 1)
-
     def contains(self, other: DyadicInterval) -> bool:
         """Whether ``other`` is contained in (or equal to) this interval."""
         return other.depth >= self.depth and (other.index >> (other.depth - self.depth)) == self.index
@@ -90,23 +88,57 @@ class DyadicInterval:
 ROOT = DyadicInterval(0, 0)
 
 
+def _split(
+    intervals: Iterable[DyadicInterval],
+    weights: Iterable[tuple[DyadicInterval, Fraction]] = (),
+) -> Iterator[tuple[int, DyadicInterval, bool, list[DyadicInterval], Fraction | None, bool]]:
+    """Walk down from ``ROOT`` in preorder, as far as the inputs resolve the tree.
+
+    Each node deals what lies strictly inside it to its two children by one
+    index bit.  An interval equal to a node covers it and all below it.  The
+    walk, a loop of any depth, stops at a node with no uncovered interval or
+    weight strictly inside.  Per node it yields the parent's position (-1 at
+    the root), the node, whether it is covered, the uncovered intervals
+    inside it, its own weight (or None) and whether the walk stops there.
+    """
+    stack = [(-1, ROOT, False, list(intervals), list(weights))]
+    pos = 0
+    while stack:
+        parent, node, covered, inside, weighted = stack.pop()
+        depth = node.depth
+        if covered or any(iv.depth == depth for iv in inside):
+            covered, inside = True, []
+        own = next((w for iv, w in weighted if iv.depth == depth), None)
+        below = [pair for pair in weighted if pair[0].depth > depth]
+        leaf = not inside and not below
+        yield parent, node, covered, inside, own, leaf
+        if not leaf:
+            halves = ([], []), ([], [])
+            for iv in inside:
+                halves[iv.index >> (iv.depth - depth - 1) & 1][0].append(iv)
+            for pair in below:
+                halves[pair[0].index >> (pair[0].depth - depth - 1) & 1][1].append(pair)
+            left, right = node.children()
+            stack.append((pos, right, covered, *halves[1]))
+            stack.append((pos, left, covered, *halves[0]))
+        pos += 1
+
+
 def _canonicalize(intervals: Iterable[DyadicInterval]) -> tuple[DyadicInterval, ...]:
-    # Drop intervals nested inside others, then merge complete sibling pairs.
-    pending = set(intervals)
-    kept: set[DyadicInterval] = set()
-    for iv in sorted(pending, key=lambda j: j.depth):
-        if not any(anc in kept for anc in iv.ancestors()) and iv not in kept:
-            kept.add(iv)
-    merged = True
-    while merged:
-        merged = False
-        for iv in sorted(kept, key=lambda j: -j.depth):
-            if iv in kept and iv.depth > 0 and iv.sibling() in kept:
-                kept.discard(iv)
-                kept.discard(iv.sibling())
-                kept.add(iv.parent())
-                merged = True
-    return tuple(sorted(kept, key=lambda j: j.left))
+    # A node is kept when an input equals it or both of its children are
+    # kept; the topmost kept nodes, in preorder, are sorted by left end.
+    walk = [(parent, node, covered) for parent, node, covered, *_ in _split(intervals)]
+    kept = [False] * len(walk)
+    halves = [0] * len(walk)
+    for pos in reversed(range(len(walk))):
+        parent, _, covered = walk[pos]
+        kept[pos] = covered or halves[pos] == 2
+        if kept[pos] and parent >= 0:
+            halves[parent] += 1
+    return tuple(
+        node for pos, (parent, node, _) in enumerate(walk)
+        if kept[pos] and (parent < 0 or not kept[parent])
+    )
 
 
 @dataclass(frozen=True)
@@ -197,71 +229,42 @@ def carleson_height(seq: CarlesonSequence, base: DyadicInterval = ROOT) -> Fract
 def carleson_constant(seq: CarlesonSequence) -> Fraction:
     """Supremum of heights over all base intervals (a finite maximum here).
 
-    Only support intervals and their ancestors can realize the maximum, and
-    those heights are accumulated in one pass from the deepest nodes up.
+    The largest is at a node the descent visits; the sums go up from the bottom.
     """
-    if not seq.weights:
-        return ZERO
-    # weighted[J] = sum of w * |I| over support I inside J, for J in the closure.
-    weighted: dict[DyadicInterval, Fraction] = {}
-    nodes: set[DyadicInterval] = set()
-    for iv, w in seq.weights:
-        nodes.add(iv)
-        nodes.update(iv.ancestors())
-    for iv in nodes:
-        weighted[iv] = ZERO
-    for iv, w in seq.weights:
-        contribution = w * iv.measure
-        weighted[iv] += contribution
-        for anc in iv.ancestors():
-            weighted[anc] += contribution
-    return max(weighted[iv] / iv.measure for iv in nodes)
+    walk = [(parent, node, own) for parent, node, _, _, own, _ in _split((), seq.weights)]
+    sums = [ZERO] * len(walk)
+    best = ZERO
+    for pos in reversed(range(len(walk))):
+        parent, node, own = walk[pos]
+        total = sums[pos] if own is None else sums[pos] + own * node.measure
+        if total:
+            best = max(best, total * 2**node.depth)
+            if parent >= 0:
+                sums[parent] += total
+    return best
 
 
 def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
     """Adaptive piecewise-constant form of the weighted-average sum.
 
-    Returns disjoint intervals tiling [0, 1) with the exact operator value
-    on each.  The recursion only descends through ancestors of support or
-    set intervals, so the piece count stays proportional to the input size
-    regardless of depth.
+    Returns disjoint intervals tiling [0, 1), left to right, with the exact
+    operator value on each.  The descent carries the value down: a weight
+    adds itself times the share of its node the set covers, 1 under a
+    covered node and counted in cells from the intervals inside otherwise.
     """
-    weight_of = dict(seq.weights)
-    support_above: set[DyadicInterval] = set()
-    for iv in weight_of:
-        support_above.update(iv.ancestors())
-    members = set(subset.intervals)
-    meas: dict[DyadicInterval, Fraction] = {}
-    for iv in subset.intervals:
-        meas[iv] = meas.get(iv, ZERO) + iv.measure
-        for anc in iv.ancestors():
-            meas[anc] = meas.get(anc, ZERO) + iv.measure
-
-    def set_measure(node: DyadicInterval) -> Fraction:
-        got = meas.get(node)
-        if got is not None:
-            return got
-        for anc in node.ancestors():
-            if anc in meas:
-                return node.measure if anc in members else ZERO
-        return ZERO
-
     pieces: list[tuple[DyadicInterval, Fraction]] = []
-
-    def descend(node: DyadicInterval, acc: Fraction) -> None:
-        w = weight_of.get(node)
-        inside = set_measure(node)
-        if w is not None:
-            acc = acc + w * inside / node.measure
-        partial = ZERO < inside < node.measure
-        if node not in support_above and not partial:
-            pieces.append((node, acc))
-            return
-        left, right = node.children()
-        descend(left, acc)
-        descend(right, acc)
-
-    descend(ROOT, ZERO)
+    values: list[Fraction] = []
+    for parent, node, covered, inside, own, leaf in _split(subset.intervals, seq.weights):
+        value = values[parent] if parent >= 0 else ZERO
+        if own is not None and covered:
+            value += own
+        elif own is not None and inside:
+            deepest = max(iv.depth for iv in inside)
+            cells = sum(1 << (deepest - iv.depth) for iv in inside)
+            value += own * Fraction(cells, 1 << (deepest - node.depth))
+        values.append(value)
+        if leaf:
+            pieces.append((node, value))
     return pieces
 
 

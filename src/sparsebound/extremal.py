@@ -10,7 +10,6 @@ x = 1, the curve-vertex family at x = 2**-k, and the tower example.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .candidate import bellman_value, vertex_f
@@ -26,15 +25,12 @@ from .dyadic import (
 from .rational import DomainError, format_rational
 
 __all__ = [
-    "BaseVariant",
     "Recipe",
     "Base",
     "Jump",
     "Halve",
     "MixZero",
-    "Mix",
     "interpret",
-    "base_root_config",
     "base_double_config",
     "x1_chain_recipe",
     "curve_vertex_recipe",
@@ -51,20 +47,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class BaseVariant(Enum):
-    ROOT_ONE = "root-one"      # left-packed set, unit weight on the root
-    DOUBLE_ROOT = "double-root"  # equidistributed set, unit weights on root and children
-    EMPTY = "empty"            # left-packed set, no weights
-
-
 class Recipe:
     """Base class for extremizer recipes."""
 
 
 @dataclass(frozen=True)
 class Base(Recipe):
+    """The double-root base of measure x (``base_double_config``)."""
+
     x: Fraction
-    variant: BaseVariant
 
 
 @dataclass(frozen=True)
@@ -80,24 +71,6 @@ class Halve(Recipe):
 @dataclass(frozen=True)
 class MixZero(Recipe):
     inner: Recipe
-
-
-@dataclass(frozen=True)
-class Mix(Recipe):
-    left: Recipe
-    right: Recipe
-    gamma: Fraction
-
-
-def base_root_config(x: Fraction) -> Config:
-    """Left-packed set of dyadic measure x, unit weight on the root.
-
-    The operator is constant x, so the level-set measure is 1 at every
-    threshold up to x.
-    """
-    subset = DyadicSet.prefix(Fraction(x))
-    seq = CarlesonSequence.from_mapping({ROOT: ONE})
-    return Config.build(subset, seq)
 
 
 def base_double_config(x: Fraction) -> Config:
@@ -118,11 +91,7 @@ def base_double_config(x: Fraction) -> Config:
 def interpret(recipe: Recipe) -> Config:
     """Interpret a recipe into a concrete configuration."""
     if isinstance(recipe, Base):
-        if recipe.variant is BaseVariant.ROOT_ONE:
-            return base_root_config(recipe.x)
-        if recipe.variant is BaseVariant.DOUBLE_ROOT:
-            return base_double_config(recipe.x)
-        return Config.build(DyadicSet.prefix(Fraction(recipe.x)), CarlesonSequence.empty())
+        return base_double_config(recipe.x)
     if isinstance(recipe, Jump):
         inner = interpret(recipe.inner)
         return concat_configs(inner, inner, ONE)
@@ -130,8 +99,6 @@ def interpret(recipe: Recipe) -> Config:
         return concat_configs(interpret(recipe.inner), Config.empty(), ZERO)
     if isinstance(recipe, MixZero):
         return concat_configs(interpret(recipe.inner), Config.full_unweighted(), ZERO)
-    if isinstance(recipe, Mix):
-        return concat_configs(interpret(recipe.left), interpret(recipe.right), recipe.gamma)
     raise DomainError(f"unknown recipe node {recipe!r}")
 
 
@@ -139,7 +106,7 @@ def x1_chain_recipe(m: int) -> Recipe:
     """Chain pinned at full measure: m rounds of averaging with the bare full set, then a jump."""
     if m < 0:
         raise DomainError(f"chain length must be nonnegative, got {m}")
-    recipe: Recipe = Base(ONE, BaseVariant.DOUBLE_ROOT)
+    recipe: Recipe = Base(ONE)
     for _ in range(m):
         recipe = Jump(MixZero(recipe))
     return recipe

@@ -39,6 +39,7 @@ from .dyadic import (
     DyadicSet,
     carleson_constant,
     concat_identity,
+    step_pieces,
 )
 from .rational import DomainError, format_rational
 
@@ -606,14 +607,19 @@ def _scan(
 ) -> None:
     """Fold one configuration's level-set measures into ``table``.
 
-    It is measured at every positive breakpoint of its step function and at
-    the extra levels; the table keeps the maximum per (x, A, level).
+    One ``step_pieces`` call gives the cells (of the deepest piece's size)
+    taking each value.  The level sets at every positive value and at the
+    extra levels are read from them; the table keeps the maximum per key.
     """
-    levels = [v for v in config.breakpoints() if v > 0]
-    levels.extend(lambda_values)
-    for level in levels:
+    pieces = step_pieces(config.subset, config.seq)
+    depth = max(piece.depth for piece, _ in pieces)
+    cells: dict[Fraction, int] = {}
+    for piece, v in pieces:
+        cells[v] = cells.get(v, 0) + (1 << (depth - piece.depth))
+    for level in [v for v in cells if v > 0] + list(lambda_values):
         key = (config.measure, config.height, Fraction(level))
-        table[key] = max(table.get(key, ZERO), config.level_set(level))
+        count = sum(n for v, n in cells.items() if v >= level)
+        table[key] = max(table.get(key, ZERO), Fraction(count, 1 << depth))
 
 
 def _report(

@@ -3,8 +3,9 @@
 Each one computes what a fast path of the package computes, by a more
 direct route: the a=2 profile by node interpolation at small levels, the
 level curves' indices by scanning their segments and the strips by
-scanning the curves, the operator on the uniform cells of one depth, and
-the brute-force table by simulating every configuration one by one.
+scanning the curves, the operator on the uniform cells of one depth, the
+Carleson constant by scanning every base interval, and the brute-force
+table by simulating every configuration one by one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from sparsebound.candidate import Family, origin_parameter, vertex_f, vertex_g
-from sparsebound.dyadic import CarlesonSequence, Config, DyadicSet, step_pieces
+from sparsebound.dyadic import CarlesonSequence, Config, DyadicSet
 from sparsebound.geometry import PiecewiseLinearFn, lerp
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
@@ -146,20 +147,38 @@ class StepFunction(NamedTuple):
 
 
 def sparse_apply(subset: DyadicSet, seq: CarlesonSequence) -> StepFunction:
-    """The operator as a uniform-depth step function.
+    """The operator as a uniform-depth step function, from its definition.
 
-    The depth is the deeper of the set's and the support's resolution; cell
-    values are the exact weighted sums of local averages.
+    The depth is the deeper of the set's and the support's resolution.  A
+    cell's value is the sum, over the weighted intervals I containing it, of
+    w times the share of I's cells that lie in the set.
     """
     depths = [iv.depth for iv in subset.intervals] + [iv.depth for iv, _ in seq.weights]
     depth = max(depths, default=0)
+    inside = [False] * (2**depth)
+    for iv in subset.intervals:
+        span = 2 ** (depth - iv.depth)
+        inside[iv.index * span : (iv.index + 1) * span] = [True] * span
     values = [Fraction(0)] * (2**depth)
-    for piece, v in step_pieces(subset, seq):
-        span = 2 ** (depth - piece.depth)
-        start = piece.index * span
-        for i in range(start, start + span):
-            values[i] = v
+    for iv, w in seq.weights:
+        span = 2 ** (depth - iv.depth)
+        cells = range(iv.index * span, (iv.index + 1) * span)
+        share = Fraction(sum(inside[i] for i in cells), span)
+        for i in cells:
+            values[i] += w * share
     return StepFunction(depth, tuple(values))
+
+
+def carleson_constant_scan(seq: CarlesonSequence) -> Fraction:
+    """The largest sum of w * |I| over the weights inside J, divided by |J|.
+
+    J runs over every dyadic interval down to the deepest weight.
+    """
+    depth = max((iv.depth for iv, _ in seq.weights), default=0)
+    return max(
+        sum((w * iv.measure for iv, w in seq.weights if j.contains(iv)), Fraction(0)) / j.measure
+        for j in intervals_to_depth(depth)
+    )
 
 
 def mask_to_sequence(depth: int, mask: int) -> CarlesonSequence:

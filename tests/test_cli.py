@@ -178,6 +178,24 @@ def test_extremizer_help_states_the_cap(capsys, command):
     assert "m above 10 is a usage error" in " ".join(capsys.readouterr().out.split())
 
 
+# curves 401 would print over 11 MB; curves 100000 would never finish.
+@pytest.mark.parametrize("argv", [["401"], ["401", "--format", "json"], ["100000", "--family", "G"]])
+def test_curves_above_cap_is_usage_error(capsys, time_limit, argv):
+    with time_limit(1):
+        code = main(["curves", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "capped at m_max=400" in captured.err
+
+
+def test_curves_help_states_the_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["curves", "--help"])
+    assert "m_max above 400 is a usage error" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("argv", [["jump", "--count", "-5"], ["all", "--count", "0"]])
 def test_verify_count_below_one_is_usage_error(capsys, argv):
     code = main(["verify", *argv])

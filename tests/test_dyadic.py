@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import sparse_apply
+from reference import carleson_constant_scan, sparse_apply
 from sparsebound.dyadic import (
     CarlesonSequence,
     Config,
@@ -42,6 +44,51 @@ def random_config(rng, set_depth=3, seq_depth=2):
             elif r < 0.45:
                 mapping[iv(d, i)] = F(rng.randint(1, 4), 4)
     return Config.build(subset, CarlesonSequence.from_mapping(mapping))
+
+
+@st.composite
+def intervals(draw, max_depth=6):
+    depth = draw(st.integers(0, max_depth))
+    return iv(depth, draw(st.integers(0, 2**depth - 1)))
+
+
+@st.composite
+def interval_lists(draw):
+    """Intervals with nesting, duplicates and complete sibling families, shuffled."""
+    out = draw(st.lists(intervals(), max_size=12))
+    for top in draw(st.lists(intervals(4), max_size=3)):
+        k = draw(st.integers(1, 2))
+        out += [iv(top.depth + k, (top.index << k) + j) for j in range(2**k)]
+    out += out[: draw(st.integers(0, len(out)))]
+    return draw(st.permutations(out))
+
+
+@st.composite
+def sequences(draw, max_depth=6):
+    depth = draw(st.integers(0, max_depth))
+    weights = st.fractions(0, 1, max_denominator=8)
+    return CarlesonSequence.from_mapping(
+        draw(st.dictionaries(intervals(depth), weights, max_size=12))
+    )
+
+
+@st.composite
+def configs(draw):
+    """A set and a weight sequence, their depths drawn independently up to 6."""
+    depth = draw(st.integers(0, 6))
+    masks = st.integers(0, 2 ** 2**depth - 1)
+    subset = draw(
+        st.one_of(
+            st.builds(DyadicSet.from_cells, st.just(depth), masks),
+            st.builds(DyadicSet.from_intervals, st.lists(intervals(depth), max_size=10)),
+        )
+    )
+    return Config.build(subset, draw(sequences()))
+
+
+def cells_of(intervals_, depth=6):
+    spans = ((j.index << (depth - j.depth), 2 ** (depth - j.depth)) for j in intervals_)
+    return {cell for start, span in spans for cell in range(start, start + span)}
 
 
 def test_interval_basics():
@@ -132,18 +179,52 @@ def test_sparse_apply_counts_containing_intervals():
         assert step.values[cell_index] == j + 1
 
 
-def test_pieces_match_uniform_cells():
-    rng = random.Random(2)
-    for _ in range(40):
-        config = random_config(rng)
-        step = sparse_apply(config.subset, config.seq)
-        for piece, value in step_pieces(config.subset, config.seq):
-            span = 2 ** (step.depth - piece.depth)
-            start = piece.index * span
-            assert all(step.values[start + i] == value for i in range(span))
-        for level in set(step.values) | {F(0), F(1, 3), F(7, 2)}:
-            assert step.level_set_measure(level) == config.level_set(level)
-        assert value_breakpoints(config.subset, config.seq) == step.breakpoints()
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_pieces_match_uniform_cells(config):
+    step = sparse_apply(config.subset, config.seq)
+    pieces = step_pieces(config.subset, config.seq)
+    end = F(0)
+    for piece, value in pieces:
+        assert piece.left == end
+        end += piece.measure
+        span = 2 ** (step.depth - piece.depth)
+        assert set(step.values[piece.index * span : (piece.index + 1) * span]) == {value}
+    assert end == 1
+    values = step.breakpoints()
+    assert config.breakpoints() == values
+    assert value_breakpoints(config.subset, config.seq) == values
+    between = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    for level in (*values, *between, values[0] - 1, values[-1] + F(1, 3)):
+        assert config.level_set(level) == step.level_set_measure(level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_lists())
+def test_from_intervals_is_canonical(given_intervals):
+    got = DyadicSet.from_intervals(given_intervals).intervals
+    assert cells_of(got) == cells_of(given_intervals)
+    assert list(got) == sorted(got, key=lambda j: j.left)
+    for a in range(len(got)):
+        for b in range(len(got)):
+            assert a == b or not got[a].contains(got[b])
+    assert not any(j.depth and iv(j.depth, j.index ^ 1) in got for j in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences())
+def test_carleson_constant_matches_scan(seq):
+    assert carleson_constant(seq) == carleson_constant_scan(seq)
+
+
+def test_deep_interval():
+    # 2000 levels down: the descent is a loop, not a recursion.
+    for deep in (iv(2000, 0), iv(2000, 2**2000 - 1)):
+        subset = DyadicSet.from_intervals([deep])
+        seq = CarlesonSequence.from_mapping({deep: F(1)})
+        assert subset.intervals == (deep,)
+        assert carleson_constant(seq) == F(1)
+        assert level_set_measure(subset, seq, F(1)) == F(1, 2**2000)
 
 
 def test_level_set_examples():

@@ -4,17 +4,21 @@ from fractions import Fraction as F
 import pytest
 
 from sparsebound.candidate import bellman_value, vertex_f
-from sparsebound.dyadic import ROOT, Config, carleson_constant, concat_configs
+from sparsebound.dyadic import (
+    ROOT,
+    CarlesonSequence,
+    Config,
+    DyadicSet,
+    carleson_constant,
+    concat_configs,
+)
 from sparsebound.extremal import (
     Base,
-    BaseVariant,
     Halve,
     Jump,
-    Mix,
     MixZero,
     attainment_report,
     base_double_config,
-    base_root_config,
     EXTREMIZER_CURVE_CAP,
     corollary_config,
     curve_vertex_config,
@@ -37,17 +41,6 @@ def test_extremizers_above_the_cap_are_refused(time_limit):
         for n, big_n in ((0, EXTREMIZER_CURVE_CAP + 4), (EXTREMIZER_CURVE_CAP, 4), (3, 64)):
             with pytest.raises(DomainError, match="capped"):
                 corollary_config(n, big_n)
-
-
-def test_base_root_config():
-    c = base_root_config(F(1))
-    assert (c.measure, c.height) == (F(1), F(1))
-    assert c.level_set(F(1)) == F(1)
-    c = base_root_config(F(1, 2))
-    assert c.level_set(F(1, 2)) == F(1) == bellman_value(F(1, 2), F(1), F(1, 2))
-    assert c.level_set(F(3, 4)) == F(0)
-    with pytest.raises(DomainError):
-        base_root_config(F(1, 3))
 
 
 def test_base_double_config():
@@ -114,10 +107,9 @@ def test_recipe_step_algebra():
 
 
 def test_desugared_moves_match_concatenation():
-    base = Base(F(1, 2), BaseVariant.DOUBLE_ROOT)
+    base = Base(F(1, 2))
     config = interpret(base)
     assert interpret(Jump(base)) == concat_configs(config, config, F(1))
-    assert interpret(Mix(base, base, F(1, 2))) == concat_configs(config, config, F(1, 2))
 
 
 def test_constructed_heights_stay_carleson():
@@ -177,8 +169,9 @@ def test_segment_interior_attainment_by_pad_and_jump():
     # at an interior point of the top segment of curve m.
     for m in (1, 2, 3):
         x = F(3, 4)
-        recipe = Jump(Mix(x1_chain_recipe(m - 1), Base(2 * x - 1, BaseVariant.EMPTY), F(0)))
-        config = interpret(recipe)
+        pad = Config.build(DyadicSet.prefix(2 * x - 1), CarlesonSequence.empty())
+        padded = concat_configs(interpret(x1_chain_recipe(m - 1)), pad, F(0))
+        config = concat_configs(padded, padded, F(1))
         level = m + 1 + x
         assert config.measure == x
         assert config.height == F(2)

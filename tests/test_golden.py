@@ -102,6 +102,20 @@ GOLDEN = {
         ["brute", "5", "--sample", "200", "--seed", "1"], 0, 72344,
         "7ff32be261b12d03d9f20e5b55ad58fd1752bbb1c0f30767ddc9866d9ec787ba",
     ),
+    # The README's sampled brute at full size, and the largest extremizers
+    # under the cap, at both ends of curve 10.
+    "brute-5-sampled-2000": (
+        ["brute", "5", "--sample", "2000", "--seed", "1"], 0, 465362,
+        "2945d521c2b3ba6a5ed00dd091e1d37f3421037655ca91c294b7c21fa5f0120b",
+    ),
+    "extremize-10-0": (
+        ["extremize", "10", "0"], 0, 334622,
+        "cca032a24d9b0d23aeec80fb16159d2c1420218d4818c42779268b93da12b0e9",
+    ),
+    "extremize-10-10": (
+        ["extremize", "10", "10"], 0, 397676,
+        "7b8626bcd0c8603b153b61345bde825c0872ca0d8ca2aa24899562b0e15841e3",
+    ),
     "extremize-3-2": (
         ["extremize", "3", "2"], 0, 2932,
         "40b551353ff8f6469102ad0f6c12bb5d97e81f45bb15d9abb0a7980b2314121f",
