@@ -11,17 +11,27 @@ height a = 1.  Both are piecewise linear in x for each fixed level, with
 kinks on an explicit family of polygonal level curves indexed by m; on the
 m-th curve the profile equals 2**-m.  Between consecutive curves the value
 is a linear interpolation along horizontal lines.
+
+Evaluation runs on integers.  The public entry points take ``int`` or
+``Fraction`` arguments, refuse floats and bools, and hand the numerators
+and denominators of x, a and the level to a small kernel: ``_strip``
+finds the strip that holds a point and ``_curve_x`` where a curve crosses
+a level, each from bit lengths and one floor division, so in constant
+time at any level; ``_strip_value`` interpolates between the two curves
+of a strip.  The region tests and closed forms are integer comparisons
+and products, and one ``Fraction`` is built per result.  The
+``Fraction`` forms these replaced are kept in ``tests/reference.py`` as
+the oracle of the differential tests.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import PiecewiseLinearFn, PlanePoint, lerp
+from .geometry import PiecewiseLinearFn, PlanePoint
 from .rational import DomainError
 
 __all__ = [
@@ -65,8 +75,10 @@ def _exact(value: Fraction | int, name: str) -> Fraction:
     Floats and bools are refused rather than rounded or read as 0/1, so no
     inexact value gets into the exact arithmetic or leaks out of it.
     """
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, numbers.Rational) and not isinstance(value, bool):
         return Fraction(value)
     raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
@@ -83,17 +95,16 @@ def _pow2(k: int) -> Fraction:
     return Fraction(1, 2**k) if k >= 0 else Fraction(2 ** (-k))
 
 
-def _floor_log2(r: Fraction) -> int:
-    """The largest integer e with 2**e <= r, for r > 0, read off bit lengths."""
-    p, q = r.numerator, r.denominator
-    e = p.bit_length() - q.bit_length()  # 2**(e-1) < r < 2**(e+1)
-    at_least = p >= q << e if e >= 0 else p << -e >= q
+def _floor_log2(n: int, d: int) -> int:
+    """The largest integer e with 2**e <= n/d, for n, d > 0, read off bit lengths."""
+    e = n.bit_length() - d.bit_length()  # 2**(e-1) < n/d < 2**(e+1)
+    at_least = n >= d << e if e >= 0 else n << -e >= d
     return e if at_least else e - 1
 
 
-def _segment(x: Fraction) -> int:
-    """The index k of the dyadic segment 2**-k < x <= 2**(1-k) holding 0 < x <= 1."""
-    return 1 + _floor_log2(1 / x)
+def _segment(p: int, q: int) -> int:
+    """The index k of the dyadic segment 2**-k < x <= 2**(1-k) holding x = p/q in (0, 1]."""
+    return 1 + _floor_log2(q, p)
 
 
 def _offset(family: Family) -> int:
@@ -108,31 +119,34 @@ def _vertex_level(family: Family, k: int, m: int) -> Fraction:
     return m - k + 3 - _offset(family) * _pow2(k)
 
 
-def vertex_f(k: int, m: int) -> PlanePoint:
-    """k-th vertex of the m-th F curve: (2**-k, m - k + 3 - 2**-k)."""
+def _vertex(family: Family, k: int, m: int) -> PlanePoint:
+    k, m = _index(k, "vertex index"), _index(m, "curve index")
     if not 0 <= k <= m:
         raise DomainError(f"vertex indices need 0 <= k <= m, got k={k}, m={m}")
-    return PlanePoint(_pow2(k), _vertex_level(Family.F, k, m))
+    return PlanePoint(_pow2(k), _vertex_level(family, k, m))
+
+
+def vertex_f(k: int, m: int) -> PlanePoint:
+    """k-th vertex of the m-th F curve: (2**-k, m - k + 3 - 2**-k)."""
+    return _vertex(Family.F, k, m)
 
 
 def vertex_g(k: int, m: int) -> PlanePoint:
     """k-th vertex of the m-th G curve: (2**-k, m - k + 3 - 2**(1-k))."""
-    if not 0 <= k <= m:
-        raise DomainError(f"vertex indices need 0 <= k <= m, got k={k}, m={m}")
-    return PlanePoint(_pow2(k), _vertex_level(Family.G, k, m))
-
-
-def _vertex(family: Family, k: int, m: int) -> PlanePoint:
-    return vertex_f(k, m) if family is Family.F else vertex_g(k, m)
+    return _vertex(Family.G, k, m)
 
 
 def curve_vertices(family: Family, m: int) -> list[PlanePoint]:
     """Vertices of the m-th curve: origin, then k = m down to 0."""
+    m = _index(m, "curve index")
+    if m < 0:
+        raise DomainError(f"curve index must be nonnegative, got {m}")
     return [PlanePoint(ZERO, ZERO)] + [_vertex(family, k, m) for k in range(m, -1, -1)]
 
 
 def origin_parameter(family: Family, m: int) -> Fraction:
     """Reciprocal slope of the m-th curve's segment through the origin."""
+    m = _index(m, "curve index")
     if m < 0:
         raise DomainError(f"curve index must be nonnegative, got {m}")
     return Fraction(1, 3 * 2**m - _offset(family))
@@ -152,7 +166,7 @@ def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
         raise DomainError(f"curve index must be nonnegative, got {m}")
     if x == 0:
         return ZERO
-    k = _segment(x)
+    k = _segment(x.numerator, x.denominator)
     if k > m:  # x <= 2**-m: the origin segment
         return x / origin_parameter(family, m)
     # Segment k; for G it is flat at level m + 1 when k = 1.
@@ -163,32 +177,37 @@ def _curve_top(family: Family, m: int) -> int:
     return m + 3 - _offset(family)
 
 
-def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
-    """Inverse of ``curve_height``: the x at which curve m reaches ``level``.
+# The kernel.  A point is given by the integer numerators and denominators
+# of its coordinates (denominators positive, not necessarily in lowest
+# terms); s is the family's offset.  Each function solves its closed form
+# on those integers and returns integers, and the public entry points build
+# one Fraction from them.
 
-    For the G family the inverse of the flat top segment is taken to be its
-    left endpoint x = 1/2.
+
+def _curve_x(s: int, m: int, num: int, den: int) -> tuple[int, int]:
+    """The x at which curve m reaches level num/den, as a numerator and denominator.
+
+    Requires 0 <= level <= the curve's top.  For the G family the inverse
+    of the flat top segment is taken to be its left endpoint x = 1/2.
     """
-    m, level = _index(m, "curve index"), _exact(level, "level")
-    top = _curve_top(family, m)
-    if not ZERO <= level <= top:
-        raise DomainError(f"level {level} outside curve range [0, {top}]")
-    # Vertex m, where the origin segment ends, lies below level 3, so a
-    # higher level is past it without building 2**-m.
-    if level < 3 and level <= _vertex_level(family, m, m):
-        return level * origin_parameter(family, m)
+    # Vertex m, where the origin segment ends, lies at level 3 - s * 2**-m,
+    # below 3, so a higher level is past it without building 2**m.
+    if num < 3 * den:
+        origin = (3 << m) - s  # the origin segment's reciprocal slope
+        if num << m <= origin * den:
+            return num, den * origin
     # Vertex k-1 lies at a level in [m-k+3, m-k+4), so the segment ending at
     # the first vertex at or above the level is k = m + 4 - ceil(level) or
     # the next one up, k - 1.  (For G, k - 1 >= 2: the flat top segment
     # k = 1 is never taken.)
-    k = m + 4 - math.ceil(level)
-    if level > _vertex_level(family, k - 1, m):
+    k = m + 4 + (-num // den)  # m + 4 - ceil(level)
+    if num << (k - 1) > (((m - k + 4) << (k - 1)) - s) * den:
         k -= 1
-    return (level - (m - k + 2)) / _segment_denominator(family, k)
+    return num - (m - k + 2) * den, den * ((1 << k) - s)
 
 
-def _strip(family: Family, x: Fraction, level: Fraction) -> tuple[int, bool]:
-    """Strip index of (x, level) over the family's curves and a plateau flag.
+def _strip(s: int, p: int, q: int, num: int, den: int) -> tuple[int, bool]:
+    """Strip index of (x, level) = (p/q, num/den) over the family's curves and a plateau flag.
 
     Strip m is the set where the level exceeds curve m-1 but not curve m
     (strip 0: at or below curve 0), so m is the first curve that reaches
@@ -199,32 +218,65 @@ def _strip(family: Family, x: Fraction, level: Fraction) -> tuple[int, bool]:
     of curve m-1.  Requires 0 < x <= 1 and level > 0 (level > 1 for the G
     family).
     """
-    s, k = _offset(family), _segment(x)
+    k = _segment(p, q)
     # The first m with x * (3 * 2**m - s) >= level, i.e. 2**m >= (level + s*x) / (3*x).
-    m = max(0, -_floor_log2(3 * x / (level + s * x)))
+    m = max(0, -_floor_log2(3 * p * den, num * q + s * p * den))
     if m >= k:
-        # The first m >= k with curve_height = x * (2**k - s) + m - k + 2 >= level.
-        m = max(k, math.ceil(level - x * _segment_denominator(family, k)) + k - 2)
-    return m, m == 0 or level > _curve_top(family, m - 1)
+        # The first m >= k with curve_height = x * (2**k - s) + m - k + 2 >= level,
+        # i.e. m - k + 2 >= ceil(level - x * (2**k - s)).
+        m = max(k, k - 2 - (((1 << k) - s) * p * den - num * q) // (den * q))
+    return m, m == 0 or num > (m + 2 - s) * den
 
 
-def _strip_value(family: Family, x: Fraction, level: Fraction, m: int, plateau: bool) -> Fraction:
-    """The profile over the family's curves at 0 < x <= 1 in strip m: 2**-m on curve m.
+def _strip_value(
+    s: int, p: int, q: int, num: int, den: int, m: int, plateau: bool
+) -> tuple[int, int]:
+    """The profile over the family's curves at 0 < x = p/q <= 1 in strip m: 2**-m on curve m.
 
     Between curves m and m-1 it interpolates linearly along the horizontal
-    line at ``level``, from 2**-m to 2**(1-m), except on a plateau.
+    line at the level, from 2**-m to 2**(1-m), except on a plateau.
     """
     if plateau:
-        return _pow2(m)
-    left = (curve_x(family, m, level), ONE)
-    right = (curve_x(family, m - 1, level), Fraction(2))
-    return lerp(left, right, x) * _pow2(m)
+        return 1, 1 << m
+    left_p, left_q = _curve_x(s, m, num, den)
+    right_p, right_q = _curve_x(s, m - 1, num, den)
+    # x - left and right - left, over the common denominator q * left_q * right_q.
+    rise = (p * left_q - left_p * q) * right_q
+    run = (right_p * left_q - left_p * right_q) * q
+    if run <= 0:
+        raise DomainError("segment endpoints must be ordered by x")
+    if not 0 <= rise <= run:
+        raise DomainError(f"x={Fraction(p, q)} outside strip {m}'s segment")
+    return run + rise, run << m
+
+
+def _profile(s: int, p: int, q: int, num: int, den: int) -> tuple[int, int]:
+    """The profile over the family's curves at 0 <= x = p/q <= 1: 0 on the axis x = 0."""
+    if p == 0:
+        return 0, 1
+    return _strip_value(s, p, q, num, den, *_strip(s, p, q, num, den))
+
+
+def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
+    """Inverse of ``curve_height``: the x at which curve m reaches ``level``.
+
+    For the G family the inverse of the flat top segment is taken to be its
+    left endpoint x = 1/2.
+    """
+    m, level = _index(m, "curve index"), _exact(level, "level")
+    if m < 0:
+        raise DomainError(f"curve index must be nonnegative, got {m}")
+    top = _curve_top(family, m)
+    num, den = level.numerator, level.denominator
+    if not 0 <= num <= top * den:
+        raise DomainError(f"level {level} outside curve range [0, {top}]")
+    return Fraction(*_curve_x(_offset(family), m, num, den))
 
 
 def _check_profile_args(x: Fraction, level: Fraction) -> None:
-    if not ZERO <= x <= ONE:
+    if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    if level <= 0:
+    if level.numerator <= 0:
         raise DomainError(f"level must be positive, got {level}")
 
 
@@ -237,9 +289,7 @@ def f_value(x: Fraction, level: Fraction) -> Fraction:
     """
     x, level = _exact(x, "x"), _exact(level, "level")
     _check_profile_args(x, level)
-    if x == 0:
-        return ZERO
-    return _strip_value(Family.F, x, level, *_strip(Family.F, x, level))
+    return Fraction(*_profile(1, x.numerator, x.denominator, level.numerator, level.denominator))
 
 
 def f_extended(x: Fraction, level: Fraction) -> Fraction:
@@ -260,15 +310,16 @@ def g_value(x: Fraction, level: Fraction) -> Fraction:
     """
     x, level = _exact(x, "x"), _exact(level, "level")
     _check_profile_args(x, level)
-    if level <= 1:
-        if 4 * x <= level:
-            return f_value(2 * x, level) / 2
-        if x <= level:
-            return lerp((level / 4, Fraction(1, 2)), (level, ONE), x)
+    p, q, num, den = x.numerator, x.denominator, level.numerator, level.denominator
+    if num <= den:
+        if 4 * p * den <= num * q:
+            f_num, f_den = _profile(1, 2 * p, q, num, den)
+            return Fraction(f_num, 2 * f_den)
+        if p * den <= num * q:
+            # The line from (level/4, 1/2) to (level, 1): (level + 2x) / (3 * level).
+            return Fraction(num * q + 2 * p * den, 3 * num * q)
         return ONE
-    if x == 0:
-        return ZERO
-    return _strip_value(Family.G, x, level, *_strip(Family.G, x, level))
+    return Fraction(*_profile(2, p, q, num, den))
 
 
 class RegionKind(Enum):
@@ -295,11 +346,25 @@ class RegionTag:
         return f"strip m={self.strip}" + (", plateau" if self.plateau else "")
 
 
+_OBSTACLE = RegionTag(RegionKind.OBSTACLE)
+_FULL = RegionTag(RegionKind.FULL)
+_HEIGHT = RegionTag(RegionKind.HEIGHT)
+_MIXED = RegionTag(RegionKind.MIXED)
+_PROFILE = RegionTag(RegionKind.PROFILE)
+_ZERO = RegionTag(RegionKind.ZERO)
+
+
 def _check_box(x: Fraction, a: Fraction) -> None:
-    if not ZERO <= x <= ONE:
+    if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    if not ZERO <= a <= 2:
+    if not 0 <= a.numerator <= 2 * a.denominator:
         raise DomainError(f"height must lie in [0, 2], got {a}")
+
+
+def _scaled(xn: int, xd: int, an: int, ad: int) -> tuple[int, int]:
+    """The point min(2x/a, 1) of the F profile that carries the bound at level > 1."""
+    p, q = 2 * xn * ad, an * xd
+    return (p, q) if p < q else (1, 1)
 
 
 def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
@@ -313,42 +378,53 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
     """
     x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
     _check_box(x, a)
-    if level <= 0:
-        return RegionTag(RegionKind.OBSTACLE)
-    if level <= 1:
-        if a >= 1 and 2 * x >= level * (3 - a):
-            return RegionTag(RegionKind.FULL)
-        if a <= 1 and x >= level * a:
-            return RegionTag(RegionKind.HEIGHT)
-        if 4 * x <= level * a:
-            return RegionTag(RegionKind.PROFILE)
-        return RegionTag(RegionKind.MIXED)
-    if a == 0 or x == 0:
-        return RegionTag(RegionKind.ZERO)
-    scaled = min(2 * x / a, ONE)
-    m, plateau = _strip(Family.F, scaled, level)
+    xn, xd, an, ad = x.numerator, x.denominator, a.numerator, a.denominator
+    num, den = level.numerator, level.denominator
+    if num <= 0:
+        return _OBSTACLE
+    if num <= den:
+        # x and the level's factor, both over xd * den * ad: the edges
+        # 2x = level * (3 - a), x = level * a and 4x = level * a.
+        u, w = xn * den * ad, num * xd
+        if an >= ad and 2 * u >= w * (3 * ad - an):
+            return _FULL
+        if an <= ad and u >= w * an:
+            return _HEIGHT
+        if 4 * u <= w * an:
+            return _PROFILE
+        return _MIXED
+    if an == 0 or xn == 0:
+        return _ZERO
+    m, plateau = _strip(1, *_scaled(xn, xd, an, ad), num, den)
     return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau)
 
 
 def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
     """The sharp level-set bound at measure ``x``, height ``a``, given level."""
     x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
+    # One classify_region call, looked up at call time, so a wrapper
+    # installed on the module's name sees every evaluation's region.
     tag = classify_region(x, a, level)
-    if tag.kind in (RegionKind.OBSTACLE, RegionKind.FULL):
+    kind = tag.kind
+    if kind is RegionKind.OBSTACLE or kind is RegionKind.FULL:
         return ONE
-    if tag.kind is RegionKind.HEIGHT:
+    if kind is RegionKind.HEIGHT:
         return a
-    if tag.kind is RegionKind.MIXED:
-        return (a + 2 * x / level) / 3
-    if tag.kind is RegionKind.PROFILE:
-        if a == 0:
-            return ZERO
-        return a / 2 * f_value(2 * x / a, level)
-    if tag.kind is RegionKind.ZERO:
+    if kind is RegionKind.ZERO:
         return ZERO
-    # Strip region: level > 1, and the tag holds the strip of the scaled point.
-    scaled = min(2 * x / a, ONE)
-    return a / 2 * _strip_value(Family.F, scaled, level, tag.strip, tag.plateau)
+    xn, xd, an, ad = x.numerator, x.denominator, a.numerator, a.denominator
+    num, den = level.numerator, level.denominator
+    if kind is RegionKind.MIXED:
+        # (a + 2x / level) / 3
+        return Fraction(an * xd * num + 2 * xn * den * ad, 3 * ad * xd * num)
+    # Profile (level <= 1) or strip (level > 1): a/2 times the F profile at
+    # min(2x/a, 1), where a > 0 (a = 0 is a height or zero point).
+    p, q = _scaled(xn, xd, an, ad)
+    if kind is RegionKind.STRIP:
+        f_num, f_den = _strip_value(1, p, q, num, den, tag.strip, tag.plateau)
+    else:
+        f_num, f_den = _profile(1, p, q, num, den)
+    return Fraction(an * f_num, 2 * ad * f_den)
 
 
 def f_region(x: Fraction, level: Fraction) -> RegionTag:
@@ -365,20 +441,21 @@ def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
     # The branch of f_value or g_value taken at (x, level); below level 1
     # the a=1 profile has the three closed forms of g_value.
     x, level = _exact(x, "x"), _exact(level, "level")
-    if not ZERO <= x <= ONE:
+    p, q, num, den = x.numerator, x.denominator, level.numerator, level.denominator
+    if not 0 <= p <= q:
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    if level <= 0:
-        return RegionTag(RegionKind.OBSTACLE)
-    if family is Family.G and level <= 1:
+    if num <= 0:
+        return _OBSTACLE
+    if family is Family.G and num <= den:
         # classify_region at height 1, ties broken the same way.
-        if x >= level:
-            return RegionTag(RegionKind.FULL)
-        if 4 * x <= level:
-            return RegionTag(RegionKind.PROFILE)
-        return RegionTag(RegionKind.MIXED)
-    if x == 0:
-        return RegionTag(RegionKind.ZERO)
-    m, plateau = _strip(family, x, level)
+        if p * den >= num * q:
+            return _FULL
+        if 4 * p * den <= num * q:
+            return _PROFILE
+        return _MIXED
+    if p == 0:
+        return _ZERO
+    m, plateau = _strip(_offset(family), p, q, num, den)
     return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau)
 
 
@@ -388,6 +465,7 @@ def profile_vertices(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn:
     The full vertex set accumulates at x = 0, hence the positive left
     cutoff; the leftmost vertex is (x_min, f(x_min)).
     """
+    level, x_min = _exact(level, "level"), _exact(x_min, "x_min")
     if level <= 0:
         raise DomainError(f"level must be positive, got {level}")
     if not ZERO < x_min <= ONE:
@@ -396,9 +474,12 @@ def profile_vertices(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn:
     # from last, first and last being the strips of x = 1 and of x_min.
     # The ends take f's values unless a crossing is x_min itself; a curve
     # crossing at x = 1 (when the level is its top) gives way to f(1).
-    first, _ = _strip(Family.F, ONE, level)
-    last, _ = _strip(Family.F, x_min, level)
-    crossings = ((curve_x(Family.F, m, level), _pow2(m)) for m in range(last, first - 1, -1))
+    num, den = level.numerator, level.denominator
+    first, _ = _strip(1, 1, 1, num, den)
+    last, _ = _strip(1, x_min.numerator, x_min.denominator, num, den)
+    crossings = (
+        (Fraction(*_curve_x(1, m, num, den)), _pow2(m)) for m in range(last, first - 1, -1)
+    )
     vertices = [(xm, value) for xm, value in crossings if x_min <= xm < 1]
     if not vertices or vertices[0][0] != x_min:
         vertices.insert(0, (x_min, f_value(x_min, level)))
@@ -428,8 +509,10 @@ def segment_slope(strip: int, level: Fraction) -> Fraction:
         raise DomainError(f"strip index must be at least 1, got {strip}")
     if not ZERO < level <= strip + 1:
         raise DomainError(f"level {level} outside (0, {strip + 1}]")
-    gap = curve_x(Family.F, strip - 1, level) - curve_x(Family.F, strip, level)
-    return 1 / (2**strip * gap)
+    left_p, left_q = _curve_x(1, strip, level.numerator, level.denominator)
+    right_p, right_q = _curve_x(1, strip - 1, level.numerator, level.denominator)
+    # 1 / (2**strip * (right - left))
+    return Fraction(left_q * right_q, (right_p * left_q - left_p * right_q) << strip)
 
 
 LinearForm = tuple[Fraction, Fraction]  # value at level t is c0 + c1*t
@@ -445,6 +528,7 @@ def recip_slope_forms(window: int, m: int) -> dict[str, tuple[LinearForm, LevelR
     ``window = 2`` is the case where the lower endpoint still sits on an
     origin segment; larger windows use interior segments only.
     """
+    window, m = _index(window, "window"), _index(m, "curve index")
     if window < 2:
         raise DomainError(f"window must be at least 2, got {window}")
     s = m + 1  # strip index
@@ -492,6 +576,7 @@ def corollary_bound(n: int, big_n: int) -> Fraction:
     exponent exactly on this lattice; requires big_n >= 3 so the level is
     at least 2.
     """
+    n, big_n = _index(n, "n"), _index(big_n, "big_n")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if big_n < 3:

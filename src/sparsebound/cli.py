@@ -42,6 +42,7 @@ from .extremal import (
 )
 from .rational import DomainError, format_rational, parse_rational
 from .verify import (
+    EXHAUSTIVE_DEPTH_CAP,
     ExhaustiveModeError,
     SampleSpec,
     SUITE_NAMES,
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_brute = sub.add_parser(
         "brute",
         help="enumerate configurations at one depth",
-        description="Exhaustive up to depth 3; deeper runs need --sample.",
+        description=f"Exhaustive up to depth {EXHAUSTIVE_DEPTH_CAP}; deeper runs need --sample.",
     )
     p_brute.add_argument("depth", type=int)
     p_brute.add_argument("--sample", type=int, default=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .candidate import bellman_value, vertex_f
+from .candidate import _index, bellman_value, vertex_f
 from .dyadic import (
     CarlesonSequence,
     Config,
@@ -141,6 +141,7 @@ def curve_vertex_config(m: int, k: int) -> Config:
 
     Raises ``DomainError`` above ``EXTREMIZER_CURVE_CAP`` before building anything.
     """
+    m, k = _index(m, "curve index"), _index(k, "vertex index")
     _check_curve_cap(m)
     config = interpret(curve_vertex_recipe(m, k))
     if carleson_constant(config.seq) > 2:
@@ -150,6 +151,7 @@ def curve_vertex_config(m: int, k: int) -> Config:
 
 def corollary_config(n: int, big_n: int) -> Config:
     """Configuration attaining ``corollary_bound(n, big_n)`` exactly."""
+    n, big_n = _index(n, "n"), _index(big_n, "big_n")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if big_n < 3:

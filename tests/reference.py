@@ -3,9 +3,10 @@
 Each one computes what a fast path of the package computes, by a more
 direct route: the a=2 profile by node interpolation at small levels, the
 level curves' indices by scanning their segments and the strips by
-scanning the curves, the operator on the uniform cells of one depth, the
-Carleson constant by scanning every base interval, and the brute-force
-table by simulating every configuration one by one.
+scanning the curves, the bound, its region tags and the profiles in
+``Fraction`` arithmetic, the operator on the uniform cells of one depth,
+the Carleson constant by scanning every base interval, and the
+brute-force table by simulating every configuration one by one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from sparsebound.candidate import Family, origin_parameter, vertex_f, vertex_g
+from sparsebound.candidate import (
+    Family,
+    RegionKind,
+    RegionTag,
+    origin_parameter,
+    vertex_f,
+    vertex_g,
+)
 from sparsebound.dyadic import CarlesonSequence, Config, DyadicSet
 from sparsebound.geometry import PiecewiseLinearFn, lerp
 from sparsebound.rational import DomainError
@@ -130,6 +138,128 @@ def profile_vertices_scan(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn
     if vertices[-1][0] != 1:
         vertices.append((Fraction(1), profile_scan(Family.F, Fraction(1), level)))
     return PiecewiseLinearFn(tuple(vertices))
+
+
+# The bound, its region tags and the profiles in Fraction arithmetic: the
+# forms the package's integer kernel replaced, kept as its oracle.  The
+# strip and curve indices are read off the point as the kernel reads them,
+# but every step is a Fraction operation and the interpolation is ``lerp``.
+
+
+def _offset(family: Family) -> int:
+    return 1 if family is Family.F else 2
+
+
+def _floor_log2(r: Fraction) -> int:
+    """The largest integer e with 2**e <= r, for r > 0."""
+    p, q = r.numerator, r.denominator
+    e = p.bit_length() - q.bit_length()
+    at_least = p >= q << e if e >= 0 else p << -e >= q
+    return e if at_least else e - 1
+
+
+def _vertex_level(family: Family, k: int, m: int) -> Fraction:
+    return m - k + 3 - _offset(family) * Fraction(2) ** -k
+
+
+def curve_x_fraction(family: Family, m: int, level: Fraction) -> Fraction:
+    """``curve_x`` in Fraction arithmetic, for 0 <= level <= the curve's top."""
+    if level < 3 and level <= _vertex_level(family, m, m):
+        return level * origin_parameter(family, m)
+    k = m + 4 - math.ceil(level)
+    if level > _vertex_level(family, k - 1, m):
+        k -= 1
+    return (level - (m - k + 2)) / _segment_denominator(family, k)
+
+
+def strip_fraction(family: Family, x: Fraction, level: Fraction) -> tuple[int, bool]:
+    """``candidate._strip`` in Fraction arithmetic, for 0 < x <= 1 and level > 0."""
+    s, k = _offset(family), 1 + _floor_log2(1 / x)
+    m = max(0, -_floor_log2(3 * x / (level + s * x)))
+    if m >= k:
+        m = max(k, math.ceil(level - x * _segment_denominator(family, k)) + k - 2)
+    return m, m == 0 or level > curve_top(family, m - 1)
+
+
+def strip_value_fraction(
+    family: Family, x: Fraction, level: Fraction, m: int, plateau: bool
+) -> Fraction:
+    """The profile at 0 < x <= 1 in strip m, by ``lerp`` between the strip's two curves."""
+    if plateau:
+        return Fraction(1, 2**m)
+    left = (curve_x_fraction(family, m, level), Fraction(1))
+    right = (curve_x_fraction(family, m - 1, level), Fraction(2))
+    return lerp(left, right, x) / 2**m
+
+
+def f_value_fraction(x: Fraction, level: Fraction) -> Fraction:
+    """``f_value`` in Fraction arithmetic, for 0 <= x <= 1 and level > 0."""
+    if x == 0:
+        return Fraction(0)
+    return strip_value_fraction(Family.F, x, level, *strip_fraction(Family.F, x, level))
+
+
+def g_value_fraction(x: Fraction, level: Fraction) -> Fraction:
+    """``g_value`` in Fraction arithmetic, for 0 <= x <= 1 and level > 0."""
+    if level <= 1:
+        if 4 * x <= level:
+            return f_value_fraction(2 * x, level) / 2
+        if x <= level:
+            return lerp((level / 4, Fraction(1, 2)), (level, Fraction(1)), x)
+        return Fraction(1)
+    if x == 0:
+        return Fraction(0)
+    return strip_value_fraction(Family.G, x, level, *strip_fraction(Family.G, x, level))
+
+
+def profile_region_fraction(family: Family, x: Fraction, level: Fraction) -> RegionTag:
+    """``f_region`` (F) or ``g_region`` (G) in Fraction arithmetic, for 0 <= x <= 1."""
+    if level <= 0:
+        return RegionTag(RegionKind.OBSTACLE)
+    if family is Family.G and level <= 1:
+        if x >= level:
+            return RegionTag(RegionKind.FULL)
+        if 4 * x <= level:
+            return RegionTag(RegionKind.PROFILE)
+        return RegionTag(RegionKind.MIXED)
+    if x == 0:
+        return RegionTag(RegionKind.ZERO)
+    return RegionTag(RegionKind.STRIP, *strip_fraction(family, x, level))
+
+
+def classify_region_fraction(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
+    """``classify_region`` in Fraction arithmetic, for x in [0, 1] and a in [0, 2]."""
+    if level <= 0:
+        return RegionTag(RegionKind.OBSTACLE)
+    if level <= 1:
+        if a >= 1 and 2 * x >= level * (3 - a):
+            return RegionTag(RegionKind.FULL)
+        if a <= 1 and x >= level * a:
+            return RegionTag(RegionKind.HEIGHT)
+        if 4 * x <= level * a:
+            return RegionTag(RegionKind.PROFILE)
+        return RegionTag(RegionKind.MIXED)
+    if a == 0 or x == 0:
+        return RegionTag(RegionKind.ZERO)
+    scaled = min(2 * x / a, Fraction(1))
+    return RegionTag(RegionKind.STRIP, *strip_fraction(Family.F, scaled, level))
+
+
+def bellman_value_fraction(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
+    """``bellman_value`` in Fraction arithmetic, for x in [0, 1] and a in [0, 2]."""
+    tag = classify_region_fraction(x, a, level)
+    if tag.kind in (RegionKind.OBSTACLE, RegionKind.FULL):
+        return Fraction(1)
+    if tag.kind is RegionKind.HEIGHT:
+        return a
+    if tag.kind is RegionKind.MIXED:
+        return (a + 2 * x / level) / 3
+    if tag.kind is RegionKind.PROFILE:
+        return Fraction(0) if a == 0 else a / 2 * f_value_fraction(2 * x / a, level)
+    if tag.kind is RegionKind.ZERO:
+        return Fraction(0)
+    scaled = min(2 * x / a, Fraction(1))
+    return a / 2 * strip_value_fraction(Family.F, scaled, level, tag.strip, tag.plateau)
 
 
 class StepFunction(NamedTuple):

@@ -12,12 +12,14 @@ from sparsebound.candidate import (
     classify_region,
     corollary_bound,
     curve_height,
+    curve_vertices,
     curve_x,
     f_extended,
     f_region,
     f_value,
     g_region,
     g_value,
+    origin_parameter,
     profile_slopes,
     profile_vertices,
     recip_slope_forms,
@@ -25,7 +27,8 @@ from sparsebound.candidate import (
     vertex_f,
     vertex_g,
 )
-from sparsebound.geometry import PlanePoint
+from sparsebound.extremal import corollary_config, curve_vertex_config
+from sparsebound.geometry import PiecewiseLinearFn, PlanePoint
 from sparsebound.rational import DomainError
 
 
@@ -46,6 +49,8 @@ def test_vertex_values():
         vertex_f(3, 2)
     with pytest.raises(DomainError):
         vertex_f(-1, 2)
+    with pytest.raises(DomainError):
+        curve_vertices(Family.F, -1)
 
 
 def test_vertex_transport():
@@ -361,7 +366,30 @@ ENTRY_POINTS = {
     "curve_x": (curve_x, (Family.F, 3, 2), (2,), (1,)),
     "curve_height": (curve_height, (Family.G, 2, 1), (2,), (1,)),
     "segment_slope": (segment_slope, (2, 2), (1,), (0,)),
+    "vertex_f": (vertex_f, (1, 2), (), (0, 1)),
+    "vertex_g": (vertex_g, (1, 2), (), (0, 1)),
+    "curve_vertices": (curve_vertices, (Family.F, 2), (), (1,)),
+    "origin_parameter": (origin_parameter, (Family.G, 2), (), (1,)),
+    "recip_slope_forms": (recip_slope_forms, (3, 2), (), (0, 1)),
+    "corollary_bound": (corollary_bound, (1, 3), (), (0, 1)),
+    "profile_vertices": (profile_vertices, (3, 1), (0, 1), ()),
+    "profile_slopes": (profile_slopes, (1, 1), (0, 1), ()),
+    "curve_vertex_config": (curve_vertex_config, (2, 1), (), (0, 1)),
+    "corollary_config": (corollary_config, (1, 3), (), (0, 1)),
 }
+
+
+def numbers_in(result):
+    """The numbers a result holds: through tuples, lists, dicts and vertex lists."""
+    if isinstance(result, PiecewiseLinearFn):
+        result = result.vertices
+    if isinstance(result, dict):
+        result = tuple(result.values())
+    if isinstance(result, (tuple, list)):
+        for item in result:
+            yield from numbers_in(item)
+    else:
+        yield result
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -378,4 +406,21 @@ def test_entry_points_convert_ints(name):
     fn, args, rationals, _ = ENTRY_POINTS[name]
     result = fn(*args)
     assert result == fn(*(F(v) if i in rationals else v for i, v in enumerate(args)))
-    assert name.endswith("region") or type(result) is F
+    if not name.endswith(("region", "config")):
+        assert all(type(v) is F for v in numbers_in(result))
+
+
+def test_in_domain_floats_and_bools_refused():
+    # Values a float or bool would pass through unnoticed, were it not checked.
+    for fn, args in (
+        (vertex_f, (True, 2)),
+        (vertex_f, (1.0, 2)),
+        (curve_vertex_config, (2, True)),
+        (curve_vertex_config, (2.0, 1)),
+        (profile_slopes, (F(5, 2), 0.25)),
+        (recip_slope_forms, (2.0, 1)),
+        (recip_slope_forms, (3, 2.0)),
+        (corollary_bound, (1, 3.0)),
+    ):
+        with pytest.raises(DomainError):
+            fn(*args)

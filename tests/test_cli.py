@@ -196,6 +196,21 @@ def test_curves_help_states_the_cap(capsys):
     assert "m_max above 400 is a usage error" in " ".join(capsys.readouterr().out.split())
 
 
+def test_brute_help_states_the_exhaustive_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["brute", "--help"])
+    assert "Exhaustive up to depth 4; deeper runs need --sample." in capsys.readouterr().out
+
+
+def test_brute_5_without_sample_is_usage_error(capsys, time_limit):
+    with time_limit(1):
+        code = main(["brute", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exhaustive mode is capped at depth 4" in captured.err
+
+
 @pytest.mark.parametrize("argv", [["jump", "--count", "-5"], ["all", "--count", "0"]])
 def test_verify_count_below_one_is_usage_error(capsys, argv):
     code = main(["verify", *argv])

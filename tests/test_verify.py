@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import brute_reference, mask_to_sequence
-from sparsebound.candidate import bellman_value
+from sparsebound.candidate import bellman_value, vertex_f
 from sparsebound.dyadic import carleson_constant
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
@@ -172,6 +172,29 @@ def test_configs_scanned_counts_enumerated_configurations(depth):
     assert scanned == sequences * 2 ** (2**depth)
     if depth == 3:
         assert scanned == 3_485_440
+
+
+README_LAMBDAS = [F(1, 2), F(1), F(3, 2), F(2)]
+
+
+def test_brute_depth_4_exhaustive_dominated_and_sampled_below():
+    report = brute_force_sup(4, README_LAMBDAS)
+    assert EXHAUSTIVE_DEPTH_CAP == 4
+    assert report.exhaustive and report.domination
+    table = {(e.x, e.height, e.level): e for e in report.entries}
+    # The extremizer of F curve m has weights down to depth m + 1, so at
+    # depth 4 every vertex of curves 0 to 3 is attained.
+    for m in range(4):
+        for k in range(m + 1):
+            point = vertex_f(k, m)
+            assert table[point.x, F(2), point.y].attained, (k, m)
+    # A sample draws from the same configurations, so each of its maxima,
+    # at a value some configuration takes or at a query level, is at most
+    # the exhaustive one at its key.
+    sampled = brute_force_sup(4, README_LAMBDAS, sample=300, seed=9)
+    assert not sampled.exhaustive and sampled.entries
+    for e in sampled.entries:
+        assert e.max_v <= table[e.x, e.height, e.level].max_v, e
 
 
 def test_brute_monotone_in_depth():
