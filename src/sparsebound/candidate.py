@@ -26,13 +26,12 @@ the oracle of the differential tests.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .geometry import PiecewiseLinearFn, PlanePoint
-from .rational import DomainError
+from .rational import DomainError, _exact, _index
 
 __all__ = [
     "Family",
@@ -67,28 +66,6 @@ class Family(Enum):
 
     F = "F"
     G = "G"
-
-
-def _exact(value: Fraction | int, name: str) -> Fraction:
-    """An argument of a public entry point as a Fraction.
-
-    Floats and bools are refused rather than rounded or read as 0/1, so no
-    inexact value gets into the exact arithmetic or leaks out of it.
-    """
-    if type(value) is Fraction:
-        return value
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
-        return Fraction(value)
-    raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
-
-
-def _index(value: int, name: str) -> int:
-    """A curve or strip index argument of a public entry point, as an int."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise DomainError(f"{name} must be an int, got {value!r}")
 
 
 def _pow2(k: int) -> Fraction:

@@ -1,23 +1,41 @@
 """Dyadic simulator: intervals, sets, weight sequences, and level sets.
 
 Exact model of the unit interval split dyadically.  A ``DyadicSet`` is a
-canonical finite union of dyadic intervals, a ``CarlesonSequence`` a
-finitely supported weight map.  One descent, ``_split``, walks the tree
-down from ``ROOT`` and deals each node's intervals and weights to its two
-children by one index bit: ``_canonicalize`` keeps the topmost covered
-nodes, ``step_pieces`` carries the operator's value (the weighted sum of
-local averages of the indicator) down to where it is constant, and
-``carleson_constant`` adds the weights up.  The concatenation operators
-place rescaled copies of two configurations on the two halves of [0, 1).
+canonical finite union of dyadic intervals and a ``CarlesonSequence`` a
+finitely supported weight map; as built here, the intervals are sorted by
+left end and the weights by depth and then index.  Three walks, each a
+loop of any depth, serve everything:
+
+- ``_split`` walks down from ``ROOT`` through a list of intervals; on it
+  ``_canonicalize`` (``DyadicSet.from_intervals``) keeps the topmost
+  covered nodes.
+- ``carleson_constant`` adds the weights up their nodes' ancestor chains,
+  one depth at a time, in integers scaled by the weights' common
+  denominator and 2**depth.
+- ``_piece_walk`` walks down the weight tree only, splitting a node while
+  a weight lies strictly inside it, so the operator (the weighted sum of
+  local averages of the indicator) is constant on each node where it
+  stops.  A weighted node's covered share comes from prefix sums over the
+  set's sorted intervals, and values stay scaled integers.
+  ``step_pieces``, ``value_breakpoints``, ``level_set_measure`` and the
+  brute-force scan of ``verify`` all read it.
+
+The concatenation operators place rescaled copies of two configurations
+on the two halves of [0, 1) without walking either again: the halved
+intervals and weights are laid side by side, already canonical and
+sorted, and the measure and height follow from the concatenation
+identities.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .rational import DomainError, format_rational
+from .rational import DomainError, _exact, format_rational
 
 __all__ = [
     "DyadicInterval",
@@ -88,46 +106,37 @@ class DyadicInterval:
 ROOT = DyadicInterval(0, 0)
 
 
-def _split(
-    intervals: Iterable[DyadicInterval],
-    weights: Iterable[tuple[DyadicInterval, Fraction]] = (),
-) -> Iterator[tuple[int, DyadicInterval, bool, list[DyadicInterval], Fraction | None, bool]]:
-    """Walk down from ``ROOT`` in preorder, as far as the inputs resolve the tree.
+def _split(intervals: Iterable[DyadicInterval]) -> Iterator[tuple[int, DyadicInterval, bool]]:
+    """Walk down from ``ROOT`` in preorder, as far as the intervals resolve the tree.
 
-    Each node deals what lies strictly inside it to its two children by one
-    index bit.  An interval equal to a node covers it and all below it.  The
-    walk, a loop of any depth, stops at a node with no uncovered interval or
-    weight strictly inside.  Per node it yields the parent's position (-1 at
-    the root), the node, whether it is covered, the uncovered intervals
-    inside it, its own weight (or None) and whether the walk stops there.
+    Each node deals the intervals strictly inside it to its two children by
+    one index bit; an interval equal to the node covers it, and the walk
+    stops there.  Halves with no interval are not visited.  Per node it
+    yields the parent's position (-1 at the root), the node and whether it
+    is covered.
     """
-    stack = [(-1, ROOT, False, list(intervals), list(weights))]
+    stack = [(-1, ROOT, list(intervals))]
     pos = 0
     while stack:
-        parent, node, covered, inside, weighted = stack.pop()
+        parent, node, inside = stack.pop()
         depth = node.depth
-        if covered or any(iv.depth == depth for iv in inside):
-            covered, inside = True, []
-        own = next((w for iv, w in weighted if iv.depth == depth), None)
-        below = [pair for pair in weighted if pair[0].depth > depth]
-        leaf = not inside and not below
-        yield parent, node, covered, inside, own, leaf
-        if not leaf:
-            halves = ([], []), ([], [])
+        covered = any(iv.depth == depth for iv in inside)
+        yield parent, node, covered
+        if not covered:
+            halves: tuple[list, list] = ([], [])
             for iv in inside:
-                halves[iv.index >> (iv.depth - depth - 1) & 1][0].append(iv)
-            for pair in below:
-                halves[pair[0].index >> (pair[0].depth - depth - 1) & 1][1].append(pair)
+                halves[iv.index >> (iv.depth - depth - 1) & 1].append(iv)
             left, right = node.children()
-            stack.append((pos, right, covered, *halves[1]))
-            stack.append((pos, left, covered, *halves[0]))
+            for child, half in ((right, halves[1]), (left, halves[0])):
+                if half:
+                    stack.append((pos, child, half))
         pos += 1
 
 
 def _canonicalize(intervals: Iterable[DyadicInterval]) -> tuple[DyadicInterval, ...]:
     # A node is kept when an input equals it or both of its children are
     # kept; the topmost kept nodes, in preorder, are sorted by left end.
-    walk = [(parent, node, covered) for parent, node, covered, *_ in _split(intervals)]
+    walk = list(_split(intervals))
     kept = [False] * len(walk)
     halves = [0] * len(walk)
     for pos in reversed(range(len(walk))):
@@ -166,7 +175,7 @@ class DyadicSet:
     @classmethod
     def prefix(cls, x: Fraction) -> DyadicSet:
         """Left-packed set [0, x) for dyadic x in [0, 1], at minimal depth."""
-        x = Fraction(x)
+        x = _exact(x, "prefix measure")
         if not ZERO <= x <= ONE:
             raise DomainError(f"prefix measure must lie in [0, 1], got {x}")
         if x == 1:
@@ -205,7 +214,7 @@ class CarlesonSequence:
     def from_mapping(cls, mapping: Mapping[DyadicInterval, Fraction]) -> CarlesonSequence:
         pairs = []
         for iv, w in mapping.items():
-            w = Fraction(w)
+            w = _exact(w, f"weight at {iv}")
             if not ZERO <= w <= ONE:
                 raise DomainError(f"weight {w} outside [0, 1] at {iv}")
             if w != 0:
@@ -226,67 +235,160 @@ def carleson_height(seq: CarlesonSequence, base: DyadicInterval = ROOT) -> Fract
     return total / base.measure
 
 
+def _common_denominator(seq: CarlesonSequence) -> int:
+    return math.lcm(*(w.denominator for _, w in seq.weights))
+
+
 def carleson_constant(seq: CarlesonSequence) -> Fraction:
     """Supremum of heights over all base intervals (a finite maximum here).
 
-    The largest is at a node the descent visits; the sums go up from the bottom.
+    The weighted lengths, scaled to integers by the common denominator and
+    2**depth, go up the ancestor chains one depth at a time, bottom up; the
+    largest is at a node on a chain.
     """
-    walk = [(parent, node, own) for parent, node, _, _, own, _ in _split((), seq.weights)]
-    sums = [ZERO] * len(walk)
-    best = ZERO
-    for pos in reversed(range(len(walk))):
-        parent, node, own = walk[pos]
-        total = sums[pos] if own is None else sums[pos] + own * node.measure
-        if total:
-            best = max(best, total * 2**node.depth)
-            if parent >= 0:
-                sums[parent] += total
-    return best
+    # The sequences built here come sorted, where this sort is one pass; one
+    # built directly may list its weights in any order.
+    weights = sorted(seq.weights, key=lambda pair: pair[0].depth)
+    if not weights:
+        return ZERO
+    lcm, depth = _common_denominator(seq), weights[-1][0].depth
+    best = 0
+    sums: dict[int, int] = {}  # node index -> scaled length of the weights inside it
+    pos = len(weights)
+    for d in range(depth, -1, -1):
+        while pos and weights[pos - 1][0].depth == d:
+            pos -= 1
+            iv, w = weights[pos]
+            scaled = w.numerator * (lcm // w.denominator) << (depth - d)
+            sums[iv.index] = sums.get(iv.index, 0) + scaled
+        best = max(best, max(sums.values(), default=0) << d)
+        parents: dict[int, int] = {}
+        for index, total in sums.items():
+            parents[index >> 1] = parents.get(index >> 1, 0) + total
+        sums = parents
+    return Fraction(best, lcm << depth)
+
+
+def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int, int]:
+    """The operator's pieces left to right, their scale and the deepest piece's depth.
+
+    A node is keyed by ``2**depth + index``, so its children are ``2 * key``
+    and ``2 * key + 1``.  The walk goes down from the root and splits a node
+    only while a weight lies strictly inside it; each node where it stops is
+    a piece ``(key, value)``, the operator being ``value / scale`` on it.
+    The scale is the weights' common denominator times 2**S, S the deepest
+    depth of any weight or set interval; a weight w on a node of depth d
+    covering c cells of size 2**-S adds ``w * c * 2**d`` scaled.
+    """
+    depth = max((iv.depth for iv, _ in seq.weights), default=0)
+    fine = max([depth, *(iv.depth for iv in subset.intervals)])
+    lcm = _common_denominator(seq)
+    # The set's intervals as [lo, hi) in cells of size 2**-fine, left to
+    # right, with the cell counts of the first j intervals in covered[j].
+    spans = sorted(
+        (iv.index << (fine - iv.depth), (iv.index + 1) << (fine - iv.depth))
+        for iv in subset.intervals
+    )
+    los, his, covered = [], [], [0]
+    for lo, hi in spans:
+        los.append(lo)
+        his.append(hi)
+        covered.append(covered[-1] + hi - lo)
+    own: dict[int, int] = {}
+    inner: set[int] = set()  # nodes with a weight strictly inside
+    for iv, w in seq.weights:
+        lo, hi = iv.index << (fine - iv.depth), (iv.index + 1) << (fine - iv.depth)
+        j = bisect_right(his, lo)  # the first interval ending after lo
+        if j < len(los) and los[j] <= lo and his[j] >= hi:
+            cells = hi - lo  # an interval of the set contains the node
+        else:
+            cells = covered[bisect_left(los, hi)] - covered[j]
+        key = (1 << iv.depth) + iv.index
+        own[key] = (w.numerator * (lcm // w.denominator) * cells) << iv.depth
+        key >>= 1
+        while key and key not in inner:
+            inner.add(key)
+            key >>= 1
+    pieces = []
+    stack = [(1, 0)]
+    while stack:
+        key, value = stack.pop()
+        value += own.get(key, 0)
+        if key in inner:
+            stack.append((2 * key + 1, value))
+            stack.append((2 * key, value))
+        else:
+            pieces.append((key, value))
+    return pieces, lcm << fine, depth
 
 
 def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
     """Adaptive piecewise-constant form of the weighted-average sum.
 
     Returns disjoint intervals tiling [0, 1), left to right, with the exact
-    operator value on each.  The descent carries the value down: a weight
-    adds itself times the share of its node the set covers, 1 under a
-    covered node and counted in cells from the intervals inside otherwise.
+    operator value on each: the nodes of the weight tree with no weight
+    strictly inside.
     """
-    pieces: list[tuple[DyadicInterval, Fraction]] = []
-    values: list[Fraction] = []
-    for parent, node, covered, inside, own, leaf in _split(subset.intervals, seq.weights):
-        value = values[parent] if parent >= 0 else ZERO
-        if own is not None and covered:
-            value += own
-        elif own is not None and inside:
-            deepest = max(iv.depth for iv in inside)
-            cells = sum(1 << (deepest - iv.depth) for iv in inside)
-            value += own * Fraction(cells, 1 << (deepest - node.depth))
-        values.append(value)
-        if leaf:
-            pieces.append((node, value))
-    return pieces
+    pieces, scale, _ = _piece_walk(subset, seq)
+    out = []
+    for key, value in pieces:
+        d = key.bit_length() - 1
+        out.append((DyadicInterval(d, key - (1 << d)), Fraction(value, scale)))
+    return out
+
+
+def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
+    """The cells of size 2**-depth taking each scaled value, the scale and the depth."""
+    pieces, scale, depth = _piece_walk(subset, seq)
+    cells: dict[int, int] = {}
+    for key, value in pieces:
+        cells[value] = cells.get(value, 0) + (1 << (depth + 1 - key.bit_length()))
+    return cells, scale, depth
+
+
+def _cells_reaching(cells: dict[int, int], scale: int, level: Fraction) -> int:
+    """How many of the cells take a value of at least ``level``, compared in integers."""
+    p, q = level.numerator * scale, level.denominator
+    return sum(n for value, n in cells.items() if value * q >= p)
 
 
 def value_breakpoints(subset: DyadicSet, seq: CarlesonSequence) -> tuple[Fraction, ...]:
     """Sorted distinct values taken by the operator."""
-    return tuple(sorted({v for _, v in step_pieces(subset, seq)}))
+    cells, scale, _ = _value_cells(subset, seq)
+    return tuple(Fraction(value, scale) for value in sorted(cells))
 
 
 def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction) -> Fraction:
     """Exact measure of the set where the operator reaches ``level``."""
-    return sum((piece.measure for piece, v in step_pieces(subset, seq) if v >= level), ZERO)
+    level = _exact(level, "level")
+    cells, scale, depth = _value_cells(subset, seq)
+    return Fraction(_cells_reaching(cells, scale, level), 1 << depth)
 
 
 def _scale_into(iv: DyadicInterval, right: bool) -> DyadicInterval:
-    return DyadicInterval(iv.depth + 1, iv.index + (2**iv.depth if right else 0))
+    return DyadicInterval(iv.depth + 1, iv.index + ((1 << iv.depth) if right else 0))
 
 
 def concat_sets(first: DyadicSet, second: DyadicSet) -> DyadicSet:
-    """Halve both sets and lay them on the two halves of [0, 1)."""
-    halved = [_scale_into(iv, right=False) for iv in first.intervals]
-    halved += [_scale_into(iv, right=True) for iv in second.intervals]
-    return DyadicSet.from_intervals(halved)
+    """Halve both sets and lay them on the two halves of [0, 1).
+
+    Halving keeps each set canonical, and no interval of one half nests in
+    or pairs with one of the other, except the two halves themselves: full
+    and full give ``ROOT``.
+    """
+    if first.intervals == second.intervals == (ROOT,):
+        return DyadicSet.full()
+    return DyadicSet(
+        tuple(_scale_into(iv, right=False) for iv in first.intervals)
+        + tuple(_scale_into(iv, right=True) for iv in second.intervals)
+    )
+
+
+def _root_weight(gamma: Fraction) -> Fraction:
+    gamma = _exact(gamma, "root weight")
+    if not ZERO <= gamma <= ONE:
+        raise DomainError(f"root weight must lie in [0, 1], got {gamma}")
+    return gamma
 
 
 def concat_seqs(
@@ -295,18 +397,15 @@ def concat_seqs(
     """Push two sequences into the two subtrees and weight the root by gamma.
 
     The height of the result is the mean of the two heights plus gamma.
+    Both inputs are sorted by depth and then index, and at each depth the
+    left half's intervals come first, so a stable sort by depth alone (a
+    merge of the two runs) keeps the order.
     """
-    gamma = Fraction(gamma)
-    if not ZERO <= gamma <= ONE:
-        raise DomainError(f"root weight must lie in [0, 1], got {gamma}")
-    mapping: dict[DyadicInterval, Fraction] = {}
-    if gamma != 0:
-        mapping[ROOT] = gamma
-    for iv, w in first.weights:
-        mapping[_scale_into(iv, right=False)] = w
-    for iv, w in second.weights:
-        mapping[_scale_into(iv, right=True)] = w
-    return CarlesonSequence.from_mapping(mapping)
+    gamma = _root_weight(gamma)
+    halves = [(_scale_into(iv, right=False), w) for iv, w in first.weights]
+    halves += [(_scale_into(iv, right=True), w) for iv, w in second.weights]
+    merged = sorted(halves, key=lambda pair: pair[0].depth)
+    return CarlesonSequence(((ROOT, gamma), *merged) if gamma else tuple(merged))
 
 
 @dataclass(frozen=True)
@@ -338,9 +437,13 @@ class Config:
 
 
 def concat_configs(first: Config, second: Config, gamma: Fraction) -> Config:
-    return Config.build(
+    """The concatenation, its measure the mean of the two and its height gamma plus theirs."""
+    gamma = _root_weight(gamma)
+    return Config(
         concat_sets(first.subset, second.subset),
         concat_seqs(first.seq, second.seq, gamma),
+        (first.measure + second.measure) / 2,
+        gamma + (first.height + second.height) / 2,
     )
 
 

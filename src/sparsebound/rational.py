@@ -3,10 +3,13 @@
 Every coordinate, weight, measure and function value in this package is a
 ``fractions.Fraction``.  The serialization convention is ``"p/q"`` in lowest
 terms, with ``"p"`` alone for integers; no floating point appears anywhere.
+``_exact`` and ``_index`` are the one boundary check of the public entry
+points: they refuse floats and bools with ``DomainError``.
 """
 
 from __future__ import annotations
 
+import numbers
 import re
 import sys
 from fractions import Fraction
@@ -16,6 +19,28 @@ __all__ = ["DomainError", "parse_rational", "format_rational"]
 
 class DomainError(ValueError):
     """An argument lies outside the domain of the requested operation."""
+
+
+def _exact(value: Fraction | int, name: str) -> Fraction:
+    """An argument of a public entry point as a Fraction.
+
+    Floats and bools are refused rather than rounded or read as 0/1, so no
+    inexact value gets into the exact arithmetic or leaks out of it.
+    """
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
+
+
+def _index(value: int, name: str) -> int:
+    """An index argument of a public entry point, as an int (bools refused)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{name} must be an int, got {value!r}")
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")

@@ -37,9 +37,10 @@ from .dyadic import (
     Config,
     DyadicInterval,
     DyadicSet,
+    _cells_reaching,
+    _value_cells,
     carleson_constant,
     concat_identity,
-    step_pieces,
 )
 from .rational import DomainError, format_rational
 
@@ -104,7 +105,7 @@ _DENOMINATOR_BOUND = 32
 
 def _sample_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     q = rng.randint(1, _DENOMINATOR_BOUND)
-    p = rng.randint(math.ceil(lo * q), math.floor(hi * q))
+    p = rng.randint(-(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator)
     return Fraction(p, q)
 
 
@@ -610,18 +611,15 @@ def _scan(
 ) -> None:
     """Fold one configuration's level-set measures into ``table``.
 
-    One ``step_pieces`` call gives the cells (of the deepest piece's size)
-    taking each value.  The level sets at every positive value and at the
-    extra levels are read from them; the table keeps the maximum per key.
+    One walk of the operator's pieces gives the cells taking each value.
+    The level sets at every positive value and at the extra levels are
+    counted from them; the table keeps the maximum per key.
     """
-    pieces = step_pieces(config.subset, config.seq)
-    depth = max(piece.depth for piece, _ in pieces)
-    cells: dict[Fraction, int] = {}
-    for piece, v in pieces:
-        cells[v] = cells.get(v, 0) + (1 << (depth - piece.depth))
-    for level in [v for v in cells if v > 0] + list(lambda_values):
-        key = (config.measure, config.height, Fraction(level))
-        count = sum(n for v, n in cells.items() if v >= level)
+    cells, scale, depth = _value_cells(config.subset, config.seq)
+    levels = [Fraction(v, scale) for v in cells if v > 0] + [Fraction(l) for l in lambda_values]
+    for level in levels:
+        key = (config.measure, config.height, level)
+        count = _cells_reaching(cells, scale, level)
         table[key] = max(table.get(key, ZERO), Fraction(count, 1 << depth))
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import carleson_constant_scan, sparse_apply
@@ -14,6 +14,7 @@ from sparsebound.dyadic import (
     ROOT,
     carleson_constant,
     carleson_height,
+    concat_configs,
     concat_identity,
     concat_seqs,
     concat_sets,
@@ -64,9 +65,10 @@ def interval_lists(draw):
 
 
 @st.composite
-def sequences(draw, max_depth=6):
+def sequences(draw, max_depth=8):
+    """Weights with denominators up to 12, on intervals down to a drawn depth; maybe none."""
     depth = draw(st.integers(0, max_depth))
-    weights = st.fractions(0, 1, max_denominator=8)
+    weights = st.fractions(0, 1, max_denominator=12)
     return CarlesonSequence.from_mapping(
         draw(st.dictionaries(intervals(depth), weights, max_size=12))
     )
@@ -74,16 +76,27 @@ def sequences(draw, max_depth=6):
 
 @st.composite
 def configs(draw):
-    """A set and a weight sequence, their depths drawn independently up to 6."""
-    depth = draw(st.integers(0, 6))
+    """A set and a weight sequence, their depths drawn independently up to 8.
+
+    The set is drawn from cell masks, from interval lists (empty ones too),
+    or as the full set, and may hold a weighted node or one of its ancestors.
+    """
+    seq = draw(sequences())
+    depth = draw(st.integers(0, 8))
+    chosen = draw(st.lists(intervals(depth), max_size=10))
+    if seq.weights and draw(st.booleans()):
+        node, _ = draw(st.sampled_from(seq.weights))
+        up = draw(st.integers(0, node.depth))
+        chosen.append(iv(node.depth - up, node.index >> up))
     masks = st.integers(0, 2 ** 2**depth - 1)
     subset = draw(
         st.one_of(
             st.builds(DyadicSet.from_cells, st.just(depth), masks),
-            st.builds(DyadicSet.from_intervals, st.lists(intervals(depth), max_size=10)),
+            st.just(DyadicSet.from_intervals(chosen)),
+            st.just(DyadicSet.full()),
         )
     )
-    return Config.build(subset, draw(sequences()))
+    return Config.build(subset, seq)
 
 
 def cells_of(intervals_, depth=6):
@@ -184,19 +197,73 @@ def test_sparse_apply_counts_containing_intervals():
 def test_pieces_match_uniform_cells(config):
     step = sparse_apply(config.subset, config.seq)
     pieces = step_pieces(config.subset, config.seq)
+    weighted = [j for j, _ in config.seq.weights]
     end = F(0)
     for piece, value in pieces:
         assert piece.left == end
         end += piece.measure
         span = 2 ** (step.depth - piece.depth)
         assert set(step.values[piece.index * span : (piece.index + 1) * span]) == {value}
+        # The walk splits a node only while a weight lies strictly inside it.
+        assert not any(piece.contains(j) and j != piece for j in weighted)
+        if piece.depth:
+            parent = piece.parent()
+            assert any(parent.contains(j) and j != parent for j in weighted)
     assert end == 1
     values = step.breakpoints()
     assert config.breakpoints() == values
     assert value_breakpoints(config.subset, config.seq) == values
     between = [(a + b) / 2 for a, b in zip(values, values[1:])]
-    for level in (*values, *between, values[0] - 1, values[-1] + F(1, 3)):
+    below = (values[0] - 1, F(0), F(-1, 7))
+    for level in (*values, *between, *below, values[-1] + F(1, 3)):
         assert config.level_set(level) == step.level_set_measure(level)
+        assert level_set_measure(config.subset, config.seq, level) == step.level_set_measure(level)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.randoms(use_true_random=False))
+def test_walks_do_not_depend_on_order(config, rng):
+    # Built directly, a set's intervals and a sequence's weights may come in any order.
+    intervals, weights = list(config.subset.intervals), list(config.seq.weights)
+    rng.shuffle(intervals)
+    rng.shuffle(weights)
+    subset, seq = DyadicSet(tuple(intervals)), CarlesonSequence(tuple(weights))
+    assert carleson_constant(seq) == carleson_constant(config.seq)
+    assert step_pieces(subset, seq) == step_pieces(config.subset, config.seq)
+    for level in config.breakpoints():
+        assert level_set_measure(subset, seq, level) == config.level_set(level)
+
+
+def _concat_by_rebuilding(c1, c2, gamma):
+    """``concat_configs`` through canonicalisation and validation of the halved inputs."""
+    halved = [iv(j.depth + 1, j.index) for j in c1.subset.intervals]
+    halved += [iv(j.depth + 1, j.index + 2**j.depth) for j in c2.subset.intervals]
+    mapping = {ROOT: gamma}
+    mapping.update({iv(j.depth + 1, j.index): w for j, w in c1.seq.weights})
+    mapping.update({iv(j.depth + 1, j.index + 2**j.depth): w for j, w in c2.seq.weights})
+    return Config.build(DyadicSet.from_intervals(halved), CarlesonSequence.from_mapping(mapping))
+
+
+FULL = Config.full_unweighted()
+GAMMAS = st.sampled_from([F(0), F(1, 2), F(1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs(), configs(), GAMMAS)
+@example(FULL, FULL, F(0))
+@example(FULL, FULL, F(1, 2))
+@example(FULL, FULL, F(1))
+@example(Config.empty(), Config.empty(), F(0))
+def test_concat_configs_matches_rebuild(c1, c2, gamma):
+    got = concat_configs(c1, c2, gamma)
+    want = _concat_by_rebuilding(c1, c2, gamma)
+    assert got.subset == want.subset
+    assert got.seq == want.seq
+    assert got.measure == want.measure == want.subset.measure
+    assert got.height == want.height == carleson_height(want.seq)
+    assert type(got.measure) is type(got.height) is F
+    assert concat_sets(c1.subset, c2.subset) == want.subset
+    assert concat_seqs(c1.seq, c2.seq, gamma) == want.seq
 
 
 @settings(max_examples=300, deadline=None)
@@ -341,6 +408,27 @@ def test_config_json_round_trip():
 def test_weight_validation():
     with pytest.raises(DomainError):
         CarlesonSequence.from_mapping({ROOT: F(3, 2)})
+    empty = CarlesonSequence.empty()
+    refused = [
+        lambda: CarlesonSequence.from_mapping({ROOT: 0.5}),
+        lambda: CarlesonSequence.from_mapping({ROOT: True}),
+        lambda: CarlesonSequence.from_mapping({iv(1, 0): 1.0}),
+        lambda: DyadicSet.prefix(0.25),
+        lambda: DyadicSet.prefix(True),
+        lambda: concat_seqs(empty, empty, 0.5),
+        lambda: concat_seqs(empty, empty, True),
+        lambda: concat_configs(Config.empty(), Config.empty(), 0.5),
+        lambda: level_set_measure(DyadicSet.full(), empty, 0.5),
+        lambda: level_set_measure(DyadicSet.full(), empty, False),
+        lambda: Config.full_unweighted().level_set(0.5),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError):
+            call()
+    assert CarlesonSequence.from_mapping({ROOT: 1}).weights == ((ROOT, F(1)),)
+    assert type(CarlesonSequence.from_mapping({ROOT: 1}).weights[0][1]) is F
+    assert DyadicSet.prefix(0) == DyadicSet.empty()
+    assert level_set_measure(DyadicSet.full(), empty, 0) == F(1)
     seq = CarlesonSequence.from_mapping({ROOT: F(0), iv(1, 1): F(1)})
     assert seq.weights == ((iv(1, 1), F(1)),)
     assert CarlesonSequence.from_mapping({ROOT: F(1, 2)}).weights == ((ROOT, F(1, 2)),)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,7 @@ from sparsebound.verify import (
     ExhaustiveModeError,
     SampleSpec,
     Violation,
+    _sample_fraction,
     brute_force_sup,
     default_level_grid,
     intervals_to_depth,
@@ -22,6 +25,23 @@ from sparsebound.verify import (
 )
 
 SPEC = SampleSpec(seed=7, count=400)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(-10, 10, max_denominator=40),
+    st.fractions(1, 10, max_denominator=40),
+    st.integers(0, 2**32),
+)
+def test_sample_fraction_draws_as_fraction_bounds(lo, width, seed):
+    # The integer bounds draw the same stream as ceil(lo * q) and floor(hi * q).
+    hi = lo + width
+    got, want = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        sample = _sample_fraction(got, lo, hi)
+        q = want.randint(1, 32)
+        assert sample == F(want.randint(math.ceil(lo * q), math.floor(hi * q)), q)
+        assert lo <= sample <= hi
 
 
 def test_obstacle_clean():
