@@ -415,8 +415,9 @@ def g_region(x: Fraction, level: Fraction) -> RegionTag:
 
 
 def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
-    # The branch of f_value or g_value taken at (x, level); below level 1
-    # the a=1 profile has the three closed forms of g_value.
+    # The branch of f_value or g_value taken at (x, level); at levels up to
+    # 1 the a=1 profile's branch is the bound's region at height 1, so its
+    # ties are broken by classify_region itself.
     x, level = _exact(x, "x"), _exact(level, "level")
     p, q, num, den = x.numerator, x.denominator, level.numerator, level.denominator
     if not 0 <= p <= q:
@@ -424,12 +425,7 @@ def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
     if num <= 0:
         return _OBSTACLE
     if family is Family.G and num <= den:
-        # classify_region at height 1, ties broken the same way.
-        if p * den >= num * q:
-            return _FULL
-        if 4 * p * den <= num * q:
-            return _PROFILE
-        return _MIXED
+        return classify_region(x, ONE, level)
     if p == 0:
         return _ZERO
     m, plateau = _strip(_offset(family), p, q, num, den)

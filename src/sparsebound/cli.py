@@ -188,8 +188,6 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise DomainError(f"--count must be at least 1, got {args.count}")
     spec = SampleSpec(seed=args.seed, count=args.count)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     report = []
@@ -209,8 +207,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
-    if args.sample is not None and args.sample < 1:
-        raise DomainError(f"--sample must be at least 1, got {args.sample}")
     report = brute_force_sup(
         args.depth, lambda_values=args.lambdas, sample=args.sample, seed=args.seed
     )

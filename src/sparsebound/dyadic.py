@@ -2,13 +2,13 @@
 
 Exact model of the unit interval split dyadically.  A ``DyadicSet`` is a
 canonical finite union of dyadic intervals and a ``CarlesonSequence`` a
-finitely supported weight map; as built here, the intervals are sorted by
-left end and the weights by depth and then index.  Three walks, each a
-loop of any depth, serve everything:
+finitely supported weight map.  A set's intervals are sorted by left end
+however the set is built, and the weights, as built here, by depth and
+then index.  The set constructor's merge and two walks serve everything:
 
-- ``_split`` walks down from ``ROOT`` through a list of intervals; on it
-  ``_canonicalize`` (``DyadicSet.from_intervals``) keeps the topmost
-  covered nodes.
+- ``_canonicalize``, run by every ``DyadicSet`` constructor, passes once
+  over the intervals by left end, drops the ones inside a kept node and
+  merges complete sibling pairs up the tree.
 - ``carleson_constant`` adds the weights up their nodes' ancestor chains,
   one depth at a time, in integers scaled by the weights' common
   denominator and 2**depth.
@@ -22,9 +22,8 @@ loop of any depth, serve everything:
 
 The concatenation operators place rescaled copies of two configurations
 on the two halves of [0, 1) without walking either again: the halved
-intervals and weights are laid side by side, already canonical and
-sorted, and the measure and height follow from the concatenation
-identities.
+intervals and weights are laid side by side, already sorted, and the
+measure and height follow from the concatenation identities.
 """
 
 from __future__ import annotations
@@ -106,63 +105,49 @@ class DyadicInterval:
 ROOT = DyadicInterval(0, 0)
 
 
-def _split(intervals: Iterable[DyadicInterval]) -> Iterator[tuple[int, DyadicInterval, bool]]:
-    """Walk down from ``ROOT`` in preorder, as far as the intervals resolve the tree.
+def _canonicalize(intervals: tuple[DyadicInterval, ...]) -> tuple[DyadicInterval, ...]:
+    """The topmost nodes the intervals cover, sorted by left end.
 
-    Each node deals the intervals strictly inside it to its two children by
-    one index bit; an interval equal to the node covers it, and the walk
-    stops there.  Halves with no interval are not visited.  Per node it
-    yields the parent's position (-1 at the root), the node and whether it
-    is covered.
+    One pass over the intervals by left end, in cells of the finest depth,
+    coarser first: an interval starting before the last kept node ends lies
+    inside it and is dropped, and a right child kept right after its left
+    sibling merges with it into their parent, up the tree like a binary
+    counter.
     """
-    stack = [(-1, ROOT, list(intervals))]
-    pos = 0
-    while stack:
-        parent, node, inside = stack.pop()
-        depth = node.depth
-        covered = any(iv.depth == depth for iv in inside)
-        yield parent, node, covered
-        if not covered:
-            halves: tuple[list, list] = ([], [])
-            for iv in inside:
-                halves[iv.index >> (iv.depth - depth - 1) & 1].append(iv)
-            left, right = node.children()
-            for child, half in ((right, halves[1]), (left, halves[0])):
-                if half:
-                    stack.append((pos, child, half))
-        pos += 1
-
-
-def _canonicalize(intervals: Iterable[DyadicInterval]) -> tuple[DyadicInterval, ...]:
-    # A node is kept when an input equals it or both of its children are
-    # kept; the topmost kept nodes, in preorder, are sorted by left end.
-    walk = list(_split(intervals))
-    kept = [False] * len(walk)
-    halves = [0] * len(walk)
-    for pos in reversed(range(len(walk))):
-        parent, _, covered = walk[pos]
-        kept[pos] = covered or halves[pos] == 2
-        if kept[pos] and parent >= 0:
-            halves[parent] += 1
-    return tuple(
-        node for pos, (parent, node, _) in enumerate(walk)
-        if kept[pos] and (parent < 0 or not kept[parent])
-    )
+    fine = max((iv.depth for iv in intervals), default=0)
+    kept: list[DyadicInterval] = []
+    end = 0  # the last kept node's right end, in cells of size 2**-fine
+    for lo, depth, iv in sorted((iv.index << (fine - iv.depth), iv.depth, iv) for iv in intervals):
+        if lo < end:
+            continue
+        end = lo + (1 << (fine - depth))
+        index = iv.index
+        while index & 1 and kept and kept[-1].depth == depth and kept[-1].index == index - 1:
+            kept.pop()
+            depth, index = depth - 1, index >> 1
+            iv = DyadicInterval(depth, index)
+        kept.append(iv)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
 class DyadicSet:
     """Canonical finite union of pairwise-disjoint dyadic intervals.
 
-    Complete sibling pairs are always merged, so set equality is structural
+    The constructor canonicalises, however the set is built: nested and
+    repeated intervals are dropped, complete sibling pairs are merged and
+    the intervals are sorted by left end.  So set equality is structural
     equality of the interval tuples.
     """
 
     intervals: tuple[DyadicInterval, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "intervals", _canonicalize(tuple(self.intervals)))
+
     @classmethod
     def from_intervals(cls, intervals: Iterable[DyadicInterval]) -> DyadicSet:
-        return cls(_canonicalize(intervals))
+        return cls(tuple(intervals))
 
     @classmethod
     def empty(cls) -> DyadicSet:
@@ -195,9 +180,7 @@ class DyadicSet:
     @classmethod
     def from_cells(cls, depth: int, mask: int) -> DyadicSet:
         """Set given by a bitmask over the 2**depth cells at ``depth``."""
-        return cls.from_intervals(
-            DyadicInterval(depth, i) for i in range(2**depth) if mask >> i & 1
-        )
+        return cls(tuple(DyadicInterval(depth, i) for i in range(2**depth) if mask >> i & 1))
 
     @property
     def measure(self) -> Fraction:
@@ -285,12 +268,9 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
     lcm = _common_denominator(seq)
     # The set's intervals as [lo, hi) in cells of size 2**-fine, left to
     # right, with the cell counts of the first j intervals in covered[j].
-    spans = sorted(
-        (iv.index << (fine - iv.depth), (iv.index + 1) << (fine - iv.depth))
-        for iv in subset.intervals
-    )
     los, his, covered = [], [], [0]
-    for lo, hi in spans:
+    for iv in subset.intervals:
+        lo, hi = iv.index << (fine - iv.depth), (iv.index + 1) << (fine - iv.depth)
         los.append(lo)
         his.append(hi)
         covered.append(covered[-1] + hi - lo)
@@ -304,7 +284,7 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
         else:
             cells = covered[bisect_left(los, hi)] - covered[j]
         key = (1 << iv.depth) + iv.index
-        own[key] = (w.numerator * (lcm // w.denominator) * cells) << iv.depth
+        own[key] = own.get(key, 0) + ((w.numerator * (lcm // w.denominator) * cells) << iv.depth)
         key >>= 1
         while key and key not in inner:
             inner.add(key)
@@ -372,12 +352,9 @@ def _scale_into(iv: DyadicInterval, right: bool) -> DyadicInterval:
 def concat_sets(first: DyadicSet, second: DyadicSet) -> DyadicSet:
     """Halve both sets and lay them on the two halves of [0, 1).
 
-    Halving keeps each set canonical, and no interval of one half nests in
-    or pairs with one of the other, except the two halves themselves: full
-    and full give ``ROOT``.
+    The constructor merges the two halves into ``ROOT`` when both sets are
+    full.
     """
-    if first.intervals == second.intervals == (ROOT,):
-        return DyadicSet.full()
     return DyadicSet(
         tuple(_scale_into(iv, right=False) for iv in first.intervals)
         + tuple(_scale_into(iv, right=True) for iv in second.intervals)

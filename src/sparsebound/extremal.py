@@ -100,7 +100,7 @@ def interpret(recipe: Recipe) -> Config:
 
 def x1_chain_recipe(m: int) -> Recipe:
     """Chain pinned at full measure: m rounds of averaging with the bare full set, then a jump."""
-    if m < 0:
+    if _index(m, "chain length") < 0:
         raise DomainError(f"chain length must be nonnegative, got {m}")
     recipe: Recipe = Base(ONE)
     for _ in range(m):
@@ -110,6 +110,7 @@ def x1_chain_recipe(m: int) -> Recipe:
 
 def curve_vertex_recipe(m: int, k: int) -> Recipe:
     """Recipe attaining the bound at the k-th vertex of the m-th curve."""
+    m, k = _index(m, "curve index"), _index(k, "vertex index")
     if not 0 <= k <= m:
         raise DomainError(f"vertex indices need 0 <= k <= m, got k={k}, m={m}")
     recipe = x1_chain_recipe(m - k)
@@ -164,7 +165,7 @@ def tower_config(n: int) -> Config:
     The operator counts the containing weighted intervals, so the level-set
     measure at integer thresholds halves with each level.
     """
-    if n < 0:
+    if _index(n, "tower height") < 0:
         raise DomainError(f"tower height must be nonnegative, got {n}")
     seq = CarlesonSequence.from_mapping({DyadicInterval(j, 0): ONE for j in range(n + 1)})
     return Config.build(DyadicSet.full(), seq)

@@ -42,7 +42,7 @@ from .dyadic import (
     carleson_constant,
     concat_identity,
 )
-from .rational import DomainError, format_rational
+from .rational import DomainError, _exact, _index, format_rational
 
 __all__ = [
     "SampleSpec",
@@ -70,11 +70,21 @@ TWO = Fraction(2)
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic sampling plan for a property check."""
+    """Deterministic sampling plan for a property check.
+
+    A count below 1, which would check nothing, and an inexact grid level
+    raise ``DomainError``.
+    """
 
     seed: int
     count: int
     lambda_grid: tuple[Fraction, ...] = ()
+
+    def __post_init__(self) -> None:
+        if _index(self.count, "sample count") < 1:
+            raise DomainError(f"sample count must be at least 1, got {self.count}")
+        grid = tuple(_exact(level, "grid level") for level in self.lambda_grid)
+        object.__setattr__(self, "lambda_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -578,8 +588,11 @@ def brute_force_sup(
     seeded random sample must be requested explicitly; no exhaustiveness
     is claimed there.
     """
-    if depth < 1:
+    if _index(depth, "depth") < 1:
         raise DomainError(f"depth must be at least 1, got {depth}")
+    if sample is not None and _index(sample, "sample size") < 1:
+        raise DomainError(f"sample size must be at least 1, got {sample}")
+    lambda_values = [_exact(level, "level") for level in lambda_values]
     if sample is None and depth > EXHAUSTIVE_DEPTH_CAP:
         raise ExhaustiveModeError(
             f"exhaustive mode is capped at depth {EXHAUSTIVE_DEPTH_CAP}; "
@@ -599,7 +612,7 @@ def brute_force_sup(
         for level in lambda_values:
             t = math.ceil(level * cells)
             count = v[max(t, 0)] if t < len(v) else 0
-            key = (x, a, Fraction(level))
+            key = (x, a, level)
             table[key] = max(table.get(key, ZERO), Fraction(count, cells))
     return _report(depth, True, sequences << cells, table)
 
@@ -616,7 +629,7 @@ def _scan(
     counted from them; the table keeps the maximum per key.
     """
     cells, scale, depth = _value_cells(config.subset, config.seq)
-    levels = [Fraction(v, scale) for v in cells if v > 0] + [Fraction(l) for l in lambda_values]
+    levels = [Fraction(v, scale) for v in cells if v > 0] + list(lambda_values)
     for level in levels:
         key = (config.measure, config.height, level)
         count = _cells_reaching(cells, scale, level)

@@ -93,6 +93,7 @@ def configs(draw):
         st.one_of(
             st.builds(DyadicSet.from_cells, st.just(depth), masks),
             st.just(DyadicSet.from_intervals(chosen)),
+            st.just(DyadicSet(tuple(chosen))),
             st.just(DyadicSet.full()),
         )
     )
@@ -126,6 +127,16 @@ def test_set_canonicalization():
     cascade = DyadicSet.from_intervals([iv(2, 0), iv(2, 1), iv(2, 2), iv(2, 3)])
     assert cascade == DyadicSet.full()
     assert DyadicSet.from_intervals([iv(2, 2), iv(2, 0)]).intervals == (iv(2, 0), iv(2, 2))
+
+
+def test_raw_constructor_is_canonical():
+    covered = DyadicSet((ROOT, iv(1, 0)))
+    assert covered == DyadicSet.full() and covered.measure == F(1)
+    halves = DyadicSet((iv(1, 0), iv(1, 1)))
+    assert halves == DyadicSet.full()
+    assert concat_sets(halves, halves).intervals == (ROOT,)
+    assert DyadicSet((iv(2, 3), iv(2, 3), iv(3, 0))).intervals == (iv(3, 0), iv(2, 3))
+    assert DyadicSet(()) == DyadicSet.empty()
 
 
 def test_prefix_sets():
@@ -234,6 +245,31 @@ def test_walks_do_not_depend_on_order(config, rng):
         assert level_set_measure(subset, seq, level) == config.level_set(level)
 
 
+def test_repeated_node_weights_add():
+    # Built directly, a sequence may list a node twice; every walk adds the weights.
+    seq = CarlesonSequence(((ROOT, F(1, 2)), (ROOT, F(1, 2))))
+    full = DyadicSet.full()
+    assert carleson_constant(seq) == carleson_height(seq) == F(1)
+    assert step_pieces(full, seq) == [(ROOT, F(1))]
+    assert level_set_measure(full, seq, F(1)) == F(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.data())
+def test_split_weight_changes_nothing(config, data):
+    # One weight split into two halves on the same node: the same operator.
+    weights = list(config.seq.weights)
+    if weights:
+        pos = data.draw(st.integers(0, len(weights) - 1))
+        node, w = weights[pos]
+        weights[pos : pos + 1] = [(node, w / 2), (node, w / 2)]
+    seq = CarlesonSequence(tuple(weights))
+    assert carleson_constant(seq) == carleson_constant(config.seq)
+    assert step_pieces(config.subset, seq) == step_pieces(config.subset, config.seq)
+    for level in (*config.breakpoints(), F(0), F(-1)):
+        assert level_set_measure(config.subset, seq, level) == config.level_set(level)
+
+
 def _concat_by_rebuilding(c1, c2, gamma):
     """``concat_configs`` through canonicalisation and validation of the halved inputs."""
     halved = [iv(j.depth + 1, j.index) for j in c1.subset.intervals]
@@ -270,6 +306,7 @@ def test_concat_configs_matches_rebuild(c1, c2, gamma):
 @given(interval_lists())
 def test_from_intervals_is_canonical(given_intervals):
     got = DyadicSet.from_intervals(given_intervals).intervals
+    assert DyadicSet(tuple(given_intervals)).intervals == got
     assert cells_of(got) == cells_of(given_intervals)
     assert list(got) == sorted(got, key=lambda j: j.left)
     for a in range(len(got)):

@@ -142,6 +142,24 @@ def test_tower_config():
     assert c.level_set(F(3)) == F(1, 4)
 
 
+def test_indices_are_ints():
+    refused = [
+        lambda: tower_config(True),
+        lambda: tower_config(2.0),
+        lambda: tower_config(-1),
+        lambda: x1_chain_recipe(True),
+        lambda: x1_chain_recipe(1.0),
+        lambda: curve_vertex_recipe(2.0, 1),
+        lambda: curve_vertex_recipe(2, True),
+        lambda: curve_vertex_recipe(1, 2),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError):
+            call()
+    assert tower_config(1).height == F(3, 2)
+    assert curve_vertex_recipe(1, 0) == x1_chain_recipe(1)
+
+
 def test_mix_config():
     c = curve_vertex_config(2, 1)
     point = vertex_f(1, 2)

@@ -232,6 +232,30 @@ def test_brute_mode_errors():
         brute_force_sup(0)
 
 
+def test_inputs_checked_at_the_boundary():
+    # Inexact levels, and counts or samples that would check nothing, are refused.
+    refused = [
+        lambda: brute_force_sup(2, [0.1]),
+        lambda: brute_force_sup(2, [0.1], sample=5),
+        lambda: brute_force_sup(2, [True]),
+        lambda: brute_force_sup(True),
+        lambda: brute_force_sup(3, sample=0),
+        lambda: brute_force_sup(5, sample=-4),
+        lambda: brute_force_sup(2, sample=1.0),
+        lambda: SampleSpec(0, 2, (0.1,)),
+        lambda: SampleSpec(0, 2, (F(1), False)),
+        lambda: SampleSpec(0, 0),
+        lambda: SampleSpec(0, -5),
+        lambda: SampleSpec(0, True),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError):
+            call()
+    spec = SampleSpec(0, 1, (1, F(1, 2)))
+    assert spec.lambda_grid == (F(1), F(1, 2)) and type(spec.lambda_grid[0]) is F
+    assert brute_force_sup(2, [1]) == brute_force_sup(2, [F(1)])
+
+
 def test_brute_sampled_mode():
     report = brute_force_sup(4, sample=150, seed=3)
     assert not report.exhaustive
