@@ -96,6 +96,13 @@ def _vertex_level(family: Family, k: int, m: int) -> Fraction:
     return m - k + 3 - _offset(family) * _pow2(k)
 
 
+def _curve_index(m: int) -> int:
+    m = _index(m, "curve index")
+    if m < 0:
+        raise DomainError(f"curve index must be nonnegative, got {m}")
+    return m
+
+
 def _vertex(family: Family, k: int, m: int) -> PlanePoint:
     k, m = _index(k, "vertex index"), _index(m, "curve index")
     if not 0 <= k <= m:
@@ -115,17 +122,13 @@ def vertex_g(k: int, m: int) -> PlanePoint:
 
 def curve_vertices(family: Family, m: int) -> list[PlanePoint]:
     """Vertices of the m-th curve: origin, then k = m down to 0."""
-    m = _index(m, "curve index")
-    if m < 0:
-        raise DomainError(f"curve index must be nonnegative, got {m}")
+    m = _curve_index(m)
     return [PlanePoint(ZERO, ZERO)] + [_vertex(family, k, m) for k in range(m, -1, -1)]
 
 
 def origin_parameter(family: Family, m: int) -> Fraction:
     """Reciprocal slope of the m-th curve's segment through the origin."""
-    m = _index(m, "curve index")
-    if m < 0:
-        raise DomainError(f"curve index must be nonnegative, got {m}")
+    m = _curve_index(m)
     return Fraction(1, 3 * 2**m - _offset(family))
 
 
@@ -136,11 +139,9 @@ def _segment_denominator(family: Family, k: int) -> int:
 
 def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
     """Level of the m-th curve above ``x`` in [0, 1]."""
-    m, x = _index(m, "curve index"), _exact(x, "x")
+    m, x = _curve_index(m), _exact(x, "x")
     if not ZERO <= x <= ONE:
         raise DomainError(f"curve argument must lie in [0, 1], got {x}")
-    if m < 0:
-        raise DomainError(f"curve index must be nonnegative, got {m}")
     if x == 0:
         return ZERO
     k = _segment(x.numerator, x.denominator)
@@ -240,9 +241,7 @@ def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
     For the G family the inverse of the flat top segment is taken to be its
     left endpoint x = 1/2.
     """
-    m, level = _index(m, "curve index"), _exact(level, "level")
-    if m < 0:
-        raise DomainError(f"curve index must be nonnegative, got {m}")
+    m, level = _curve_index(m), _exact(level, "level")
     top = _curve_top(family, m)
     num, den = level.numerator, level.denominator
     if not 0 <= num <= top * den:

@@ -226,15 +226,11 @@ def _attainment_exit(config, target: AttainmentTarget) -> int:
 
 
 def _cmd_extremize(args: argparse.Namespace) -> int:
-    if not 0 <= args.k <= args.m:
-        raise DomainError("extremize needs 0 <= k <= m")
     config = curve_vertex_config(args.m, args.k)
     return _attainment_exit(config, curve_vertex_target(args.m, args.k))
 
 
 def _cmd_corollary(args: argparse.Namespace) -> int:
-    if args.n < 0 or args.N < 3:
-        raise DomainError("corollary needs n >= 0 and N >= 3")
     config = corollary_config(args.n, args.N)
     point = vertex_f(args.n, args.N + args.n - 3)
     target = AttainmentTarget(point.x, Fraction(2), point.y, corollary_bound(args.n, args.N))

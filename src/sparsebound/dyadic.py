@@ -22,8 +22,9 @@ then index.  The set constructor's merge and two walks serve everything:
 
 The concatenation operators place rescaled copies of two configurations
 on the two halves of [0, 1) without walking either again: the halved
-intervals and weights are laid side by side, already sorted, and the
-measure and height follow from the concatenation identities.
+intervals and weights are laid side by side, already sorted.  A ``Config``
+is its set and its sequence only; its measure and height are computed from
+them, each by one function, in integers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from .rational import DomainError, _exact, format_rational
 
@@ -93,13 +95,6 @@ class DyadicInterval:
     def contains(self, other: DyadicInterval) -> bool:
         """Whether ``other`` is contained in (or equal to) this interval."""
         return other.depth >= self.depth and (other.index >> (other.depth - self.depth)) == self.index
-
-    def ancestors(self) -> Iterator[DyadicInterval]:
-        """Strict ancestors, deepest first, ending at the root."""
-        node = self
-        while node.depth > 0:
-            node = node.parent()
-            yield node
 
 
 ROOT = DyadicInterval(0, 0)
@@ -184,42 +179,65 @@ class DyadicSet:
 
     @property
     def measure(self) -> Fraction:
-        return sum((iv.measure for iv in self.intervals), ZERO)
+        """The cells of the set's finest depth it covers, over their number."""
+        fine = max((iv.depth for iv in self.intervals), default=0)
+        return Fraction(sum(1 << (fine - iv.depth) for iv in self.intervals), 1 << fine)
+
+
+def _unit_weight(w: Fraction, name: str) -> Fraction:
+    w = _exact(w, name)
+    if not ZERO <= w <= ONE:
+        raise DomainError(f"{name} must lie in [0, 1], got {w}")
+    return w
 
 
 @dataclass(frozen=True)
 class CarlesonSequence:
-    """Finitely supported weight map on dyadic intervals, weights in [0, 1]."""
+    """Finitely supported weight map on dyadic intervals, weights in [0, 1].
+
+    The constructor checks the weights however the sequence is built: a
+    float, a bool or a weight outside [0, 1] raises ``DomainError``, and an
+    int is stored as a ``Fraction``.  A sequence built directly keeps its
+    order, its zero weights and a node listed twice, whose weights add.
+    """
 
     weights: tuple[tuple[DyadicInterval, Fraction], ...]
 
+    def __post_init__(self) -> None:
+        # One pass over exact weights; the names are formatted only on failure.
+        for _, w in self.weights:
+            if type(w) is not Fraction or not 0 <= w.numerator <= w.denominator:
+                checked = tuple((iv, _unit_weight(w, f"weight at {iv}")) for iv, w in self.weights)
+                object.__setattr__(self, "weights", checked)
+                return
+
     @classmethod
     def from_mapping(cls, mapping: Mapping[DyadicInterval, Fraction]) -> CarlesonSequence:
-        pairs = []
-        for iv, w in mapping.items():
-            w = _exact(w, f"weight at {iv}")
-            if not ZERO <= w <= ONE:
-                raise DomainError(f"weight {w} outside [0, 1] at {iv}")
-            if w != 0:
-                pairs.append((iv, w))
-        return cls(tuple(sorted(pairs, key=lambda p: (p[0].depth, p[0].index))))
+        """The mapping's nonzero weights, sorted by depth and then index."""
+        pairs = sorted(mapping.items(), key=lambda p: (p[0].depth, p[0].index))
+        return cls(tuple((iv, w) for iv, w in cls(tuple(pairs)).weights if w))
 
     @classmethod
     def empty(cls) -> CarlesonSequence:
         return cls(())
 
 
-def carleson_height(seq: CarlesonSequence, base: DyadicInterval = ROOT) -> Fraction:
-    """Normalized weighted length of the support inside ``base``."""
-    total = ZERO
-    for iv, w in seq.weights:
-        if base.contains(iv):
-            total += w * iv.measure
-    return total / base.measure
-
-
 def _common_denominator(seq: CarlesonSequence) -> int:
     return math.lcm(*(w.denominator for _, w in seq.weights))
+
+
+def carleson_height(seq: CarlesonSequence) -> Fraction:
+    """Weighted length of the support, the sum of w * |I|.
+
+    Summed in integers scaled by the weights' common denominator and
+    2**depth, the depth being the deepest weight's.
+    """
+    depth = max((iv.depth for iv, _ in seq.weights), default=0)
+    lcm = _common_denominator(seq)
+    total = 0
+    for iv, w in seq.weights:
+        total += w.numerator * (lcm // w.denominator) << (depth - iv.depth)
+    return Fraction(total, lcm << depth)
 
 
 def carleson_constant(seq: CarlesonSequence) -> Fraction:
@@ -361,13 +379,6 @@ def concat_sets(first: DyadicSet, second: DyadicSet) -> DyadicSet:
     )
 
 
-def _root_weight(gamma: Fraction) -> Fraction:
-    gamma = _exact(gamma, "root weight")
-    if not ZERO <= gamma <= ONE:
-        raise DomainError(f"root weight must lie in [0, 1], got {gamma}")
-    return gamma
-
-
 def concat_seqs(
     first: CarlesonSequence, second: CarlesonSequence, gamma: Fraction
 ) -> CarlesonSequence:
@@ -378,7 +389,7 @@ def concat_seqs(
     left half's intervals come first, so a stable sort by depth alone (a
     merge of the two runs) keeps the order.
     """
-    gamma = _root_weight(gamma)
+    gamma = _unit_weight(gamma, "root weight")
     halves = [(_scale_into(iv, right=False), w) for iv, w in first.weights]
     halves += [(_scale_into(iv, right=True), w) for iv, w in second.weights]
     merged = sorted(halves, key=lambda pair: pair[0].depth)
@@ -387,24 +398,30 @@ def concat_seqs(
 
 @dataclass(frozen=True)
 class Config:
-    """A set paired with a weight sequence, with its measure and height cached."""
+    """A set paired with a weight sequence.
+
+    Its measure and height are the set's measure and the sequence's
+    ``carleson_height``, computed on first use and then kept.
+    """
 
     subset: DyadicSet
     seq: CarlesonSequence
-    measure: Fraction
-    height: Fraction
 
-    @classmethod
-    def build(cls, subset: DyadicSet, seq: CarlesonSequence) -> Config:
-        return cls(subset, seq, subset.measure, carleson_height(seq))
+    @cached_property
+    def measure(self) -> Fraction:
+        return self.subset.measure
+
+    @cached_property
+    def height(self) -> Fraction:
+        return carleson_height(self.seq)
 
     @classmethod
     def empty(cls) -> Config:
-        return cls.build(DyadicSet.empty(), CarlesonSequence.empty())
+        return cls(DyadicSet.empty(), CarlesonSequence.empty())
 
     @classmethod
     def full_unweighted(cls) -> Config:
-        return cls.build(DyadicSet.full(), CarlesonSequence.empty())
+        return cls(DyadicSet.full(), CarlesonSequence.empty())
 
     def level_set(self, level: Fraction) -> Fraction:
         return level_set_measure(self.subset, self.seq, level)
@@ -414,14 +431,9 @@ class Config:
 
 
 def concat_configs(first: Config, second: Config, gamma: Fraction) -> Config:
-    """The concatenation, its measure the mean of the two and its height gamma plus theirs."""
-    gamma = _root_weight(gamma)
-    return Config(
-        concat_sets(first.subset, second.subset),
-        concat_seqs(first.seq, second.seq, gamma),
-        (first.measure + second.measure) / 2,
-        gamma + (first.height + second.height) / 2,
-    )
+    """The concatenation: its measure is the mean of the two and its height gamma plus theirs."""
+    seq = concat_seqs(first.seq, second.seq, gamma)
+    return Config(concat_sets(first.subset, second.subset), seq)
 
 
 def concat_identity(

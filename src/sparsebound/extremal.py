@@ -80,7 +80,7 @@ def base_double_config(x: Fraction) -> Config:
     under another: each child sees average x, so the operator is constant
     2x at height 2.
     """
-    half = Config.build(DyadicSet.prefix(x), CarlesonSequence.from_mapping({ROOT: ONE}))
+    half = Config(DyadicSet.prefix(x), CarlesonSequence.from_mapping({ROOT: ONE}))
     return concat_configs(half, half, ONE)
 
 
@@ -168,7 +168,7 @@ def tower_config(n: int) -> Config:
     if _index(n, "tower height") < 0:
         raise DomainError(f"tower height must be nonnegative, got {n}")
     seq = CarlesonSequence.from_mapping({DyadicInterval(j, 0): ONE for j in range(n + 1)})
-    return Config.build(DyadicSet.full(), seq)
+    return Config(DyadicSet.full(), seq)
 
 
 @dataclass(frozen=True)

@@ -353,7 +353,7 @@ def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -
                 mapping[DyadicInterval(d, i)] = ONE
             elif roll < 0.4:
                 mapping[DyadicInterval(d, i)] = Fraction(rng.randint(1, 4), 4)
-    return Config.build(subset, CarlesonSequence.from_mapping(mapping))
+    return Config(subset, CarlesonSequence.from_mapping(mapping))
 
 
 @lru_cache(maxsize=1)
@@ -417,48 +417,19 @@ def intervals_to_depth(depth: int) -> list[DyadicInterval]:
     return [DyadicInterval(d, i) for d in range(depth + 1) for i in range(2**d)]
 
 
-def iter_binary_carleson(depth: int, prune: bool = True) -> Iterator[int]:
+def iter_binary_carleson(depth: int) -> Iterator[int]:
     """Bitmasks of the binary sequences on depth <= ``depth`` with constant <= 2.
 
-    Masks are over ``intervals_to_depth(depth)``.  Depth-first over
-    include/exclude decisions; with ``prune`` set, partial root sums above 2
-    cut the subtree (sound because adding weights only raises every height).
-    Every emitted mask passes an exact final Carleson check.
+    Masks are over ``intervals_to_depth(depth)``.  Every mask is tried
+    through ``carleson_constant``, so the cost doubles with each interval
+    (2**15 masks at depth 3): this is meant for small depths, and the brute
+    force itself counts the sequences in ``_sup_tables``.
     """
     ivs = intervals_to_depth(depth)
-    n = len(ivs)
-    scale = 2**depth
-    # anc_idx[j]: indices of intervals containing ivs[j], including itself.
-    index_of = {iv: j for j, iv in enumerate(ivs)}
-    anc_idx = []
-    for iv in ivs:
-        chain = [index_of[iv]] + [index_of[anc] for anc in iv.ancestors()]
-        anc_idx.append(chain)
-    # Height condition at I: sum over chosen J inside I of |J| <= 2|I|; with
-    # everything scaled by 2**depth both sides are integers.
-    bound_at = [2 * (scale // 2**iv.depth) for iv in ivs]
-    weight_scaled = [scale // 2**iv.depth for iv in ivs]
-
-    totals = [0] * n  # scaled weighted sums per interval over chosen members
-
-    def rec(j: int) -> Iterator[int]:
-        if j == n:
-            if all(totals[i] <= bound_at[i] for i in range(n)):
-                yield 0
-            return
-        # exclude ivs[j]
-        for mask in rec(j + 1):
+    for mask in range(1 << len(ivs)):
+        seq = CarlesonSequence(tuple((iv, ONE) for j, iv in enumerate(ivs) if mask >> j & 1))
+        if carleson_constant(seq) <= 2:
             yield mask
-        # include ivs[j]
-        for idx in anc_idx[j]:
-            totals[idx] += weight_scaled[j]
-        if not prune or totals[0] <= bound_at[0]:
-            for mask in rec(j + 1):
-                yield mask | (1 << j)
-        for idx in anc_idx[j]:
-            totals[idx] -= weight_scaled[j]
-
-    yield from rec(0)
 
 
 @dataclass(frozen=True)
@@ -678,6 +649,6 @@ def _brute_sampled(
         if seq is None:
             continue
         subset = DyadicSet.from_cells(depth, rng.getrandbits(cells))
-        _scan(table, Config.build(subset, seq), lambda_values)
+        _scan(table, Config(subset, seq), lambda_values)
         scanned += 1
     return _report(depth, False, scanned, table)

@@ -5,8 +5,9 @@ direct route: the a=2 profile by node interpolation at small levels, the
 level curves' indices by scanning their segments and the strips by
 scanning the curves, the bound, its region tags and the profiles in
 ``Fraction`` arithmetic, the operator on the uniform cells of one depth,
-the Carleson constant by scanning every base interval, and the
-brute-force table by simulating every configuration one by one.
+a set's measure and a sequence's height as sums of ``Fraction``s, the
+Carleson constant by scanning every base interval, and the brute-force
+table by simulating every configuration one by one.
 """
 
 from __future__ import annotations
@@ -299,6 +300,16 @@ def sparse_apply(subset: DyadicSet, seq: CarlesonSequence) -> StepFunction:
     return StepFunction(depth, tuple(values))
 
 
+def measure_sum(subset: DyadicSet) -> Fraction:
+    """The sum of the set's interval lengths."""
+    return sum((iv.measure for iv in subset.intervals), Fraction(0))
+
+
+def height_sum(seq: CarlesonSequence) -> Fraction:
+    """The sum of w * |I| over the weights."""
+    return sum((w * iv.measure for iv, w in seq.weights), Fraction(0))
+
+
 def carleson_constant_scan(seq: CarlesonSequence) -> Fraction:
     """The largest sum of w * |I| over the weights inside J, divided by |J|.
 
@@ -333,9 +344,9 @@ def brute_reference(depth: int, lambda_values: Sequence[Fraction] = ()) -> Brute
     cells = 2**depth
     table: dict[tuple[Fraction, Fraction, Fraction], Fraction] = {}
     scanned = 0
-    for mask in iter_binary_carleson(depth, prune=False):
+    for mask in iter_binary_carleson(depth):
         seq = mask_to_sequence(depth, mask)
         for emask in range(1 << cells):
-            _scan(table, Config.build(DyadicSet.from_cells(depth, emask), seq), lambda_values)
+            _scan(table, Config(DyadicSet.from_cells(depth, emask), seq), lambda_values)
             scanned += 1
     return _report(depth, True, scanned, table)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import carleson_constant_scan, sparse_apply
+from reference import carleson_constant_scan, height_sum, measure_sum, sparse_apply
 from sparsebound.dyadic import (
     CarlesonSequence,
     Config,
@@ -44,7 +45,7 @@ def random_config(rng, set_depth=3, seq_depth=2):
                 mapping[iv(d, i)] = F(1)
             elif r < 0.45:
                 mapping[iv(d, i)] = F(rng.randint(1, 4), 4)
-    return Config.build(subset, CarlesonSequence.from_mapping(mapping))
+    return Config(subset, CarlesonSequence.from_mapping(mapping))
 
 
 @st.composite
@@ -97,7 +98,7 @@ def configs(draw):
             st.just(DyadicSet.full()),
         )
     )
-    return Config.build(subset, seq)
+    return Config(subset, seq)
 
 
 def cells_of(intervals_, depth=6):
@@ -165,9 +166,6 @@ def test_carleson_height_examples():
     assert carleson_height(CarlesonSequence.from_mapping({ROOT: F(1)})) == F(1)
     for n in range(6):
         assert carleson_height(tower(n)) == 2 - F(1, 2**n)
-    seq = tower(3)
-    assert carleson_height(seq, iv(1, 0)) == 2 - F(1, 4)
-    assert carleson_height(seq, iv(1, 1)) == F(0)
 
 
 def test_carleson_constant_examples():
@@ -270,6 +268,31 @@ def test_split_weight_changes_nothing(config, data):
         assert level_set_measure(config.subset, seq, level) == config.level_set(level)
 
 
+def test_config_is_its_set_and_sequence():
+    assert [field.name for field in dataclasses.fields(Config)] == ["subset", "seq"]
+    full = Config(DyadicSet.full(), CarlesonSequence.empty())
+    assert (full.measure, full.height) == (F(1), F(0))
+    with pytest.raises(TypeError):
+        Config(DyadicSet.full(), CarlesonSequence.empty(), F(1, 2), F(7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs(), st.data())
+def test_measure_and_height_match_fraction_sums(config, data):
+    assert config.measure == measure_sum(config.subset)
+    assert config.height == height_sum(config.seq)
+    assert type(config.measure) is type(config.height) is F
+    # The same weights built directly: shuffled, with one split in two
+    # halves on its node.
+    weights = data.draw(st.permutations(config.seq.weights))
+    if weights:
+        node, w = weights[0]
+        weights[:1] = [(node, w / 2), (node, w / 2)]
+    raw = Config(config.subset, CarlesonSequence(tuple(weights)))
+    assert raw.height == height_sum(raw.seq) == config.height
+    assert type(raw.height) is F
+
+
 def _concat_by_rebuilding(c1, c2, gamma):
     """``concat_configs`` through canonicalisation and validation of the halved inputs."""
     halved = [iv(j.depth + 1, j.index) for j in c1.subset.intervals]
@@ -277,7 +300,7 @@ def _concat_by_rebuilding(c1, c2, gamma):
     mapping = {ROOT: gamma}
     mapping.update({iv(j.depth + 1, j.index): w for j, w in c1.seq.weights})
     mapping.update({iv(j.depth + 1, j.index + 2**j.depth): w for j, w in c2.seq.weights})
-    return Config.build(DyadicSet.from_intervals(halved), CarlesonSequence.from_mapping(mapping))
+    return Config(DyadicSet.from_intervals(halved), CarlesonSequence.from_mapping(mapping))
 
 
 FULL = Config.full_unweighted()
@@ -298,6 +321,9 @@ def test_concat_configs_matches_rebuild(c1, c2, gamma):
     assert got.measure == want.measure == want.subset.measure
     assert got.height == want.height == carleson_height(want.seq)
     assert type(got.measure) is type(got.height) is F
+    # The paper's concatenation identities, checked rather than assumed.
+    assert got.measure == (c1.measure + c2.measure) / 2
+    assert got.height == gamma + (c1.height + c2.height) / 2
     assert concat_sets(c1.subset, c2.subset) == want.subset
     assert concat_seqs(c1.seq, c2.seq, gamma) == want.seq
 
@@ -429,7 +455,7 @@ def test_config_json_round_trip():
             iv(int(item["d"]), int(item["i"])): parse_rational(item["w"])
             for item in data["alpha"]["weights"]
         }
-        return Config.build(subset, CarlesonSequence.from_mapping(mapping))
+        return Config(subset, CarlesonSequence.from_mapping(mapping))
 
     rng = random.Random(10)
     for _ in range(10):
@@ -450,6 +476,11 @@ def test_weight_validation():
         lambda: CarlesonSequence.from_mapping({ROOT: 0.5}),
         lambda: CarlesonSequence.from_mapping({ROOT: True}),
         lambda: CarlesonSequence.from_mapping({iv(1, 0): 1.0}),
+        lambda: CarlesonSequence.from_mapping({ROOT: 0.0}),
+        lambda: CarlesonSequence(((ROOT, 0.5),)),
+        lambda: CarlesonSequence(((ROOT, True),)),
+        lambda: CarlesonSequence(((ROOT, F(3)),)),
+        lambda: CarlesonSequence(((iv(1, 0), F(1, 2)), (iv(1, 1), F(-1, 2)))),
         lambda: DyadicSet.prefix(0.25),
         lambda: DyadicSet.prefix(True),
         lambda: concat_seqs(empty, empty, 0.5),
@@ -463,6 +494,8 @@ def test_weight_validation():
         with pytest.raises(DomainError):
             call()
     assert CarlesonSequence.from_mapping({ROOT: 1}).weights == ((ROOT, F(1)),)
+    assert CarlesonSequence(((ROOT, 1),)).weights == ((ROOT, F(1)),)
+    assert type(CarlesonSequence(((ROOT, 1),)).weights[0][1]) is F
     assert type(CarlesonSequence.from_mapping({ROOT: 1}).weights[0][1]) is F
     assert DyadicSet.prefix(0) == DyadicSet.empty()
     assert level_set_measure(DyadicSet.full(), empty, 0) == F(1)

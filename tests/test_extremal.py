@@ -187,7 +187,7 @@ def test_segment_interior_attainment_by_pad_and_jump():
     # at an interior point of the top segment of curve m.
     for m in (1, 2, 3):
         x = F(3, 4)
-        pad = Config.build(DyadicSet.prefix(2 * x - 1), CarlesonSequence.empty())
+        pad = Config(DyadicSet.prefix(2 * x - 1), CarlesonSequence.empty())
         padded = concat_configs(interpret(x1_chain_recipe(m - 1)), pad, F(0))
         config = concat_configs(padded, padded, F(1))
         level = m + 1 + x
