@@ -3,7 +3,10 @@
 The central object is ``bellman_value(x, a, level)``: the best possible
 measure of the set where a dyadic sparse averaging operator applied to an
 indicator of measure ``x``, built from a weight sequence of height ``a``
-(constant at most 2), reaches the given level.
+(constant at most 2), reaches the given level.  The bound is for weights
+0 or 1, a sparse family of intervals: a fractional weight can beat it.  At
+(1, 3/2, 3/2), root weight 1/2 over two halves of root weight 1 reaches
+level 3/2 on all of [0, 1), where the bound is 3/4.
 
 Its structure is carried by two one-variable-family profiles.  ``f_value``
 is the restriction to height a = 2 and ``g_value`` the restriction to
@@ -376,7 +379,11 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
 
 
 def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
-    """The sharp level-set bound at measure ``x``, height ``a``, given level."""
+    """The sharp level-set bound at measure ``x``, height ``a``, given level.
+
+    The supremum is over weight sequences with weights in {0, 1} and
+    Carleson constant at most 2; fractional weights are not covered.
+    """
     x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
     # One classify_region call, looked up at call time, so a wrapper
     # installed on the module's name sees every evaluation's region.

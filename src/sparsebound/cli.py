@@ -135,6 +135,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# The JSON text of each scalar type a report holds.
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _dumps(obj, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, for the reports the commands print.
+
+    A report holds dicts with string keys, lists, strings, ints, bools and
+    ``None``; anything else, a float or a key that is not a string in
+    particular, raises ``TypeError``.  The standard encoder runs in pure
+    Python when it indents; this writes each container in one join, with
+    its scalars looked up by type.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            scalar = _SCALARS.get(type(value))
+            text = scalar(value) if scalar is not None else _dumps(value, inner)
+            items.append(f"{_encode_str(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = []
+        for value in obj:
+            scalar = _SCALARS.get(type(value))
+            items.append(scalar(value) if scalar is not None else _dumps(value, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"a report cannot hold {type(obj).__name__} {obj!r}")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -175,7 +218,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
             {"m": m, "vertices": [[format_rational(p.x), format_rational(p.y)] for p in verts]}
             for m, verts in curves
         ]
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_dumps(payload), args.output)
         return 0
     rows = [["m", "k", "x", "lambda"]]
     for m, verts in curves:
@@ -202,7 +245,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
         )
         failed = failed or bool(violations)
-    print(json.dumps(report, indent=2))
+    print(_dumps(report))
     return 1 if failed else 0
 
 
@@ -211,7 +254,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
         args.depth, lambda_values=args.lambdas, sample=args.sample, seed=args.seed
     )
     if args.format == "json":
-        _emit(json.dumps(report.to_json(), indent=2), args.output)
+        _emit(_dumps(report.to_json()), args.output)
     else:
         text = "\n".join(",".join(row) for row in report.to_csv_rows()) + "\n"
         _emit(text, args.output)
@@ -221,7 +264,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 def _attainment_exit(config, target: AttainmentTarget) -> int:
     report = attainment_report(config, target)
     payload = {"config": config_to_json(config), "report": report}
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
     return 0 if report["attained"] else 1
 
 

@@ -188,7 +188,14 @@ def curve_vertex_target(m: int, k: int) -> AttainmentTarget:
 
 
 def attainment_report(config: Config, target: AttainmentTarget) -> dict:
-    """JSON-ready report comparing a configuration against its target."""
+    """JSON-ready report comparing a configuration against its target.
+
+    The bound covers 0/1 weights only, so a fractional weight raises
+    ``DomainError`` (the sequence has already checked that it lies in [0, 1]).
+    """
+    for iv, w in config.seq.weights:
+        if w.denominator != 1:
+            raise DomainError(f"the bound covers weights 0 and 1 only, got {w} at {iv}")
     achieved = config.level_set(target.level)
     return {
         "target": {

@@ -85,8 +85,11 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational in lowest terms as ``"p/q"``, or ``"p"`` if integral."""
-    q = Fraction(value)
+    """Render a rational in lowest terms as ``"p/q"``, or ``"p"`` if integral.
+
+    A float or a bool raises ``DomainError``, as at every entry point.
+    """
+    q = _exact(value, "value")
     if q.denominator == 1:
         return _digits(q.numerator)
     return f"{_digits(q.numerator)}/{_digits(q.denominator)}"

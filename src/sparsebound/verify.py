@@ -106,7 +106,7 @@ class Violation:
 
 
 def _witness(**values: Fraction | int) -> tuple[tuple[str, Fraction], ...]:
-    return tuple((k, Fraction(v)) for k, v in values.items())
+    return tuple((k, v if type(v) is Fraction else Fraction(v)) for k, v in values.items())
 
 
 # Sampled rationals have denominators up to this bound.
@@ -197,7 +197,7 @@ def _eval_slopes_high_vs_mid(w: dict) -> tuple[Fraction, Fraction]:
 
 def _eval_slopes_form(w: dict) -> tuple[Fraction, Fraction]:
     window, m = int(w["window"]), int(w["m"])
-    form = recip_slope_forms(window, m)[_FORM_NAMES[int(w["form"])]][0]
+    form = _form_pair(window, m)[0][_FORM_NAMES[int(w["form"])]][0]
     return 1 / _form_value(form, w["lambda"]), segment_slope(m + 1, w["lambda"])
 
 
@@ -402,8 +402,8 @@ def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
 
 # Brute force over all small-depth configurations.
 
-# The exhaustive tables take about a second at depth 4 and about 13 s at
-# depth 5.
+# An exhaustive ``brute 4`` takes about 0.5 s end to end, 0.2 s of it in
+# the tables.  Depth 5 would take about 9 s and 200 MB for 17 MB of JSON.
 EXHAUSTIVE_DEPTH_CAP = 4
 SAMPLED_DEPTH_CAP = 8
 
@@ -482,11 +482,18 @@ class BruteForceReport:
 _MISSING = -(1 << 62)
 
 
-def _merge(tables: dict, key: tuple[int, int], v: list[int], hit: list[int]) -> None:
-    if key in tables:
-        v = list(map(max, v, tables[key][0]))
-        hit = list(map(max, hit, tables[key][1]))
-    tables[key] = (v, hit)
+# Candidates held per key before they are reduced, which bounds the memory
+# of the pair loop (a depth 5 run holds about 7 million candidates).
+_PENDING_CAP = 256
+
+
+def _elementwise_max(lists: list) -> list[int]:
+    return list(map(max, *lists)) if len(lists) > 1 else list(lists[0])
+
+
+def _reduce(groups: dict[tuple[int, int], tuple[list, list]]) -> dict:
+    """Each key's candidate ``V`` and ``E`` lists, reduced by one elementwise max."""
+    return {key: (_elementwise_max(vs), _elementwise_max(hits)) for key, (vs, hits) in groups.items()}
 
 
 def _sup_tables(depth: int) -> tuple[dict[tuple[int, int], tuple[list[int], list[int]]], int]:
@@ -499,8 +506,10 @@ def _sup_tables(depth: int) -> tuple[dict[tuple[int, int], tuple[list[int], list
     ``gamma * xc`` plus twice its value in its half.  So the level ``t``
     asks the halves for ``ceil((t - gamma * xc) / 2)``, whose maxima add,
     and ``E`` hits ``t`` exactly when one half hits ``(t - gamma * xc) / 2``.
-    The halves run over ordered pairs, and swapping them keeps (xc, hs) and
-    every level set, so only hits in the left half need counting.
+    Swapping the halves keeps (xc, hs) and every level set, so the halves
+    run over unordered pairs: ``V`` adds once per pair, and ``E`` takes the
+    larger of its two orientations, a hit in the left half (``E1 + V2``) or
+    in the right one (``E2 + V1``).
 
     ``tables[xc, hs] = (V, E)`` lists the levels 0 .. (depth + 1) * 2**depth:
     ``V[t]`` is the most cells of value >= t, and ``E[t]`` the most among
@@ -514,29 +523,38 @@ def _sup_tables(depth: int) -> tuple[dict[tuple[int, int], tuple[list[int], list
     }
     counts = {0: 1, 1: 1}  # binary Carleson sequences by scaled height
     for e in range(1, depth + 1):
-        pairs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        for (x1, h1), (v1, e1) in tables.items():
-            for (x2, h2), (v2, _) in tables.items():
-                v, hit = list(map(operator.add, v1, v2)), list(map(operator.add, e1, v2))
-                _merge(pairs, (x1 + x2, h1 + h2), v, hit)
+        # The candidates are lazy sums, all reduced at once per key.
+        groups: dict[tuple[int, int], tuple[list, list]] = {}
+        items = list(tables.items())
+        for i, ((x1, h1), (v1, e1)) in enumerate(items):
+            for (x2, h2), (v2, e2) in items[i:]:
+                vs, hits = groups.setdefault((x1 + x2, h1 + h2), ([], []))
+                vs.append(map(operator.add, v1, v2))
+                hits.append(map(operator.add, e1, v2))
+                hits.append(map(operator.add, e2, v1))
+                if len(hits) >= _PENDING_CAP:
+                    vs[:], hits[:] = [_elementwise_max(vs)], [_elementwise_max(hits)]
         pair_counts: dict[int, int] = {}
         for h1, n1 in counts.items():
             for h2, n2 in counts.items():
                 pair_counts[h1 + h2] = pair_counts.get(h1 + h2, 0) + n1 * n2
         cells = 1 << e
-        tables = {}
+        pairs, groups = _reduce(groups), {}
         for (xc, hs), (v, hit) in pairs.items():
-            # The halves' tables at the doubled levels u = 2 * t1, padded
-            # by one root weight's worth of levels.
-            v = [v[(u + 1) // 2] for u in range(2 * len(v) - 1)] + [0] * cells
-            hit = [hit[u // 2] if u % 2 == 0 else _MISSING for u in range(2 * len(hit) - 1)]
-            hit += [_MISSING] * cells
+            # The halves' tables at the doubled levels u = 2 * t1
+            # (V[u] = V[ceil(u / 2)], and no odd u is hit), padded by one
+            # root weight's worth of levels.
+            size = 2 * len(v) - 1
+            doubled_v, doubled_hit = [0] * (size + cells), [_MISSING] * (size + cells)
+            doubled_v[0:size:2], doubled_v[1:size:2] = v, v[1:]
+            doubled_hit[0:size:2] = hit
             for gamma in (0, 1):
                 height, shift = (gamma << e) + hs, gamma * xc
                 if height <= 2 * cells:
-                    v_root = [cells] * shift + v[: len(v) - shift]
-                    hit_root = [_MISSING] * shift + hit[: len(hit) - shift]
-                    _merge(tables, (xc, height), v_root, hit_root)
+                    vs, hits = groups.setdefault((xc, height), ([], []))
+                    vs.append([cells] * shift + doubled_v[: len(doubled_v) - shift])
+                    hits.append([_MISSING] * shift + doubled_hit[: len(doubled_hit) - shift])
+        tables = _reduce(groups)
         counts = {
             h: pair_counts.get(h, 0) + pair_counts.get(h - cells, 0) for h in range(2 * cells + 1)
         }
@@ -571,21 +589,70 @@ def brute_force_sup(
         )
     if sample is not None:
         return _brute_sampled(depth, lambda_values, sample, seed)
+    return _exhaustive_report(depth, lambda_values)
 
-    cells = 2**depth
+
+def _exhaustive_report(depth: int, lambda_values: Sequence[Fraction]) -> BruteForceReport:
+    """The exhaustive report, read off the integer tables in key order.
+
+    The keys (xc, hs) sort as integers.  Each key's entries are its hit
+    levels ``t / 2**depth`` merged with the query levels, both rising; a
+    query level on the grid shares the entry of the hit there.  The
+    ``Fraction``s built are the grid values, once and shared, and the bounds.
+    """
+    cells = 1 << depth
     tables, sequences = _sup_tables(depth)
-    table: dict[tuple[Fraction, Fraction, Fraction], Fraction] = {}
-    for (xc, hs), (v, hit) in tables.items():
-        x, a = Fraction(xc, cells), Fraction(hs, cells)
-        for t in range(1, len(hit)):
-            if hit[t] >= 0:
-                table[x, a, Fraction(t, cells)] = Fraction(hit[t], cells)
-        for level in lambda_values:
-            t = math.ceil(level * cells)
-            count = v[max(t, 0)] if t < len(v) else 0
-            key = (x, a, level)
-            table[key] = max(table.get(key, ZERO), Fraction(count, cells))
-    return _report(depth, True, sequences << cells, table)
+    top = (depth + 1) * cells  # the last level of every table
+    grid = [Fraction(t, cells) for t in range(top + 1)]
+    # Each query level once, rising, with its place among the hit levels
+    # (2t for the level t / cells, 2t - 1 just below it) and the level
+    # ceil(level * cells) whose V count it takes.
+    queries = []
+    for level in sorted(set(lambda_values)):
+        t = math.ceil(level * cells)
+        queries.append((2 * t if level * cells == t else 2 * t - 1, level, max(t, 0)))
+    entries = []
+    dominated = True
+    for xc, hs in sorted(tables):
+        v, hit = tables[xc, hs]
+        x, a = grid[xc], grid[hs]
+        for level, count in _merged_levels(v, hit, queries, grid):
+            bound = bellman_value(x, a, level)
+            # count / cells against the bound, in integers.
+            scaled = bound.numerator * cells
+            dominated = dominated and count * bound.denominator <= scaled
+            entries.append(
+                ReportEntry(x, a, level, grid[count], bound, count * bound.denominator == scaled)
+            )
+    return BruteForceReport(
+        depth=depth,
+        exhaustive=True,
+        configs_scanned=sequences << cells,
+        entries=tuple(entries),
+        domination=dominated,
+    )
+
+
+def _merged_levels(
+    v: list[int], hit: list[int], queries: list[tuple[int, Fraction, int]], grid: list[Fraction]
+) -> Iterator[tuple[Fraction, int]]:
+    """One key's (level, most cells) pairs, rising: hit levels and query levels."""
+    top = len(v) - 1
+    q = 0
+    for t in range(1, top + 1):
+        count = hit[t]
+        if count < 0:
+            continue
+        while q < len(queries) and queries[q][0] < 2 * t:
+            _, level, i = queries[q]
+            yield level, v[i]
+            q += 1
+        if q < len(queries) and queries[q][0] == 2 * t:
+            count = v[t]  # never below E[t], the most among the hits
+            q += 1
+        yield grid[t], count
+    for _, level, i in queries[q:]:
+        yield level, v[i] if i <= top else 0
 
 
 def _scan(

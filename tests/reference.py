@@ -6,14 +6,18 @@ level curves' indices by scanning their segments and the strips by
 scanning the curves, the bound, its region tags and the profiles in
 ``Fraction`` arithmetic, the operator on the uniform cells of one depth,
 a set's measure and a sequence's height as sums of ``Fraction``s, the
-Carleson constant by scanning every base interval, and the brute-force
-table by simulating every configuration one by one.
+Carleson constant by scanning every base interval, the brute-force
+table by simulating every configuration one by one, the Bellman
+recursion's tables over ordered pairs of halves, and the exhaustive
+report assembled from them as a sorted table of ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from sparsebound.candidate import (
@@ -28,6 +32,7 @@ from sparsebound.dyadic import CarlesonSequence, Config, DyadicSet
 from sparsebound.geometry import PiecewiseLinearFn, lerp
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
+    _MISSING,
     BruteForceReport,
     _report,
     _scan,
@@ -350,3 +355,74 @@ def brute_reference(depth: int, lambda_values: Sequence[Fraction] = ()) -> Brute
             _scan(table, Config(DyadicSet.from_cells(depth, emask), seq), lambda_values)
             scanned += 1
     return _report(depth, True, scanned, table)
+
+
+def _merge(tables: dict, key: tuple[int, int], v: list[int], hit: list[int]) -> None:
+    if key in tables:
+        v = list(map(max, v, tables[key][0]))
+        hit = list(map(max, hit, tables[key][1]))
+    tables[key] = (v, hit)
+
+
+@lru_cache(maxsize=None)
+def sup_tables_ordered(depth: int) -> tuple[dict, int]:
+    """``verify._sup_tables`` with the halves over ordered pairs.
+
+    Each ordered pair counts only hits in its left half; the swapped pair
+    counts the right one.  Every candidate is merged into its key's maxima
+    as it comes.  Cached: the callers only read the tables.
+    """
+    tables = {
+        (xc, gamma): ([1, xc * gamma], [_MISSING, 1] if xc * gamma else [1, _MISSING])
+        for xc in (0, 1)
+        for gamma in (0, 1)
+    }
+    counts = {0: 1, 1: 1}
+    for e in range(1, depth + 1):
+        pairs: dict = {}
+        for (x1, h1), (v1, e1) in tables.items():
+            for (x2, h2), (v2, _) in tables.items():
+                v, hit = list(map(operator.add, v1, v2)), list(map(operator.add, e1, v2))
+                _merge(pairs, (x1 + x2, h1 + h2), v, hit)
+        pair_counts: dict[int, int] = {}
+        for h1, n1 in counts.items():
+            for h2, n2 in counts.items():
+                pair_counts[h1 + h2] = pair_counts.get(h1 + h2, 0) + n1 * n2
+        cells = 1 << e
+        tables = {}
+        for (xc, hs), (v, hit) in pairs.items():
+            v = [v[(u + 1) // 2] for u in range(2 * len(v) - 1)] + [0] * cells
+            hit = [hit[u // 2] if u % 2 == 0 else _MISSING for u in range(2 * len(hit) - 1)]
+            hit += [_MISSING] * cells
+            for gamma in (0, 1):
+                height, shift = (gamma << e) + hs, gamma * xc
+                if height <= 2 * cells:
+                    v_root = [cells] * shift + v[: len(v) - shift]
+                    hit_root = [_MISSING] * shift + hit[: len(hit) - shift]
+                    _merge(tables, (xc, height), v_root, hit_root)
+        counts = {
+            h: pair_counts.get(h, 0) + pair_counts.get(h - cells, 0) for h in range(2 * cells + 1)
+        }
+    return tables, sum(counts.values())
+
+
+def brute_from_tables(depth: int, lambda_values: Sequence[Fraction] = ()) -> BruteForceReport:
+    """The exhaustive report from ``sup_tables_ordered``, through a ``Fraction`` table.
+
+    Every entry is a ``Fraction`` key and maximum, and ``_report`` sorts
+    the keys and compares each maximum with the bound.
+    """
+    cells = 2**depth
+    tables, sequences = sup_tables_ordered(depth)
+    table: dict[tuple[Fraction, Fraction, Fraction], Fraction] = {}
+    for (xc, hs), (v, hit) in tables.items():
+        x, a = Fraction(xc, cells), Fraction(hs, cells)
+        for t in range(1, len(hit)):
+            if hit[t] >= 0:
+                table[x, a, Fraction(t, cells)] = Fraction(hit[t], cells)
+        for level in lambda_values:
+            t = math.ceil(level * cells)
+            count = v[max(t, 0)] if t < len(v) else 0
+            key = (x, a, level)
+            table[key] = max(table.get(key, Fraction(0)), Fraction(count, cells))
+    return _report(depth, True, sequences << cells, table)

@@ -6,10 +6,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebound import extremal
-from sparsebound.cli import main
+from sparsebound.cli import _dumps, main
 from sparsebound.rational import parse_rational
+from sparsebound.verify import Violation
 
 
 def run_cli(capsys, *args):
@@ -301,3 +304,44 @@ def test_numpy_is_not_imported():
     proc = run_python(["-c", code], stdout=subprocess.PIPE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _payloads(capsys):
+    """The JSON each JSON-printing command writes, parsed back."""
+    argvs = [
+        ["curves", "2", "--family", "G", "--format", "json"],
+        ["verify", "jump", "--seed", "1", "--count", "5"],
+        ["brute", "1", "--lambda", "1/2"],
+        ["brute", "3", "--sample", "5", "--seed", "2"],
+        ["extremize", "2", "1"],
+        ["corollary", "1", "3"],
+    ]
+    for argv in argvs:
+        main(argv)
+        yield json.loads(capsys.readouterr().out)
+
+
+def test_dumps_writes_what_json_dumps_writes(capsys):
+    violation = Violation("jump", (("x", F(1, 2)), ("lambda", F(-3))), F(1), F(2))
+    payloads = [*_payloads(capsys), [{"check": "jump", "violations": [violation.to_json()]}]]
+    for payload in payloads:
+        assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_matches_json_dumps_drawn(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_refuses_floats_and_non_string_keys():
+    for bad in (0.5, [1, 2.0], {"a": {"b": [float("nan")]}}, {1: "a"}):
+        with pytest.raises(TypeError):
+            _dumps(bad)

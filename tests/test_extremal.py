@@ -13,6 +13,7 @@ from sparsebound.dyadic import (
     concat_configs,
 )
 from sparsebound.extremal import (
+    AttainmentTarget,
     Base,
     Halve,
     Jump,
@@ -29,6 +30,7 @@ from sparsebound.extremal import (
     x1_chain_recipe,
 )
 from sparsebound.rational import DomainError
+from sparsebound.verify import brute_force_sup
 
 
 def test_extremizers_above_the_cap_are_refused(time_limit):
@@ -202,3 +204,24 @@ def test_attainment_report():
     assert report["attained"] is True
     assert report["achieved_V"] == "1/2"
     assert report["target"]["lambda"] == "5/2"
+
+
+def test_bound_covers_binary_weights_only():
+    # Root weight 1/2 over two halves of root weight 1: the operator is 3/2
+    # on all of [0, 1), above the bound at (1, 3/2, 3/2).
+    half = Config(DyadicSet.full(), CarlesonSequence.from_mapping({ROOT: F(1)}))
+    fractional = concat_configs(half, half, F(1, 2))
+    assert (fractional.measure, fractional.height) == (F(1), F(3, 2))
+    assert carleson_constant(fractional.seq) == F(3, 2)
+    assert fractional.level_set(F(3, 2)) == F(1)
+    assert bellman_value(F(1), F(3, 2), F(3, 2)) == F(3, 4)
+    # With 0/1 weights the largest level set there is the bound, reached at depth 3.
+    entries = brute_force_sup(3, [F(3, 2)]).entries
+    (got,) = [e for e in entries if (e.x, e.height, e.level) == (F(1), F(3, 2), F(3, 2))]
+    assert got.max_v == got.bound == F(3, 4) and got.attained
+    target = AttainmentTarget(F(1), F(3, 2), F(3, 2), F(3, 4))
+    with pytest.raises(DomainError):
+        attainment_report(fractional, target)
+    # A 0/1 configuration at the same point is reported, short of the bound.
+    report = attainment_report(half, AttainmentTarget(F(1), F(1), F(3, 2), F(3, 4)))
+    assert report["achieved_V"] == "0" and report["attained"] is False

@@ -98,6 +98,22 @@ GOLDEN = {
         ["brute", "3", *LAMBDAS], 0, 183424,
         "af67bbf9864c2c6208b676aea568dbabce4222eb87b4a308348919decf70d846",
     ),
+    # The README's exhaustive example at the cap, the CSV form, and query
+    # levels that are negative, zero, repeated, off the grid and above
+    # every value a configuration takes.
+    "brute-4": (
+        ["brute", "4"], 0, 1668263,
+        "c57e04b6f00814cbdf0981b951be33f7401a7d3da77023382b1d6943aa978aa0",
+    ),
+    "brute-3-csv": (
+        ["brute", "3", "--format", "csv"], 0, 26302,
+        "47a8db525ca6e2ca1a8630cdb33ed0c15140c1bb4d3a483fda578e76295af660",
+    ),
+    "brute-3-edge-levels": (
+        ["brute", "3", "--lambda", "-1", "--lambda", "0", "--lambda", "1/3",
+         "--lambda", "1/3", "--lambda", "40"], 0, 240414,
+        "32f374e443ff9d172cdcc9abfab6be492ee949d78caef0c767720bd51bb3961d",
+    ),
     "brute-5-sampled": (
         ["brute", "5", "--sample", "200", "--seed", "1"], 0, 72344,
         "7ff32be261b12d03d9f20e5b55ad58fd1752bbb1c0f30767ddc9866d9ec787ba",

@@ -27,6 +27,12 @@ def test_format_basic():
     assert format_rational(3) == "3"
 
 
+def test_format_refuses_floats_and_bools():
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(DomainError):
+            format_rational(bad)
+
+
 def test_round_trip():
     for q in (F(0), F(22, 7), F(-9, 8), F(10**9, 3)):
         assert parse_rational(format_rational(q)) == q

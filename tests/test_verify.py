@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import brute_reference, carleson_constant_scan, mask_to_sequence
+from reference import (
+    brute_from_tables,
+    brute_reference,
+    carleson_constant_scan,
+    mask_to_sequence,
+    sup_tables_ordered,
+)
+from sparsebound import verify
 from sparsebound.candidate import bellman_value, vertex_f
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
@@ -15,6 +22,7 @@ from sparsebound.verify import (
     SampleSpec,
     Violation,
     _sample_fraction,
+    _sup_tables,
     brute_force_sup,
     default_level_grid,
     intervals_to_depth,
@@ -24,6 +32,7 @@ from sparsebound.verify import (
 )
 
 SPEC = SampleSpec(seed=7, count=400)
+README_LAMBDAS = [F(1, 2), F(1), F(3, 2), F(2)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,6 +191,41 @@ def test_bellman_engine_matches_reference_depth_2(levels):
     assert brute_force_sup(2, levels) == brute_reference(2, levels)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_unordered_pairs_match_ordered_recursion(depth):
+    assert _sup_tables(depth) == sup_tables_ordered(depth)
+
+
+def _edge_levels(depth):
+    """Levels below zero, at zero, repeated, off the grid, on it, at the top and above."""
+    top = depth + 1
+    return [F(-1), F(-1, 3), F(0), F(1, 3), F(1, 3), F(7, 5), F(1, 2), F(3, 2), F(3, 2),
+            F(top), F(top) + F(1, 2 ** (depth + 1)), F(40)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_exhaustive_report_matches_fraction_assembly(depth):
+    for levels in ([], _edge_levels(depth), README_LAMBDAS):
+        assert brute_force_sup(depth, levels) == brute_from_tables(depth, levels)
+
+
+def test_exhaustive_report_compares_with_the_bound(monkeypatch):
+    # Under a bound of 1/2 some entries are beaten and some attained; both
+    # assemblies read the patched bound.
+    monkeypatch.setattr(verify, "bellman_value", lambda x, a, level: F(1, 2))
+    report = brute_force_sup(2, [F(1)])
+    assert not report.domination
+    assert {e.attained for e in report.entries} == {True, False}
+    assert report == brute_from_tables(2, [F(1)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(depth=st.integers(1, 3), levels=LEVEL_LISTS)
+def test_exhaustive_report_matches_fraction_assembly_drawn(depth, levels):
+    levels = levels + levels[:1]  # a repeated level, when there is one
+    assert brute_force_sup(depth, levels) == brute_from_tables(depth, levels)
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_configs_scanned_counts_enumerated_configurations(depth):
     sequences = sum(1 for _ in iter_binary_carleson(depth))
@@ -189,9 +233,6 @@ def test_configs_scanned_counts_enumerated_configurations(depth):
     assert scanned == sequences * 2 ** (2**depth)
     if depth == 3:
         assert scanned == 3_485_440
-
-
-README_LAMBDAS = [F(1, 2), F(1), F(3, 2), F(2)]
 
 
 def test_brute_depth_4_exhaustive_dominated_and_sampled_below():
