@@ -25,13 +25,20 @@ of a strip.  The region tests and closed forms are integer comparisons
 and products, and one ``Fraction`` is built per result.  The
 ``Fraction`` forms these replaced are kept in ``tests/reference.py`` as
 the oracle of the differential tests.
+
+The kernel's entries take and return rationals as (numerator, positive
+denominator) pairs, not necessarily in lowest terms: ``_bound`` (the
+bound, as ``_region`` then ``_region_value``), ``_f_value``,
+``_f_extended``, ``_g_value``, ``_profile_slopes`` and
+``_segment_slope``.  They check nothing; the public functions check their
+arguments and wrap them, and the verify suites call them directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import PiecewiseLinearFn, PlanePoint
 from .rational import DomainError, _exact, _index
@@ -164,6 +171,8 @@ def _curve_top(family: Family, m: int) -> int:
 # on those integers and returns integers, and the public entry points build
 # one Fraction from them.
 
+Pair = tuple[int, int]  # a rational as (numerator, positive denominator)
+
 
 def _curve_x(s: int, m: int, num: int, den: int) -> tuple[int, int]:
     """The x at which curve m reaches level num/den, as a numerator and denominator.
@@ -252,6 +261,34 @@ def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
     return Fraction(*_curve_x(_offset(family), m, num, den))
 
 
+def _f_value(x: Pair, level: Pair) -> Pair:
+    """``f_value`` at 0 <= x <= 1 and level > 0."""
+    return _profile(1, *x, *level)
+
+
+def _f_extended(x: Pair, level: Pair) -> Pair:
+    """``f_extended`` at x >= 0 and level > 0."""
+    return _profile(1, *(x if x[0] <= x[1] else (1, 1)), *level)
+
+
+def _g_value(x: Pair, level: Pair) -> Pair:
+    """``g_value`` at 0 <= x <= 1 and level > 0."""
+    (p, q), (num, den) = x, level
+    if num <= den:
+        if 4 * p * den <= num * q:
+            f_num, f_den = _profile(1, 2 * p, q, num, den)
+            return f_num, 2 * f_den
+        if p * den <= num * q:
+            # The line from (level/4, 1/2) to (level, 1): (level + 2x) / (3 * level).
+            return num * q + 2 * p * den, 3 * num * q
+        return 1, 1
+    return _profile(2, p, q, num, den)
+
+
+def _pair(value: Fraction) -> Pair:
+    return value.numerator, value.denominator
+
+
 def _check_profile_args(x: Fraction, level: Fraction) -> None:
     if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"x must lie in [0, 1], got {x}")
@@ -268,7 +305,7 @@ def f_value(x: Fraction, level: Fraction) -> Fraction:
     """
     x, level = _exact(x, "x"), _exact(level, "level")
     _check_profile_args(x, level)
-    return Fraction(*_profile(1, x.numerator, x.denominator, level.numerator, level.denominator))
+    return Fraction(*_f_value(_pair(x), _pair(level)))
 
 
 def f_extended(x: Fraction, level: Fraction) -> Fraction:
@@ -276,7 +313,8 @@ def f_extended(x: Fraction, level: Fraction) -> Fraction:
     x, level = _exact(x, "x"), _exact(level, "level")
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
-    return f_value(min(x, ONE), level)
+    _check_profile_args(min(x, ONE), level)
+    return Fraction(*_f_extended(_pair(x), _pair(level)))
 
 
 def g_value(x: Fraction, level: Fraction) -> Fraction:
@@ -289,16 +327,7 @@ def g_value(x: Fraction, level: Fraction) -> Fraction:
     """
     x, level = _exact(x, "x"), _exact(level, "level")
     _check_profile_args(x, level)
-    p, q, num, den = x.numerator, x.denominator, level.numerator, level.denominator
-    if num <= den:
-        if 4 * p * den <= num * q:
-            f_num, f_den = _profile(1, 2 * p, q, num, den)
-            return Fraction(f_num, 2 * f_den)
-        if p * den <= num * q:
-            # The line from (level/4, 1/2) to (level, 1): (level + 2x) / (3 * level).
-            return Fraction(num * q + 2 * p * den, 3 * num * q)
-        return ONE
-    return Fraction(*_profile(2, p, q, num, den))
+    return Fraction(*_g_value(_pair(x), _pair(level)))
 
 
 class RegionKind(Enum):
@@ -313,8 +342,7 @@ class RegionKind(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class RegionTag:
+class RegionTag(NamedTuple):
     kind: RegionKind
     strip: int | None = None
     plateau: bool = False
@@ -346,19 +374,9 @@ def _scaled(xn: int, xd: int, an: int, ad: int) -> tuple[int, int]:
     return (p, q) if p < q else (1, 1)
 
 
-def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
-    """Locate (x, a, level) in the phase portrait of the bound.
-
-    For levels in (0, 1] the (x, a) box splits into four polygons; boundary
-    ties resolve by the fixed priority full > height > profile > mixed (the
-    adjoining formulas agree on shared edges, so the tie-break is value
-    neutral).  For larger levels the tag is the F-strip of the rescaled
-    point (2x/a clamped to 1, level).
-    """
-    x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
-    _check_box(x, a)
-    xn, xd, an, ad = x.numerator, x.denominator, a.numerator, a.denominator
-    num, den = level.numerator, level.denominator
+def _region(x: Pair, a: Pair, level: Pair) -> RegionTag:
+    """``classify_region`` at x in [0, 1] and a in [0, 2]."""
+    (xn, xd), (an, ad), (num, den) = x, a, level
     if num <= 0:
         return _OBSTACLE
     if num <= den:
@@ -374,8 +392,49 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
         return _MIXED
     if an == 0 or xn == 0:
         return _ZERO
-    m, plateau = _strip(1, *_scaled(xn, xd, an, ad), num, den)
-    return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau)
+    return RegionTag(RegionKind.STRIP, *_strip(1, *_scaled(xn, xd, an, ad), num, den))
+
+
+def _region_value(tag: RegionTag, x: Pair, a: Pair, level: Pair) -> Pair:
+    """The bound at x in [0, 1] and a in [0, 2], in the region ``tag`` that holds the point."""
+    kind = tag.kind
+    if kind is RegionKind.OBSTACLE or kind is RegionKind.FULL:
+        return 1, 1
+    if kind is RegionKind.HEIGHT:
+        return a
+    if kind is RegionKind.ZERO:
+        return 0, 1
+    (xn, xd), (an, ad), (num, den) = x, a, level
+    if kind is RegionKind.MIXED:
+        # (a + 2x / level) / 3
+        return an * xd * num + 2 * xn * den * ad, 3 * ad * xd * num
+    # Profile (level <= 1) or strip (level > 1): a/2 times the F profile at
+    # min(2x/a, 1), where a > 0 (a = 0 is a height or zero point).
+    p, q = _scaled(xn, xd, an, ad)
+    if kind is RegionKind.STRIP:
+        f_num, f_den = _strip_value(1, p, q, num, den, tag.strip, tag.plateau)
+    else:
+        f_num, f_den = _profile(1, p, q, num, den)
+    return an * f_num, 2 * ad * f_den
+
+
+def _bound(x: Pair, a: Pair, level: Pair) -> Pair:
+    """``bellman_value`` at x in [0, 1] and a in [0, 2]."""
+    return _region_value(_region(x, a, level), x, a, level)
+
+
+def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
+    """Locate (x, a, level) in the phase portrait of the bound.
+
+    For levels in (0, 1] the (x, a) box splits into four polygons; boundary
+    ties resolve by the fixed priority full > height > profile > mixed (the
+    adjoining formulas agree on shared edges, so the tie-break is value
+    neutral).  For larger levels the tag is the F-strip of the rescaled
+    point (2x/a clamped to 1, level).
+    """
+    x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
+    _check_box(x, a)
+    return _region(_pair(x), _pair(a), _pair(level))
 
 
 def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
@@ -388,26 +447,7 @@ def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
     # One classify_region call, looked up at call time, so a wrapper
     # installed on the module's name sees every evaluation's region.
     tag = classify_region(x, a, level)
-    kind = tag.kind
-    if kind is RegionKind.OBSTACLE or kind is RegionKind.FULL:
-        return ONE
-    if kind is RegionKind.HEIGHT:
-        return a
-    if kind is RegionKind.ZERO:
-        return ZERO
-    xn, xd, an, ad = x.numerator, x.denominator, a.numerator, a.denominator
-    num, den = level.numerator, level.denominator
-    if kind is RegionKind.MIXED:
-        # (a + 2x / level) / 3
-        return Fraction(an * xd * num + 2 * xn * den * ad, 3 * ad * xd * num)
-    # Profile (level <= 1) or strip (level > 1): a/2 times the F profile at
-    # min(2x/a, 1), where a > 0 (a = 0 is a height or zero point).
-    p, q = _scaled(xn, xd, an, ad)
-    if kind is RegionKind.STRIP:
-        f_num, f_den = _strip_value(1, p, q, num, den, tag.strip, tag.plateau)
-    else:
-        f_num, f_den = _profile(1, p, q, num, den)
-    return Fraction(an * f_num, 2 * ad * f_den)
+    return Fraction(*_region_value(tag, _pair(x), _pair(a), _pair(level)))
 
 
 def f_region(x: Fraction, level: Fraction) -> RegionTag:
@@ -438,33 +478,53 @@ def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
     return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau)
 
 
+def _profile_vertices(level: Pair, x_min: Pair) -> list[tuple[Pair, Pair]]:
+    """``profile_vertices`` at level > 0 and 0 < x_min <= 1, as (x, value) pairs."""
+    # Curves first to last cross the level in [x_min, 1], left to right
+    # from last, first and last being the strips of x = 1 and of x_min.
+    # The ends take f's values unless a crossing is x_min itself; a curve
+    # crossing at x = 1 (when the level is its top) gives way to f(1).
+    (num, den), (xn, xd) = level, x_min
+    first, _ = _strip(1, 1, 1, num, den)
+    last, _ = _strip(1, xn, xd, num, den)
+    vertices = []
+    for m in range(last, first - 1, -1):
+        p, q = _curve_x(1, m, num, den)
+        if xn * q <= p * xd and p < q:
+            vertices.append(((p, q), (1, 1 << m)))
+    if not vertices or vertices[0][0][0] * xd != xn * vertices[0][0][1]:
+        vertices.insert(0, (x_min, _f_value(x_min, level)))
+    if vertices[-1][0][0] != vertices[-1][0][1]:
+        vertices.append(((1, 1), _f_value((1, 1), level)))
+    return vertices
+
+
+def _profile_slopes(level: Pair, x_min: Pair) -> tuple[Pair, ...]:
+    """``profile_slopes`` at level > 0 and 0 < x_min <= 1."""
+    vertices = _profile_vertices(level, x_min)
+    return tuple(
+        ((y2n * y1d - y1n * y2d) * x1d * x2d, (x2n * x1d - x1n * x2d) * y1d * y2d)
+        for ((x1n, x1d), (y1n, y1d)), ((x2n, x2d), (y2n, y2d)) in zip(vertices, vertices[1:])
+    )
+
+
+def _check_profile_window(level: Fraction, x_min: Fraction) -> tuple[Pair, Pair]:
+    level, x_min = _exact(level, "level"), _exact(x_min, "x_min")
+    if level <= 0:
+        raise DomainError(f"level must be positive, got {level}")
+    if not ZERO < x_min <= ONE:
+        raise DomainError(f"x_min must lie in (0, 1], got {x_min}")
+    return _pair(level), _pair(x_min)
+
+
 def profile_vertices(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn:
     """Vertex list of ``f_value(., level)`` restricted to [x_min, 1].
 
     The full vertex set accumulates at x = 0, hence the positive left
     cutoff; the leftmost vertex is (x_min, f(x_min)).
     """
-    level, x_min = _exact(level, "level"), _exact(x_min, "x_min")
-    if level <= 0:
-        raise DomainError(f"level must be positive, got {level}")
-    if not ZERO < x_min <= ONE:
-        raise DomainError(f"x_min must lie in (0, 1], got {x_min}")
-    # Curves first to last cross the level in [x_min, 1], left to right
-    # from last, first and last being the strips of x = 1 and of x_min.
-    # The ends take f's values unless a crossing is x_min itself; a curve
-    # crossing at x = 1 (when the level is its top) gives way to f(1).
-    num, den = level.numerator, level.denominator
-    first, _ = _strip(1, 1, 1, num, den)
-    last, _ = _strip(1, x_min.numerator, x_min.denominator, num, den)
-    crossings = (
-        (Fraction(*_curve_x(1, m, num, den)), _pow2(m)) for m in range(last, first - 1, -1)
-    )
-    vertices = [(xm, value) for xm, value in crossings if x_min <= xm < 1]
-    if not vertices or vertices[0][0] != x_min:
-        vertices.insert(0, (x_min, f_value(x_min, level)))
-    if vertices[-1][0] != 1:
-        vertices.append((ONE, f_value(ONE, level)))
-    return PiecewiseLinearFn(tuple(vertices))
+    vertices = _profile_vertices(*_check_profile_window(level, x_min))
+    return PiecewiseLinearFn(tuple((Fraction(*x), Fraction(*y)) for x, y in vertices))
 
 
 def profile_slopes(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
@@ -473,7 +533,16 @@ def profile_slopes(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
     Concavity of the profile is the statement that this list is
     non-increasing.
     """
-    return profile_vertices(level, x_min).slopes()
+    slopes = _profile_slopes(*_check_profile_window(level, x_min))
+    return tuple(Fraction(*slope) for slope in slopes)
+
+
+def _segment_slope(strip: int, level: Pair) -> Pair:
+    """``segment_slope`` at strip >= 1 and 0 < level <= strip + 1."""
+    left_p, left_q = _curve_x(1, strip, *level)
+    right_p, right_q = _curve_x(1, strip - 1, *level)
+    # 1 / (2**strip * (right - left))
+    return left_q * right_q, (right_p * left_q - left_p * right_q) << strip
 
 
 def segment_slope(strip: int, level: Fraction) -> Fraction:
@@ -488,10 +557,7 @@ def segment_slope(strip: int, level: Fraction) -> Fraction:
         raise DomainError(f"strip index must be at least 1, got {strip}")
     if not ZERO < level <= strip + 1:
         raise DomainError(f"level {level} outside (0, {strip + 1}]")
-    left_p, left_q = _curve_x(1, strip, level.numerator, level.denominator)
-    right_p, right_q = _curve_x(1, strip - 1, level.numerator, level.denominator)
-    # 1 / (2**strip * (right - left))
-    return Fraction(left_q * right_q, (right_p * left_q - left_p * right_q) << strip)
+    return Fraction(*_segment_slope(strip, _pair(level)))
 
 
 LinearForm = tuple[Fraction, Fraction]  # value at level t is c0 + c1*t

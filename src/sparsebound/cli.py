@@ -179,12 +179,13 @@ def _dumps(obj, newline: str = "\n") -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` and a final newline to stdout, or the same bytes to ``output``."""
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        with open(output, "w", encoding="utf-8") as handle:
+        with open(output, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
 
 

@@ -5,7 +5,13 @@ and a reported violation carries a witness from which both sides can be
 recomputed bit for bit.  Two tables drive the checks.  Each suite has a
 sampler that lays out its witnesses from a seed, and each check has one
 evaluator of both sides and the relation they must satisfy; ``run_suite``
-and ``replay`` both go through the evaluators.  The brute-force driver
+and ``replay`` both go through the evaluators.  The suites evaluate in
+integers: witnesses and both sides are (numerator, denominator) pairs,
+computed through the integer entries of ``candidate`` and compared by
+cross-multiplication, and ``Fraction``s are built only for the witness and
+sides of a violation.  ``replay`` turns a witness back into pairs.  The
+``Fraction`` forms of the samplers and evaluators are kept in
+``tests/reference.py`` as their oracle.  The brute-force driver
 certifies, over every binary weight sequence with Carleson constant at most
 2 against every set resolved at a small depth, that no level-set measure
 ever exceeds ``bellman_value``, and records where equality is attained.  It
@@ -24,13 +30,17 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .candidate import (
+    Pair,
+    _bound,
+    _check_profile_window,
+    _f_extended,
+    _f_value,
+    _g_value,
+    _pair,
+    _profile_slopes,
+    _segment_slope,
     bellman_value,
-    f_extended,
-    f_value,
-    g_value,
-    profile_slopes,
     recip_slope_forms,
-    segment_slope,
 )
 from .dyadic import (
     CarlesonSequence,
@@ -65,7 +75,6 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-TWO = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -105,146 +114,196 @@ class Violation:
         }
 
 
-def _witness(**values: Fraction | int) -> tuple[tuple[str, Fraction], ...]:
-    return tuple((k, v if type(v) is Fraction else Fraction(v)) for k, v in values.items())
+# Witnesses and both sides of every check are rationals held as
+# (numerator, positive denominator) pairs, not necessarily in lowest
+# terms, so that no Fraction is built or reduced unless a check fails.
+
+_ZERO, _ONE, _TWO = (0, 1), (1, 1), (2, 1)
+Sides = tuple[Pair, Pair]  # the two sides of a check
+
+
+def _add(r: Pair, s: Pair) -> Pair:
+    return r[0] * s[1] + s[0] * r[1], r[1] * s[1]
+
+
+def _half(r: Pair) -> Pair:
+    return r[0], 2 * r[1]
+
+
+def _reciprocal(r: Pair) -> Pair:
+    # Of zero: a zero denominator, which Fraction refuses if it is reported.
+    return (r[1], r[0]) if r[0] > 0 else (-r[1], -r[0])
+
+
+def _int(r: Pair) -> int:
+    """An index witness (an integer) as an int."""
+    return r[0] // r[1]
 
 
 # Sampled rationals have denominators up to this bound.
 _DENOMINATOR_BOUND = 32
 
 
-def _sample_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+def _sample_rational(rng: random.Random, lo: Pair, hi: Pair) -> Pair:
+    """A rational p/q in [lo, hi], q drawn up to the bound, then p; not reduced."""
     q = rng.randint(1, _DENOMINATOR_BOUND)
-    p = rng.randint(-(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator)
-    return Fraction(p, q)
+    return rng.randint(-(-lo[0] * q // lo[1]), hi[0] * q // hi[1]), q
 
 
-# One-entry memos (these two and ``_dynamics_instance``).  A sampler
-# computes them to lay out its witnesses and the evaluators read them back,
-# so each is computed once per level, form pair or instance.  The candidate
-# functions are looked up at call time, so wrappers installed on them see
+# Memos of one or two entries (these two and ``_dynamics_instance``).  A
+# sampler computes them to lay out its witnesses and the evaluators read
+# them back, so each is computed once per level, form or instance.  The kernel
+# entries are looked up at call time, so replacements installed on them see
 # every call.
 
 @lru_cache(maxsize=1)
-def _profile_slopes(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
-    return profile_slopes(level, x_min)
+def _slopes_at(level: Pair, x_min: Pair) -> tuple[Pair, ...]:
+    return _profile_slopes(level, x_min)
 
 
-@lru_cache(maxsize=1)
+LinearForm = tuple[Pair, Pair]  # value at level t is c0 + c1*t
+
+
+# Two entries: the sampler asks for the forms of m and m + 1 with m rising,
+# so each window's forms are built once.
+@lru_cache(maxsize=2)
+def _forms(window: int, m: int) -> dict[str, tuple[LinearForm, tuple[Pair, Pair]]]:
+    """``recip_slope_forms(window, m)`` with the forms and level ranges as pairs."""
+    return {
+        name: (tuple(map(_pair, form)), tuple(map(_pair, levels)))
+        for name, (form, levels) in recip_slope_forms(window, m).items()
+    }
+
+
 def _form_pair(window: int, m: int) -> tuple[dict, dict]:
-    return recip_slope_forms(window, m), recip_slope_forms(window, m + 1)
+    return _forms(window, m), _forms(window, m + 1)
+
+
+def _form_value(form: LinearForm, level: Pair) -> Pair:
+    (c0n, c0d), (c1n, c1d) = form
+    num, den = level
+    return c0n * c1d * den + c1n * num * c0d, c0d * c1d * den
 
 
 # Evaluators, one per check: both sides of the check recomputed exactly
 # from a witness.
 
-def _eval_obstacle(w: dict) -> tuple[Fraction, Fraction]:
-    return bellman_value(w["x"], w["A"], w["lambda"]), ONE
+def _eval_obstacle(x: Pair, a: Pair, level: Pair) -> Sides:
+    return _bound(x, a, level), _ONE
 
 
-def _eval_concavity(w: dict) -> tuple[Fraction, Fraction]:
-    mid_x = (w["x1"] + w["x2"]) / 2
-    mid_a = (w["A1"] + w["A2"]) / 2
-    lhs = bellman_value(mid_x, mid_a, w["lambda"])
-    rhs = (
-        bellman_value(w["x1"], w["A1"], w["lambda"])
-        + bellman_value(w["x2"], w["A2"], w["lambda"])
-    ) / 2
-    return lhs, rhs
+def _eval_concavity(x1: Pair, a1: Pair, x2: Pair, a2: Pair, level: Pair) -> Sides:
+    lhs = _bound(_half(_add(x1, x2)), _half(_add(a1, a2)), level)
+    return lhs, _half(_add(_bound(x1, a1, level), _bound(x2, a2, level)))
 
 
-def _eval_jump(w: dict) -> tuple[Fraction, Fraction]:
-    lhs = bellman_value(w["x"], w["A"] + 1, w["lambda"] + w["x"])
-    rhs = bellman_value(w["x"], w["A"], w["lambda"])
-    return lhs, rhs
+def _eval_jump(x: Pair, a: Pair, level: Pair) -> Sides:
+    return _bound(x, _add(a, _ONE), _add(level, x)), _bound(x, a, level)
 
 
-def _eval_fjg(w: dict) -> tuple[Fraction, Fraction]:
-    return f_value(w["x"], w["lambda"] + w["x"]), g_value(w["x"], w["lambda"])
+def _eval_fjg(x: Pair, level: Pair) -> Sides:
+    return _f_value(x, _add(level, x)), _g_value(x, level)
 
 
-def _eval_gconsist(w: dict) -> tuple[Fraction, Fraction]:
-    lhs = g_value(w["x"], w["lambda"])
-    if w["lambda"] > 1:
-        rhs = f_extended(2 * w["x"], w["lambda"]) / 2
+def _eval_gconsist(x: Pair, level: Pair) -> Sides:
+    lhs = _g_value(x, level)
+    if level[0] > level[1]:
+        rhs = _half(_f_extended((2 * x[0], x[1]), level))
     else:
-        rhs = bellman_value(w["x"], ONE, w["lambda"])
+        rhs = _bound(x, _ONE, level)
     return lhs, rhs
 
 
-def _eval_slopes_monotone(w: dict) -> tuple[Fraction, Fraction]:
-    slopes = _profile_slopes(w["lambda"], w["x_min"])
-    i = int(w["i"])
+def _eval_slopes_monotone(i: Pair, x_min: Pair, level: Pair) -> Sides:
+    slopes = _slopes_at(level, x_min)
+    i = _int(i)
     return slopes[i], slopes[i + 1]
 
 
-def _form_value(form: tuple[Fraction, Fraction], level: Fraction) -> Fraction:
-    c0, c1 = form
-    return c0 + c1 * level
-
-
-def _eval_slopes_mid_vs_low(w: dict) -> tuple[Fraction, Fraction]:
-    forms, forms_next = _form_pair(int(w["window"]), int(w["m"]))
-    level = w["lambda"]
+def _eval_slopes_mid_vs_low(window: Pair, m: Pair, level: Pair) -> Sides:
+    forms, forms_next = _form_pair(_int(window), _int(m))
     return _form_value(forms["mid"][0], level), _form_value(forms_next["low"][0], level)
 
 
-def _eval_slopes_high_vs_mid(w: dict) -> tuple[Fraction, Fraction]:
-    forms, forms_next = _form_pair(int(w["window"]), int(w["m"]))
-    level = w["lambda"]
+def _eval_slopes_high_vs_mid(window: Pair, m: Pair, level: Pair) -> Sides:
+    forms, forms_next = _form_pair(_int(window), _int(m))
     return _form_value(forms["high"][0], level), _form_value(forms_next["mid"][0], level)
 
 
-def _eval_slopes_form(w: dict) -> tuple[Fraction, Fraction]:
-    window, m = int(w["window"]), int(w["m"])
-    form = _form_pair(window, m)[0][_FORM_NAMES[int(w["form"])]][0]
-    return 1 / _form_value(form, w["lambda"]), segment_slope(m + 1, w["lambda"])
+def _eval_slopes_form(window: Pair, m: Pair, form: Pair, level: Pair) -> Sides:
+    m = _int(m)
+    linear = _form_pair(_int(window), m)[0][_FORM_NAMES[_int(form)]][0]
+    return _reciprocal(_form_value(linear, level)), _segment_slope(m + 1, level)
 
 
-def _eval_dynamics(w: dict) -> tuple[Fraction, Fraction]:
-    c1, c2, gamma, level = _dynamics_instance(int(w["seed"]), int(w["index"]))
-    return concat_identity(c1, c2, gamma, level)
+def _eval_dynamics(seed: Pair, index: Pair, gamma: Pair, level: Pair) -> Sides:
+    lhs, rhs = concat_identity(*_dynamics_instance(_int(seed), _int(index)))
+    return _pair(lhs), _pair(rhs)
 
 
 _FORM_NAMES = {0: "low", 1: "mid", 2: "high"}
 
 
-def _both_positive_and_ge(lhs: Fraction, rhs: Fraction) -> bool:
-    return lhs > 0 and rhs > 0 and lhs >= rhs
+# Relations between the two sides, by cross-multiplication (denominators
+# are positive).
+
+def _eq(lhs: Pair, rhs: Pair) -> bool:
+    return lhs[0] * rhs[1] == rhs[0] * lhs[1]
 
 
-# Check name -> (evaluator, relation the two sides must satisfy).
+def _ge(lhs: Pair, rhs: Pair) -> bool:
+    return lhs[0] * rhs[1] >= rhs[0] * lhs[1]
+
+
+def _both_positive_and_ge(lhs: Pair, rhs: Pair) -> bool:
+    return lhs[0] > 0 and rhs[0] > 0 and _ge(lhs, rhs)
+
+
+# Check name -> (evaluator, relation the two sides must satisfy, names of
+# the witness values the evaluator takes in order).
 _CHECKS = {
-    "obstacle": (_eval_obstacle, operator.eq),
-    "concavity": (_eval_concavity, operator.ge),
-    "jump": (_eval_jump, operator.ge),
-    "fjg": (_eval_fjg, operator.ge),
-    "gconsist": (_eval_gconsist, operator.eq),
-    "slopes:monotone": (_eval_slopes_monotone, operator.ge),
-    "slopes:mid-vs-low": (_eval_slopes_mid_vs_low, _both_positive_and_ge),
-    "slopes:high-vs-mid": (_eval_slopes_high_vs_mid, _both_positive_and_ge),
-    "slopes:form": (_eval_slopes_form, operator.eq),
-    "dynamics": (_eval_dynamics, operator.eq),
+    "obstacle": (_eval_obstacle, _eq, ("x", "A", "lambda")),
+    "concavity": (_eval_concavity, _ge, ("x1", "A1", "x2", "A2", "lambda")),
+    "jump": (_eval_jump, _ge, ("x", "A", "lambda")),
+    "fjg": (_eval_fjg, _ge, ("x", "lambda")),
+    "gconsist": (_eval_gconsist, _eq, ("x", "lambda")),
+    "slopes:monotone": (_eval_slopes_monotone, _ge, ("i", "x_min", "lambda")),
+    "slopes:mid-vs-low": (
+        _eval_slopes_mid_vs_low, _both_positive_and_ge, ("window", "m", "lambda")
+    ),
+    "slopes:high-vs-mid": (
+        _eval_slopes_high_vs_mid, _both_positive_and_ge, ("window", "m", "lambda")
+    ),
+    "slopes:form": (_eval_slopes_form, _eq, ("window", "m", "form", "lambda")),
+    "dynamics": (_eval_dynamics, _eq, ("seed", "index", "gamma", "lambda")),
 }
 
 
 def replay(violation: Violation) -> tuple[Fraction, Fraction]:
-    """Recompute both sides of a violation from its witness."""
-    evaluate, _ = _CHECKS[violation.check]
-    return evaluate(dict(violation.witness))
+    """Recompute both sides of a violation from its witness.
+
+    The witness values are turned into pairs in the order the check's
+    evaluator takes them; each must be an int or a Fraction (else
+    ``DomainError``), and is taken to lie where the check's sampler draws
+    it: the evaluators call the unchecked integer entries of ``candidate``.
+    """
+    evaluate, _, names = _CHECKS[violation.check]
+    witness = dict(violation.witness)
+    lhs, rhs = evaluate(*(_pair(_exact(witness[name], name)) for name in names))
+    return Fraction(*lhs), Fraction(*rhs)
 
 
-# Samplers, one per suite: the (check name, witness) pairs it checks, in a
-# fixed order drawn from the spec's seed.
+# Samplers, one per suite: the (check name, witness values) pairs it
+# checks, in a fixed order drawn from the spec's seed.
 
 def _sample_obstacle(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The bound is identically 1 at nonpositive levels."""
     rng = random.Random(spec.seed)
     for _ in range(spec.count):
-        x = _sample_fraction(rng, ZERO, ONE)
-        a = _sample_fraction(rng, ZERO, TWO)
-        level = _sample_fraction(rng, Fraction(-5), ZERO)
-        yield "obstacle", _witness(x=x, A=a, **{"lambda": level})
+        x = _sample_rational(rng, _ZERO, _ONE)
+        a = _sample_rational(rng, _ZERO, _TWO)
+        level = _sample_rational(rng, (-5, 1), _ZERO)
+        yield "obstacle", (x, a, level)
 
 
 DEFAULT_CONCAVITY_GRID = (
@@ -262,45 +321,46 @@ def _sample_concavity(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Midpoint concavity of the bound in (x, height) at each grid level."""
     for level in spec.lambda_grid or DEFAULT_CONCAVITY_GRID:
         rng = random.Random(f"{spec.seed}:{level}")
+        level_pair = _pair(level)
         for _ in range(spec.count):
-            x1 = _sample_fraction(rng, ZERO, ONE)
-            a1 = _sample_fraction(rng, ZERO, TWO)
-            x2 = _sample_fraction(rng, ZERO, ONE)
-            a2 = _sample_fraction(rng, ZERO, TWO)
-            yield "concavity", _witness(x1=x1, A1=a1, x2=x2, A2=a2, **{"lambda": level})
+            x1 = _sample_rational(rng, _ZERO, _ONE)
+            a1 = _sample_rational(rng, _ZERO, _TWO)
+            x2 = _sample_rational(rng, _ZERO, _ONE)
+            a2 = _sample_rational(rng, _ZERO, _TWO)
+            yield "concavity", (x1, a1, x2, a2, level_pair)
 
 
 def _sample_jump(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Raising the height by 1 and the level by x never lowers the bound (heights in [0, 1])."""
     rng = random.Random(spec.seed)
     for _ in range(spec.count):
-        x = _sample_fraction(rng, ZERO, ONE)
-        a = _sample_fraction(rng, ZERO, ONE)
-        level = _sample_fraction(rng, Fraction(-1), Fraction(5))
-        yield "jump", _witness(x=x, A=a, **{"lambda": level})
+        x = _sample_rational(rng, _ZERO, _ONE)
+        a = _sample_rational(rng, _ZERO, _ONE)
+        level = _sample_rational(rng, (-1, 1), (5, 1))
+        yield "jump", (x, a, level)
 
 
 def _sample_fjg(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The a=2 profile after a jump dominates the a=1 profile."""
     rng = random.Random(spec.seed)
     for _ in range(spec.count):
-        x = _sample_fraction(rng, ZERO, ONE)
-        level = _sample_fraction(rng, Fraction(1, _DENOMINATOR_BOUND), Fraction(6))
-        yield "fjg", _witness(x=x, **{"lambda": level})
+        x = _sample_rational(rng, _ZERO, _ONE)
+        level = _sample_rational(rng, (1, _DENOMINATOR_BOUND), (6, 1))
+        yield "fjg", (x, level)
 
 
 def _sample_gconsist(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The a=1 profile agrees with the bound at height 1 (both level regimes)."""
     rng = random.Random(spec.seed)
     for i in range(spec.count):
-        x = _sample_fraction(rng, ZERO, ONE)
+        x = _sample_rational(rng, _ZERO, _ONE)
         if i % 2 == 0:
-            level = _sample_fraction(rng, Fraction(1, _DENOMINATOR_BOUND), ONE)
+            level = _sample_rational(rng, (1, _DENOMINATOR_BOUND), _ONE)
         else:
-            level = _sample_fraction(rng, ONE, Fraction(6))
-            if level == 1:
-                level = Fraction(3, 2)
-        yield "gconsist", _witness(x=x, **{"lambda": level})
+            level = _sample_rational(rng, _ONE, (6, 1))
+            if level[0] == level[1]:
+                level = (3, 2)
+        yield "gconsist", (x, level)
 
 
 def default_level_grid(count: int = 50) -> tuple[Fraction, ...]:
@@ -324,22 +384,22 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     geometric segment slope at interior points.
     """
     for level in spec.lambda_grid or default_level_grid():
-        for i in range(len(_profile_slopes(level, SLOPES_X_MIN)) - 1):
-            yield "slopes:monotone", _witness(i=i, x_min=SLOPES_X_MIN, **{"lambda": level})
+        level, x_min = _check_profile_window(level, SLOPES_X_MIN)
+        for i in range(len(_slopes_at(level, x_min)) - 1):
+            yield "slopes:monotone", ((i, 1), x_min, level)
     for window in range(2, SLOPES_MAX_INDEX + 1):
         for m in range(max(1, window - 1), SLOPES_MAX_INDEX + 1):
             forms, forms_next = _form_pair(window, m)
             for fi, name in _FORM_NAMES.items():
-                lo, hi = forms[name][1]
-                probe = (lo + hi) / 2
-                yield "slopes:form", _witness(window=window, m=m, form=fi, **{"lambda": probe})
+                probe = _half(_add(*forms[name][1]))
+                yield "slopes:form", ((window, 1), (m, 1), (fi, 1), probe)
             pairs = (
                 ("slopes:mid-vs-low", forms["mid"][1]),
                 ("slopes:high-vs-mid", forms_next["mid"][1]),
             )
             for name, levels in pairs:
                 for level in levels:
-                    yield name, _witness(window=window, m=m, **{"lambda": level})
+                    yield name, ((window, 1), (m, 1), level)
 
 
 def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -> Config:
@@ -370,7 +430,7 @@ def _sample_dynamics(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Exact concatenation identity on seeded random configuration pairs."""
     for index in range(spec.count):
         _, _, gamma, level = _dynamics_instance(spec.seed, index)
-        yield "dynamics", _witness(seed=spec.seed, index=index, gamma=gamma, **{"lambda": level})
+        yield "dynamics", ((spec.seed, 1), (index, 1), _pair(gamma), _pair(level))
 
 
 # Suite name -> sampler, in the order ``verify all`` runs them.
@@ -388,15 +448,20 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
-    """Run one named suite with the given sampling plan."""
+    """Run one named suite with the given sampling plan.
+
+    Both sides of each check are evaluated in integers; the ``Fraction``s
+    of a violation's witness and sides are built only when it fails.
+    """
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
     out = []
-    for check, witness in _SUITES[name](spec):
-        evaluate, holds = _CHECKS[check]
-        lhs, rhs = evaluate(dict(witness))
+    for check, values in _SUITES[name](spec):
+        evaluate, holds, names = _CHECKS[check]
+        lhs, rhs = evaluate(*values)
         if not holds(lhs, rhs):
-            out.append(Violation(check, witness, lhs, rhs))
+            witness = tuple((n, Fraction(*value)) for n, value in zip(names, values))
+            out.append(Violation(check, witness, Fraction(*lhs), Fraction(*rhs)))
     return out
 
 
@@ -441,16 +506,6 @@ class ReportEntry:
     bound: Fraction
     attained: bool
 
-    def to_json(self) -> dict:
-        return {
-            "x": format_rational(self.x),
-            "A": format_rational(self.height),
-            "lambda": format_rational(self.level),
-            "maxV": format_rational(self.max_v),
-            "B": format_rational(self.bound),
-            "attained": self.attained,
-        }
-
 
 @dataclass(frozen=True)
 class BruteForceReport:
@@ -466,16 +521,36 @@ class BruteForceReport:
             "exhaustive": self.exhaustive,
             "configs_scanned": self.configs_scanned,
             "domination": self.domination,
-            "entries": [e.to_json() for e in self.entries],
+            "entries": [
+                {"x": x, "A": a, "lambda": level, "maxV": max_v, "B": bound, "attained": e.attained}
+                for e, (x, a, level, max_v, bound) in zip(self.entries, self._texts())
+            ],
         }
 
     def to_csv_rows(self) -> list[list[str]]:
         """The JSON entries as rows under their keys, with ``attained`` as 1 or 0."""
         rows = [["x", "A", "lambda", "maxV", "B", "attained"]]
-        for e in self.entries:
-            *fields, _ = e.to_json().values()
-            rows.append([*fields, "1" if e.attained else "0"])
+        for e, texts in zip(self.entries, self._texts()):
+            rows.append([*texts, "1" if e.attained else "0"])
         return rows
+
+    def _texts(self) -> Iterator[tuple[str, str, str, str, str]]:
+        """Each entry's x, A, level, maxV and bound as text, each value formatted once.
+
+        The entries of an exhaustive report share a few grid values as
+        objects, so the text is looked up by the value's identity: every
+        value is held by the report while it is in use.
+        """
+        known: dict[int, str] = {}
+
+        def text(value: Fraction) -> str:
+            found = known.get(id(value))
+            if found is None:
+                found = known[id(value)] = format_rational(value)
+            return found
+
+        for e in self.entries:
+            yield text(e.x), text(e.height), text(e.level), text(e.max_v), text(e.bound)
 
 
 # An E entry of a level no configuration takes; sums with it stay negative.

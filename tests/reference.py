@@ -4,7 +4,8 @@ Each one computes what a fast path of the package computes, by a more
 direct route: the a=2 profile by node interpolation at small levels, the
 level curves' indices by scanning their segments and the strips by
 scanning the curves, the bound, its region tags and the profiles in
-``Fraction`` arithmetic, the operator on the uniform cells of one depth,
+``Fraction`` arithmetic, the verify suites' samplers, evaluators and
+relations in ``Fraction`` arithmetic, the operator on the uniform cells of one depth,
 a set's measure and a sequence's height as sums of ``Fraction``s, the
 Carleson constant by scanning every base interval, the brute-force
 table by simulating every configuration one by one, the Bellman
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -25,17 +27,26 @@ from sparsebound.candidate import (
     RegionKind,
     RegionTag,
     origin_parameter,
+    recip_slope_forms,
     vertex_f,
     vertex_g,
 )
-from sparsebound.dyadic import CarlesonSequence, Config, DyadicSet
+from sparsebound.dyadic import CarlesonSequence, Config, DyadicSet, concat_identity
 from sparsebound.geometry import PiecewiseLinearFn, lerp
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
+    _DENOMINATOR_BOUND as DENOMINATOR_BOUND,
     _MISSING,
+    DEFAULT_CONCAVITY_GRID,
+    SLOPES_MAX_INDEX,
+    SLOPES_X_MIN,
     BruteForceReport,
+    SampleSpec,
+    Violation,
+    _dynamics_instance,
     _report,
     _scan,
+    default_level_grid,
     intervals_to_depth,
     iter_binary_carleson,
 )
@@ -266,6 +277,223 @@ def bellman_value_fraction(x: Fraction, a: Fraction, level: Fraction) -> Fractio
         return Fraction(0)
     scaled = min(2 * x / a, Fraction(1))
     return a / 2 * strip_value_fraction(Family.F, scaled, level, tag.strip, tag.plateau)
+
+
+def segment_slope_fraction(strip: int, level: Fraction) -> Fraction:
+    """``segment_slope`` from the two curves' crossings of the level."""
+    run = curve_x_fraction(Family.F, strip - 1, level) - curve_x_fraction(Family.F, strip, level)
+    return 1 / (2**strip * run)
+
+
+# The verify suites in Fraction arithmetic: the samplers draw each witness
+# as a Fraction, the evaluators compute both sides from the Fraction forms
+# above, and the relations compare Fractions.  These are the forms the
+# package's integer harness replaced, kept as its oracle; the bound and the
+# profiles are looked up at call time, so a test can replace them.
+
+
+def sample_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    q = rng.randint(1, DENOMINATOR_BOUND)
+    return Fraction(rng.randint(math.ceil(lo * q), math.floor(hi * q)), q)
+
+
+def _witness(**values: Fraction | int) -> tuple[tuple[str, Fraction], ...]:
+    return tuple((k, Fraction(v)) for k, v in values.items())
+
+
+@lru_cache(maxsize=1)
+def _profile_slopes_fraction(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
+    return profile_vertices_scan(level, x_min).slopes()
+
+
+@lru_cache(maxsize=1)
+def _form_pair_fraction(window: int, m: int) -> tuple[dict, dict]:
+    return recip_slope_forms(window, m), recip_slope_forms(window, m + 1)
+
+
+def _form_value(form: tuple[Fraction, Fraction], level: Fraction) -> Fraction:
+    c0, c1 = form
+    return c0 + c1 * level
+
+
+def _eval_obstacle(w: dict) -> tuple[Fraction, Fraction]:
+    return bellman_value_fraction(w["x"], w["A"], w["lambda"]), Fraction(1)
+
+
+def _eval_concavity(w: dict) -> tuple[Fraction, Fraction]:
+    mid_x = (w["x1"] + w["x2"]) / 2
+    mid_a = (w["A1"] + w["A2"]) / 2
+    lhs = bellman_value_fraction(mid_x, mid_a, w["lambda"])
+    rhs = (
+        bellman_value_fraction(w["x1"], w["A1"], w["lambda"])
+        + bellman_value_fraction(w["x2"], w["A2"], w["lambda"])
+    ) / 2
+    return lhs, rhs
+
+
+def _eval_jump(w: dict) -> tuple[Fraction, Fraction]:
+    lhs = bellman_value_fraction(w["x"], w["A"] + 1, w["lambda"] + w["x"])
+    return lhs, bellman_value_fraction(w["x"], w["A"], w["lambda"])
+
+
+def _eval_fjg(w: dict) -> tuple[Fraction, Fraction]:
+    return f_value_fraction(w["x"], w["lambda"] + w["x"]), g_value_fraction(w["x"], w["lambda"])
+
+
+def _eval_gconsist(w: dict) -> tuple[Fraction, Fraction]:
+    lhs = g_value_fraction(w["x"], w["lambda"])
+    if w["lambda"] > 1:
+        rhs = f_value_fraction(min(2 * w["x"], Fraction(1)), w["lambda"]) / 2
+    else:
+        rhs = bellman_value_fraction(w["x"], Fraction(1), w["lambda"])
+    return lhs, rhs
+
+
+def _eval_slopes_monotone(w: dict) -> tuple[Fraction, Fraction]:
+    slopes = _profile_slopes_fraction(w["lambda"], w["x_min"])
+    i = int(w["i"])
+    return slopes[i], slopes[i + 1]
+
+
+def _eval_slopes_mid_vs_low(w: dict) -> tuple[Fraction, Fraction]:
+    forms, forms_next = _form_pair_fraction(int(w["window"]), int(w["m"]))
+    level = w["lambda"]
+    return _form_value(forms["mid"][0], level), _form_value(forms_next["low"][0], level)
+
+
+def _eval_slopes_high_vs_mid(w: dict) -> tuple[Fraction, Fraction]:
+    forms, forms_next = _form_pair_fraction(int(w["window"]), int(w["m"]))
+    level = w["lambda"]
+    return _form_value(forms["high"][0], level), _form_value(forms_next["mid"][0], level)
+
+
+def _eval_slopes_form(w: dict) -> tuple[Fraction, Fraction]:
+    window, m = int(w["window"]), int(w["m"])
+    form = _form_pair_fraction(window, m)[0][FORM_NAMES[int(w["form"])]][0]
+    return 1 / _form_value(form, w["lambda"]), segment_slope_fraction(m + 1, w["lambda"])
+
+
+def _eval_dynamics(w: dict) -> tuple[Fraction, Fraction]:
+    return concat_identity(*_dynamics_instance(int(w["seed"]), int(w["index"])))
+
+
+def _both_positive_and_ge(lhs: Fraction, rhs: Fraction) -> bool:
+    return lhs > 0 and rhs > 0 and lhs >= rhs
+
+
+FORM_NAMES = {0: "low", 1: "mid", 2: "high"}
+
+# Check name -> (Fraction evaluator of a witness dict, relation).
+CHECKS_FRACTION = {
+    "obstacle": (_eval_obstacle, operator.eq),
+    "concavity": (_eval_concavity, operator.ge),
+    "jump": (_eval_jump, operator.ge),
+    "fjg": (_eval_fjg, operator.ge),
+    "gconsist": (_eval_gconsist, operator.eq),
+    "slopes:monotone": (_eval_slopes_monotone, operator.ge),
+    "slopes:mid-vs-low": (_eval_slopes_mid_vs_low, _both_positive_and_ge),
+    "slopes:high-vs-mid": (_eval_slopes_high_vs_mid, _both_positive_and_ge),
+    "slopes:form": (_eval_slopes_form, operator.eq),
+    "dynamics": (_eval_dynamics, operator.eq),
+}
+
+
+def _sample_obstacle(spec: SampleSpec):
+    rng = random.Random(spec.seed)
+    for _ in range(spec.count):
+        x = sample_fraction(rng, Fraction(0), Fraction(1))
+        a = sample_fraction(rng, Fraction(0), Fraction(2))
+        level = sample_fraction(rng, Fraction(-5), Fraction(0))
+        yield "obstacle", _witness(x=x, A=a, **{"lambda": level})
+
+
+def _sample_concavity(spec: SampleSpec):
+    for level in spec.lambda_grid or DEFAULT_CONCAVITY_GRID:
+        rng = random.Random(f"{spec.seed}:{level}")
+        for _ in range(spec.count):
+            x1 = sample_fraction(rng, Fraction(0), Fraction(1))
+            a1 = sample_fraction(rng, Fraction(0), Fraction(2))
+            x2 = sample_fraction(rng, Fraction(0), Fraction(1))
+            a2 = sample_fraction(rng, Fraction(0), Fraction(2))
+            yield "concavity", _witness(x1=x1, A1=a1, x2=x2, A2=a2, **{"lambda": level})
+
+
+def _sample_jump(spec: SampleSpec):
+    rng = random.Random(spec.seed)
+    for _ in range(spec.count):
+        x = sample_fraction(rng, Fraction(0), Fraction(1))
+        a = sample_fraction(rng, Fraction(0), Fraction(1))
+        level = sample_fraction(rng, Fraction(-1), Fraction(5))
+        yield "jump", _witness(x=x, A=a, **{"lambda": level})
+
+
+def _sample_fjg(spec: SampleSpec):
+    rng = random.Random(spec.seed)
+    for _ in range(spec.count):
+        x = sample_fraction(rng, Fraction(0), Fraction(1))
+        level = sample_fraction(rng, Fraction(1, DENOMINATOR_BOUND), Fraction(6))
+        yield "fjg", _witness(x=x, **{"lambda": level})
+
+
+def _sample_gconsist(spec: SampleSpec):
+    rng = random.Random(spec.seed)
+    for i in range(spec.count):
+        x = sample_fraction(rng, Fraction(0), Fraction(1))
+        if i % 2 == 0:
+            level = sample_fraction(rng, Fraction(1, DENOMINATOR_BOUND), Fraction(1))
+        else:
+            level = sample_fraction(rng, Fraction(1), Fraction(6))
+            if level == 1:
+                level = Fraction(3, 2)
+        yield "gconsist", _witness(x=x, **{"lambda": level})
+
+
+def _sample_slopes(spec: SampleSpec):
+    for level in spec.lambda_grid or default_level_grid():
+        for i in range(len(_profile_slopes_fraction(level, SLOPES_X_MIN)) - 1):
+            yield "slopes:monotone", _witness(i=i, x_min=SLOPES_X_MIN, **{"lambda": level})
+    for window in range(2, SLOPES_MAX_INDEX + 1):
+        for m in range(max(1, window - 1), SLOPES_MAX_INDEX + 1):
+            forms, forms_next = _form_pair_fraction(window, m)
+            for fi, name in FORM_NAMES.items():
+                lo, hi = forms[name][1]
+                probe = (lo + hi) / 2
+                yield "slopes:form", _witness(window=window, m=m, form=fi, **{"lambda": probe})
+            pairs = (
+                ("slopes:mid-vs-low", forms["mid"][1]),
+                ("slopes:high-vs-mid", forms_next["mid"][1]),
+            )
+            for name, levels in pairs:
+                for level in levels:
+                    yield name, _witness(window=window, m=m, **{"lambda": level})
+
+
+def _sample_dynamics(spec: SampleSpec):
+    for index in range(spec.count):
+        _, _, gamma, level = _dynamics_instance(spec.seed, index)
+        yield "dynamics", _witness(seed=spec.seed, index=index, gamma=gamma, **{"lambda": level})
+
+
+SUITES_FRACTION = {
+    "obstacle": _sample_obstacle,
+    "concavity": _sample_concavity,
+    "jump": _sample_jump,
+    "fjg": _sample_fjg,
+    "slopes": _sample_slopes,
+    "gconsist": _sample_gconsist,
+    "dynamics": _sample_dynamics,
+}
+
+
+def run_suite_fraction(name: str, spec: SampleSpec) -> list[Violation]:
+    """``run_suite`` with Fraction witnesses, evaluators and relations."""
+    out = []
+    for check, witness in SUITES_FRACTION[name](spec):
+        evaluate, holds = CHECKS_FRACTION[check]
+        lhs, rhs = evaluate(dict(witness))
+        if not holds(lhs, rhs):
+            out.append(Violation(check, witness, lhs, rhs))
+    return out
 
 
 class StepFunction(NamedTuple):

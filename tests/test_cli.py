@@ -111,6 +111,17 @@ def test_brute_csv_output(tmp_path, capsys):
     assert lines[0] == "x,A,lambda,maxV,B,attained"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["brute", "2"], ["brute", "2", "--format", "csv"], ["curves", "3", "--format", "json"]],
+)
+def test_output_file_gets_the_stdout_bytes(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    code, out = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--output", str(target)) == (code, "")
+    assert out.endswith("\n") and target.read_bytes() == out.encode()
+
+
 def test_brute_depth_cap_is_mode_error(capsys):
     code = main(["brute", "12"])
     captured = capsys.readouterr()

@@ -174,9 +174,15 @@ def clear_memos():
 
 
 def inject_faults(monkeypatch):
-    """Break every function the verify suites evaluate."""
+    """Break every function the verify suites evaluate.
+
+    The suites call the integer entries of ``candidate`` on (numerator,
+    denominator) pairs; each entry gets the integer form of the fake its
+    public wrapper gets.
+    """
     clear_memos()
     slopes, forms = candidate.profile_slopes, candidate.recip_slope_forms
+    int_slopes = candidate._profile_slopes
     concat = dyadic.concat_configs
 
     def negated_forms(window, m):
@@ -193,6 +199,17 @@ def inject_faults(monkeypatch):
     _replace(monkeypatch, candidate.segment_slope, lambda strip, level: F(0))
     _replace(monkeypatch, forms, negated_forms)
     _replace(monkeypatch, concat, lambda c1, c2, gamma: concat(c1, c2, 1 - gamma))
+
+    def int_square_minus_height(x, a, level):  # x * x - a
+        (xn, xd), (an, ad) = x, a
+        return xn * xn * ad - an * xd * xd, xd * xd * ad
+
+    _replace(monkeypatch, candidate._bound, int_square_minus_height)
+    _replace(monkeypatch, candidate._f_value, lambda x, level: (-1, 1))
+    _replace(monkeypatch, candidate._g_value, lambda x, level: (0, 1))
+    _replace(monkeypatch, candidate._f_extended, lambda x, level: (1, 1))
+    _replace(monkeypatch, int_slopes, lambda level, x_min: int_slopes(level, x_min)[::-1])
+    _replace(monkeypatch, candidate._segment_slope, lambda strip, level: (0, 1))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

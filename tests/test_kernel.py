@@ -7,7 +7,8 @@ closed forms in ``Fraction`` arithmetic, with ``lerp`` for the
 interpolation.  Points are drawn on the region edges on purpose: x = level,
 4x = level * a, 2x = level * (3 - a), x = 0, a = 0, the curve vertices and
 the points where a curve crosses the level, at levels up to 10**6 and x
-down to 2**-64.
+down to 2**-64.  The kernel's own entries are also fed numerators and
+denominators that share a factor, as the verify suites feed them.
 """
 
 from fractions import Fraction as F
@@ -27,6 +28,10 @@ from reference import (
 from sparsebound.candidate import (
     Family,
     RegionKind,
+    _bound,
+    _f_extended,
+    _f_value,
+    _g_value,
     bellman_value,
     classify_region,
     curve_x,
@@ -157,6 +162,39 @@ def test_profiles_match_fraction_form(point):
     result = value(x, level)
     assert type(result) is F
     assert result == oracle(x, level)
+
+
+def unreduced(value, k):
+    """``value`` as a (numerator, denominator) pair with both multiplied by k."""
+    return value.numerator * k, value.denominator * k
+
+
+factors = st.integers(1, 7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(point=bound_points(), ks=st.tuples(factors, factors, factors))
+def test_bound_entry_on_unreduced_inputs(point, ks):
+    # The kernel's denominators need not be in lowest terms: the verify
+    # suites feed it sums and midpoints as they come.
+    x, a, level = point
+    pairs = [unreduced(value, k) for value, k in zip(point, ks)]
+    assert F(*_bound(*pairs)) == bellman_value_fraction(x, a, level)
+
+
+@settings(max_examples=400, deadline=None)
+@given(point=profile_points(), ks=st.tuples(factors, factors))
+def test_profile_entries_on_unreduced_inputs(point, ks):
+    family, x, level = point
+    if family is Family.F:
+        entry, oracle = _f_value, f_value_fraction
+    else:
+        entry, oracle = _g_value, g_value_fraction
+    x_pair, level_pair = unreduced(x, ks[0]), unreduced(level, ks[1])
+    assert F(*entry(x_pair, level_pair)) == oracle(x, level)
+    # f beyond x = 1 by its boundary value, at 2x in [0, 2].
+    doubled = (2 * x_pair[0], x_pair[1])
+    assert F(*_f_extended(doubled, level_pair)) == f_value_fraction(min(2 * x, F(1)), level)
 
 
 @st.composite

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import (
+    CHECKS_FRACTION,
     brute_from_tables,
     brute_reference,
     carleson_constant_scan,
     mask_to_sequence,
+    run_suite_fraction,
     sup_tables_ordered,
 )
 from sparsebound import verify
@@ -18,10 +21,11 @@ from sparsebound.candidate import bellman_value, vertex_f
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
     EXHAUSTIVE_DEPTH_CAP,
+    SUITE_NAMES,
     ExhaustiveModeError,
     SampleSpec,
     Violation,
-    _sample_fraction,
+    _sample_rational,
     _sup_tables,
     brute_force_sup,
     default_level_grid,
@@ -42,14 +46,16 @@ README_LAMBDAS = [F(1, 2), F(1), F(3, 2), F(2)]
     st.integers(0, 2**32),
 )
 def test_sample_fraction_draws_as_fraction_bounds(lo, width, seed):
-    # The integer bounds draw the same stream as ceil(lo * q) and floor(hi * q).
+    # The integer bounds, given as pairs and not reduced, draw the same
+    # stream as ceil(lo * q) and floor(hi * q).
     hi = lo + width
     got, want = random.Random(seed), random.Random(seed)
-    for _ in range(20):
-        sample = _sample_fraction(got, lo, hi)
+    for k in range(1, 21):
+        unreduced_lo = (lo.numerator * k, lo.denominator * k)
+        sample = _sample_rational(got, unreduced_lo, (hi.numerator, hi.denominator))
         q = want.randint(1, 32)
-        assert sample == F(want.randint(math.ceil(lo * q), math.floor(hi * q)), q)
-        assert lo <= sample <= hi
+        assert sample == (want.randint(math.ceil(lo * q), math.floor(hi * q)), q)
+        assert lo <= F(*sample) <= hi
 
 
 def test_obstacle_clean():
@@ -89,8 +95,8 @@ def test_run_suite_dispatch():
 
 
 def test_violations_replay_exactly():
-    # Build violations by hand through each check's witness evaluator and
-    # confirm that replay reproduces both sides bit for bit.
+    # Build violations by hand through each check's Fraction evaluator, the
+    # oracle, and confirm that replay reproduces both sides bit for bit.
     cases = [
         ("obstacle", {"x": F(1, 3), "A": F(1, 2), "lambda": F(-2)}),
         ("concavity", {"x1": F(1, 4), "A1": F(1), "x2": F(3, 4), "A2": F(1, 2), "lambda": F(2)}),
@@ -103,15 +109,70 @@ def test_violations_replay_exactly():
         ("slopes:form", {"window": F(2), "m": F(1), "form": F(1), "lambda": F(21, 8)}),
         ("dynamics", {"seed": F(7), "index": F(3), "gamma": F(0), "lambda": F(1)}),
     ]
-    from sparsebound.verify import _CHECKS
-
     for name, witness in cases:
-        lhs, rhs = _CHECKS[name][0](witness)
+        lhs, rhs = CHECKS_FRACTION[name][0](witness)
         violation = Violation(name, tuple(witness.items()), lhs, rhs)
-        assert replay(violation) == (lhs, rhs)
+        replayed = replay(violation)
+        assert replayed == (lhs, rhs)
+        assert all(type(side) is F for side in replayed)
         payload = violation.to_json()
         assert payload["check"] == name
         assert set(payload["witness"]) == set(witness)
+
+
+# Seeds and counts, and a user grid with levels off the default grids, on
+# the level 1 where the bound's regime changes, and far above them.
+DIFFERENTIAL_SPECS = [
+    SampleSpec(seed=0, count=1),
+    SampleSpec(seed=7, count=60),
+    SampleSpec(seed=123456789, count=25),
+    SampleSpec(seed=5, count=20, lambda_grid=(F(1, 3), F(1), F(2), F(7, 3), F(11), F(39, 4))),
+]
+
+
+def _violations_matching_oracle(spec):
+    """Every suite's violations, checked against the oracle's and replayed."""
+    found = {}
+    for name in SUITE_NAMES:
+        got = found[name] = run_suite(name, spec)
+        assert got == run_suite_fraction(name, spec), name
+        for v in got:
+            assert all(type(value) is F for _, value in v.witness)
+            assert type(v.lhs) is F and type(v.rhs) is F
+            assert replay(v) == (v.lhs, v.rhs)
+    return found
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_suites_match_fraction_oracle(spec):
+    assert not any(_violations_matching_oracle(spec).values())
+
+
+def test_concavity_grid_at_nonpositive_levels_matches_oracle():
+    # Levels at and below zero are obstacle points of the bound.
+    spec = SampleSpec(seed=2, count=30, lambda_grid=(F(0), F(-3, 2)))
+    assert run_suite("concavity", spec) == run_suite_fraction("concavity", spec) == []
+
+
+def test_slopes_refuse_a_nonpositive_grid_level():
+    with pytest.raises(DomainError):
+        run_suite("slopes", SampleSpec(seed=1, count=1, lambda_grid=(F(1), F(0))))
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_suites_match_fraction_oracle_under_nonconcave_bound(monkeypatch, spec):
+    # x * x - a, in integers on the integer side and in Fractions on the
+    # oracle's: the bound's suites report violations, which must agree in
+    # check, witness order and values, and both sides.
+    def square_minus_height(x, a, level):
+        (xn, xd), (an, ad) = x, a
+        return xn * xn * ad - an * xd * xd, xd * xd * ad
+
+    monkeypatch.setattr(verify, "_bound", square_minus_height)
+    monkeypatch.setattr(reference, "bellman_value_fraction", lambda x, a, level: x * x - a)
+    found = _violations_matching_oracle(spec)
+    if spec.count > 1:
+        assert all(found[name] for name in ("obstacle", "concavity", "jump", "gconsist"))
 
 
 def test_jump_example_holds_with_equality():
@@ -285,6 +346,7 @@ def test_inputs_checked_at_the_boundary():
         lambda: SampleSpec(0, 0),
         lambda: SampleSpec(0, -5),
         lambda: SampleSpec(0, True),
+        lambda: replay(Violation("jump", (("x", 0.5), ("A", F(1)), ("lambda", F(2))), F(0), F(0))),
     ]
     for call in refused:
         with pytest.raises(DomainError):
