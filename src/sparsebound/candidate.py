@@ -40,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import PiecewiseLinearFn, PlanePoint
+from .geometry import PlanePoint
 from .rational import DomainError, _exact, _index
 
 __all__ = [
@@ -517,14 +517,14 @@ def _check_profile_window(level: Fraction, x_min: Fraction) -> tuple[Pair, Pair]
     return _pair(level), _pair(x_min)
 
 
-def profile_vertices(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn:
-    """Vertex list of ``f_value(., level)`` restricted to [x_min, 1].
+def profile_vertices(level: Fraction, x_min: Fraction) -> tuple[PlanePoint, ...]:
+    """Vertices of ``f_value(., level)`` restricted to [x_min, 1], left to right.
 
     The full vertex set accumulates at x = 0, hence the positive left
     cutoff; the leftmost vertex is (x_min, f(x_min)).
     """
     vertices = _profile_vertices(*_check_profile_window(level, x_min))
-    return PiecewiseLinearFn(tuple((Fraction(*x), Fraction(*y)) for x, y in vertices))
+    return tuple(PlanePoint(Fraction(*x), Fraction(*y)) for x, y in vertices)
 
 
 def profile_slopes(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:

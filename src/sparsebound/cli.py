@@ -43,6 +43,7 @@ from .extremal import (
 from .rational import DomainError, format_rational, parse_rational
 from .verify import (
     EXHAUSTIVE_DEPTH_CAP,
+    SAMPLED_DEPTH_CAP,
     ExhaustiveModeError,
     SampleSpec,
     SUITE_NAMES,
@@ -67,7 +68,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(?:/\d+)?$|^-\d*\.\d+$", re.ASCII
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,7 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_brute = sub.add_parser(
         "brute",
         help="enumerate configurations at one depth",
-        description=f"Exhaustive up to depth {EXHAUSTIVE_DEPTH_CAP}; deeper runs need --sample.",
+        description=(
+            f"Exhaustive up to depth {EXHAUSTIVE_DEPTH_CAP}; deeper runs need --sample. "
+            f"Sampled mode is capped at depth {SAMPLED_DEPTH_CAP}."
+        ),
     )
     p_brute.add_argument("depth", type=int)
     p_brute.add_argument("--sample", type=int, default=None)

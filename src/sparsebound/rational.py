@@ -2,7 +2,8 @@
 
 Every coordinate, weight, measure and function value in this package is a
 ``fractions.Fraction``.  The serialization convention is ``"p/q"`` in lowest
-terms, with ``"p"`` alone for integers; no floating point appears anywhere.
+terms and ASCII digits, with ``"p"`` alone for integers; no floating point
+appears anywhere.
 ``_exact`` and ``_index`` are the one boundary check of the public entry
 points: they refuse floats and bools with ``DomainError``.
 """
@@ -43,7 +44,9 @@ def _index(value: int, name: str) -> int:
     raise DomainError(f"{name} must be an int, got {value!r}")
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+# ASCII digits only: without re.ASCII, \d also matches other scripts' digits,
+# which int() would read.
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
 # Python limits int <-> decimal string conversions to a settable number of
 # digits, which may not be set below this threshold; longer numbers are

@@ -16,7 +16,9 @@ certifies, over every binary weight sequence with Carleson constant at most
 2 against every set resolved at a small depth, that no level-set measure
 ever exceeds ``bellman_value``, and records where equality is attained.  It
 runs the paper's Bellman recursion over the dyadic tree instead of
-enumerating the configurations.
+enumerating the configurations.  It keeps only ``E`` (see ``_sup_tables``),
+whose suffix maximum is ``V``.  A sampled run fills the same table, and
+one reader turns either into the report.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from __future__ import annotations
 import math
 import operator
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .candidate import (
@@ -47,7 +51,6 @@ from .dyadic import (
     Config,
     DyadicInterval,
     DyadicSet,
-    _cells_reaching,
     _value_cells,
     carleson_constant,
     concat_identity,
@@ -66,6 +69,7 @@ __all__ = [
     "run_suite",
     "ExhaustiveModeError",
     "EXHAUSTIVE_DEPTH_CAP",
+    "SAMPLED_DEPTH_CAP",
     "intervals_to_depth",
     "iter_binary_carleson",
     "brute_force_sup",
@@ -467,8 +471,9 @@ def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
 
 # Brute force over all small-depth configurations.
 
-# An exhaustive ``brute 4`` takes about 0.5 s end to end, 0.2 s of it in
-# the tables.  Depth 5 would take about 9 s and 200 MB for 17 MB of JSON.
+# An exhaustive ``brute 4`` takes about 0.5 s end to end, 0.15 s of it in
+# the tables.  At depth 5 the tables take about 4 s and 72 MB, for 17 MB
+# of JSON.
 EXHAUSTIVE_DEPTH_CAP = 4
 SAMPLED_DEPTH_CAP = 8
 
@@ -553,12 +558,15 @@ class BruteForceReport:
             yield text(e.x), text(e.height), text(e.level), text(e.max_v), text(e.bound)
 
 
+# (measure, height) -> E, all scaled by 2**depth; see ``_sup_tables``.
+Table = dict[tuple[int, int], Sequence[int]]
+
 # An E entry of a level no configuration takes; sums with it stay negative.
 _MISSING = -(1 << 62)
 
 
 # Candidates held per key before they are reduced, which bounds the memory
-# of the pair loop (a depth 5 run holds about 7 million candidates).
+# of the pair loop.
 _PENDING_CAP = 256
 
 
@@ -566,74 +574,124 @@ def _elementwise_max(lists: list) -> list[int]:
     return list(map(max, *lists)) if len(lists) > 1 else list(lists[0])
 
 
-def _reduce(groups: dict[tuple[int, int], tuple[list, list]]) -> dict:
-    """Each key's candidate ``V`` and ``E`` lists, reduced by one elementwise max."""
-    return {key: (_elementwise_max(vs), _elementwise_max(hits)) for key, (vs, hits) in groups.items()}
+def _suffix_max(hit: Sequence[int]) -> list[int]:
+    """``V`` from ``E``: ``V[t]`` is the largest of 0 and every ``E[u]`` with u >= t.
+
+    A configuration that reaches t has a smallest value u >= t, and its
+    cells at or above t are exactly its cells at or above u.
+    """
+    return list(accumulate(reversed(hit), max, initial=0))[:0:-1]
 
 
-def _sup_tables(depth: int) -> tuple[dict[tuple[int, int], tuple[list[int], list[int]]], int]:
-    """The ``V`` and ``E`` tables per (measure, height) at one depth, and the sequence count.
+def _sup_tables(depth: int) -> tuple[Table, int]:
+    """The ``E`` table per (measure, height) at one depth, and the sequence count.
 
-    Everything at depth e is scaled by 2**e.  A configuration is a root
-    weight gamma in {0, 1} and two depth e - 1 configurations on the halves:
-    its set has ``xc = xc1 + xc2`` cells, its height is
-    ``hs = gamma * 2**e + hs1 + hs2 <= 2**(e + 1)``, and a cell's value is
-    ``gamma * xc`` plus twice its value in its half.  So the level ``t``
-    asks the halves for ``ceil((t - gamma * xc) / 2)``, whose maxima add,
-    and ``E`` hits ``t`` exactly when one half hits ``(t - gamma * xc) / 2``.
-    Swapping the halves keeps (xc, hs) and every level set, so the halves
-    run over unordered pairs: ``V`` adds once per pair, and ``E`` takes the
-    larger of its two orientations, a hit in the left half (``E1 + V2``) or
-    in the right one (``E2 + V1``).
+    Everything at depth e is scaled by 2**e.  ``tables[xc, hs]`` lists the
+    levels 0 .. (depth + 1) * 2**depth: ``E[t]`` is the most cells of value
+    >= t among the configurations with a cell of value exactly t (negative
+    if none).  The most cells of value >= t among all of them, ``V[t]``, is
+    ``_suffix_max(E)[t]``, so only ``E`` is kept.
 
-    ``tables[xc, hs] = (V, E)`` lists the levels 0 .. (depth + 1) * 2**depth:
-    ``V[t]`` is the most cells of value >= t, and ``E[t]`` the most among
-    configurations with a cell of value exactly t (negative if none).
+    A configuration is a root weight gamma in {0, 1} and two depth e - 1
+    configurations on the halves: its set has ``xc = xc1 + xc2`` cells, its
+    height is ``hs = gamma * 2**e + hs1 + hs2 <= 2**(e + 1)``, and a cell's
+    value is ``gamma * xc`` plus twice its value in its half.  So it has a
+    cell of value t exactly when one half has a cell of value
+    ``(t - gamma * xc) / 2``, and its cells reaching t are the cells of
+    both halves reaching that level.  Swapping the halves keeps (xc, hs)
+    and every level set, so the halves run over unordered pairs, and ``E``
+    takes the larger of the two orientations, a hit in the left half
+    (``E1 + V2``) or in the right one (``E2 + V1``).  Each half's ``V`` is
+    derived once per key and depth, before the pairs.
     """
     # Depth 0: one cell with weight gamma, of value gamma * xc.
     tables = {
-        (xc, gamma): ([1, xc * gamma], [_MISSING, 1] if xc * gamma else [1, _MISSING])
+        (xc, gamma): [_MISSING, 1] if xc * gamma else [1, _MISSING]
         for xc in (0, 1)
         for gamma in (0, 1)
     }
     counts = {0: 1, 1: 1}  # binary Carleson sequences by scaled height
     for e in range(1, depth + 1):
         # The candidates are lazy sums, all reduced at once per key.
-        groups: dict[tuple[int, int], tuple[list, list]] = {}
-        items = list(tables.items())
-        for i, ((x1, h1), (v1, e1)) in enumerate(items):
-            for (x2, h2), (v2, e2) in items[i:]:
-                vs, hits = groups.setdefault((x1 + x2, h1 + h2), ([], []))
-                vs.append(map(operator.add, v1, v2))
+        groups: dict[tuple[int, int], list] = {}
+        items = [(key, hit, _suffix_max(hit)) for key, hit in tables.items()]
+        for i, ((x1, h1), e1, v1) in enumerate(items):
+            for (x2, h2), e2, v2 in items[i:]:
+                hits = groups.setdefault((x1 + x2, h1 + h2), [])
                 hits.append(map(operator.add, e1, v2))
                 hits.append(map(operator.add, e2, v1))
                 if len(hits) >= _PENDING_CAP:
-                    vs[:], hits[:] = [_elementwise_max(vs)], [_elementwise_max(hits)]
+                    hits[:] = [_elementwise_max(hits)]
         pair_counts: dict[int, int] = {}
         for h1, n1 in counts.items():
             for h2, n2 in counts.items():
                 pair_counts[h1 + h2] = pair_counts.get(h1 + h2, 0) + n1 * n2
         cells = 1 << e
-        pairs, groups = _reduce(groups), {}
-        for (xc, hs), (v, hit) in pairs.items():
-            # The halves' tables at the doubled levels u = 2 * t1
-            # (V[u] = V[ceil(u / 2)], and no odd u is hit), padded by one
-            # root weight's worth of levels.
-            size = 2 * len(v) - 1
-            doubled_v, doubled_hit = [0] * (size + cells), [_MISSING] * (size + cells)
-            doubled_v[0:size:2], doubled_v[1:size:2] = v, v[1:]
-            doubled_hit[0:size:2] = hit
+        pairs = {key: _elementwise_max(hits) for key, hits in groups.items()}
+        groups = {}
+        for (xc, hs), hit in pairs.items():
+            # The pair's hits at the doubled levels 2 * t1 (no odd level is
+            # hit), padded by one root weight's worth of levels.
+            size = 2 * len(hit) - 1
+            doubled = [_MISSING] * (size + cells)
+            doubled[0:size:2] = hit
             for gamma in (0, 1):
                 height, shift = (gamma << e) + hs, gamma * xc
                 if height <= 2 * cells:
-                    vs, hits = groups.setdefault((xc, height), ([], []))
-                    vs.append([cells] * shift + doubled_v[: len(doubled_v) - shift])
-                    hits.append([_MISSING] * shift + doubled_hit[: len(doubled_hit) - shift])
-        tables = _reduce(groups)
+                    shifted = [_MISSING] * shift + doubled[: len(doubled) - shift]
+                    groups.setdefault((xc, height), []).append(shifted)
+        tables = {key: _elementwise_max(hits) for key, hits in groups.items()}
         counts = {
             h: pair_counts.get(h, 0) + pair_counts.get(h - cells, 0) for h in range(2 * cells + 1)
         }
     return tables, sum(counts.values())
+
+
+def _sampled_configs(depth: int, sample: int, seed: int) -> Iterator[Config]:
+    """The configurations of a sampled run, drawn from ``random.Random(seed)``.
+
+    Each of the ``sample`` draws tries up to 100 random sets of unit weights
+    on intervals of depth <= depth for one with Carleson constant at most
+    2, then draws the set's cells at that depth; a draw whose tries all
+    fail yields nothing.
+    """
+    rng = random.Random(seed)
+    ivs = intervals_to_depth(depth)
+    for _ in range(sample):
+        for _attempt in range(100):
+            k = rng.randint(0, 2 * (depth + 1))
+            chosen = rng.sample(ivs, min(k, len(ivs)))
+            seq = CarlesonSequence.from_mapping({iv: ONE for iv in chosen})
+            if carleson_constant(seq) <= 2:
+                yield Config(DyadicSet.from_cells(depth, rng.getrandbits(1 << depth)), seq)
+                break
+
+
+def _sampled_tables(depth: int, sample: int, seed: int) -> tuple[Table, int]:
+    """``_sup_tables``' table over the sampled configurations, and their number.
+
+    Each key's list stops at the highest value taken.  Few levels are
+    taken (one in 60 at depth 8), so a list is an array of 16-bit counts
+    (at most 2**SAMPLED_DEPTH_CAP), -1 where no level is taken.
+    """
+    cells = 1 << depth
+    tables: Table = {}
+    scanned = 0
+    for config in _sampled_configs(depth, sample, seed):
+        values, scale, weight_depth = _value_cells(config.subset, config.seq)
+        key = int(config.measure * cells), int(config.height * cells)
+        hit = tables.setdefault(key, array("h"))
+        # Values (scaled by 2**fine, fine <= depth) and counts (in cells of
+        # size 2**-weight_depth) are moved to the 2**-depth grid.
+        hit.extend([-1] * (max(values) * cells // scale + 1 - len(hit)))
+        reaching = 0
+        for value in sorted(values, reverse=True):
+            reaching += values[value] << (depth - weight_depth)
+            t = value * cells // scale
+            if hit[t] < reaching:
+                hit[t] = reaching
+        scanned += 1
+    return tables, scanned
 
 
 def brute_force_sup(
@@ -649,35 +707,42 @@ def brute_force_sup(
     at that depth: each (x, A) gets an entry at every positive level some
     configuration takes as a value (from ``E``) and at each of
     ``lambda_values`` (from ``V``); see ``_sup_tables``.  Beyond the cap a
-    seeded random sample must be requested explicitly; no exhaustiveness
-    is claimed there.
+    seeded random sample must be requested explicitly, up to depth
+    ``SAMPLED_DEPTH_CAP``; its configurations fill the same table, and no
+    exhaustiveness is claimed there.
     """
     if _index(depth, "depth") < 1:
         raise DomainError(f"depth must be at least 1, got {depth}")
     if sample is not None and _index(sample, "sample size") < 1:
         raise DomainError(f"sample size must be at least 1, got {sample}")
     lambda_values = [_exact(level, "level") for level in lambda_values]
-    if sample is None and depth > EXHAUSTIVE_DEPTH_CAP:
-        raise ExhaustiveModeError(
-            f"exhaustive mode is capped at depth {EXHAUSTIVE_DEPTH_CAP}; "
-            "pass --sample for seeded random search"
-        )
-    if sample is not None:
-        return _brute_sampled(depth, lambda_values, sample, seed)
-    return _exhaustive_report(depth, lambda_values)
+    if sample is None:
+        if depth > EXHAUSTIVE_DEPTH_CAP:
+            raise ExhaustiveModeError(
+                f"exhaustive mode is capped at depth {EXHAUSTIVE_DEPTH_CAP}; "
+                "pass --sample for seeded random search"
+            )
+        tables, sequences = _sup_tables(depth)
+        return _table_report(depth, True, sequences << (1 << depth), tables, lambda_values)
+    if depth > SAMPLED_DEPTH_CAP:
+        raise ExhaustiveModeError(f"sampled mode is capped at depth {SAMPLED_DEPTH_CAP}")
+    tables, scanned = _sampled_tables(depth, sample, seed)
+    return _table_report(depth, False, scanned, tables, lambda_values)
 
 
-def _exhaustive_report(depth: int, lambda_values: Sequence[Fraction]) -> BruteForceReport:
-    """The exhaustive report, read off the integer tables in key order.
+def _table_report(
+    depth: int, exhaustive: bool, configs_scanned: int, tables: Table, lambda_values: list[Fraction]
+) -> BruteForceReport:
+    """The report of an ``E`` table, read off in key order.
 
     The keys (xc, hs) sort as integers.  Each key's entries are its hit
     levels ``t / 2**depth`` merged with the query levels, both rising; a
-    query level on the grid shares the entry of the hit there.  The
-    ``Fraction``s built are the grid values, once and shared, and the bounds.
+    query level takes the key's ``V`` (``_suffix_max``), and one on the
+    grid shares the entry of the hit there.  The ``Fraction``s built are
+    the grid values, once and shared, and the bounds.
     """
     cells = 1 << depth
-    tables, sequences = _sup_tables(depth)
-    top = (depth + 1) * cells  # the last level of every table
+    top = (depth + 1) * cells  # no configuration takes a higher value
     grid = [Fraction(t, cells) for t in range(top + 1)]
     # Each query level once, rising, with its place among the hit levels
     # (2t for the level t / cells, 2t - 1 just below it) and the level
@@ -689,9 +754,9 @@ def _exhaustive_report(depth: int, lambda_values: Sequence[Fraction]) -> BruteFo
     entries = []
     dominated = True
     for xc, hs in sorted(tables):
-        v, hit = tables[xc, hs]
+        hit = tables[xc, hs]
         x, a = grid[xc], grid[hs]
-        for level, count in _merged_levels(v, hit, queries, grid):
+        for level, count in _merged_levels(_suffix_max(hit), hit, queries, grid):
             bound = bellman_value(x, a, level)
             # count / cells against the bound, in integers.
             scaled = bound.numerator * cells
@@ -701,15 +766,15 @@ def _exhaustive_report(depth: int, lambda_values: Sequence[Fraction]) -> BruteFo
             )
     return BruteForceReport(
         depth=depth,
-        exhaustive=True,
-        configs_scanned=sequences << cells,
+        exhaustive=exhaustive,
+        configs_scanned=configs_scanned,
         entries=tuple(entries),
         domination=dominated,
     )
 
 
 def _merged_levels(
-    v: list[int], hit: list[int], queries: list[tuple[int, Fraction, int]], grid: list[Fraction]
+    v: list[int], hit: Sequence[int], queries: list[tuple[int, Fraction, int]], grid: list[Fraction]
 ) -> Iterator[tuple[Fraction, int]]:
     """One key's (level, most cells) pairs, rising: hit levels and query levels."""
     top = len(v) - 1
@@ -728,69 +793,3 @@ def _merged_levels(
         yield grid[t], count
     for _, level, i in queries[q:]:
         yield level, v[i] if i <= top else 0
-
-
-def _scan(
-    table: dict[tuple[Fraction, Fraction, Fraction], Fraction],
-    config: Config,
-    lambda_values: Sequence[Fraction],
-) -> None:
-    """Fold one configuration's level-set measures into ``table``.
-
-    One walk of the operator's pieces gives the cells taking each value.
-    The level sets at every positive value and at the extra levels are
-    counted from them; the table keeps the maximum per key.
-    """
-    cells, scale, depth = _value_cells(config.subset, config.seq)
-    levels = [Fraction(v, scale) for v in cells if v > 0] + list(lambda_values)
-    for level in levels:
-        key = (config.measure, config.height, level)
-        count = _cells_reaching(cells, scale, level)
-        table[key] = max(table.get(key, ZERO), Fraction(count, 1 << depth))
-
-
-def _report(
-    depth: int,
-    exhaustive: bool,
-    configs_scanned: int,
-    table: dict[tuple[Fraction, Fraction, Fraction], Fraction],
-) -> BruteForceReport:
-    """Compare each maximum in ``table`` with the bound, in key order."""
-    entries = []
-    for (x, a, level), max_v in sorted(table.items()):
-        bound = bellman_value(x, a, level)
-        entries.append(ReportEntry(x, a, level, max_v, bound, max_v == bound))
-    return BruteForceReport(
-        depth=depth,
-        exhaustive=exhaustive,
-        configs_scanned=configs_scanned,
-        entries=tuple(entries),
-        domination=all(e.max_v <= e.bound for e in entries),
-    )
-
-
-def _brute_sampled(
-    depth: int, lambda_values: Sequence[Fraction], sample: int, seed: int
-) -> BruteForceReport:
-    if depth > SAMPLED_DEPTH_CAP:
-        raise ExhaustiveModeError(f"sampled mode is capped at depth {SAMPLED_DEPTH_CAP}")
-    rng = random.Random(seed)
-    ivs = intervals_to_depth(depth)
-    cells = 2**depth
-    table: dict[tuple[Fraction, Fraction, Fraction], Fraction] = {}
-    scanned = 0
-    for _ in range(sample):
-        seq = None
-        for _attempt in range(100):
-            k = rng.randint(0, 2 * (depth + 1))
-            chosen = rng.sample(ivs, min(k, len(ivs)))
-            candidate = CarlesonSequence.from_mapping({iv: ONE for iv in chosen})
-            if carleson_constant(candidate) <= 2:
-                seq = candidate
-                break
-        if seq is None:
-            continue
-        subset = DyadicSet.from_cells(depth, rng.getrandbits(cells))
-        _scan(table, Config(subset, seq), lambda_values)
-        scanned += 1
-    return _report(depth, False, scanned, table)

@@ -3,12 +3,14 @@
 Each one computes what a fast path of the package computes, by a more
 direct route: the a=2 profile by node interpolation at small levels, the
 level curves' indices by scanning their segments and the strips by
-scanning the curves, the bound, its region tags and the profiles in
+scanning the curves, the profile's vertices and slopes through a
+piecewise-linear function that interpolates them, the bound, its region tags and the profiles in
 ``Fraction`` arithmetic, the verify suites' samplers, evaluators and
 relations in ``Fraction`` arithmetic, the operator on the uniform cells of one depth,
 a set's measure and a sequence's height as sums of ``Fraction``s, the
 Carleson constant by scanning every base interval, the brute-force
-table by simulating every configuration one by one, the Bellman
+tables, exhaustive and sampled, by simulating every configuration one by
+one into a sorted table of ``Fraction``s, the Bellman
 recursion's tables over ordered pairs of halves, and the exhaustive
 report assembled from them as a sorted table of ``Fraction``s.
 """
@@ -18,6 +20,8 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -31,8 +35,16 @@ from sparsebound.candidate import (
     vertex_f,
     vertex_g,
 )
-from sparsebound.dyadic import CarlesonSequence, Config, DyadicSet, concat_identity
-from sparsebound.geometry import PiecewiseLinearFn, lerp
+from sparsebound import verify
+from sparsebound.dyadic import (
+    CarlesonSequence,
+    Config,
+    DyadicSet,
+    _cells_reaching,
+    _value_cells,
+    concat_identity,
+)
+from sparsebound.geometry import PlanePoint, lerp
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
     _DENOMINATOR_BOUND as DENOMINATOR_BOUND,
@@ -41,11 +53,11 @@ from sparsebound.verify import (
     SLOPES_MAX_INDEX,
     SLOPES_X_MIN,
     BruteForceReport,
+    ReportEntry,
     SampleSpec,
     Violation,
     _dynamics_instance,
-    _report,
-    _scan,
+    _sampled_configs,
     default_level_grid,
     intervals_to_depth,
     iter_binary_carleson,
@@ -135,7 +147,43 @@ def profile_scan(family: Family, x: Fraction, level: Fraction) -> Fraction:
     return lerp(left, right, x)
 
 
-def profile_vertices_scan(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn:
+@dataclass(frozen=True)
+class PiecewiseLinearFn:
+    """Piecewise-linear function given by vertices with strictly increasing x.
+
+    Evaluation between vertices is exact linear interpolation; evaluation
+    outside the vertex span is an error, never an extrapolation.
+    """
+
+    vertices: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self) -> None:
+        if not self.vertices:
+            raise DomainError("a piecewise-linear function needs at least one vertex")
+        xs = [v[0] for v in self.vertices]
+        if any(a >= b for a, b in zip(xs, xs[1:])):
+            raise DomainError("vertex x-coordinates must be strictly increasing")
+
+    def value(self, x: Fraction) -> Fraction:
+        xs = [v[0] for v in self.vertices]
+        if not (xs[0] <= x <= xs[-1]):
+            raise DomainError(f"x={x} outside span [{xs[0]}, {xs[-1]}]")
+        i = bisect_right(xs, x)
+        if i == len(xs):
+            return self.vertices[-1][1]
+        if xs[i] == x or i == 0:
+            return self.vertices[i][1]
+        return lerp(self.vertices[i - 1], self.vertices[i], x)
+
+    def slopes(self) -> tuple[Fraction, ...]:
+        """Consecutive-vertex slopes, left to right."""
+        return tuple(
+            (y2 - y1) / (x2 - x1)
+            for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:])
+        )
+
+
+def profile_vertices_scan(level: Fraction, x_min: Fraction) -> tuple[PlanePoint, ...]:
     """``profile_vertices`` by walking curves upward from the first to reach the level at x = 1."""
     collected: list[tuple[Fraction, Fraction]] = []
     m = max(0, math.ceil(level) - 2)
@@ -154,7 +202,7 @@ def profile_vertices_scan(level: Fraction, x_min: Fraction) -> PiecewiseLinearFn
     vertices = list(reversed(collected))
     if vertices[-1][0] != 1:
         vertices.append((Fraction(1), profile_scan(Family.F, Fraction(1), level)))
-    return PiecewiseLinearFn(tuple(vertices))
+    return tuple(PlanePoint(*vertex) for vertex in vertices)
 
 
 # The bound, its region tags and the profiles in Fraction arithmetic: the
@@ -303,7 +351,7 @@ def _witness(**values: Fraction | int) -> tuple[tuple[str, Fraction], ...]:
 
 @lru_cache(maxsize=1)
 def _profile_slopes_fraction(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
-    return profile_vertices_scan(level, x_min).slopes()
+    return PiecewiseLinearFn(profile_vertices_scan(level, x_min)).slopes()
 
 
 @lru_cache(maxsize=1)
@@ -566,6 +614,49 @@ def mask_to_sequence(depth: int, mask: int) -> CarlesonSequence:
     )
 
 
+def _scan(
+    table: dict[tuple[Fraction, Fraction, Fraction], Fraction],
+    config: Config,
+    lambda_values: Sequence[Fraction],
+) -> None:
+    """Fold one configuration's level-set measures into ``table``.
+
+    One walk of the operator's pieces gives the cells taking each value.
+    The level sets at every positive value and at the extra levels are
+    counted from them; the table keeps the maximum per key.
+    """
+    cells, scale, depth = _value_cells(config.subset, config.seq)
+    levels = [Fraction(v, scale) for v in cells if v > 0] + list(lambda_values)
+    for level in levels:
+        key = (config.measure, config.height, level)
+        count = _cells_reaching(cells, scale, level)
+        table[key] = max(table.get(key, Fraction(0)), Fraction(count, 1 << depth))
+
+
+def _report(
+    depth: int,
+    exhaustive: bool,
+    configs_scanned: int,
+    table: dict[tuple[Fraction, Fraction, Fraction], Fraction],
+) -> BruteForceReport:
+    """Compare each maximum in ``table`` with the bound, in key order.
+
+    The bound is ``verify.bellman_value`` as it is when this is called, so
+    a bound patched on ``verify`` reaches both this and the library's report.
+    """
+    entries = []
+    for (x, a, level), max_v in sorted(table.items()):
+        bound = verify.bellman_value(x, a, level)
+        entries.append(ReportEntry(x, a, level, max_v, bound, max_v == bound))
+    return BruteForceReport(
+        depth=depth,
+        exhaustive=exhaustive,
+        configs_scanned=configs_scanned,
+        entries=tuple(entries),
+        domination=all(e.max_v <= e.bound for e in entries),
+    )
+
+
 def brute_reference(depth: int, lambda_values: Sequence[Fraction] = ()) -> BruteForceReport:
     """Pure-fraction reference enumeration (small depths only).
 
@@ -583,6 +674,22 @@ def brute_reference(depth: int, lambda_values: Sequence[Fraction] = ()) -> Brute
             _scan(table, Config(DyadicSet.from_cells(depth, emask), seq), lambda_values)
             scanned += 1
     return _report(depth, True, scanned, table)
+
+
+def brute_sampled_reference(
+    depth: int, lambda_values: Sequence[Fraction], sample: int, seed: int
+) -> BruteForceReport:
+    """The sampled report through a ``Fraction`` table, over the same draws.
+
+    Each configuration ``verify._sampled_configs`` draws is simulated and
+    its level sets folded into the table one by one.
+    """
+    table: dict[tuple[Fraction, Fraction, Fraction], Fraction] = {}
+    scanned = 0
+    for config in _sampled_configs(depth, sample, seed):
+        _scan(table, config, lambda_values)
+        scanned += 1
+    return _report(depth, False, scanned, table)
 
 
 def _merge(tables: dict, key: tuple[int, int], v: list[int], hit: list[int]) -> None:

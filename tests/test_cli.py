@@ -219,6 +219,21 @@ def test_brute_help_states_the_exhaustive_cap(capsys):
     assert "Exhaustive up to depth 4; deeper runs need --sample." in capsys.readouterr().out
 
 
+def test_brute_help_states_the_sampled_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["brute", "--help"])
+    assert "Sampled mode is capped at depth 8." in " ".join(capsys.readouterr().out.split())
+
+
+def test_brute_9_sampled_is_usage_error(capsys, time_limit):
+    with time_limit(1):
+        code = main(["brute", "9", "--sample", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: sampled mode is capped at depth 8\n"
+
+
 def test_brute_5_without_sample_is_usage_error(capsys, time_limit):
     with time_limit(1):
         code = main(["brute", "5"])
@@ -254,6 +269,18 @@ def test_brute_sample_below_one_is_usage_error(capsys, sample):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args", [["\u0661/\u0662", "\uff12", "\uff15/\uff12"], ["1/2", "2", "-\u0661/\u0662"]]
+)
+def test_non_ascii_digits_are_usage_errors(capsys, args):
+    # Arabic-Indic and fullwidth digits: int() reads them, the format does not.
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--which", "B", *args])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and captured.err.startswith("usage: ")
 
 
 def test_negative_rationals_are_values(capsys):

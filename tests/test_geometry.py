@@ -16,7 +16,8 @@ from lemmas import (
     sector_interp_value,
     step_map,
 )
-from sparsebound.geometry import PiecewiseLinearFn, PlanePoint, lerp
+from reference import PiecewiseLinearFn
+from sparsebound.geometry import PlanePoint, lerp
 from sparsebound.rational import DomainError
 
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=64)

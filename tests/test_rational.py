@@ -20,6 +20,13 @@ def test_parse_rejects_non_rationals():
             parse_rational(bad)
 
 
+def test_parse_rejects_non_ascii_digits():
+    # Arabic-Indic, fullwidth and Devanagari digits, which int() would read.
+    for bad in ("\u0661/\u0662", "\uff12", "-\uff15/\uff12", "1/\u0968", "\u0967"):
+        with pytest.raises(DomainError):
+            parse_rational(bad)
+
+
 def test_format_basic():
     assert format_rational(F(5, 2)) == "5/2"
     assert format_rational(F(-1, 2)) == "-1/2"

@@ -11,6 +11,7 @@ from reference import (
     CHECKS_FRACTION,
     brute_from_tables,
     brute_reference,
+    brute_sampled_reference,
     carleson_constant_scan,
     mask_to_sequence,
     run_suite_fraction,
@@ -21,11 +22,13 @@ from sparsebound.candidate import bellman_value, vertex_f
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
     EXHAUSTIVE_DEPTH_CAP,
+    SAMPLED_DEPTH_CAP,
     SUITE_NAMES,
     ExhaustiveModeError,
     SampleSpec,
     Violation,
     _sample_rational,
+    _suffix_max,
     _sup_tables,
     brute_force_sup,
     default_level_grid,
@@ -254,7 +257,22 @@ def test_bellman_engine_matches_reference_depth_2(levels):
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_unordered_pairs_match_ordered_recursion(depth):
-    assert _sup_tables(depth) == sup_tables_ordered(depth)
+    # The recursion keeps only E; the ordered one keeps V too, which is
+    # E's suffix maximum.
+    tables, sequences = _sup_tables(depth)
+    ordered, ordered_sequences = sup_tables_ordered(depth)
+    assert sequences == ordered_sequences
+    assert tables == {key: hit for key, (_, hit) in ordered.items()}
+    assert {key: _suffix_max(hit) for key, hit in tables.items()} == {
+        key: v for key, (v, _) in ordered.items()
+    }
+
+
+def test_suffix_max():
+    missing = verify._MISSING
+    assert _suffix_max([4, missing, 3, missing, 1, missing]) == [4, 3, 3, 1, 1, 0]
+    assert _suffix_max([missing, missing]) == [0, 0]
+    assert _suffix_max([]) == []
 
 
 def _edge_levels(depth):
@@ -361,6 +379,35 @@ def test_brute_sampled_mode():
     assert not report.exhaustive
     assert report.domination
     assert report.configs_scanned <= 150
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_sampled_report_matches_fraction_scan(depth, seed):
+    # The same draws, folded into the integer E table and read by the
+    # library's report, and simulated one by one into a Fraction table.
+    sample = 40 if depth > 4 else 120
+    for levels in ([], _edge_levels(depth), README_LAMBDAS):
+        fast = brute_force_sup(depth, levels, sample=sample, seed=seed)
+        assert fast == brute_sampled_reference(depth, levels, sample, seed)
+    assert fast.entries and not fast.exhaustive
+
+
+def test_sampled_report_compares_with_the_bound(monkeypatch):
+    monkeypatch.setattr(verify, "bellman_value", lambda x, a, level: F(1, 2))
+    report = brute_force_sup(3, [F(1)], sample=60, seed=4)
+    assert not report.domination
+    assert {e.attained for e in report.entries} == {True, False}
+    assert report == brute_sampled_reference(3, [F(1)], 60, 4)
+
+
+def test_sampled_depth_cap_checked_before_drawing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew configurations beyond the cap")
+
+    monkeypatch.setattr(verify, "_sampled_configs", refuse)
+    with pytest.raises(ExhaustiveModeError, match="sampled mode is capped at depth 8"):
+        brute_force_sup(SAMPLED_DEPTH_CAP + 1, sample=5)
 
 
 def test_report_serialization():
