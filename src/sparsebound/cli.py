@@ -141,6 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parsing reads the parser and writes only the
+# namespace it returns, so one parser serves every call of ``main``.
+_PARSER = _build_parser()
+
 _encode_str = json.encoder.encode_basestring_ascii
 # The JSON text of each scalar type a report holds.
 _SCALARS = {
@@ -298,8 +302,7 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         status = _DISPATCH[args.command](args)
         sys.stdout.flush()

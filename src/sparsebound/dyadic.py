@@ -6,9 +6,10 @@ finitely supported weight map.  A set's intervals are sorted by left end
 however the set is built, and the weights, as built here, by depth and
 then index.  The set constructor's merge and two walks serve everything:
 
-- ``_canonicalize``, run by every ``DyadicSet`` constructor, passes once
-  over the intervals by left end, drops the ones inside a kept node and
-  merges complete sibling pairs up the tree.
+- ``_merge``, run by every ``DyadicSet`` constructor after a sort and by
+  ``DyadicSet.from_cells`` on cells already in order, passes once over the
+  intervals by left end, drops the ones inside a kept node and merges
+  complete sibling pairs up the tree.
 - ``carleson_constant`` adds the weights up their nodes' ancestor chains,
   one depth at a time, in integers scaled by the weights' common
   denominator and 2**depth.
@@ -22,7 +23,12 @@ then index.  The set constructor's merge and two walks serve everything:
 
 The concatenation operators place rescaled copies of two configurations
 on the two halves of [0, 1) without walking either again: the halved
-intervals and weights are laid side by side, already sorted.  A ``Config``
+intervals and weights are laid side by side, already sorted.  They do not
+re-check their checked halves either: a node halved from a valid node is
+valid, a canonical set stays canonical when halved, and the weights were
+checked when their sequences were built, so only the root weight is
+checked and the results are built without their constructors' checks
+(``_node`` and ``_trusted``).  A ``Config``
 is its set and its sequence only; its measure and height are computed from
 them, each by one function, in integers.
 """
@@ -36,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .rational import DomainError, _exact, format_rational
+from .rational import DomainError, _exact, _index, format_rational
 
 __all__ = [
     "DyadicInterval",
@@ -99,30 +105,53 @@ class DyadicInterval:
 
 ROOT = DyadicInterval(0, 0)
 
+_new = object.__new__
+_set = object.__setattr__
 
-def _canonicalize(intervals: tuple[DyadicInterval, ...]) -> tuple[DyadicInterval, ...]:
-    """The topmost nodes the intervals cover, sorted by left end.
 
-    One pass over the intervals by left end, in cells of the finest depth,
-    coarser first: an interval starting before the last kept node ends lies
-    inside it and is dropped, and a right child kept right after its left
-    sibling merges with it into their parent, up the tree like a binary
-    counter.
+def _node(depth: int, index: int) -> DyadicInterval:
+    """A ``DyadicInterval`` whose bounds the caller has already checked.
+
+    It is an ordinary interval, equal, hashed and ordered as the checked
+    one, built without ``__post_init__``.  The fields are set as the
+    dataclass's ``__init__`` sets them, which keeps CPython 3.11's inline
+    attribute values; a write into the instance ``__dict__`` gives them up
+    and slowed the walks that read the nodes.
     """
-    fine = max((iv.depth for iv in intervals), default=0)
-    kept: list[DyadicInterval] = []
+    iv = _new(DyadicInterval)
+    _set(iv, "depth", depth)
+    _set(iv, "index", index)
+    return iv
+
+
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass whose fields are already checked."""
+    obj = _new(cls)
+    for name, value in fields.items():
+        _set(obj, name, value)
+    return obj
+
+
+def _merge(fine: int, ordered: Iterable[tuple[int, int, int]]) -> tuple[DyadicInterval, ...]:
+    """The topmost nodes covered by nodes given as ``(lo, depth, index)`` by left end.
+
+    One pass over the nodes by left end ``lo``, in cells of the finest depth
+    ``fine``, coarser first: a node starting before the last kept node ends
+    lies inside it and is dropped, and a right child kept right after its
+    left sibling merges with it into their parent, up the tree like a
+    binary counter.  Only the nodes kept at the end are built.
+    """
+    kept: list[tuple[int, int]] = []  # (depth, index)
     end = 0  # the last kept node's right end, in cells of size 2**-fine
-    for lo, depth, iv in sorted((iv.index << (fine - iv.depth), iv.depth, iv) for iv in intervals):
+    for lo, depth, index in ordered:
         if lo < end:
             continue
         end = lo + (1 << (fine - depth))
-        index = iv.index
-        while index & 1 and kept and kept[-1].depth == depth and kept[-1].index == index - 1:
+        while index & 1 and kept and kept[-1] == (depth, index - 1):
             kept.pop()
             depth, index = depth - 1, index >> 1
-            iv = DyadicInterval(depth, index)
-        kept.append(iv)
-    return tuple(kept)
+        kept.append((depth, index))
+    return tuple(_node(depth, index) for depth, index in kept)
 
 
 @dataclass(frozen=True)
@@ -138,7 +167,10 @@ class DyadicSet:
     intervals: tuple[DyadicInterval, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", _canonicalize(tuple(self.intervals)))
+        intervals = tuple(self.intervals)
+        fine = max((iv.depth for iv in intervals), default=0)
+        ordered = sorted((iv.index << (fine - iv.depth), iv.depth, iv.index) for iv in intervals)
+        object.__setattr__(self, "intervals", _merge(fine, ordered))
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[DyadicInterval]) -> DyadicSet:
@@ -174,8 +206,16 @@ class DyadicSet:
 
     @classmethod
     def from_cells(cls, depth: int, mask: int) -> DyadicSet:
-        """Set given by a bitmask over the 2**depth cells at ``depth``."""
-        return cls(tuple(DyadicInterval(depth, i) for i in range(2**depth) if mask >> i & 1))
+        """Set given by a bitmask over the 2**depth cells at ``depth``.
+
+        Bits from ``2**depth`` up are ignored.
+        """
+        if _index(depth, "depth") < 0:
+            raise DomainError(f"depth must be nonnegative, got {depth}")
+        # The cells come in order and disjoint, so only the merge is left to do.
+        bits = format(mask & ((1 << (1 << depth)) - 1), "b")[::-1]
+        cells = ((i, depth, i) for i, bit in enumerate(bits) if bit == "1")
+        return _trusted(cls, intervals=_merge(depth, cells))
 
     @property
     def measure(self) -> Fraction:
@@ -363,20 +403,26 @@ def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction)
     return Fraction(_cells_reaching(cells, scale, level), 1 << depth)
 
 
-def _scale_into(iv: DyadicInterval, right: bool) -> DyadicInterval:
-    return DyadicInterval(iv.depth + 1, iv.index + ((1 << iv.depth) if right else 0))
+def _halves(
+    first: Iterable[DyadicInterval], second: Iterable[DyadicInterval]
+) -> list[DyadicInterval]:
+    """The nodes of ``first`` halved into [0, 1/2), then those of ``second`` into [1/2, 1)."""
+    out = [_node(iv.depth + 1, iv.index) for iv in first]
+    out += [_node(iv.depth + 1, iv.index + (1 << iv.depth)) for iv in second]
+    return out
 
 
 def concat_sets(first: DyadicSet, second: DyadicSet) -> DyadicSet:
     """Halve both sets and lay them on the two halves of [0, 1).
 
-    The constructor merges the two halves into ``ROOT`` when both sets are
-    full.
+    The halves stay canonical and sorted, side by side: halving keeps
+    sibling pairs and nesting as they were, and the only sibling pair
+    across the middle is the two halves themselves, which merge into
+    ``ROOT`` when both sets are full.
     """
-    return DyadicSet(
-        tuple(_scale_into(iv, right=False) for iv in first.intervals)
-        + tuple(_scale_into(iv, right=True) for iv in second.intervals)
-    )
+    if first.intervals == second.intervals == (ROOT,):
+        return DyadicSet.full()
+    return _trusted(DyadicSet, intervals=tuple(_halves(first.intervals, second.intervals)))
 
 
 def concat_seqs(
@@ -387,13 +433,14 @@ def concat_seqs(
     The height of the result is the mean of the two heights plus gamma.
     Both inputs are sorted by depth and then index, and at each depth the
     left half's intervals come first, so a stable sort by depth alone (a
-    merge of the two runs) keeps the order.
+    merge of the two runs) keeps the order.  Only gamma is checked: the
+    halves' weights were checked when their sequences were built.
     """
     gamma = _unit_weight(gamma, "root weight")
-    halves = [(_scale_into(iv, right=False), w) for iv, w in first.weights]
-    halves += [(_scale_into(iv, right=True), w) for iv, w in second.weights]
-    merged = sorted(halves, key=lambda pair: pair[0].depth)
-    return CarlesonSequence(((ROOT, gamma), *merged) if gamma else tuple(merged))
+    nodes = _halves((iv for iv, _ in first.weights), (iv for iv, _ in second.weights))
+    weights = (w for _, w in first.weights + second.weights)
+    merged = sorted(zip(nodes, weights), key=lambda pair: pair[0].depth)
+    return _trusted(CarlesonSequence, weights=((ROOT, gamma), *merged) if gamma else tuple(merged))
 
 
 @dataclass(frozen=True)
@@ -451,13 +498,21 @@ def concat_identity(
 
 
 def config_to_json(config: Config) -> dict:
-    """JSON form of a configuration, as the command-line tools print it."""
+    """JSON form of a configuration, as the command-line tools print it.
+
+    Each distinct weight is formatted once: an extremizer's thousands of
+    weights are all 1.  They are looked up by numerator and denominator,
+    which hash faster than the ``Fraction``.
+    """
+    texts: dict[tuple[int, int], str] = {}
+    weights = []
+    for iv, w in config.seq.weights:
+        key = (w.numerator, w.denominator)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = format_rational(w)
+        weights.append({"d": iv.depth, "i": iv.index, "w": text})
     return {
         "E": {"intervals": [{"d": iv.depth, "i": iv.index} for iv in config.subset.intervals]},
-        "alpha": {
-            "weights": [
-                {"d": iv.depth, "i": iv.index, "w": format_rational(w)}
-                for iv, w in config.seq.weights
-            ]
-        },
+        "alpha": {"weights": weights},
     }

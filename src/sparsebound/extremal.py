@@ -120,9 +120,10 @@ def curve_vertex_recipe(m: int, k: int) -> Recipe:
 
 
 # The configuration of curve m has 2**(m+2) - 1 weights, so the time and
-# memory to build it double with m: ``extremize 10 0`` takes about 0.2 s
-# (2-core VM, Python 3.11), most of it printing the configuration, and m
-# near 22 no longer fits in memory.
+# memory to build it double with m: ``extremize 10 0`` takes about 0.2 s as
+# a new process (2-core VM, Python 3.11), two thirds of it starting Python
+# and importing the package, and about 30 ms building, certifying and
+# printing the configuration; m near 22 no longer fits in memory.
 EXTREMIZER_CURVE_CAP = 10
 
 

@@ -337,6 +337,37 @@ def test_unexpected_error_exits_3_with_one_line(tmp_path):
     assert proc.stderr.endswith(f"'{target}'\n") and len(proc.stderr.splitlines()) == 1
 
 
+# Calls that could leak into the next through one shared parser: an append
+# option and its default, a usage error, and --help.
+IN_A_ROW = [
+    (["brute", "2", "--lambda", "1/2", "--lambda", "3"], 0),
+    (["brute", "2"], 0),
+    (["eval", "--which", "X", "1", "2"], 2),
+    (["extremize", "--help"], 0),
+    (["extremize", "3", "2"], 0),
+]
+
+
+def test_one_parser_serves_calls_in_a_row(capsys, monkeypatch):
+    """Each call made after the others prints and exits as it does alone, in a new process."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    in_a_row = []
+    for argv, _ in IN_A_ROW:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_a_row.append((code, capsys.readouterr().out))
+    for (argv, code), got in zip(IN_A_ROW, in_a_row):
+        alone = subprocess.run(
+            [sys.executable, "-m", "sparsebound.cli", *argv],
+            env={**ENV, "COLUMNS": "80"}, capture_output=True, text=True, timeout=120,
+        )
+        assert got == (alone.returncode, alone.stdout) and got[0] == code, argv
+    # The levels show in the report, so a default that kept them would be seen.
+    assert in_a_row[0] != in_a_row[1]
+
+
 def test_numpy_is_not_imported():
     code = "import sys, sparsebound.verify, sparsebound.cli; print('numpy' in sys.modules)"
     proc = run_python(["-c", code], stdout=subprocess.PIPE)

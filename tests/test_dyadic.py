@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from itertools import pairwise
 
 import pytest
 from hypothesis import example, given, settings
@@ -328,6 +329,41 @@ def test_concat_configs_matches_rebuild(c1, c2, gamma):
     assert concat_seqs(c1.seq, c2.seq, gamma) == want.seq
 
 
+def assert_ordinary_intervals(nodes):
+    """Each node is a plain interval, equal, hashed and ordered as the checked one."""
+    nodes = list(nodes)
+    checked = [DyadicInterval(j.depth, j.index) for j in nodes]
+    for node, rebuilt in zip(nodes, checked):
+        assert type(node) is DyadicInterval
+        assert node == rebuilt and hash(node) == hash(rebuilt)
+    order = sorted(range(len(nodes)), key=nodes.__getitem__)
+    assert order == sorted(range(len(checked)), key=checked.__getitem__)
+    # Compared with each other and with checked intervals, as checked ones are.
+    for (a, b), (ca, cb) in zip(pairwise(nodes), pairwise(checked)):
+        assert (a < b, a == b, a > cb, ca < b) == (ca < cb, ca == cb, ca > cb, ca < cb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), configs(), GAMMAS, st.integers(0, 8), st.data())
+def test_concatenated_and_cell_nodes_are_ordinary_intervals(c1, c2, gamma, depth, data):
+    got = concat_configs(c1, c2, gamma)
+    assert_ordinary_intervals(got.subset.intervals)
+    assert_ordinary_intervals(iv for iv, _ in got.seq.weights)
+    cells = DyadicSet.from_cells(depth, data.draw(st.integers(0, 2 ** 2**depth - 1)))
+    assert_ordinary_intervals(cells.intervals)
+
+
+def test_from_cells_checks_its_depth():
+    for depth in (-1, True, 2.0):
+        with pytest.raises(DomainError):
+            DyadicSet.from_cells(depth, 0)
+    # Bits from 2**depth up are ignored, also those of a negative mask.
+    assert DyadicSet.from_cells(2, 0b110011) == DyadicSet.from_intervals([iv(2, 0), iv(2, 1)])
+    assert DyadicSet.from_cells(2, -1) == DyadicSet.full()
+    assert DyadicSet.from_cells(0, 1) == DyadicSet.full()
+    assert DyadicSet.from_cells(3, 0) == DyadicSet.empty()
+
+
 @settings(max_examples=300, deadline=None)
 @given(interval_lists())
 def test_from_intervals_is_canonical(given_intervals):
@@ -497,6 +533,8 @@ def test_weight_validation():
     assert CarlesonSequence(((ROOT, 1),)).weights == ((ROOT, F(1)),)
     assert type(CarlesonSequence(((ROOT, 1),)).weights[0][1]) is F
     assert type(CarlesonSequence.from_mapping({ROOT: 1}).weights[0][1]) is F
+    assert concat_seqs(empty, empty, 1).weights == ((ROOT, F(1)),)
+    assert type(concat_seqs(empty, empty, 1).weights[0][1]) is F
     assert DyadicSet.prefix(0) == DyadicSet.empty()
     assert level_set_measure(DyadicSet.full(), empty, 0) == F(1)
     seq = CarlesonSequence.from_mapping({ROOT: F(0), iv(1, 1): F(1)})
