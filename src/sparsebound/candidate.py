@@ -614,6 +614,16 @@ def recip_slope_forms(window: int, m: int) -> dict[str, tuple[LinearForm, LevelR
     return {"low": low, "mid": mid, "high": high}
 
 
+def _corollary_point(n: int, big_n: int) -> tuple[int, int]:
+    """The checked lattice point (n, big_n) of ``corollary_bound``; builds nothing."""
+    n, big_n = _index(n, "n"), _index(big_n, "big_n")
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
+    if big_n < 3:
+        raise DomainError(f"the lattice bound needs big_n >= 3, got {big_n}")
+    return n, big_n
+
+
 def corollary_bound(n: int, big_n: int) -> Fraction:
     """Sharp bound at measure 2**-n and level big_n - 2**-n (an exact rational).
 
@@ -621,9 +631,5 @@ def corollary_bound(n: int, big_n: int) -> Fraction:
     exponent exactly on this lattice; requires big_n >= 3 so the level is
     at least 2.
     """
-    n, big_n = _index(n, "n"), _index(big_n, "big_n")
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    if big_n < 3:
-        raise DomainError(f"the lattice bound needs big_n >= 3, got {big_n}")
+    n, big_n = _corollary_point(n, big_n)
     return _pow2(n) * _pow2(big_n - 3)

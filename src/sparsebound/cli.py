@@ -23,18 +23,17 @@ from .candidate import (
     Family,
     bellman_value,
     classify_region,
-    corollary_bound,
     curve_vertices,
     f_region,
     f_value,
     g_region,
     g_value,
-    vertex_f,
 )
 from .dyadic import config_to_json
 from .extremal import (
     attainment_report,
     corollary_config,
+    corollary_target,
     curve_vertex_config,
     curve_vertex_target,
     AttainmentTarget,
@@ -199,7 +198,11 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _csv(rows) -> str:
+    return "\n".join(",".join(row) for row in rows)
+
+
+def _cmd_eval(args: argparse.Namespace) -> tuple[str, int]:
     values = args.args
     if args.which == "B":
         if len(values) != 3:
@@ -213,11 +216,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         x, level = values
         value, region = (f_value, f_region) if args.which == "f" else (g_value, g_region)
         result, tag = value(x, level), region(x, level).describe()
-    print(f"{format_rational(result)} ({tag})")
-    return 0
+    return f"{format_rational(result)} ({tag})", 0
 
 
-def _cmd_curves(args: argparse.Namespace) -> int:
+def _cmd_curves(args: argparse.Namespace) -> tuple[str, int]:
     if args.m_max < 0:
         raise DomainError("m_max must be nonnegative")
     if args.m_max > CURVES_CAP:
@@ -229,66 +231,46 @@ def _cmd_curves(args: argparse.Namespace) -> int:
             {"m": m, "vertices": [[format_rational(p.x), format_rational(p.y)] for p in verts]}
             for m, verts in curves
         ]
-        _emit(_dumps(payload), args.output)
-        return 0
+        return _dumps(payload), 0
     rows = [["m", "k", "x", "lambda"]]
     for m, verts in curves:
         # The origin has no vertex index; then k runs from m down to 0.
         ks = [""] + [str(k) for k in range(m, -1, -1)]
         rows += [[str(m), k, format_rational(p.x), format_rational(p.y)] for k, p in zip(ks, verts)]
-    text = "\n".join(",".join(row) for row in rows) + "\n"
-    _emit(text, args.output)
-    return 0
+    return _csv(rows), 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     spec = SampleSpec(seed=args.seed, count=args.count)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    report = []
-    failed = False
-    for name in names:
-        violations = run_suite(name, spec)
-        report.append(
-            {
-                "check": name,
-                "samples": args.count,
-                "violations": [v.to_json() for v in violations],
-            }
-        )
-        failed = failed or bool(violations)
-    print(_dumps(report))
-    return 1 if failed else 0
+    runs = [(name, run_suite(name, spec)) for name in names]
+    report = [
+        {"check": name, "samples": args.count, "violations": [v.to_json() for v in violations]}
+        for name, violations in runs
+    ]
+    return _dumps(report), 1 if any(violations for _, violations in runs) else 0
 
 
-def _cmd_brute(args: argparse.Namespace) -> int:
+def _cmd_brute(args: argparse.Namespace) -> tuple[str, int]:
     report = brute_force_sup(
         args.depth, lambda_values=args.lambdas, sample=args.sample, seed=args.seed
     )
-    if args.format == "json":
-        _emit(_dumps(report.to_json()), args.output)
-    else:
-        text = "\n".join(",".join(row) for row in report.to_csv_rows()) + "\n"
-        _emit(text, args.output)
-    return 0 if report.domination else 1
+    text = _dumps(report.to_json()) if args.format == "json" else _csv(report.to_csv_rows())
+    return text, 0 if report.domination else 1
 
 
-def _attainment_exit(config, target: AttainmentTarget) -> int:
+def _attainment(config, target: AttainmentTarget) -> tuple[str, int]:
     report = attainment_report(config, target)
     payload = {"config": config_to_json(config), "report": report}
-    print(_dumps(payload))
-    return 0 if report["attained"] else 1
+    return _dumps(payload), 0 if report["attained"] else 1
 
 
-def _cmd_extremize(args: argparse.Namespace) -> int:
-    config = curve_vertex_config(args.m, args.k)
-    return _attainment_exit(config, curve_vertex_target(args.m, args.k))
+def _cmd_extremize(args: argparse.Namespace) -> tuple[str, int]:
+    return _attainment(curve_vertex_config(args.m, args.k), curve_vertex_target(args.m, args.k))
 
 
-def _cmd_corollary(args: argparse.Namespace) -> int:
-    config = corollary_config(args.n, args.N)
-    point = vertex_f(args.n, args.N + args.n - 3)
-    target = AttainmentTarget(point.x, Fraction(2), point.y, corollary_bound(args.n, args.N))
-    return _attainment_exit(config, target)
+def _cmd_corollary(args: argparse.Namespace) -> tuple[str, int]:
+    return _attainment(corollary_config(args.n, args.N), corollary_target(args.n, args.N))
 
 
 _DISPATCH = {
@@ -302,9 +284,11 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; each returns its text and exit status, written here."""
     args = _PARSER.parse_args(argv)
     try:
-        status = _DISPATCH[args.command](args)
+        text, status = _DISPATCH[args.command](args)
+        _emit(text, getattr(args, "output", None))
         sys.stdout.flush()
         return status
     except (ExhaustiveModeError, DomainError) as exc:

@@ -10,9 +10,11 @@ then index.  The set constructor's merge and two walks serve everything:
   ``DyadicSet.from_cells`` on cells already in order, passes once over the
   intervals by left end, drops the ones inside a kept node and merges
   complete sibling pairs up the tree.
-- ``carleson_constant`` adds the weights up their nodes' ancestor chains,
-  one depth at a time, in integers scaled by the weights' common
-  denominator and 2**depth.
+- ``CarlesonSequence._walk``, run once per sequence and kept with it, adds
+  the weights, scaled once to integers (``_scale``), up their nodes'
+  ancestor chains: its root sum is the height and its largest node ratio
+  the Carleson constant, which ``carleson_height`` and
+  ``carleson_constant`` read.
 - ``_piece_walk`` walks down the weight tree only, splitting a node while
   a weight lies strictly inside it, so the operator (the weighted sum of
   local averages of the indicator) is constant on each node where it
@@ -28,9 +30,8 @@ re-check their checked halves either: a node halved from a valid node is
 valid, a canonical set stays canonical when halved, and the weights were
 checked when their sequences were built, so only the root weight is
 checked and the results are built without their constructors' checks
-(``_node`` and ``_trusted``).  A ``Config``
-is its set and its sequence only; its measure and height are computed from
-them, each by one function, in integers.
+(``_node`` and ``_trusted``).  A ``Config`` is its set and its sequence
+only; its measure and height are read from them.
 """
 
 from __future__ import annotations
@@ -261,53 +262,50 @@ class CarlesonSequence:
     def empty(cls) -> CarlesonSequence:
         return cls(())
 
+    @cached_property
+    def _scale(self) -> tuple[int, int, tuple[int, ...]]:
+        """The weights' common denominator lcm, the deepest depth and each ``w * lcm`` in order.
 
-def _common_denominator(seq: CarlesonSequence) -> int:
-    return math.lcm(*(w.denominator for _, w in seq.weights))
+        Kept with the sequence; equality and hashing read ``weights`` only.
+        """
+        lcm = math.lcm(*(w.denominator for _, w in self.weights))
+        depth = max((iv.depth for iv, _ in self.weights), default=0)
+        return lcm, depth, tuple(w.numerator * (lcm // w.denominator) for _, w in self.weights)
+
+    @cached_property
+    def _walk(self) -> tuple[Fraction, Fraction]:
+        """The height and the Carleson constant, from one bottom-up walk.
+
+        The weighted lengths, scaled by ``lcm << depth``, go up the ancestor
+        chains one depth at a time; a node's sum times 2**d is its ratio, the
+        largest on a chain.  The root's sum is the height.
+        """
+        lcm, depth, scaled = self._scale
+        # The sequences built here come sorted, where this sort is one pass;
+        # one built directly may list its weights in any order.
+        nodes = sorted(zip((iv for iv, _ in self.weights), scaled), key=lambda p: p[0].depth)
+        best = 0
+        sums: dict[int, int] = {}  # node index -> scaled length of the weights inside it
+        for d in range(depth, -1, -1):
+            while nodes and nodes[-1][0].depth == d:
+                iv, w = nodes.pop()
+                sums[iv.index] = sums.get(iv.index, 0) + (w << (depth - d))
+            best = max(best, max(sums.values(), default=0) << d)
+            parents: dict[int, int] = {}
+            for index, total in sums.items():
+                parents[index >> 1] = parents.get(index >> 1, 0) + total
+            sums = parents
+        return Fraction(sums.get(0, 0), lcm << depth), Fraction(best, lcm << depth)
 
 
 def carleson_height(seq: CarlesonSequence) -> Fraction:
-    """Weighted length of the support, the sum of w * |I|.
-
-    Summed in integers scaled by the weights' common denominator and
-    2**depth, the depth being the deepest weight's.
-    """
-    depth = max((iv.depth for iv, _ in seq.weights), default=0)
-    lcm = _common_denominator(seq)
-    total = 0
-    for iv, w in seq.weights:
-        total += w.numerator * (lcm // w.denominator) << (depth - iv.depth)
-    return Fraction(total, lcm << depth)
+    """Weighted length of the support, the sum of w * |I|: the root sum of the walk."""
+    return seq._walk[0]
 
 
 def carleson_constant(seq: CarlesonSequence) -> Fraction:
-    """Supremum of heights over all base intervals (a finite maximum here).
-
-    The weighted lengths, scaled to integers by the common denominator and
-    2**depth, go up the ancestor chains one depth at a time, bottom up; the
-    largest is at a node on a chain.
-    """
-    # The sequences built here come sorted, where this sort is one pass; one
-    # built directly may list its weights in any order.
-    weights = sorted(seq.weights, key=lambda pair: pair[0].depth)
-    if not weights:
-        return ZERO
-    lcm, depth = _common_denominator(seq), weights[-1][0].depth
-    best = 0
-    sums: dict[int, int] = {}  # node index -> scaled length of the weights inside it
-    pos = len(weights)
-    for d in range(depth, -1, -1):
-        while pos and weights[pos - 1][0].depth == d:
-            pos -= 1
-            iv, w = weights[pos]
-            scaled = w.numerator * (lcm // w.denominator) << (depth - d)
-            sums[iv.index] = sums.get(iv.index, 0) + scaled
-        best = max(best, max(sums.values(), default=0) << d)
-        parents: dict[int, int] = {}
-        for index, total in sums.items():
-            parents[index >> 1] = parents.get(index >> 1, 0) + total
-        sums = parents
-    return Fraction(best, lcm << depth)
+    """Supremum of heights over all base intervals: the largest node ratio of the walk."""
+    return seq._walk[1]
 
 
 def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int, int]:
@@ -321,9 +319,8 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
     depth of any weight or set interval; a weight w on a node of depth d
     covering c cells of size 2**-S adds ``w * c * 2**d`` scaled.
     """
-    depth = max((iv.depth for iv, _ in seq.weights), default=0)
+    lcm, depth, scaled = seq._scale
     fine = max([depth, *(iv.depth for iv in subset.intervals)])
-    lcm = _common_denominator(seq)
     # The set's intervals as [lo, hi) in cells of size 2**-fine, left to
     # right, with the cell counts of the first j intervals in covered[j].
     los, his, covered = [], [], [0]
@@ -334,7 +331,7 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
         covered.append(covered[-1] + hi - lo)
     own: dict[int, int] = {}
     inner: set[int] = set()  # nodes with a weight strictly inside
-    for iv, w in seq.weights:
+    for (iv, _), w in zip(seq.weights, scaled):
         lo, hi = iv.index << (fine - iv.depth), (iv.index + 1) << (fine - iv.depth)
         j = bisect_right(his, lo)  # the first interval ending after lo
         if j < len(los) and los[j] <= lo and his[j] >= hi:
@@ -342,7 +339,7 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
         else:
             cells = covered[bisect_left(los, hi)] - covered[j]
         key = (1 << iv.depth) + iv.index
-        own[key] = own.get(key, 0) + ((w.numerator * (lcm // w.denominator) * cells) << iv.depth)
+        own[key] = own.get(key, 0) + ((w * cells) << iv.depth)
         key >>= 1
         while key and key not in inner:
             inner.add(key)
@@ -448,17 +445,17 @@ class Config:
     """A set paired with a weight sequence.
 
     Its measure and height are the set's measure and the sequence's
-    ``carleson_height``, computed on first use and then kept.
+    ``carleson_height``, read from them; the sequence keeps its walk.
     """
 
     subset: DyadicSet
     seq: CarlesonSequence
 
-    @cached_property
+    @property
     def measure(self) -> Fraction:
         return self.subset.measure
 
-    @cached_property
+    @property
     def height(self) -> Fraction:
         return carleson_height(self.seq)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .candidate import bellman_value, vertex_f
+from .candidate import _corollary_point, bellman_value, corollary_bound, vertex_f
 from .dyadic import (
     CarlesonSequence,
     Config,
@@ -40,6 +40,7 @@ __all__ = [
     "tower_config",
     "AttainmentTarget",
     "curve_vertex_target",
+    "corollary_target",
     "attainment_report",
 ]
 
@@ -149,12 +150,8 @@ def curve_vertex_config(m: int, k: int) -> Config:
 
 
 def corollary_config(n: int, big_n: int) -> Config:
-    """Configuration attaining ``corollary_bound(n, big_n)`` exactly."""
-    n, big_n = _index(n, "n"), _index(big_n, "big_n")
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    if big_n < 3:
-        raise DomainError(f"the lattice bound needs big_n >= 3, got {big_n}")
+    """Configuration attaining ``corollary_bound(n, big_n)``; checks the cap before building."""
+    n, big_n = _corollary_point(n, big_n)
     m = big_n + n - 3
     _check_curve_cap(m, f"the lattice point n={n}, N={big_n} lies on curve m={m}: ")
     return curve_vertex_config(m, n)
@@ -185,6 +182,13 @@ class AttainmentTarget:
 def curve_vertex_target(m: int, k: int) -> AttainmentTarget:
     point = vertex_f(k, m)
     value = bellman_value(point.x, Fraction(2), point.y)
+    return AttainmentTarget(point.x, Fraction(2), point.y, value)
+
+
+def corollary_target(n: int, big_n: int) -> AttainmentTarget:
+    """The lattice point of ``corollary_bound``: vertex n of curve m = big_n + n - 3."""
+    value = corollary_bound(n, big_n)
+    point = vertex_f(n, big_n + n - 3)
     return AttainmentTarget(point.x, Fraction(2), point.y, value)
 
 

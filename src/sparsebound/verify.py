@@ -85,8 +85,8 @@ ONE = Fraction(1)
 class SampleSpec:
     """Deterministic sampling plan for a property check.
 
-    A count below 1, which would check nothing, and an inexact grid level
-    raise ``DomainError``.
+    A seed that is not an int, a count below 1, which would check nothing,
+    and an inexact grid level raise ``DomainError``.
     """
 
     seed: int
@@ -94,6 +94,7 @@ class SampleSpec:
     lambda_grid: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
+        _index(self.seed, "seed")
         if _index(self.count, "sample count") < 1:
             raise DomainError(f"sample count must be at least 1, got {self.count}")
         grid = tuple(_exact(level, "grid level") for level in self.lambda_grid)
@@ -715,6 +716,7 @@ def brute_force_sup(
         raise DomainError(f"depth must be at least 1, got {depth}")
     if sample is not None and _index(sample, "sample size") < 1:
         raise DomainError(f"sample size must be at least 1, got {sample}")
+    _index(seed, "seed")
     lambda_values = [_exact(level, "level") for level in lambda_values]
     if sample is None:
         if depth > EXHAUSTIVE_DEPTH_CAP:

@@ -172,10 +172,18 @@ def test_corollary(capsys):
 
 # Curve indices above the extremizer cap of 10: extremize m k uses curve m,
 # corollary n N curve N + n - 3.  Without the cap the first two take seconds
-# and the others do not fit in memory.
+# and the others do not fit in memory, so the cap is checked before any
+# bound or configuration is built.
 @pytest.mark.parametrize(
     "argv",
-    [["extremize", "11", "0"], ["corollary", "5", "9"], ["extremize", "40", "3"], ["corollary", "0", "40"]],
+    [
+        ["extremize", "11", "0"],
+        ["corollary", "5", "9"],
+        ["extremize", "40", "3"],
+        ["corollary", "0", "40"],
+        ["corollary", "0", "10000000000"],
+        ["corollary", "10000000000", "3"],
+    ],
 )
 def test_extremizer_above_cap_is_usage_error(capsys, time_limit, argv):
     assert extremal.EXTREMIZER_CURVE_CAP == 10

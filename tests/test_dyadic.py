@@ -383,6 +383,41 @@ def test_carleson_constant_matches_scan(seq):
     assert carleson_constant(seq) == carleson_constant_scan(seq)
 
 
+@st.composite
+def raw_sequences(draw):
+    """Built directly: unsorted, with zero weights and nodes listed more than once."""
+    nodes = draw(st.lists(intervals(), max_size=10))
+    nodes += nodes[: draw(st.integers(0, len(nodes)))]
+    weights = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=12)
+    return CarlesonSequence(tuple((node, draw(weights)) for node in draw(st.permutations(nodes))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        sequences(),
+        configs().map(lambda config: config.seq),
+        raw_sequences(),
+        st.builds(concat_seqs, sequences() | raw_sequences(), raw_sequences(), GAMMAS),
+    ),
+    st.booleans(),
+)
+def test_one_walk_gives_height_and_constant(seq, height_first):
+    # The scale and the walk are kept with the sequence: whichever is asked
+    # first, both read the same walk, and the sequence stays equal to, and
+    # hashed like, a copy that has computed nothing.
+    expected = height_sum(seq), carleson_constant_scan(seq)
+    if height_first:
+        height, constant = carleson_height(seq), carleson_constant(seq)
+    else:
+        constant, height = carleson_constant(seq), carleson_height(seq)
+    assert (height, constant) == expected
+    assert (carleson_height(seq), carleson_constant(seq)) == expected
+    fresh = CarlesonSequence(seq.weights)
+    assert seq == fresh and hash(seq) == hash(fresh)
+    assert Config(DyadicSet.full(), seq).height == expected[0]
+
+
 def test_deep_interval():
     # 2000 levels down: the descent is a loop, not a recursion.
     for deep in (iv(2000, 0), iv(2000, 2**2000 - 1)):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sparsebound.candidate import bellman_value, vertex_f
+from sparsebound.candidate import bellman_value, corollary_bound, vertex_f
 from sparsebound.dyadic import (
     ROOT,
     CarlesonSequence,
@@ -22,6 +22,7 @@ from sparsebound.extremal import (
     base_double_config,
     EXTREMIZER_CURVE_CAP,
     corollary_config,
+    corollary_target,
     curve_vertex_config,
     curve_vertex_recipe,
     curve_vertex_target,
@@ -130,6 +131,19 @@ def test_corollary_config_examples():
     assert c.level_set(F(15, 4)) == F(1, 8)
     with pytest.raises(DomainError):
         corollary_config(0, 2)
+
+
+def test_corollary_target_is_the_curve_vertex_target():
+    # The lattice point of (n, N) is vertex n of curve N + n - 3; the
+    # target and the configuration check n and N the same way.
+    for n in range(4):
+        for big_n in range(3, 7):
+            assert corollary_target(n, big_n) == curve_vertex_target(big_n + n - 3, n)
+    for bad in ((0, 2), (-1, 3), (1, 3.0), (True, 3)):
+        for fn in (corollary_target, corollary_config):
+            with pytest.raises(DomainError) as exc:
+                fn(*bad)
+            assert str(exc.value) == str(pytest.raises(DomainError, corollary_bound, *bad).value)
 
 
 def test_tower_config():

@@ -350,7 +350,7 @@ def test_brute_mode_errors():
 
 
 def test_inputs_checked_at_the_boundary():
-    # Inexact levels, and counts or samples that would check nothing, are refused.
+    # Inexact levels and seeds, and counts or samples that would check nothing, are refused.
     refused = [
         lambda: brute_force_sup(2, [0.1]),
         lambda: brute_force_sup(2, [0.1], sample=5),
@@ -364,6 +364,10 @@ def test_inputs_checked_at_the_boundary():
         lambda: SampleSpec(0, 0),
         lambda: SampleSpec(0, -5),
         lambda: SampleSpec(0, True),
+        lambda: SampleSpec(1.5, 10),
+        lambda: SampleSpec(True, 10),
+        lambda: brute_force_sup(2, sample=5, seed=0.5),
+        lambda: brute_force_sup(2, sample=5, seed=True),
         lambda: replay(Violation("jump", (("x", 0.5), ("A", F(1)), ("lambda", F(2))), F(0), F(0))),
     ]
     for call in refused:
