@@ -255,7 +255,7 @@ def _cmd_brute(args: argparse.Namespace) -> tuple[str, int]:
     report = brute_force_sup(
         args.depth, lambda_values=args.lambdas, sample=args.sample, seed=args.seed
     )
-    text = _dumps(report.to_json()) if args.format == "json" else _csv(report.to_csv_rows())
+    text = report.to_json_text() if args.format == "json" else _csv(report.to_csv_rows())
     return text, 0 if report.domination else 1
 
 

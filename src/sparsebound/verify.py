@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .candidate import (
     Pair,
@@ -43,7 +43,6 @@ from .candidate import (
     _pair,
     _profile_slopes,
     _segment_slope,
-    bellman_value,
     recip_slope_forms,
 )
 from .dyadic import (
@@ -503,8 +502,7 @@ def iter_binary_carleson(depth: int) -> Iterator[int]:
             yield mask
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     x: Fraction
     height: Fraction
     level: Fraction
@@ -513,54 +511,64 @@ class ReportEntry:
     attained: bool
 
 
+# One entry as ``json.dumps(..., indent=2)`` writes it in the report's list.
+# Its texts are rationals in ASCII digits, which JSON quotes as they are.
+_JSON_ENTRY = """    {
+      "x": "%s",
+      "A": "%s",
+      "lambda": "%s",
+      "maxV": "%s",
+      "B": "%s",
+      "attained": %s
+    }"""
+
+
 @dataclass(frozen=True)
 class BruteForceReport:
+    """A brute-force report; its JSON and its CSV are both written from the rows of ``_texts``."""
+
     depth: int
     exhaustive: bool
     configs_scanned: int
     entries: tuple[ReportEntry, ...]
     domination: bool
 
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "exhaustive": self.exhaustive,
-            "configs_scanned": self.configs_scanned,
-            "domination": self.domination,
-            "entries": [
-                {"x": x, "A": a, "lambda": level, "maxV": max_v, "B": bound, "attained": e.attained}
-                for e, (x, a, level, max_v, bound) in zip(self.entries, self._texts())
-            ],
-        }
+    def to_json_text(self) -> str:
+        """What ``json.dumps(..., indent=2)`` writes for the report's dict, without the dict."""
+        flags = ("false", "true")
+        entries = ",\n".join(map(_JSON_ENTRY.__mod__, self._texts(flags)))
+        head = (
+            f'{{\n  "depth": {self.depth},\n  "exhaustive": {flags[self.exhaustive]},\n'
+            f'  "configs_scanned": {self.configs_scanned},\n'
+            f'  "domination": {flags[self.domination]},\n  "entries": '
+        )
+        return head + (f"[\n{entries}\n  ]\n}}" if entries else "[]\n}")
 
-    def to_csv_rows(self) -> list[list[str]]:
+    def to_csv_rows(self) -> list[Sequence[str]]:
         """The JSON entries as rows under their keys, with ``attained`` as 1 or 0."""
-        rows = [["x", "A", "lambda", "maxV", "B", "attained"]]
-        for e, texts in zip(self.entries, self._texts()):
-            rows.append([*texts, "1" if e.attained else "0"])
-        return rows
+        return [["x", "A", "lambda", "maxV", "B", "attained"], *self._texts(("0", "1"))]
 
-    def _texts(self) -> Iterator[tuple[str, str, str, str, str]]:
-        """Each entry's x, A, level, maxV and bound as text, each value formatted once.
+    def _texts(self, flags: tuple[str, str]) -> Iterator[tuple[str, ...]]:
+        """Each entry's x, A, level, maxV, bound and ``flags[attained]`` as text.
 
-        The entries of an exhaustive report share a few grid values as
-        objects, so the text is looked up by the value's identity: every
-        value is held by the report while it is in use.
+        Each value is formatted once.  The entries share their grid values
+        and bounds as objects, so the text is looked up by the value's
+        identity: every value is held by the report while it is in use.
         """
-        known: dict[int, str] = {}
-
-        def text(value: Fraction) -> str:
-            found = known.get(id(value))
-            if found is None:
-                found = known[id(value)] = format_rational(value)
-            return found
-
-        for e in self.entries:
-            yield text(e.x), text(e.height), text(e.level), text(e.max_v), text(e.bound)
+        *columns, attained = list(zip(*self.entries)) or [()] * 6
+        values: dict[int, Fraction] = {}
+        for column in columns:
+            values.update(zip(map(id, column), column))
+        text = {key: format_rational(value) for key, value in values.items()}.__getitem__
+        texts = [map(text, map(id, column)) for column in columns]
+        return zip(*texts, map(flags.__getitem__, attained))
 
 
 # (measure, height) -> E, all scaled by 2**depth; see ``_sup_tables``.
 Table = dict[tuple[int, int], Sequence[int]]
+
+# A level of the report, as a Fraction and as a (numerator, denominator) pair.
+Level = tuple[Fraction, Pair]
 
 # An E entry of a level no configuration takes; sums with it stay negative.
 _MISSING = -(1 << 62)
@@ -740,32 +748,40 @@ def _table_report(
     The keys (xc, hs) sort as integers.  Each key's entries are its hit
     levels ``t / 2**depth`` merged with the query levels, both rising; a
     query level takes the key's ``V`` (``_suffix_max``), and one on the
-    grid shares the entry of the hit there.  The ``Fraction``s built are
-    the grid values, once and shared, and the bounds.
+    grid shares the entry of the hit there.  Each bound comes from the
+    integer kernel ``_bound`` on (numerator, denominator) pairs: the grid
+    values lie in the box by construction, and the query levels were
+    checked at the boundary.  The ``Fraction``s built are the grid values,
+    once and shared, and one per distinct bound in lowest terms.
     """
     cells = 1 << depth
     top = (depth + 1) * cells  # no configuration takes a higher value
-    grid = [Fraction(t, cells) for t in range(top + 1)]
+    grid = [(Fraction(t, cells), (t, cells)) for t in range(top + 1)]
     # Each query level once, rising, with its place among the hit levels
     # (2t for the level t / cells, 2t - 1 just below it) and the level
     # ceil(level * cells) whose V count it takes.
     queries = []
     for level in sorted(set(lambda_values)):
         t = math.ceil(level * cells)
-        queries.append((2 * t if level * cells == t else 2 * t - 1, level, max(t, 0)))
+        place = 2 * t if level * cells == t else 2 * t - 1
+        queries.append((place, (level, _pair(level)), max(t, 0)))
+    bounds: dict[Pair, Fraction] = {}
     entries = []
     dominated = True
     for xc, hs in sorted(tables):
         hit = tables[xc, hs]
-        x, a = grid[xc], grid[hs]
-        for level, count in _merged_levels(_suffix_max(hit), hit, queries, grid):
-            bound = bellman_value(x, a, level)
+        (x, x_pair), (a, a_pair) = grid[xc], grid[hs]
+        for (level, level_pair), count in _merged_levels(_suffix_max(hit), hit, queries, grid):
+            num, den = _bound(x_pair, a_pair, level_pair)
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            bound = bounds.get((num, den))
+            if bound is None:
+                bound = bounds[num, den] = Fraction(num, den)
             # count / cells against the bound, in integers.
-            scaled = bound.numerator * cells
-            dominated = dominated and count * bound.denominator <= scaled
-            entries.append(
-                ReportEntry(x, a, level, grid[count], bound, count * bound.denominator == scaled)
-            )
+            scaled = num * cells
+            dominated = dominated and count * den <= scaled
+            entries.append(ReportEntry(x, a, level, grid[count][0], bound, count * den == scaled))
     return BruteForceReport(
         depth=depth,
         exhaustive=exhaustive,
@@ -776,8 +792,8 @@ def _table_report(
 
 
 def _merged_levels(
-    v: list[int], hit: Sequence[int], queries: list[tuple[int, Fraction, int]], grid: list[Fraction]
-) -> Iterator[tuple[Fraction, int]]:
+    v: list[int], hit: Sequence[int], queries: list[tuple[int, Level, int]], grid: list[Level]
+) -> Iterator[tuple[Level, int]]:
     """One key's (level, most cells) pairs, rising: hit levels and query levels."""
     top = len(v) - 1
     q = 0

@@ -11,8 +11,9 @@ a set's measure and a sequence's height as sums of ``Fraction``s, the
 Carleson constant by scanning every base interval, the brute-force
 tables, exhaustive and sampled, by simulating every configuration one by
 one into a sorted table of ``Fraction``s, the Bellman
-recursion's tables over ordered pairs of halves, and the exhaustive
-report assembled from them as a sorted table of ``Fraction``s.
+recursion's tables over ordered pairs of halves, the exhaustive
+report assembled from them as a sorted table of ``Fraction``s, and a
+report's JSON as the dict ``json.dumps`` writes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import NamedTuple, Sequence
 
 from sparsebound.candidate import (
     Family,
+    _pair,
     RegionKind,
     RegionTag,
     origin_parameter,
@@ -45,7 +47,7 @@ from sparsebound.dyadic import (
     concat_identity,
 )
 from sparsebound.geometry import PlanePoint, lerp
-from sparsebound.rational import DomainError
+from sparsebound.rational import DomainError, format_rational
 from sparsebound.verify import (
     _DENOMINATOR_BOUND as DENOMINATOR_BOUND,
     _MISSING,
@@ -641,12 +643,13 @@ def _report(
 ) -> BruteForceReport:
     """Compare each maximum in ``table`` with the bound, in key order.
 
-    The bound is ``verify.bellman_value`` as it is when this is called, so
-    a bound patched on ``verify`` reaches both this and the library's report.
+    The bound is the integer kernel ``verify._bound`` as it is when this is
+    called, so a bound patched on ``verify`` reaches both this and the
+    library's report.
     """
     entries = []
     for (x, a, level), max_v in sorted(table.items()):
-        bound = verify.bellman_value(x, a, level)
+        bound = Fraction(*verify._bound(_pair(x), _pair(a), _pair(level)))
         entries.append(ReportEntry(x, a, level, max_v, bound, max_v == bound))
     return BruteForceReport(
         depth=depth,
@@ -761,3 +764,25 @@ def brute_from_tables(depth: int, lambda_values: Sequence[Fraction] = ()) -> Bru
             key = (x, a, level)
             table[key] = max(table.get(key, Fraction(0)), Fraction(count, cells))
     return _report(depth, True, sequences << cells, table)
+
+
+def brute_report_dict(report: BruteForceReport) -> dict:
+    """The brute report's JSON as a dict, one dict per entry, for ``json.dumps``."""
+    entries = [
+        {
+            "x": format_rational(e.x),
+            "A": format_rational(e.height),
+            "lambda": format_rational(e.level),
+            "maxV": format_rational(e.max_v),
+            "B": format_rational(e.bound),
+            "attained": e.attained,
+        }
+        for e in report.entries
+    ]
+    return {
+        "depth": report.depth,
+        "exhaustive": report.exhaustive,
+        "configs_scanned": report.configs_scanned,
+        "domination": report.domination,
+        "entries": entries,
+    }

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from reference import (
     CHECKS_FRACTION,
     brute_from_tables,
     brute_reference,
+    brute_report_dict,
     brute_sampled_reference,
     carleson_constant_scan,
     mask_to_sequence,
@@ -288,10 +290,15 @@ def test_exhaustive_report_matches_fraction_assembly(depth):
         assert brute_force_sup(depth, levels) == brute_from_tables(depth, levels)
 
 
+def half(x, a, level):
+    """A bound of 1/2 on the kernel's (numerator, denominator) pairs."""
+    return 1, 2
+
+
 def test_exhaustive_report_compares_with_the_bound(monkeypatch):
     # Under a bound of 1/2 some entries are beaten and some attained; both
-    # assemblies read the patched bound.
-    monkeypatch.setattr(verify, "bellman_value", lambda x, a, level: F(1, 2))
+    # assemblies read the patched kernel.
+    monkeypatch.setattr(verify, "_bound", half)
     report = brute_force_sup(2, [F(1)])
     assert not report.domination
     assert {e.attained for e in report.entries} == {True, False}
@@ -398,7 +405,7 @@ def test_sampled_report_matches_fraction_scan(depth, seed):
 
 
 def test_sampled_report_compares_with_the_bound(monkeypatch):
-    monkeypatch.setattr(verify, "bellman_value", lambda x, a, level: F(1, 2))
+    monkeypatch.setattr(verify, "_bound", half)
     report = brute_force_sup(3, [F(1)], sample=60, seed=4)
     assert not report.domination
     assert {e.attained for e in report.entries} == {True, False}
@@ -416,8 +423,46 @@ def test_sampled_depth_cap_checked_before_drawing(monkeypatch):
 
 def test_report_serialization():
     report = brute_force_sup(1)
-    data = report.to_json()
+    data = json.loads(report.to_json_text())
     assert data["depth"] == 1 and data["domination"] is True
     rows = report.to_csv_rows()
     assert rows[0] == ["x", "A", "lambda", "maxV", "B", "attained"]
     assert len(rows) == len(report.entries) + 1
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_kernel_bounds_match_bellman_value(depth):
+    # The report's kernel bounds against the public bound, at every hit
+    # level and at query levels negative, zero, repeated, off the grid and
+    # above the top value.
+    for levels in ([], _edge_levels(depth), README_LAMBDAS):
+        report = brute_force_sup(depth, levels)
+        for e in report.entries:
+            assert e.bound == bellman_value(e.x, e.height, e.level), e
+
+
+def test_sampled_kernel_bounds_match_bellman_value():
+    report = brute_force_sup(5, _edge_levels(5), sample=60, seed=2)
+    assert report.entries
+    for e in report.entries:
+        assert e.bound == bellman_value(e.x, e.height, e.level), e
+
+
+def test_one_bound_object_per_distinct_bound():
+    entries = brute_force_sup(3, README_LAMBDAS).entries
+    assert len({id(e.bound) for e in entries}) == len({e.bound for e in entries})
+
+
+def _json_reports():
+    yield brute_force_sup(1)
+    yield brute_force_sup(3, README_LAMBDAS)
+    yield brute_force_sup(3, _edge_levels(3))
+    yield brute_force_sup(5, _edge_levels(5), sample=60, seed=2)
+    yield verify.BruteForceReport(
+        depth=2, exhaustive=True, configs_scanned=0, entries=(), domination=True
+    )
+
+
+def test_report_json_text_is_json_dumps_of_the_reference_dict():
+    for report in _json_reports():
+        assert report.to_json_text() == json.dumps(brute_report_dict(report), indent=2)
