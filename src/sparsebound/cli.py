@@ -29,7 +29,7 @@ from .candidate import (
     g_region,
     g_value,
 )
-from .dyadic import config_to_json
+from .dyadic import Config
 from .extremal import (
     attainment_report,
     corollary_config,
@@ -168,23 +168,19 @@ def _dumps(obj, newline: str = "\n") -> str:
         return scalar(obj)
     inner = newline + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            scalar = _SCALARS.get(type(value))
-            text = scalar(value) if scalar is not None else _dumps(value, inner)
-            items.append(f"{_encode_str(key)}: {text}")
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
+        items = [f"{_encode_str(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, list):
         items = []
         for value in obj:
             scalar = _SCALARS.get(type(value))
             items.append(scalar(value) if scalar is not None else _dumps(value, inner))
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"a report cannot hold {type(obj).__name__} {obj!r}")
+        brackets = "[]"
+    else:
+        raise TypeError(f"a report cannot hold {type(obj).__name__} {obj!r}")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -259,10 +255,34 @@ def _cmd_brute(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0 if report.domination else 1
 
 
-def _attainment(config, target: AttainmentTarget) -> tuple[str, int]:
+# An interval and a weight of a configuration as ``json.dumps(..., indent=2)``
+# writes them in the report's lists; a weight's text is ASCII, quoted as it is.
+_IV = '        {\n          "d": %d,\n          "i": %d\n        }'
+_W = '        {\n          "d": %d,\n          "i": %d,\n          "w": "%s"\n        }'
+
+
+def _attainment_text(config: Config, report: dict) -> str:
+    """``_dumps({"config": ..., "report": report})``, one row of text per interval and weight.
+
+    Each distinct weight is formatted once, keyed by its scaled integer.
+    """
+    lcm, _, scaled = config.seq._scale
+    texts = {s: format_rational(Fraction(s, lcm)) for s in set(scaled)}
+    rows = (
+        [_IV % (iv.depth, iv.index) for iv in config.subset.intervals],
+        [_W % (iv.depth, iv.index, texts[s]) for (iv, _), s in zip(config.seq.weights, scaled)],
+    )
+    intervals, weights = ("[\n" + ",\n".join(r) + "\n      ]" if r else "[]" for r in rows)
+    tail = _dumps(report, "\n  ")
+    return (
+        f'{{\n  "config": {{\n    "E": {{\n      "intervals": {intervals}\n    }},\n'
+        f'    "alpha": {{\n      "weights": {weights}\n    }}\n  }},\n  "report": {tail}\n}}'
+    )
+
+
+def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
     report = attainment_report(config, target)
-    payload = {"config": config_to_json(config), "report": report}
-    return _dumps(payload), 0 if report["attained"] else 1
+    return _attainment_text(config, report), 0 if report["attained"] else 1
 
 
 def _cmd_extremize(args: argparse.Namespace) -> tuple[str, int]:

@@ -31,7 +31,7 @@ valid, a canonical set stays canonical when halved, and the weights were
 checked when their sequences were built, so only the root weight is
 checked and the results are built without their constructors' checks
 (``_node`` and ``_trusted``).  A ``Config`` is its set and its sequence
-only; its measure and height are read from them.
+only; its measure and height are read from them (``cli`` writes its JSON).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .rational import DomainError, _exact, _index, format_rational
+from .rational import DomainError, _exact, _index
 
 __all__ = [
     "DyadicInterval",
@@ -60,7 +60,6 @@ __all__ = [
     "concat_seqs",
     "concat_configs",
     "concat_identity",
-    "config_to_json",
 ]
 
 ZERO = Fraction(0)
@@ -75,9 +74,9 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self) -> None:
-        if self.depth < 0:
+        if _index(self.depth, "depth") < 0:
             raise DomainError(f"depth must be nonnegative, got {self.depth}")
-        if not 0 <= self.index < 2**self.depth:
+        if not 0 <= _index(self.index, "index") < 2**self.depth:
             raise DomainError(f"index {self.index} out of range at depth {self.depth}")
 
     @property
@@ -268,8 +267,10 @@ class CarlesonSequence:
 
         Kept with the sequence; equality and hashing read ``weights`` only.
         """
-        lcm = math.lcm(*(w.denominator for _, w in self.weights))
+        lcm = math.lcm(*{w.denominator for _, w in self.weights})
         depth = max((iv.depth for iv, _ in self.weights), default=0)
+        if lcm == 1:  # 0/1 weights, as in every extremizer: no scaling
+            return lcm, depth, tuple(w.numerator for _, w in self.weights)
         return lcm, depth, tuple(w.numerator * (lcm // w.denominator) for _, w in self.weights)
 
     @cached_property
@@ -470,9 +471,6 @@ class Config:
     def level_set(self, level: Fraction) -> Fraction:
         return level_set_measure(self.subset, self.seq, level)
 
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return value_breakpoints(self.subset, self.seq)
-
 
 def concat_configs(first: Config, second: Config, gamma: Fraction) -> Config:
     """The concatenation: its measure is the mean of the two and its height gamma plus theirs."""
@@ -493,23 +491,3 @@ def concat_identity(
     rhs = (c1.level_set(level) + c2.level_set(level)) / 2
     return lhs, rhs
 
-
-def config_to_json(config: Config) -> dict:
-    """JSON form of a configuration, as the command-line tools print it.
-
-    Each distinct weight is formatted once: an extremizer's thousands of
-    weights are all 1.  They are looked up by numerator and denominator,
-    which hash faster than the ``Fraction``.
-    """
-    texts: dict[tuple[int, int], str] = {}
-    weights = []
-    for iv, w in config.seq.weights:
-        key = (w.numerator, w.denominator)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = format_rational(w)
-        weights.append({"d": iv.depth, "i": iv.index, "w": text})
-    return {
-        "E": {"intervals": [{"d": iv.depth, "i": iv.index} for iv in config.subset.intervals]},
-        "alpha": {"weights": weights},
-    }

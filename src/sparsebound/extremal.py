@@ -121,10 +121,10 @@ def curve_vertex_recipe(m: int, k: int) -> Recipe:
 
 
 # The configuration of curve m has 2**(m+2) - 1 weights, so the time and
-# memory to build it double with m: ``extremize 10 0`` takes about 0.2 s as
-# a new process (2-core VM, Python 3.11), two thirds of it starting Python
-# and importing the package, and about 30 ms building, certifying and
-# printing the configuration; m near 22 no longer fits in memory.
+# memory to build it double with m: ``extremize 10 0`` takes about 0.12 s
+# as a new process (2-core VM, Python 3.11), almost all of it starting
+# Python and importing the package, and about 20 ms building, certifying
+# and printing the configuration; m near 22 no longer fits in memory.
 EXTREMIZER_CURVE_CAP = 10
 
 
@@ -198,9 +198,9 @@ def attainment_report(config: Config, target: AttainmentTarget) -> dict:
     The bound covers 0/1 weights only, so a fractional weight raises
     ``DomainError`` (the sequence has already checked that it lies in [0, 1]).
     """
-    for iv, w in config.seq.weights:
-        if w.denominator != 1:
-            raise DomainError(f"the bound covers weights 0 and 1 only, got {w} at {iv}")
+    if config.seq._scale[0] != 1:  # the weights' common denominator
+        iv, w = next((iv, w) for iv, w in config.seq.weights if w.denominator != 1)
+        raise DomainError(f"the bound covers weights 0 and 1 only, got {w} at {iv}")
     achieved = config.level_set(target.level)
     return {
         "target": {

@@ -50,6 +50,7 @@ from .dyadic import (
     Config,
     DyadicInterval,
     DyadicSet,
+    _node,
     _value_cells,
     carleson_constant,
     concat_identity,
@@ -414,9 +415,9 @@ def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -
         for i in range(2**d):
             roll = rng.random()
             if roll < 0.25:
-                mapping[DyadicInterval(d, i)] = ONE
+                mapping[_node(d, i)] = ONE  # (d, i) is valid by construction
             elif roll < 0.4:
-                mapping[DyadicInterval(d, i)] = Fraction(rng.randint(1, 4), 4)
+                mapping[_node(d, i)] = Fraction(rng.randint(1, 4), 4)
     return Config(subset, CarlesonSequence.from_mapping(mapping))
 
 

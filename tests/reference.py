@@ -7,13 +7,15 @@ scanning the curves, the profile's vertices and slopes through a
 piecewise-linear function that interpolates them, the bound, its region tags and the profiles in
 ``Fraction`` arithmetic, the verify suites' samplers, evaluators and
 relations in ``Fraction`` arithmetic, the operator on the uniform cells of one depth,
-a set's measure and a sequence's height as sums of ``Fraction``s, the
-Carleson constant by scanning every base interval, the brute-force
-tables, exhaustive and sampled, by simulating every configuration one by
-one into a sorted table of ``Fraction``s, the Bellman
+a set's measure and a sequence's height as sums of ``Fraction``s, a
+sequence's integer scaling weight by weight, the Carleson constant by
+scanning every base interval, the brute-force tables, exhaustive and
+sampled, by simulating every configuration one by one into a sorted
+table of ``Fraction``s, the Bellman
 recursion's tables over ordered pairs of halves, the exhaustive
 report assembled from them as a sorted table of ``Fraction``s, and a
-report's JSON as the dict ``json.dumps`` writes.
+brute report's and a configuration's JSON as the dicts ``json.dumps``
+writes.
 """
 
 from __future__ import annotations
@@ -593,6 +595,13 @@ def height_sum(seq: CarlesonSequence) -> Fraction:
     return sum((w * iv.measure for iv, w in seq.weights), Fraction(0))
 
 
+def scale_per_weight(seq: CarlesonSequence) -> tuple[int, int, tuple[int, ...]]:
+    """The lcm of every weight's denominator, the deepest depth and each ``w * lcm``."""
+    lcm = math.lcm(*(w.denominator for _, w in seq.weights))
+    depth = max((iv.depth for iv, _ in seq.weights), default=0)
+    return lcm, depth, tuple(w.numerator * (lcm // w.denominator) for _, w in seq.weights)
+
+
 def carleson_constant_scan(seq: CarlesonSequence) -> Fraction:
     """The largest sum of w * |I| over the weights inside J, divided by |J|.
 
@@ -785,4 +794,17 @@ def brute_report_dict(report: BruteForceReport) -> dict:
         "configs_scanned": report.configs_scanned,
         "domination": report.domination,
         "entries": entries,
+    }
+
+
+def config_to_json(config: Config) -> dict:
+    """A configuration's JSON as a dict, one dict per interval and weight, for ``json.dumps``."""
+    return {
+        "E": {"intervals": [{"d": iv.depth, "i": iv.index} for iv in config.subset.intervals]},
+        "alpha": {
+            "weights": [
+                {"d": iv.depth, "i": iv.index, "w": format_rational(w)}
+                for iv, w in config.seq.weights
+            ]
+        },
     }

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
 from itertools import pairwise
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import carleson_constant_scan, height_sum, measure_sum, sparse_apply
+from reference import (
+    carleson_constant_scan,
+    config_to_json,
+    height_sum,
+    measure_sum,
+    scale_per_weight,
+    sparse_apply,
+)
+from sparsebound.cli import _attainment_text, main
 from sparsebound.dyadic import (
     CarlesonSequence,
     Config,
@@ -20,11 +29,11 @@ from sparsebound.dyadic import (
     concat_identity,
     concat_seqs,
     concat_sets,
-    config_to_json,
     level_set_measure,
     step_pieces,
     value_breakpoints,
 )
+from sparsebound.extremal import attainment_report, curve_vertex_config, curve_vertex_target
 from sparsebound.rational import DomainError, parse_rational
 
 
@@ -221,7 +230,6 @@ def test_pieces_match_uniform_cells(config):
             assert any(parent.contains(j) and j != parent for j in weighted)
     assert end == 1
     values = step.breakpoints()
-    assert config.breakpoints() == values
     assert value_breakpoints(config.subset, config.seq) == values
     between = [(a + b) / 2 for a, b in zip(values, values[1:])]
     below = (values[0] - 1, F(0), F(-1, 7))
@@ -240,7 +248,7 @@ def test_walks_do_not_depend_on_order(config, rng):
     subset, seq = DyadicSet(tuple(intervals)), CarlesonSequence(tuple(weights))
     assert carleson_constant(seq) == carleson_constant(config.seq)
     assert step_pieces(subset, seq) == step_pieces(config.subset, config.seq)
-    for level in config.breakpoints():
+    for level in value_breakpoints(config.subset, config.seq):
         assert level_set_measure(subset, seq, level) == config.level_set(level)
 
 
@@ -265,7 +273,7 @@ def test_split_weight_changes_nothing(config, data):
     seq = CarlesonSequence(tuple(weights))
     assert carleson_constant(seq) == carleson_constant(config.seq)
     assert step_pieces(config.subset, seq) == step_pieces(config.subset, config.seq)
-    for level in (*config.breakpoints(), F(0), F(-1)):
+    for level in (*value_breakpoints(config.subset, config.seq), F(0), F(-1)):
         assert level_set_measure(config.subset, seq, level) == config.level_set(level)
 
 
@@ -517,7 +525,15 @@ def test_level_set_monotone_and_obstacle():
         assert all(v1 >= v2 for v1, v2 in zip(values, values[1:]))
 
 
-def test_config_json_round_trip():
+# Reports of the CLI's extremizers, attained and not: the writer prints
+# them after the configuration.
+REPORTS = [
+    attainment_report(curve_vertex_config(2, 1), curve_vertex_target(2, 1)),
+    attainment_report(Config.empty(), curve_vertex_target(3, 2)),
+]
+
+
+def test_config_json_round_trip(capsys):
     def config_from_json(data):
         subset = DyadicSet.from_intervals(
             iv(int(item["d"]), int(item["i"])) for item in data["E"]["intervals"]
@@ -531,12 +547,58 @@ def test_config_json_round_trip():
     rng = random.Random(10)
     for _ in range(10):
         config = random_config(rng)
-        data = config_to_json(config)
+        data = json.loads(_attainment_text(config, REPORTS[0]))["config"]
         back = config_from_json(data)
         assert back.subset == config.subset
         assert back.seq == config.seq
         assert back.measure == config.measure
         assert back.height == config.height
+    assert main(["extremize", "3", "2"]) == 0
+    back = config_from_json(json.loads(capsys.readouterr().out)["config"])
+    assert back == curve_vertex_config(3, 2)
+
+
+def _attainment_json(config, report):
+    return json.dumps({"config": config_to_json(config), "report": report}, indent=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs(), st.sampled_from(REPORTS))
+def test_attainment_text_matches_json_dumps(config, report):
+    assert _attainment_text(config, report) == _attainment_json(config, report)
+
+
+def test_attainment_text_edge_configs():
+    full, empty = DyadicSet.full(), DyadicSet.empty()
+    no_weights = CarlesonSequence.empty()
+    # Weights given directly: zero, repeated nodes and mixed denominators.
+    fractional = CarlesonSequence(
+        ((iv(2, 3), F(1, 3)), (ROOT, F(0)), (iv(1, 0), F(3, 4)), (iv(2, 3), F(1, 3)),
+         (iv(1, 1), F(1)), (iv(3, 0), F(5, 12)))
+    )
+    configs_ = [
+        Config.empty(),
+        Config.full_unweighted(),
+        Config(empty, tower(2)),
+        Config(full, fractional),
+        Config(DyadicSet.prefix(F(5, 8)), fractional),
+        Config(DyadicSet.prefix(F(1, 2)), no_weights),
+        curve_vertex_config(4, 2),
+    ]
+    for config in configs_:
+        for report in REPORTS:
+            assert _attainment_text(config, report) == _attainment_json(config, report)
+
+
+@given(sequences())
+@example(CarlesonSequence.empty())
+@example(tower(3))
+@example(CarlesonSequence(((iv(1, 1), F(1, 6)), (ROOT, F(0)), (iv(1, 1), F(3, 4)))))
+@example(CarlesonSequence(((iv(2, 1), F(0)), (iv(2, 1), F(1)), (ROOT, F(1)))))
+def test_scale_matches_per_weight(seq):
+    assert seq._scale == scale_per_weight(seq)
+    assert type(seq._scale[2]) is tuple
+    assert all(type(s) is int for s in seq._scale[2])
 
 
 def test_weight_validation():
@@ -560,6 +622,11 @@ def test_weight_validation():
         lambda: level_set_measure(DyadicSet.full(), empty, 0.5),
         lambda: level_set_measure(DyadicSet.full(), empty, False),
         lambda: Config.full_unweighted().level_set(0.5),
+        lambda: DyadicInterval(1.0, 0),
+        lambda: DyadicInterval(2, F(1)),
+        lambda: DyadicInterval(True, 0),
+        lambda: DyadicInterval(1, True),
+        lambda: DyadicInterval(1, 0.0),
     ]
     for call in refused:
         with pytest.raises(DomainError):

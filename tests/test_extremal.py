@@ -8,6 +8,7 @@ from sparsebound.dyadic import (
     ROOT,
     CarlesonSequence,
     Config,
+    DyadicInterval,
     DyadicSet,
     carleson_constant,
     concat_configs,
@@ -234,8 +235,16 @@ def test_bound_covers_binary_weights_only():
     (got,) = [e for e in entries if (e.x, e.height, e.level) == (F(1), F(3, 2), F(3, 2))]
     assert got.max_v == got.bound == F(3, 4) and got.attained
     target = AttainmentTarget(F(1), F(3, 2), F(3, 2), F(3, 4))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         attainment_report(fractional, target)
+    assert str(exc.value) == (
+        "the bound covers weights 0 and 1 only, got 1/2 at DyadicInterval(depth=0, index=0)"
+    )
+    # The first weight that is not 0 or 1 is named, after unit and zero weights.
+    seq = CarlesonSequence(((ROOT, F(1)), (DyadicInterval(1, 1), F(0)),
+                            (DyadicInterval(1, 0), F(1, 3)), (DyadicInterval(2, 3), F(2, 3))))
+    with pytest.raises(DomainError, match=r"got 1/3 at DyadicInterval\(depth=1, index=0\)$"):
+        attainment_report(Config(DyadicSet.full(), seq), target)
     # A 0/1 configuration at the same point is reported, short of the bound.
     report = attainment_report(half, AttainmentTarget(F(1), F(1), F(3, 2), F(3, 4)))
     assert report["achieved_V"] == "0" and report["attained"] is False
