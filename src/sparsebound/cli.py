@@ -4,7 +4,8 @@ Subcommands: ``eval`` (exact bound and profile values), ``curves`` (level
 curve vertices as CSV or JSON), ``verify`` (property suites), ``brute``
 (small-depth brute-force report), ``extremize`` and ``corollary``
 (constructive extremizers with attainment reports).  Every printed value is
-an exact rational string.  Exit status: 0 all checks pass, 1 a violation or
+an exact rational string; ``_dumps`` writes every JSON report, each list of
+records from one template.  Exit status: 0 all checks pass, 1 a violation or
 missed attainment was found, 2 usage error, 3 the run did not complete (an
 unexpected error, or stdout closed before the report was written).
 """
@@ -17,7 +18,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .candidate import (
     Family,
@@ -154,33 +155,54 @@ _SCALARS = {
 }
 
 
-def _dumps(obj, newline: str = "\n") -> str:
+class _Rows(NamedTuple):
+    """A list of dicts that share ``keys``, as rows of their values' JSON texts or ints."""
+
+    keys: tuple[str, ...]
+    rows: Iterable[tuple]
+
+
+def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, for the reports the commands print.
 
-    A report holds dicts with string keys, lists, strings, ints, bools and
-    ``None``; anything else, a float or a key that is not a string in
-    particular, raises ``TypeError``.  The standard encoder runs in pure
-    Python when it indents; this writes each container in one join, with
-    its scalars looked up by type.
+    A report holds dicts with string keys, lists, ``_Rows``, strings, ints,
+    bools and ``None``; anything else, such as a float or a key that is not
+    a string, raises ``TypeError``.  The standard encoder runs in pure
+    Python when it indents; this looks scalars up by type, writes the rows
+    of a ``_Rows`` from one template, and joins all the pieces once.
     """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
-        return scalar(obj)
+        out.append(scalar(obj))
+        return
     inner = newline + "  "
+    sep, brackets, start = "," + inner, "[]", len(out)
     if isinstance(obj, dict):
-        items = [f"{_encode_str(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
         brackets = "{}"
+        for key, value in obj.items():
+            out.append(f"{sep}{_encode_str(key)}: ")
+            _write(value, inner, out)
     elif isinstance(obj, list):
-        items = []
         for value in obj:
-            scalar = _SCALARS.get(type(value))
-            items.append(scalar(value) if scalar is not None else _dumps(value, inner))
-        brackets = "[]"
+            out.append(sep)
+            _write(value, inner, out)
+    elif type(obj) is _Rows:
+        keys = [f"{inner}  {_encode_str(key).replace('%', '%%')}: %s" for key in obj.keys]
+        template = sep + ("{" + ",".join(keys) + inner + "}" if keys else "{}")
+        out += map(template.__mod__, obj.rows)
     else:
         raise TypeError(f"a report cannot hold {type(obj).__name__} {obj!r}")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+    if len(out) == start:
+        out.append(brackets)
+    else:  # each item begins with its separator; the first one's comma opens the container
+        out[start] = brackets[0] + out[start][1:]
+        out.append(newline + brackets[1])
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -247,42 +269,42 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return _dumps(report), 1 if any(violations for _, violations in runs) else 0
 
 
+_BRUTE_KEYS = ("x", "A", "lambda", "maxV", "B", "attained")
+
+
+def _json_rational(value: Fraction) -> str:
+    return _encode_str(format_rational(value))
+
+
 def _cmd_brute(args: argparse.Namespace) -> tuple[str, int]:
     report = brute_force_sup(
         args.depth, lambda_values=args.lambdas, sample=args.sample, seed=args.seed
     )
-    text = report.to_json_text() if args.format == "json" else _csv(report.to_csv_rows())
-    return text, 0 if report.domination else 1
-
-
-# An interval and a weight of a configuration as ``json.dumps(..., indent=2)``
-# writes them in the report's lists; a weight's text is ASCII, quoted as it is.
-_IV = '        {\n          "d": %d,\n          "i": %d\n        }'
-_W = '        {\n          "d": %d,\n          "i": %d,\n          "w": "%s"\n        }'
-
-
-def _attainment_text(config: Config, report: dict) -> str:
-    """``_dumps({"config": ..., "report": report})``, one row of text per interval and weight.
-
-    Each distinct weight is formatted once, keyed by its scaled integer.
-    """
-    lcm, _, scaled = config.seq._scale
-    texts = {s: format_rational(Fraction(s, lcm)) for s in set(scaled)}
-    rows = (
-        [_IV % (iv.depth, iv.index) for iv in config.subset.intervals],
-        [_W % (iv.depth, iv.index, texts[s]) for (iv, _), s in zip(config.seq.weights, scaled)],
-    )
-    intervals, weights = ("[\n" + ",\n".join(r) + "\n      ]" if r else "[]" for r in rows)
-    tail = _dumps(report, "\n  ")
-    return (
-        f'{{\n  "config": {{\n    "E": {{\n      "intervals": {intervals}\n    }},\n'
-        f'    "alpha": {{\n      "weights": {weights}\n    }}\n  }},\n  "report": {tail}\n}}'
-    )
+    status = 0 if report.domination else 1
+    if args.format == "csv":
+        return _csv([_BRUTE_KEYS, *report.rows(format_rational, ("0", "1"))]), status
+    payload = {
+        "depth": report.depth,
+        "exhaustive": report.exhaustive,
+        "configs_scanned": report.configs_scanned,
+        "domination": report.domination,
+        "entries": _Rows(_BRUTE_KEYS, report.rows(_json_rational, ("false", "true"))),
+    }
+    return _dumps(payload), status
 
 
 def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
     report = attainment_report(config, target)
-    return _attainment_text(config, report), 0 if report["attained"] else 1
+    lcm, _, scaled = config.seq._scale
+    texts = {s: _json_rational(Fraction(s, lcm)) for s in set(scaled)}
+    # Generated, not listed: thousands of live row tuples set off a full garbage collection.
+    intervals = ((iv.depth, iv.index) for iv in config.subset.intervals)
+    weights = ((iv.depth, iv.index, texts[s]) for (iv, _), s in zip(config.seq.weights, scaled))
+    config_json = {
+        "E": {"intervals": _Rows(("d", "i"), intervals)},
+        "alpha": {"weights": _Rows(("d", "i", "w"), weights)},
+    }
+    return _dumps({"config": config_json, "report": report}), 0 if report["attained"] else 1
 
 
 def _cmd_extremize(args: argparse.Namespace) -> tuple[str, int]:

@@ -30,8 +30,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .candidate import (
     Pair,
@@ -287,13 +287,19 @@ _CHECKS = {
 def replay(violation: Violation) -> tuple[Fraction, Fraction]:
     """Recompute both sides of a violation from its witness.
 
-    The witness values are turned into pairs in the order the check's
-    evaluator takes them; each must be an int or a Fraction (else
-    ``DomainError``), and is taken to lie where the check's sampler draws
-    it: the evaluators call the unchecked integer entries of ``candidate``.
+    The check must be known, and the witness must hold every value its
+    evaluator takes, each an int or a Fraction (else ``DomainError``).
+    They are turned into pairs in that order, and taken to lie where the
+    check's sampler draws them: the evaluators call the unchecked integer
+    entries of ``candidate``.
     """
+    if violation.check not in _CHECKS:
+        raise DomainError(f"unknown check {violation.check!r}")
     evaluate, _, names = _CHECKS[violation.check]
     witness = dict(violation.witness)
+    missing = [name for name in names if name not in witness]
+    if missing:
+        raise DomainError(f"a {violation.check} witness needs {', '.join(missing)}")
     lhs, rhs = evaluate(*(_pair(_exact(witness[name], name)) for name in names))
     return Fraction(*lhs), Fraction(*rhs)
 
@@ -472,9 +478,9 @@ def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
 
 # Brute force over all small-depth configurations.
 
-# An exhaustive ``brute 4`` takes about 0.5 s end to end, 0.15 s of it in
-# the tables.  At depth 5 the tables take about 4 s and 72 MB, for 17 MB
-# of JSON.
+# An exhaustive ``brute 4`` process takes about 0.3 s (0.25-0.46 s on a 2-core
+# VM, Python 3.11), 0.15 s of it in the tables.  At depth 5 the tables take
+# about 4 s and 72 MB, for 17 MB of JSON.
 EXHAUSTIVE_DEPTH_CAP = 4
 SAMPLED_DEPTH_CAP = 8
 
@@ -512,21 +518,9 @@ class ReportEntry(NamedTuple):
     attained: bool
 
 
-# One entry as ``json.dumps(..., indent=2)`` writes it in the report's list.
-# Its texts are rationals in ASCII digits, which JSON quotes as they are.
-_JSON_ENTRY = """    {
-      "x": "%s",
-      "A": "%s",
-      "lambda": "%s",
-      "maxV": "%s",
-      "B": "%s",
-      "attained": %s
-    }"""
-
-
 @dataclass(frozen=True)
 class BruteForceReport:
-    """A brute-force report; its JSON and its CSV are both written from the rows of ``_texts``."""
+    """A brute-force report; ``cli`` writes its JSON and its CSV from the same ``rows``."""
 
     depth: int
     exhaustive: bool
@@ -534,35 +528,18 @@ class BruteForceReport:
     entries: tuple[ReportEntry, ...]
     domination: bool
 
-    def to_json_text(self) -> str:
-        """What ``json.dumps(..., indent=2)`` writes for the report's dict, without the dict."""
-        flags = ("false", "true")
-        entries = ",\n".join(map(_JSON_ENTRY.__mod__, self._texts(flags)))
-        head = (
-            f'{{\n  "depth": {self.depth},\n  "exhaustive": {flags[self.exhaustive]},\n'
-            f'  "configs_scanned": {self.configs_scanned},\n'
-            f'  "domination": {flags[self.domination]},\n  "entries": '
-        )
-        return head + (f"[\n{entries}\n  ]\n}}" if entries else "[]\n}")
-
-    def to_csv_rows(self) -> list[Sequence[str]]:
-        """The JSON entries as rows under their keys, with ``attained`` as 1 or 0."""
-        return [["x", "A", "lambda", "maxV", "B", "attained"], *self._texts(("0", "1"))]
-
-    def _texts(self, flags: tuple[str, str]) -> Iterator[tuple[str, ...]]:
-        """Each entry's x, A, level, maxV, bound and ``flags[attained]`` as text.
+    def rows(self, text: Callable[[Fraction], str], flags: tuple[str, str]) -> Iterator[tuple]:
+        """Each entry's x, A, level, maxV and bound through ``text``, and ``flags[attained]``.
 
         Each value is formatted once.  The entries share their grid values
         and bounds as objects, so the text is looked up by the value's
         identity: every value is held by the report while it is in use.
         """
         *columns, attained = list(zip(*self.entries)) or [()] * 6
-        values: dict[int, Fraction] = {}
-        for column in columns:
-            values.update(zip(map(id, column), column))
-        text = {key: format_rational(value) for key, value in values.items()}.__getitem__
-        texts = [map(text, map(id, column)) for column in columns]
-        return zip(*texts, map(flags.__getitem__, attained))
+        values = dict(zip(map(id, chain(*columns)), chain(*columns)))
+        texts = {key: text(value) for key, value in values.items()}.__getitem__
+        columns = [map(texts, map(id, column)) for column in columns]
+        return zip(*columns, map(flags.__getitem__, attained))
 
 
 # (measure, height) -> E, all scaled by 2**depth; see ``_sup_tables``.

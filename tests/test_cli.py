@@ -6,11 +6,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsebound import extremal
-from sparsebound.cli import _dumps, main
+from sparsebound.cli import _Rows, _dumps, main
 from sparsebound.rational import parse_rational
 from sparsebound.verify import Violation
 
@@ -416,6 +416,29 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_dumps_matches_json_dumps_drawn(value):
     assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@st.composite
+def record_lists(draw):
+    """Unique keys and rows of ints and strings, one value per key."""
+    keys = draw(st.lists(st.text(), unique=True, max_size=4))
+    values = st.integers() | st.text()
+    return keys, draw(st.lists(st.tuples(*[values] * len(keys)), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(record_lists(), st.text())
+@example((["a", "b"], []), "k")
+@example(([], [(), ()]), "k")
+@example((["%s", "d%", "%%"], [(1, 2, "x")]), "%d")
+def test_rows_written_as_json_dumps_writes_their_dicts(records, key):
+    keys, rows = records
+    dicts = [dict(zip(keys, row)) for row in rows]
+    texts = [tuple(v if type(v) is int else json.dumps(v) for v in row) for row in rows]
+    # At top level, in a dict and two lists down, each at its own indent.
+    for wrap in (lambda v: v, lambda v: {key: v, "n": None}, lambda v: [1, {key: [v]}]):
+        assert _dumps(wrap(_Rows(tuple(keys), texts))) == json.dumps(wrap(dicts), indent=2)
+    assert _dumps(_Rows(tuple(keys), [])) == "[]"
 
 
 def test_dumps_refuses_floats_and_non_string_keys():

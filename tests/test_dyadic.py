@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import pairwise
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,8 @@ from reference import (
     scale_per_weight,
     sparse_apply,
 )
-from sparsebound.cli import _attainment_text, main
+from sparsebound import cli
+from sparsebound.cli import main
 from sparsebound.dyadic import (
     CarlesonSequence,
     Config,
@@ -533,6 +535,12 @@ REPORTS = [
 ]
 
 
+def _report_text(config, report):
+    """What ``extremize`` and ``corollary`` write for a configuration and its report."""
+    with mock.patch.object(cli, "attainment_report", lambda _config, _target: report):
+        return cli._attainment(config, None)[0]
+
+
 def test_config_json_round_trip(capsys):
     def config_from_json(data):
         subset = DyadicSet.from_intervals(
@@ -547,7 +555,7 @@ def test_config_json_round_trip(capsys):
     rng = random.Random(10)
     for _ in range(10):
         config = random_config(rng)
-        data = json.loads(_attainment_text(config, REPORTS[0]))["config"]
+        data = json.loads(_report_text(config, REPORTS[0]))["config"]
         back = config_from_json(data)
         assert back.subset == config.subset
         assert back.seq == config.seq
@@ -565,7 +573,7 @@ def _attainment_json(config, report):
 @settings(max_examples=150, deadline=None)
 @given(configs(), st.sampled_from(REPORTS))
 def test_attainment_text_matches_json_dumps(config, report):
-    assert _attainment_text(config, report) == _attainment_json(config, report)
+    assert _report_text(config, report) == _attainment_json(config, report)
 
 
 def test_attainment_text_edge_configs():
@@ -587,7 +595,7 @@ def test_attainment_text_edge_configs():
     ]
     for config in configs_:
         for report in REPORTS:
-            assert _attainment_text(config, report) == _attainment_json(config, report)
+            assert _report_text(config, report) == _attainment_json(config, report)
 
 
 @given(sequences())

@@ -19,8 +19,9 @@ from reference import (
     run_suite_fraction,
     sup_tables_ordered,
 )
-from sparsebound import verify
+from sparsebound import cli, verify
 from sparsebound.candidate import bellman_value, vertex_f
+from sparsebound.cli import main
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
     EXHAUSTIVE_DEPTH_CAP,
@@ -376,10 +377,16 @@ def test_inputs_checked_at_the_boundary():
         lambda: brute_force_sup(2, sample=5, seed=0.5),
         lambda: brute_force_sup(2, sample=5, seed=True),
         lambda: replay(Violation("jump", (("x", 0.5), ("A", F(1)), ("lambda", F(2))), F(0), F(0))),
+        lambda: replay(Violation("nope", (("x", F(1)),), F(0), F(0))),
+        lambda: replay(Violation("jump", (("x", F(1)), ("lambda", F(2))), F(0), F(0))),
     ]
     for call in refused:
         with pytest.raises(DomainError):
             call()
+    with pytest.raises(DomainError, match="unknown check 'nope'"):
+        refused[-2]()
+    with pytest.raises(DomainError, match="jump witness needs A$"):
+        refused[-1]()
     spec = SampleSpec(0, 1, (1, F(1, 2)))
     assert spec.lambda_grid == (F(1), F(1, 2)) and type(spec.lambda_grid[0]) is F
     assert brute_force_sup(2, [1]) == brute_force_sup(2, [F(1)])
@@ -421,12 +428,14 @@ def test_sampled_depth_cap_checked_before_drawing(monkeypatch):
         brute_force_sup(SAMPLED_DEPTH_CAP + 1, sample=5)
 
 
-def test_report_serialization():
+def test_report_serialization(capsys):
     report = brute_force_sup(1)
-    data = json.loads(report.to_json_text())
+    assert main(["brute", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["depth"] == 1 and data["domination"] is True
-    rows = report.to_csv_rows()
-    assert rows[0] == ["x", "A", "lambda", "maxV", "B", "attained"]
+    assert main(["brute", "1", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "x,A,lambda,maxV,B,attained"
     assert len(rows) == len(report.entries) + 1
 
 
@@ -463,6 +472,19 @@ def _json_reports():
     )
 
 
-def test_report_json_text_is_json_dumps_of_the_reference_dict():
+def _reference_csv(report):
+    data = brute_report_dict(report)
+    keys = ("x", "A", "lambda", "maxV", "B")
+    rows = [[*(e[k] for k in keys), "1" if e["attained"] else "0"] for e in data["entries"]]
+    return "\n".join(",".join(row) for row in [[*keys, "attained"], *rows]) + "\n"
+
+
+def test_report_json_text_is_json_dumps_of_the_reference_dict(monkeypatch, capsys):
+    # Each report goes through the command's writers in place of a fresh brute force.
     for report in _json_reports():
-        assert report.to_json_text() == json.dumps(brute_report_dict(report), indent=2)
+        monkeypatch.setattr(cli, "brute_force_sup", lambda *args, report=report, **kw: report)
+        status = 0 if report.domination else 1
+        assert main(["brute", "1"]) == status
+        assert capsys.readouterr().out == json.dumps(brute_report_dict(report), indent=2) + "\n"
+        assert main(["brute", "1", "--format", "csv"]) == status
+        assert capsys.readouterr().out == _reference_csv(report)
