@@ -3,11 +3,11 @@
 Subcommands: ``eval`` (exact bound and profile values), ``curves`` (level
 curve vertices as CSV or JSON), ``verify`` (property suites), ``brute``
 (small-depth brute-force report), ``extremize`` and ``corollary``
-(constructive extremizers with attainment reports).  Every printed value is
-an exact rational string; ``_dumps`` writes every JSON report, each list of
-records from one template.  Exit status: 0 all checks pass, 1 a violation or
-missed attainment was found, 2 usage error, 3 the run did not complete (an
-unexpected error, or stdout closed before the report was written).
+(constructive extremizers with attainment reports).  The library returns
+exact values and only this module turns them into text: ``_dumps`` writes
+every JSON report, each ``Fraction`` as its ``"p/q"`` string.  Exit status: 0
+all checks pass, 1 a violation or missed attainment was found, 2 usage error,
+3 the run did not complete (an unexpected error, or stdout closed early).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .rational import DomainError, format_rational, parse_rational
 from .verify import (
     EXHAUSTIVE_DEPTH_CAP,
     SAMPLED_DEPTH_CAP,
-    ExhaustiveModeError,
     SampleSpec,
     SUITE_NAMES,
     brute_force_sup,
@@ -61,6 +60,19 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+# ASCII digits only, as in ``parse_rational``: int() also reads other scripts' digits and "_".
+_INTEGER_RE = re.compile(r"\s*[+-]?[0-9]+\s*\Z")
+
+
+def _integer(text: str) -> int:
+    if _INTEGER_RE.match(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,15 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit level-curve vertices",
         description=f"Output grows as m_max**3 bytes; m_max above {CURVES_CAP} is a usage error.",
     )
-    p_curves.add_argument("m_max", type=int)
+    p_curves.add_argument("m_max", type=_integer)
     p_curves.add_argument("--family", choices=("F", "G"), default="F")
     p_curves.add_argument("--format", choices=("csv", "json"), default="csv")
     p_curves.add_argument("--output", "-o", default=None)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--count", type=int, default=1000)
+    p_verify.add_argument("--seed", type=_integer, default=0)
+    p_verify.add_argument("--count", type=_integer, default=1000)
 
     p_brute = sub.add_parser(
         "brute",
@@ -107,9 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
             f"Sampled mode is capped at depth {SAMPLED_DEPTH_CAP}."
         ),
     )
-    p_brute.add_argument("depth", type=int)
-    p_brute.add_argument("--sample", type=int, default=None)
-    p_brute.add_argument("--seed", type=int, default=0)
+    p_brute.add_argument("depth", type=_integer)
+    p_brute.add_argument("--sample", type=_integer, default=None)
+    p_brute.add_argument("--seed", type=_integer, default=0)
     p_brute.add_argument(
         "--lambda", dest="lambdas", type=_rational, action="append", default=[]
     )
@@ -124,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
             f"m above {EXTREMIZER_CURVE_CAP} is a usage error."
         ),
     )
-    p_ext.add_argument("m", type=int)
-    p_ext.add_argument("k", type=int)
+    p_ext.add_argument("m", type=_integer)
+    p_ext.add_argument("k", type=_integer)
 
     p_cor = sub.add_parser(
         "corollary",
@@ -135,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
             f"m above {EXTREMIZER_CURVE_CAP} is a usage error."
         ),
     )
-    p_cor.add_argument("n", type=int)
-    p_cor.add_argument("N", type=int)
+    p_cor.add_argument("n", type=_integer)
+    p_cor.add_argument("N", type=_integer)
 
     return parser
 
@@ -146,9 +158,16 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 _encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_rational(value: Fraction) -> str:
+    return _encode_str(format_rational(value))
+
+
 # The JSON text of each scalar type a report holds.
 _SCALARS = {
     str: _encode_str,
+    Fraction: _json_rational,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
@@ -163,13 +182,14 @@ class _Rows(NamedTuple):
 
 
 def _dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, for the reports the commands print.
+    """Exactly ``json.dumps(obj, indent=2, default=format_rational)``, for the reports.
 
-    A report holds dicts with string keys, lists, ``_Rows``, strings, ints,
-    bools and ``None``; anything else, such as a float or a key that is not
-    a string, raises ``TypeError``.  The standard encoder runs in pure
-    Python when it indents; this looks scalars up by type, writes the rows
-    of a ``_Rows`` from one template, and joins all the pieces once.
+    A report holds dicts with string keys, lists, ``_Rows``, strings,
+    ``Fraction``s, ints, bools and ``None``; anything else, such as a float
+    or a key that is not a string, raises ``TypeError``.  The standard
+    encoder runs in pure Python when it indents; this looks scalars up by
+    type, writes the rows of a ``_Rows`` from one template, and joins all
+    the pieces once.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -245,10 +265,7 @@ def _cmd_curves(args: argparse.Namespace) -> tuple[str, int]:
     family = Family(args.family)
     curves = [(m, curve_vertices(family, m)) for m in range(args.m_max + 1)]
     if args.format == "json":
-        payload = [
-            {"m": m, "vertices": [[format_rational(p.x), format_rational(p.y)] for p in verts]}
-            for m, verts in curves
-        ]
+        payload = [{"m": m, "vertices": [[p.x, p.y] for p in verts]} for m, verts in curves]
         return _dumps(payload), 0
     rows = [["m", "k", "x", "lambda"]]
     for m, verts in curves:
@@ -261,19 +278,15 @@ def _cmd_curves(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     spec = SampleSpec(seed=args.seed, count=args.count)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    runs = [(name, run_suite(name, spec)) for name in names]
-    report = [
-        {"check": name, "samples": args.count, "violations": [v.to_json() for v in violations]}
-        for name, violations in runs
+    runs = [
+        (name, [{**vars(v), "witness": dict(v.witness)} for v in run_suite(name, spec)])
+        for name in names
     ]
-    return _dumps(report), 1 if any(violations for _, violations in runs) else 0
+    report = [{"check": name, "samples": args.count, "violations": found} for name, found in runs]
+    return _dumps(report), 1 if any(found for _, found in runs) else 0
 
 
 _BRUTE_KEYS = ("x", "A", "lambda", "maxV", "B", "attained")
-
-
-def _json_rational(value: Fraction) -> str:
-    return _encode_str(format_rational(value))
 
 
 def _cmd_brute(args: argparse.Namespace) -> tuple[str, int]:
@@ -333,7 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(text, getattr(args, "output", None))
         sys.stdout.flush()
         return status
-    except (ExhaustiveModeError, DomainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -22,7 +22,7 @@ from .dyadic import (
     carleson_constant,
     concat_configs,
 )
-from .rational import DomainError, _index, format_rational
+from .rational import DomainError, _index
 
 __all__ = [
     "Recipe",
@@ -193,24 +193,20 @@ def corollary_target(n: int, big_n: int) -> AttainmentTarget:
 
 
 def attainment_report(config: Config, target: AttainmentTarget) -> dict:
-    """JSON-ready report comparing a configuration against its target.
+    """The report comparing a configuration against its target, in exact values.
 
-    The bound covers 0/1 weights only, so a fractional weight raises
-    ``DomainError`` (the sequence has already checked that it lies in [0, 1]).
+    Every value but the ``attained`` bool is a ``Fraction``.  The bound covers
+    0/1 weights only, so a fractional weight raises ``DomainError`` (the
+    sequence has already checked that it lies in [0, 1]).
     """
     if config.seq._scale[0] != 1:  # the weights' common denominator
         iv, w = next((iv, w) for iv, w in config.seq.weights if w.denominator != 1)
         raise DomainError(f"the bound covers weights 0 and 1 only, got {w} at {iv}")
     achieved = config.level_set(target.level)
     return {
-        "target": {
-            "x": format_rational(target.x),
-            "A": format_rational(target.height),
-            "lambda": format_rational(target.level),
-            "B": format_rational(target.value),
-        },
-        "achieved_V": format_rational(achieved),
+        "target": {"x": target.x, "A": target.height, "lambda": target.level, "B": target.value},
+        "achieved_V": achieved,
         "attained": achieved == target.value,
-        "config_measure": format_rational(config.measure),
-        "config_height": format_rational(config.height),
+        "config_measure": config.measure,
+        "config_height": config.height,
     }

@@ -55,7 +55,7 @@ from .dyadic import (
     carleson_constant,
     concat_identity,
 )
-from .rational import DomainError, _exact, _index, format_rational
+from .rational import DomainError, _exact, _index
 
 __all__ = [
     "SampleSpec",
@@ -67,7 +67,6 @@ __all__ = [
     "SLOPES_MAX_INDEX",
     "SUITE_NAMES",
     "run_suite",
-    "ExhaustiveModeError",
     "EXHAUSTIVE_DEPTH_CAP",
     "SAMPLED_DEPTH_CAP",
     "intervals_to_depth",
@@ -103,20 +102,15 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class Violation:
-    """A failed exact comparison, replayable from its witness."""
+    """A failed exact comparison, replayable from its witness.
+
+    Its fields are exact values, in the order the CLI reports them.
+    """
 
     check: str
     witness: tuple[tuple[str, Fraction], ...]
     lhs: Fraction
     rhs: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "witness": {k: format_rational(v) for k, v in self.witness},
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-        }
 
 
 # Witnesses and both sides of every check are rationals held as
@@ -485,10 +479,6 @@ EXHAUSTIVE_DEPTH_CAP = 4
 SAMPLED_DEPTH_CAP = 8
 
 
-class ExhaustiveModeError(ValueError):
-    """Exhaustive enumeration was requested beyond the supported depth."""
-
-
 def intervals_to_depth(depth: int) -> list[DyadicInterval]:
     """All dyadic intervals of depth at most ``depth``, breadth first."""
     return [DyadicInterval(d, i) for d in range(depth + 1) for i in range(2**d)]
@@ -706,14 +696,14 @@ def brute_force_sup(
     lambda_values = [_exact(level, "level") for level in lambda_values]
     if sample is None:
         if depth > EXHAUSTIVE_DEPTH_CAP:
-            raise ExhaustiveModeError(
+            raise DomainError(
                 f"exhaustive mode is capped at depth {EXHAUSTIVE_DEPTH_CAP}; "
                 "pass --sample for seeded random search"
             )
         tables, sequences = _sup_tables(depth)
         return _table_report(depth, True, sequences << (1 << depth), tables, lambda_values)
     if depth > SAMPLED_DEPTH_CAP:
-        raise ExhaustiveModeError(f"sampled mode is capped at depth {SAMPLED_DEPTH_CAP}")
+        raise DomainError(f"sampled mode is capped at depth {SAMPLED_DEPTH_CAP}")
     tables, scanned = _sampled_tables(depth, sample, seed)
     return _table_report(depth, False, scanned, tables, lambda_values)
 

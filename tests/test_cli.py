@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sparsebound import extremal
 from sparsebound.cli import _Rows, _dumps, main
-from sparsebound.rational import parse_rational
+from sparsebound.rational import format_rational, parse_rational
 from sparsebound.verify import Violation
 
 
@@ -291,6 +291,40 @@ def test_non_ascii_digits_are_usage_errors(capsys, args):
     assert captured.out == "" and captured.err.startswith("usage: ")
 
 
+# Each integer argument, with "{}" where the token goes.
+INTEGER_ARGVS = [
+    ["curves", "{}"],
+    ["verify", "jump", "--seed", "{}", "--count", "3"],
+    ["verify", "jump", "--count", "{}"],
+    ["brute", "{}"],
+    ["brute", "2", "--sample", "{}"],
+    ["brute", "2", "--sample", "3", "--seed", "{}"],
+    ["extremize", "{}", "0"],
+    ["extremize", "3", "{}"],
+    ["corollary", "{}", "3"],
+    ["corollary", "1", "{}"],
+]
+
+
+def _fill(argv, token):
+    return [token if arg == "{}" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("argv", INTEGER_ARGVS)
+def test_integer_arguments_take_ascii_digits_only(capsys, default_digit_limit, argv):
+    # int() also reads other scripts' digits and underscores; the format does
+    # not.  Beyond int()'s digit limit a token stays a usage error.
+    for token in ("\u0663", "1_0", "9" * (default_digit_limit + 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(_fill(argv, token))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f": invalid int value: {token!r}\n")
+    # A sign and surrounding whitespace are read, as by parse_rational.
+    for token, plain in (("+2", "2"), (" 3", "3")):
+        assert run_cli(capsys, *_fill(argv, token)) == run_cli(capsys, *_fill(argv, plain))
+
+
 def test_negative_rationals_are_values(capsys):
     assert run_cli(capsys, "eval", "--which", "B", "1/2", "2", "-1/2") == (0, "1 (obstacle)\n")
     spaced = run_cli(capsys, "brute", "1", "--lambda", "-1/2")
@@ -400,13 +434,15 @@ def _payloads(capsys):
 
 def test_dumps_writes_what_json_dumps_writes(capsys):
     violation = Violation("jump", (("x", F(1, 2)), ("lambda", F(-3))), F(1), F(2))
-    payloads = [*_payloads(capsys), [{"check": "jump", "violations": [violation.to_json()]}]]
+    # Built as ``verify`` builds its report, from exact values.
+    violations = [{**vars(violation), "witness": dict(violation.witness)}]
+    payloads = [*_payloads(capsys), [{"check": "jump", "samples": 1, "violations": violations}]]
     for payload in payloads:
-        assert _dumps(payload) == json.dumps(payload, indent=2)
+        assert _dumps(payload) == json.dumps(payload, indent=2, default=format_rational)
 
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.fractions() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20,
 )
@@ -415,7 +451,7 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(JSON_VALUES)
 def test_dumps_matches_json_dumps_drawn(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
+    assert _dumps(value) == json.dumps(value, indent=2, default=format_rational)
 
 
 @st.composite

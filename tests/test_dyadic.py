@@ -36,7 +36,7 @@ from sparsebound.dyadic import (
     value_breakpoints,
 )
 from sparsebound.extremal import attainment_report, curve_vertex_config, curve_vertex_target
-from sparsebound.rational import DomainError, parse_rational
+from sparsebound.rational import DomainError, format_rational, parse_rational
 
 
 def iv(d, i):
@@ -567,7 +567,8 @@ def test_config_json_round_trip(capsys):
 
 
 def _attainment_json(config, report):
-    return json.dumps({"config": config_to_json(config), "report": report}, indent=2)
+    payload = {"config": config_to_json(config), "report": report}
+    return json.dumps(payload, indent=2, default=format_rational)
 
 
 @settings(max_examples=150, deadline=None)

@@ -217,8 +217,11 @@ def test_attainment_report():
     config = curve_vertex_config(1, 1)
     report = attainment_report(config, curve_vertex_target(1, 1))
     assert report["attained"] is True
-    assert report["achieved_V"] == "1/2"
-    assert report["target"]["lambda"] == "5/2"
+    assert report["achieved_V"] == F(1, 2)
+    assert report["target"]["lambda"] == F(5, 2)
+    values = [*report["target"].values()]
+    values += [report[key] for key in ("achieved_V", "config_measure", "config_height")]
+    assert all(type(value) is F for value in values)
 
 
 def test_bound_covers_binary_weights_only():
@@ -247,4 +250,4 @@ def test_bound_covers_binary_weights_only():
         attainment_report(Config(DyadicSet.full(), seq), target)
     # A 0/1 configuration at the same point is reported, short of the bound.
     report = attainment_report(half, AttainmentTarget(F(1), F(1), F(3, 2), F(3, 4)))
-    assert report["achieved_V"] == "0" and report["attained"] is False
+    assert report["achieved_V"] == 0 and report["attained"] is False

@@ -27,7 +27,6 @@ from sparsebound.verify import (
     EXHAUSTIVE_DEPTH_CAP,
     SAMPLED_DEPTH_CAP,
     SUITE_NAMES,
-    ExhaustiveModeError,
     SampleSpec,
     Violation,
     _sample_rational,
@@ -121,9 +120,6 @@ def test_violations_replay_exactly():
         replayed = replay(violation)
         assert replayed == (lhs, rhs)
         assert all(type(side) is F for side in replayed)
-        payload = violation.to_json()
-        assert payload["check"] == name
-        assert set(payload["witness"]) == set(witness)
 
 
 # Seeds and counts, and a user grid with levels off the default grids, on
@@ -351,7 +347,7 @@ def test_brute_monotone_in_depth():
 
 
 def test_brute_mode_errors():
-    with pytest.raises(ExhaustiveModeError):
+    with pytest.raises(DomainError, match="exhaustive mode is capped at depth 4"):
         brute_force_sup(EXHAUSTIVE_DEPTH_CAP + 1)
     with pytest.raises(DomainError):
         brute_force_sup(0)
@@ -424,7 +420,7 @@ def test_sampled_depth_cap_checked_before_drawing(monkeypatch):
         raise AssertionError("drew configurations beyond the cap")
 
     monkeypatch.setattr(verify, "_sampled_configs", refuse)
-    with pytest.raises(ExhaustiveModeError, match="sampled mode is capped at depth 8"):
+    with pytest.raises(DomainError, match="sampled mode is capped at depth 8"):
         brute_force_sup(SAMPLED_DEPTH_CAP + 1, sample=5)
 
 
