@@ -30,7 +30,7 @@ from .candidate import (
     g_region,
     g_value,
 )
-from .dyadic import Config
+from .dyadic import Config, _depth_index
 from .extremal import (
     attainment_report,
     corollary_config,
@@ -311,8 +311,8 @@ def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
     lcm, _, scaled = config.seq._scale
     texts = {s: _json_rational(Fraction(s, lcm)) for s in set(scaled)}
     # Generated, not listed: thousands of live row tuples set off a full garbage collection.
-    intervals = ((iv.depth, iv.index) for iv in config.subset.intervals)
-    weights = ((iv.depth, iv.index, texts[s]) for (iv, _), s in zip(config.seq.weights, scaled))
+    intervals = map(_depth_index, config.subset._keys)
+    weights = ((d, i, texts[s]) for (d, i), s in zip(map(_depth_index, config.seq._keys), scaled))
     config_json = {
         "E": {"intervals": _Rows(("d", "i"), intervals)},
         "alpha": {"weights": _Rows(("d", "i", "w"), weights)},

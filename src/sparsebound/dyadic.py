@@ -1,37 +1,21 @@
 """Dyadic simulator: intervals, sets, weight sequences, and level sets.
 
-Exact model of the unit interval split dyadically.  A ``DyadicSet`` is a
-canonical finite union of dyadic intervals and a ``CarlesonSequence`` a
-finitely supported weight map.  A set's intervals are sorted by left end
-however the set is built, and the weights, as built here, by depth and
-then index.  The set constructor's merge and two walks serve everything:
+Exact model of the unit interval split dyadically.  Inside this module a
+node is its heap key ``2**depth + index``, an int: the root is 1, the
+children of ``key`` are ``2 * key`` and ``2 * key + 1``, its depth is
+``key.bit_length() - 1``, and key order is depth-then-index order.  A
+``DyadicSet`` keeps its keys sorted by left end and a ``CarlesonSequence``
+its keys in the order given, beside their weights.  ``DyadicInterval``s
+appear at the boundary only: the constructors read them, and the
+``intervals`` and ``weights`` views build them on first read.  Three
+passes over keys serve everything: ``_merge`` canonicalises a set,
+``CarlesonSequence._walk`` adds the weights up their ancestor chains once
+per sequence, and ``_piece_walk`` finds where the operator is constant.
 
-- ``_merge``, run by every ``DyadicSet`` constructor after a sort and by
-  ``DyadicSet.from_cells`` on cells already in order, passes once over the
-  intervals by left end, drops the ones inside a kept node and merges
-  complete sibling pairs up the tree.
-- ``CarlesonSequence._walk``, run once per sequence and kept with it, adds
-  the weights, scaled once to integers (``_scale``), up their nodes'
-  ancestor chains: its root sum is the height and its largest node ratio
-  the Carleson constant, which ``carleson_height`` and
-  ``carleson_constant`` read.
-- ``_piece_walk`` walks down the weight tree only, splitting a node while
-  a weight lies strictly inside it, so the operator (the weighted sum of
-  local averages of the indicator) is constant on each node where it
-  stops.  A weighted node's covered share comes from prefix sums over the
-  set's sorted intervals, and values stay scaled integers.
-  ``step_pieces``, ``value_breakpoints``, ``level_set_measure`` and the
-  brute-force scan of ``verify`` all read it.
-
-The concatenation operators place rescaled copies of two configurations
-on the two halves of [0, 1) without walking either again: the halved
-intervals and weights are laid side by side, already sorted.  They do not
-re-check their checked halves either: a node halved from a valid node is
-valid, a canonical set stays canonical when halved, and the weights were
-checked when their sequences were built, so only the root weight is
-checked and the results are built without their constructors' checks
-(``_node`` and ``_trusted``).  A ``Config`` is its set and its sequence
-only; its measure and height are read from them (``cli`` writes its JSON).
+Concatenation halves by key arithmetic: a node of depth d moves into the
+left half by adding 2**d and into the right half by adding 2**(d + 1).
+It checks only the root weight, since a canonical set stays canonical when
+halved and the halves' weights were checked when they were built.
 """
 
 from __future__ import annotations
@@ -41,6 +25,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import starmap
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .rational import DomainError, _exact, _index
@@ -105,84 +91,92 @@ class DyadicInterval:
 
 ROOT = DyadicInterval(0, 0)
 
-_new = object.__new__
-_set = object.__setattr__
+
+def _key(node: DyadicInterval) -> int:
+    """The heap key of an interval; a node of any other type raises ``DomainError``."""
+    if not isinstance(node, DyadicInterval):
+        raise DomainError(f"a node must be a DyadicInterval, got {node!r}")
+    return (1 << node.depth) + node.index
 
 
-def _node(depth: int, index: int) -> DyadicInterval:
-    """A ``DyadicInterval`` whose bounds the caller has already checked.
+def _depth_index(key: int) -> tuple[int, int]:
+    """The depth and index of the node with heap key ``key``."""
+    depth = key.bit_length() - 1
+    return depth, key - (1 << depth)
 
-    It is an ordinary interval, equal, hashed and ordered as the checked
-    one, built without ``__post_init__``.  The fields are set as the
-    dataclass's ``__init__`` sets them, which keeps CPython 3.11's inline
-    attribute values; a write into the instance ``__dict__`` gives them up
-    and slowed the walks that read the nodes.
+
+def _intervals(keys: Iterable[int]) -> tuple[DyadicInterval, ...]:
+    return tuple(starmap(DyadicInterval, map(_depth_index, keys)))
+
+
+def _depth(keys: Iterable[int]) -> int:
+    """The deepest depth of the keys (a deeper key is a larger one), 0 for none."""
+    return max(keys, default=1).bit_length() - 1
+
+
+def _merge(fine: int, ordered: Iterable[int]) -> tuple[int, ...]:
+    """The topmost nodes covered by the keys ``ordered``, given by left end, coarser first.
+
+    One pass, in cells of the finest depth ``fine``: a node starting before
+    the last kept node ends lies inside it and is dropped, and a right child
+    kept right after its left sibling merges with it into their parent, up
+    the tree like a binary counter.
     """
-    iv = _new(DyadicInterval)
-    _set(iv, "depth", depth)
-    _set(iv, "index", index)
-    return iv
+    kept: list[int] = []
+    end = 0  # the last kept node's right end, in cells of size 2**-fine (offset by 2**fine)
+    for key in ordered:
+        shift = fine + 1 - key.bit_length()
+        if key << shift < end:
+            continue
+        end = (key + 1) << shift
+        while key & 1 and kept and kept[-1] == key - 1:
+            kept.pop()
+            key >>= 1
+        kept.append(key)
+    return tuple(kept)
 
 
 def _trusted(cls, **fields):
     """An instance of a frozen dataclass whose fields are already checked."""
-    obj = _new(cls)
-    for name, value in fields.items():
-        _set(obj, name, value)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
     return obj
 
 
-def _merge(fine: int, ordered: Iterable[tuple[int, int, int]]) -> tuple[DyadicInterval, ...]:
-    """The topmost nodes covered by nodes given as ``(lo, depth, index)`` by left end.
-
-    One pass over the nodes by left end ``lo``, in cells of the finest depth
-    ``fine``, coarser first: a node starting before the last kept node ends
-    lies inside it and is dropped, and a right child kept right after its
-    left sibling merges with it into their parent, up the tree like a
-    binary counter.  Only the nodes kept at the end are built.
-    """
-    kept: list[tuple[int, int]] = []  # (depth, index)
-    end = 0  # the last kept node's right end, in cells of size 2**-fine
-    for lo, depth, index in ordered:
-        if lo < end:
-            continue
-        end = lo + (1 << (fine - depth))
-        while index & 1 and kept and kept[-1] == (depth, index - 1):
-            kept.pop()
-            depth, index = depth - 1, index >> 1
-        kept.append((depth, index))
-    return tuple(_node(depth, index) for depth, index in kept)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DyadicSet:
     """Canonical finite union of pairwise-disjoint dyadic intervals.
 
     The constructor canonicalises, however the set is built: nested and
     repeated intervals are dropped, complete sibling pairs are merged and
-    the intervals are sorted by left end.  So set equality is structural
-    equality of the interval tuples.
+    the intervals are sorted by left end, so two sets covering the same
+    cells are equal.  ``intervals`` is a read-only view of the set's keys.
     """
 
-    intervals: tuple[DyadicInterval, ...]
+    _keys: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        intervals = tuple(self.intervals)
-        fine = max((iv.depth for iv in intervals), default=0)
-        ordered = sorted((iv.index << (fine - iv.depth), iv.depth, iv.index) for iv in intervals)
-        object.__setattr__(self, "intervals", _merge(fine, ordered))
+    def __init__(self, intervals: Iterable[DyadicInterval]) -> None:
+        keys = [_key(iv) for iv in intervals]
+        fine = _depth(keys)
+        keys.sort(key=lambda key: (key << (fine + 1 - key.bit_length()), key))
+        object.__setattr__(self, "_keys", _merge(fine, keys))
+
+    @cached_property
+    def intervals(self) -> tuple[DyadicInterval, ...]:
+        """The intervals sorted by left end, built on first read and kept."""
+        return _intervals(self._keys)
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[DyadicInterval]) -> DyadicSet:
-        return cls(tuple(intervals))
+        return cls(intervals)
 
     @classmethod
     def empty(cls) -> DyadicSet:
-        return cls(())
+        return _trusted(cls, _keys=())
 
     @classmethod
     def full(cls) -> DyadicSet:
-        return cls((ROOT,))
+        return _trusted(cls, _keys=(1,))
 
     @classmethod
     def prefix(cls, x: Fraction) -> DyadicSet:
@@ -195,33 +189,35 @@ class DyadicSet:
         den = x.denominator
         if den & (den - 1):
             raise DomainError(f"prefix measure must be dyadic, got {x}")
-        d = den.bit_length() - 1
-        intervals = []
-        offset = 0  # in cells of size 2**-d
-        for b in range(d):
-            if x.numerator >> (d - 1 - b) & 1:
-                intervals.append(DyadicInterval(b + 1, offset >> (d - b - 1)))
-                offset += 1 << (d - 1 - b)
-        return cls(tuple(intervals))
+        # Down from the root along x's binary digits: a digit 1 keeps the
+        # left child whole and goes on into the right one.
+        keys, key = [], 1
+        for digit in format(x.numerator, f"0{den.bit_length() - 1}b"):
+            key *= 2
+            if digit == "1":
+                keys.append(key)
+                key += 1
+        return _trusted(cls, _keys=tuple(keys))
 
     @classmethod
     def from_cells(cls, depth: int, mask: int) -> DyadicSet:
         """Set given by a bitmask over the 2**depth cells at ``depth``.
 
-        Bits from ``2**depth`` up are ignored.
+        Bits from ``2**depth`` up are ignored, so a negative mask is read in
+        two's complement.
         """
         if _index(depth, "depth") < 0:
             raise DomainError(f"depth must be nonnegative, got {depth}")
+        bits = format(_index(mask, "cell mask") & ((1 << (1 << depth)) - 1), "b")[::-1]
         # The cells come in order and disjoint, so only the merge is left to do.
-        bits = format(mask & ((1 << (1 << depth)) - 1), "b")[::-1]
-        cells = ((i, depth, i) for i, bit in enumerate(bits) if bit == "1")
-        return _trusted(cls, intervals=_merge(depth, cells))
+        cells = [(1 << depth) + i for i, bit in enumerate(bits) if bit == "1"]
+        return _trusted(cls, _keys=_merge(depth, cells))
 
     @property
     def measure(self) -> Fraction:
         """The cells of the set's finest depth it covers, over their number."""
-        fine = max((iv.depth for iv in self.intervals), default=0)
-        return Fraction(sum(1 << (fine - iv.depth) for iv in self.intervals), 1 << fine)
+        fine = _depth(self._keys)
+        return Fraction(sum(1 << (fine + 1 - key.bit_length()) for key in self._keys), 1 << fine)
 
 
 def _unit_weight(w: Fraction, name: str) -> Fraction:
@@ -231,47 +227,55 @@ def _unit_weight(w: Fraction, name: str) -> Fraction:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CarlesonSequence:
     """Finitely supported weight map on dyadic intervals, weights in [0, 1].
 
-    The constructor checks the weights however the sequence is built: a
-    float, a bool or a weight outside [0, 1] raises ``DomainError``, and an
-    int is stored as a ``Fraction``.  A sequence built directly keeps its
-    order, its zero weights and a node listed twice, whose weights add.
+    The constructor checks the nodes and weights however the sequence is
+    built: a node that is not a ``DyadicInterval``, a float or bool weight
+    or a weight outside [0, 1] raises ``DomainError``, and an int weight is
+    stored as a ``Fraction``.  A sequence built directly keeps its order,
+    its zero weights and a node listed twice, whose weights add.
+    ``weights`` is a read-only view of its keys and weights.
     """
 
-    weights: tuple[tuple[DyadicInterval, Fraction], ...]
+    _keys: tuple[int, ...]
+    _values: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, weights: Iterable[tuple[DyadicInterval, Fraction]]) -> None:
+        pairs = tuple(weights)
+        object.__setattr__(self, "_keys", tuple(_key(iv) for iv, _ in pairs))
+        values = tuple(w for _, w in pairs)
         # One pass over exact weights; the names are formatted only on failure.
-        for _, w in self.weights:
-            if type(w) is not Fraction or not 0 <= w.numerator <= w.denominator:
-                checked = tuple((iv, _unit_weight(w, f"weight at {iv}")) for iv, w in self.weights)
-                object.__setattr__(self, "weights", checked)
-                return
+        if not all(type(w) is Fraction and 0 <= w.numerator <= w.denominator for w in values):
+            values = tuple(_unit_weight(w, f"weight at {iv}") for iv, w in pairs)
+        object.__setattr__(self, "_values", values)
+
+    @cached_property
+    def weights(self) -> tuple[tuple[DyadicInterval, Fraction], ...]:
+        """The (interval, weight) pairs in order, built on first read and kept."""
+        return tuple(zip(_intervals(self._keys), self._values))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[DyadicInterval, Fraction]) -> CarlesonSequence:
         """The mapping's nonzero weights, sorted by depth and then index."""
-        pairs = sorted(mapping.items(), key=lambda p: (p[0].depth, p[0].index))
-        return cls(tuple((iv, w) for iv, w in cls(tuple(pairs)).weights if w))
+        return cls(sorted((iv, w) for iv, w in cls(mapping.items()).weights if w))
 
     @classmethod
     def empty(cls) -> CarlesonSequence:
-        return cls(())
+        return _trusted(cls, _keys=(), _values=())
 
     @cached_property
     def _scale(self) -> tuple[int, int, tuple[int, ...]]:
         """The weights' common denominator lcm, the deepest depth and each ``w * lcm`` in order.
 
-        Kept with the sequence; equality and hashing read ``weights`` only.
+        Kept with the sequence; equality and hashing read its fields only.
         """
-        lcm = math.lcm(*{w.denominator for _, w in self.weights})
-        depth = max((iv.depth for iv, _ in self.weights), default=0)
+        lcm = math.lcm(*{w.denominator for w in self._values})
+        depth = _depth(self._keys)
         if lcm == 1:  # 0/1 weights, as in every extremizer: no scaling
-            return lcm, depth, tuple(w.numerator for _, w in self.weights)
-        return lcm, depth, tuple(w.numerator * (lcm // w.denominator) for _, w in self.weights)
+            return lcm, depth, tuple(w.numerator for w in self._values)
+        return lcm, depth, tuple(w.numerator * (lcm // w.denominator) for w in self._values)
 
     @cached_property
     def _walk(self) -> tuple[Fraction, Fraction]:
@@ -282,19 +286,20 @@ class CarlesonSequence:
         largest on a chain.  The root's sum is the height.
         """
         lcm, depth, scaled = self._scale
-        # The sequences built here come sorted, where this sort is one pass;
-        # one built directly may list its weights in any order.
-        nodes = sorted(zip((iv for iv, _ in self.weights), scaled), key=lambda p: p[0].depth)
+        # Any order will do: the weights are dealt to their depths first.
+        own: list[dict[int, int]] = [{} for _ in range(depth + 1)]
+        for key, w in zip(self._keys, scaled):
+            level = own[key.bit_length() - 1]
+            level[key] = level.get(key, 0) + w
         best = 0
-        sums: dict[int, int] = {}  # node index -> scaled length of the weights inside it
+        sums: dict[int, int] = {}  # node key -> scaled length of the weights inside it
         for d in range(depth, -1, -1):
-            while nodes and nodes[-1][0].depth == d:
-                iv, w = nodes.pop()
-                sums[iv.index] = sums.get(iv.index, 0) + (w << (depth - d))
+            for key, w in own[d].items():
+                sums[key] = sums.get(key, 0) + (w << (depth - d))
             best = max(best, max(sums.values(), default=0) << d)
             parents: dict[int, int] = {}
-            for index, total in sums.items():
-                parents[index >> 1] = parents.get(index >> 1, 0) + total
+            for key, total in sums.items():
+                parents[key >> 1] = parents.get(key >> 1, 0) + total
             sums = parents
         return Fraction(sums.get(0, 0), lcm << depth), Fraction(best, lcm << depth)
 
@@ -312,35 +317,34 @@ def carleson_constant(seq: CarlesonSequence) -> Fraction:
 def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int, int]:
     """The operator's pieces left to right, their scale and the deepest piece's depth.
 
-    A node is keyed by ``2**depth + index``, so its children are ``2 * key``
-    and ``2 * key + 1``.  The walk goes down from the root and splits a node
-    only while a weight lies strictly inside it; each node where it stops is
-    a piece ``(key, value)``, the operator being ``value / scale`` on it.
-    The scale is the weights' common denominator times 2**S, S the deepest
-    depth of any weight or set interval; a weight w on a node of depth d
-    covering c cells of size 2**-S adds ``w * c * 2**d`` scaled.
+    The walk goes down from the root and splits a node only while a weight
+    lies strictly inside it; each node where it stops is a piece
+    ``(key, value)``, the operator being ``value / scale`` on it.  The scale
+    is the weights' common denominator times 2**S, S the deepest depth of
+    any weight or set interval; a weight w on a node of depth d covering c
+    cells of size 2**-S adds ``w * c * 2**d`` scaled.
     """
     lcm, depth, scaled = seq._scale
-    fine = max([depth, *(iv.depth for iv in subset.intervals)])
-    # The set's intervals as [lo, hi) in cells of size 2**-fine, left to
-    # right, with the cell counts of the first j intervals in covered[j].
+    fine = max(depth, _depth(subset._keys))
+    # The set's nodes as [lo, hi) in cells of size 2**-fine, offset by
+    # 2**fine, left to right, with the cell counts of the first j in covered[j].
     los, his, covered = [], [], [0]
-    for iv in subset.intervals:
-        lo, hi = iv.index << (fine - iv.depth), (iv.index + 1) << (fine - iv.depth)
-        los.append(lo)
-        his.append(hi)
-        covered.append(covered[-1] + hi - lo)
+    for key in subset._keys:
+        shift = fine + 1 - key.bit_length()
+        los.append(key << shift)
+        his.append((key + 1) << shift)
+        covered.append(covered[-1] + (1 << shift))
     own: dict[int, int] = {}
     inner: set[int] = set()  # nodes with a weight strictly inside
-    for (iv, _), w in zip(seq.weights, scaled):
-        lo, hi = iv.index << (fine - iv.depth), (iv.index + 1) << (fine - iv.depth)
+    for key, w in zip(seq._keys, scaled):
+        shift = fine + 1 - key.bit_length()
+        lo, hi = key << shift, (key + 1) << shift
         j = bisect_right(his, lo)  # the first interval ending after lo
         if j < len(los) and los[j] <= lo and his[j] >= hi:
             cells = hi - lo  # an interval of the set contains the node
         else:
             cells = covered[bisect_left(los, hi)] - covered[j]
-        key = (1 << iv.depth) + iv.index
-        own[key] = own.get(key, 0) + ((w * cells) << iv.depth)
+        own[key] = own.get(key, 0) + ((w * cells) << (fine - shift))
         key >>= 1
         while key and key not in inner:
             inner.add(key)
@@ -366,11 +370,7 @@ def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicIn
     strictly inside.
     """
     pieces, scale, _ = _piece_walk(subset, seq)
-    out = []
-    for key, value in pieces:
-        d = key.bit_length() - 1
-        out.append((DyadicInterval(d, key - (1 << d)), Fraction(value, scale)))
-    return out
+    return [(DyadicInterval(*_depth_index(key)), Fraction(value, scale)) for key, value in pieces]
 
 
 def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
@@ -401,12 +401,10 @@ def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction)
     return Fraction(_cells_reaching(cells, scale, level), 1 << depth)
 
 
-def _halves(
-    first: Iterable[DyadicInterval], second: Iterable[DyadicInterval]
-) -> list[DyadicInterval]:
-    """The nodes of ``first`` halved into [0, 1/2), then those of ``second`` into [1/2, 1)."""
-    out = [_node(iv.depth + 1, iv.index) for iv in first]
-    out += [_node(iv.depth + 1, iv.index + (1 << iv.depth)) for iv in second]
+def _halved(first: Iterable[int], second: Iterable[int]) -> list[int]:
+    """The nodes of ``first`` moved into [0, 1/2), then those of ``second`` into [1/2, 1)."""
+    out = [key + (1 << (key.bit_length() - 1)) for key in first]
+    out += [key + (2 << (key.bit_length() - 1)) for key in second]
     return out
 
 
@@ -418,9 +416,9 @@ def concat_sets(first: DyadicSet, second: DyadicSet) -> DyadicSet:
     across the middle is the two halves themselves, which merge into
     ``ROOT`` when both sets are full.
     """
-    if first.intervals == second.intervals == (ROOT,):
+    if first._keys == second._keys == (1,):
         return DyadicSet.full()
-    return _trusted(DyadicSet, intervals=tuple(_halves(first.intervals, second.intervals)))
+    return _trusted(DyadicSet, _keys=tuple(_halved(first._keys, second._keys)))
 
 
 def concat_seqs(
@@ -429,16 +427,18 @@ def concat_seqs(
     """Push two sequences into the two subtrees and weight the root by gamma.
 
     The height of the result is the mean of the two heights plus gamma.
-    Both inputs are sorted by depth and then index, and at each depth the
-    left half's intervals come first, so a stable sort by depth alone (a
-    merge of the two runs) keeps the order.  Only gamma is checked: the
-    halves' weights were checked when their sequences were built.
+    The halved weights are sorted stably by key: two sequences sorted by
+    depth and then index make two runs, which the sort merges.  Only gamma
+    is checked: the halves' weights were checked when their sequences were
+    built.
     """
     gamma = _unit_weight(gamma, "root weight")
-    nodes = _halves((iv for iv, _ in first.weights), (iv for iv, _ in second.weights))
-    weights = (w for _, w in first.weights + second.weights)
-    merged = sorted(zip(nodes, weights), key=lambda pair: pair[0].depth)
-    return _trusted(CarlesonSequence, weights=((ROOT, gamma), *merged) if gamma else tuple(merged))
+    keys = _halved(first._keys, second._keys)
+    pairs = sorted(zip(keys, first._values + second._values), key=itemgetter(0))
+    if gamma:
+        pairs.insert(0, (1, gamma))
+    keys, values = zip(*pairs) if pairs else ((), ())
+    return _trusted(CarlesonSequence, _keys=keys, _values=values)
 
 
 @dataclass(frozen=True)
@@ -490,4 +490,3 @@ def concat_identity(
     lhs = combined.level_set(level + gamma * combined.measure)
     rhs = (c1.level_set(level) + c2.level_set(level)) / 2
     return lhs, rhs
-

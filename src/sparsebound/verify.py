@@ -50,7 +50,7 @@ from .dyadic import (
     Config,
     DyadicInterval,
     DyadicSet,
-    _node,
+    _trusted,
     _value_cells,
     carleson_constant,
     concat_identity,
@@ -407,18 +407,19 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
                     yield name, ((window, 1), (m, 1), level)
 
 
+_QUARTERS = tuple(Fraction(n, 4) for n in range(5))  # weights of random configurations
+
+
 def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -> Config:
     mask = rng.getrandbits(2**set_depth)
     subset = DyadicSet.from_cells(set_depth, mask)
-    mapping: dict[DyadicInterval, Fraction] = {}
-    for d in range(seq_depth + 1):
-        for i in range(2**d):
-            roll = rng.random()
-            if roll < 0.25:
-                mapping[_node(d, i)] = ONE  # (d, i) is valid by construction
-            elif roll < 0.4:
-                mapping[_node(d, i)] = Fraction(rng.randint(1, 4), 4)
-    return Config(subset, CarlesonSequence.from_mapping(mapping))
+    keys, weights = [], []
+    for key in range(1, 2 << seq_depth):  # every node down to seq_depth, by depth and then index
+        roll = rng.random()
+        if roll < 0.4:
+            keys.append(key)
+            weights.append(ONE if roll < 0.25 else _QUARTERS[rng.randint(1, 4)])
+    return Config(subset, _trusted(CarlesonSequence, _keys=tuple(keys), _values=tuple(weights)))
 
 
 @lru_cache(maxsize=1)
@@ -633,12 +634,12 @@ def _sampled_configs(depth: int, sample: int, seed: int) -> Iterator[Config]:
     fail yields nothing.
     """
     rng = random.Random(seed)
-    ivs = intervals_to_depth(depth)
+    nodes = range(1, 2 << depth)  # the keys of ``intervals_to_depth(depth)``, in its order
     for _ in range(sample):
         for _attempt in range(100):
             k = rng.randint(0, 2 * (depth + 1))
-            chosen = rng.sample(ivs, min(k, len(ivs)))
-            seq = CarlesonSequence.from_mapping({iv: ONE for iv in chosen})
+            keys = tuple(sorted(rng.sample(nodes, min(k, len(nodes)))))
+            seq = _trusted(CarlesonSequence, _keys=keys, _values=(ONE,) * len(keys))
             if carleson_constant(seq) <= 2:
                 yield Config(DyadicSet.from_cells(depth, rng.getrandbits(1 << depth)), seq)
                 break

@@ -374,6 +374,48 @@ def test_from_cells_checks_its_depth():
     assert DyadicSet.from_cells(3, 0) == DyadicSet.empty()
 
 
+def test_from_cells_checks_its_mask():
+    # A float mask used to raise TypeError, and True was read as cell 0.
+    for mask in (3.0, True, False, F(1)):
+        with pytest.raises(DomainError):
+            DyadicSet.from_cells(2, mask)
+
+
+def test_constructors_refuse_other_nodes():
+    # A node given as a (depth, index) tuple used to raise AttributeError.
+    refused = [
+        lambda: DyadicSet(((0, 0),)),
+        lambda: DyadicSet.from_intervals([ROOT, (1, 0)]),
+        lambda: CarlesonSequence((((0, 0), F(1)),)),
+        lambda: CarlesonSequence.from_mapping({(1, 1): F(1)}),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_built_from_lists():
+    # Lists are taken as tuples: equal, hashed alike and hashable.
+    for from_list, from_tuple in (
+        (CarlesonSequence([(ROOT, F(1)), (iv(1, 1), F(1, 2))]),
+         CarlesonSequence(((ROOT, F(1)), (iv(1, 1), F(1, 2))))),
+        (DyadicSet([iv(2, 1), ROOT]), DyadicSet((ROOT,))),
+    ):
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert len({from_list, from_tuple}) == 1
+
+
+def test_views_are_kept_and_read_only():
+    config = curve_vertex_config(3, 1)
+    assert config.subset.intervals is config.subset.intervals
+    assert config.seq.weights is config.seq.weights
+    assert type(config.subset.intervals) is type(config.seq.weights) is tuple
+    with pytest.raises(AttributeError):
+        config.subset.intervals = ()
+    with pytest.raises(AttributeError):
+        config.seq.weights = ()
+
+
 @settings(max_examples=300, deadline=None)
 @given(interval_lists())
 def test_from_intervals_is_canonical(given_intervals):
@@ -575,6 +617,16 @@ def _attainment_json(config, report):
 @given(configs(), st.sampled_from(REPORTS))
 def test_attainment_text_matches_json_dumps(config, report):
     assert _report_text(config, report) == _attainment_json(config, report)
+
+
+def test_extremizer_text_matches_views():
+    # Every extremizer up to m = 8: the writer reads the rows off the keys,
+    # the oracle off the interval and weight views.
+    for m in range(9):
+        for k in range(m + 1):
+            config, target = curve_vertex_config(m, k), curve_vertex_target(m, k)
+            report = attainment_report(config, target)
+            assert cli._attainment(config, target) == (_attainment_json(config, report), 0)
 
 
 def test_attainment_text_edge_configs():
