@@ -382,12 +382,6 @@ def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, in
     return cells, scale, depth
 
 
-def _cells_reaching(cells: dict[int, int], scale: int, level: Fraction) -> int:
-    """How many of the cells take a value of at least ``level``, compared in integers."""
-    p, q = level.numerator * scale, level.denominator
-    return sum(n for value, n in cells.items() if value * q >= p)
-
-
 def value_breakpoints(subset: DyadicSet, seq: CarlesonSequence) -> tuple[Fraction, ...]:
     """Sorted distinct values taken by the operator."""
     cells, scale, _ = _value_cells(subset, seq)
@@ -395,10 +389,16 @@ def value_breakpoints(subset: DyadicSet, seq: CarlesonSequence) -> tuple[Fractio
 
 
 def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction) -> Fraction:
-    """Exact measure of the set where the operator reaches ``level``."""
+    """Exact measure of the set where the operator reaches ``level``.
+
+    The pieces' values are compared with the level in integers, and the
+    cells of size 2**-depth in the pieces that reach it are counted.
+    """
     level = _exact(level, "level")
-    cells, scale, depth = _value_cells(subset, seq)
-    return Fraction(_cells_reaching(cells, scale, level), 1 << depth)
+    pieces, scale, depth = _piece_walk(subset, seq)
+    p, q = level.numerator * scale, level.denominator
+    cells = sum(1 << (depth + 1 - key.bit_length()) for key, value in pieces if value * q >= p)
+    return Fraction(cells, 1 << depth)
 
 
 def _halved(first: Iterable[int], second: Iterable[int]) -> list[int]:

@@ -1,10 +1,13 @@
 """Constructive extremizers attaining the sharp level-set bound.
 
-Recipes are small algebraic trees of concatenation moves.  Interpreting a
-recipe yields a concrete configuration (set plus weight sequence); the
-canned constructors below produce, exactly, the configurations that attain
-``bellman_value`` on the lattice of curve vertices: full-measure chains at
-x = 1, the curve-vertex family at x = 2**-k, and the tower example.
+Every extremizer is built by one move, ``Concat(left, right, gamma)``: two
+configurations halved onto [0, 1/2) and [1/2, 1) under a root weight
+gamma.  A recipe is a DAG of these nodes with ``Config`` leaves, and
+``interpret`` builds it, a child shared by both sides once.  The moves
+``Base``, ``Jump``, ``Halve`` and ``MixZero`` are ``Concat`` nodes of a fixed
+shape.  The canned constructors below produce, exactly, the configurations
+that attain ``bellman_value`` on the lattice of curve vertices: full-measure
+chains at x = 1, the curve-vertex family at x = 2**-k, and the tower example.
 """
 
 from __future__ import annotations
@@ -25,14 +28,12 @@ from .dyadic import (
 from .rational import DomainError, _index
 
 __all__ = [
-    "Recipe",
+    "Concat",
     "Base",
     "Jump",
     "Halve",
     "MixZero",
     "interpret",
-    "base_double_config",
-    "x1_chain_recipe",
     "curve_vertex_recipe",
     "EXTREMIZER_CURVE_CAP",
     "curve_vertex_config",
@@ -48,33 +49,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Recipe:
-    """Base class for extremizer recipes."""
-
-
 @dataclass(frozen=True)
-class Base(Recipe):
-    """The double-root base of measure x (``base_double_config``)."""
+class Concat:
+    """Recipe node: ``left`` and ``right`` halved side by side, the root weighted by ``gamma``.
 
-    x: Fraction
+    The children are ``Concat`` nodes or ``Config`` leaves.  The measure is
+    the mean of the children's and the height gamma plus the mean of theirs.
+    """
 
-
-@dataclass(frozen=True)
-class Jump(Recipe):
-    inner: Recipe
-
-
-@dataclass(frozen=True)
-class Halve(Recipe):
-    inner: Recipe
+    left: Concat | Config
+    right: Concat | Config
+    gamma: Fraction
 
 
-@dataclass(frozen=True)
-class MixZero(Recipe):
-    inner: Recipe
-
-
-def base_double_config(x: Fraction) -> Config:
+def Base(x: Fraction) -> Concat:
     """Set of measure x equidistributed over both halves, weights on root and children.
 
     Two copies of the prefix [0, x) under a unit root weight, concatenated
@@ -82,39 +70,48 @@ def base_double_config(x: Fraction) -> Config:
     2x at height 2.
     """
     half = Config(DyadicSet.prefix(x), CarlesonSequence.from_mapping({ROOT: ONE}))
-    return concat_configs(half, half, ONE)
+    return Concat(half, half, ONE)
 
 
-def interpret(recipe: Recipe) -> Config:
-    """Interpret a recipe into a concrete configuration."""
-    if isinstance(recipe, Base):
-        return base_double_config(recipe.x)
-    if isinstance(recipe, Jump):
-        inner = interpret(recipe.inner)
-        return concat_configs(inner, inner, ONE)
-    if isinstance(recipe, Halve):
-        return concat_configs(interpret(recipe.inner), Config.empty(), ZERO)
-    if isinstance(recipe, MixZero):
-        return concat_configs(interpret(recipe.inner), Config.full_unweighted(), ZERO)
-    raise DomainError(f"unknown recipe node {recipe!r}")
+def Jump(recipe: Concat | Config) -> Concat:
+    """Two copies under a unit root weight: the attained level moves up by the measure."""
+    return Concat(recipe, recipe, ONE)
 
 
-def x1_chain_recipe(m: int) -> Recipe:
-    """Chain pinned at full measure: m rounds of averaging with the bare full set, then a jump."""
-    if _index(m, "chain length") < 0:
-        raise DomainError(f"chain length must be nonnegative, got {m}")
-    recipe: Recipe = Base(ONE)
-    for _ in range(m):
-        recipe = Jump(MixZero(recipe))
-    return recipe
+def Halve(recipe: Concat | Config) -> Concat:
+    """Beside the empty configuration: measure, height and the level sets above 0 halve."""
+    return Concat(recipe, Config.empty(), ZERO)
 
 
-def curve_vertex_recipe(m: int, k: int) -> Recipe:
-    """Recipe attaining the bound at the k-th vertex of the m-th curve."""
+def MixZero(recipe: Concat | Config) -> Concat:
+    """Beside the bare full set: the measure moves halfway to 1, the rest halves as in ``Halve``."""
+    return Concat(recipe, Config.full_unweighted(), ZERO)
+
+
+def interpret(recipe: Concat | Config) -> Config:
+    """Build the configuration of a recipe; a child shared by both sides is built once."""
+    if isinstance(recipe, Config):
+        return recipe
+    if not isinstance(recipe, Concat):
+        raise DomainError(f"unknown recipe node {recipe!r}")
+    left = interpret(recipe.left)
+    right = left if recipe.right is recipe.left else interpret(recipe.right)
+    return concat_configs(left, right, recipe.gamma)
+
+
+def curve_vertex_recipe(m: int, k: int) -> Concat:
+    """Recipe attaining the bound at the k-th vertex of the m-th curve.
+
+    From the base of full measure, m - k rounds of averaging with the bare
+    full set, each followed by a jump, give the chain pinned at x = 1; then
+    k rounds of halving, each followed by a jump, bring the measure to 2**-k.
+    """
     m, k = _index(m, "curve index"), _index(k, "vertex index")
     if not 0 <= k <= m:
         raise DomainError(f"vertex indices need 0 <= k <= m, got k={k}, m={m}")
-    recipe = x1_chain_recipe(m - k)
+    recipe = Base(ONE)
+    for _ in range(m - k):
+        recipe = Jump(MixZero(recipe))
     for _ in range(k):
         recipe = Jump(Halve(recipe))
     return recipe

@@ -44,7 +44,6 @@ from sparsebound.dyadic import (
     CarlesonSequence,
     Config,
     DyadicSet,
-    _cells_reaching,
     _value_cells,
     concat_identity,
 )
@@ -640,7 +639,8 @@ def _scan(
     levels = [Fraction(v, scale) for v in cells if v > 0] + list(lambda_values)
     for level in levels:
         key = (config.measure, config.height, level)
-        count = _cells_reaching(cells, scale, level)
+        p, q = level.numerator * scale, level.denominator
+        count = sum(n for value, n in cells.items() if value * q >= p)
         table[key] = max(table.get(key, Fraction(0)), Fraction(count, 1 << depth))
 
 

@@ -13,14 +13,15 @@ from sparsebound.dyadic import (
     carleson_constant,
     concat_configs,
 )
+from sparsebound import extremal
 from sparsebound.extremal import (
     AttainmentTarget,
     Base,
+    Concat,
     Halve,
     Jump,
     MixZero,
     attainment_report,
-    base_double_config,
     EXTREMIZER_CURVE_CAP,
     corollary_config,
     corollary_target,
@@ -29,7 +30,6 @@ from sparsebound.extremal import (
     curve_vertex_target,
     interpret,
     tower_config,
-    x1_chain_recipe,
 )
 from sparsebound.rational import DomainError
 from sparsebound.verify import brute_force_sup
@@ -48,12 +48,12 @@ def test_extremizers_above_the_cap_are_refused(time_limit):
 
 
 def test_base_double_config():
-    c = base_double_config(F(1))
+    c = interpret(Base(F(1)))
     assert (c.measure, c.height) == (F(1), F(2))
     assert c.level_set(F(2)) == F(1) == bellman_value(F(1), F(2), F(2))
-    c = base_double_config(F(1, 2))
+    c = interpret(Base(F(1, 2)))
     assert c.level_set(F(1)) == F(1) == bellman_value(F(1, 2), F(2), F(1))
-    c = base_double_config(F(1, 4))
+    c = interpret(Base(F(1, 4)))
     assert c.level_set(F(1, 2)) == F(1)
     # averages are equidistributed over the two halves
     for half in ROOT.children():
@@ -62,7 +62,7 @@ def test_base_double_config():
 
 def test_x1_chain_config():
     for m, level, expected in ((0, F(2), F(1)), (1, F(3), F(1, 2)), (3, F(5), F(1, 8))):
-        c = interpret(x1_chain_recipe(m))
+        c = interpret(curve_vertex_recipe(m, 0))
         assert (c.measure, c.height) == (F(1), F(2))
         assert c.level_set(level) == expected == bellman_value(F(1), F(2), level)
 
@@ -80,40 +80,70 @@ def test_curve_vertex_configs_small():
 
 
 def test_recipe_step_algebra():
-    # Jump shifts the attained level by the measure; Halve halves everything.
-    node = curve_vertex_recipe(3, 2)
-    while not isinstance(node, Base):
-        if isinstance(node, Jump):
-            inner = interpret(node.inner)
-            outer = interpret(node)
-            assert outer.measure == inner.measure
-            assert outer.height == inner.height + 1
-            for j in range(-2, 9):
-                level = F(j, 2)
-                assert outer.level_set(level + outer.measure) == inner.level_set(level)
-        elif isinstance(node, Halve):
-            inner = interpret(node.inner)
-            outer = interpret(node)
-            assert outer.measure == inner.measure / 2
-            assert outer.height == inner.height / 2
-            for j in range(1, 9):
-                level = F(j, 2)
-                assert outer.level_set(level) == inner.level_set(level) / 2
-        elif isinstance(node, MixZero):
-            inner = interpret(node.inner)
-            outer = interpret(node)
-            assert outer.measure == (inner.measure + 1) / 2
-            assert outer.height == inner.height / 2
-            for j in range(1, 9):
-                level = F(j, 2)
-                assert outer.level_set(level) == inner.level_set(level) / 2
-        node = node.inner
+    # At every node the measure is the mean of the children's, the height
+    # gamma plus the mean, and the level set at lambda + gamma * x the mean
+    # of the children's at lambda.
+    seen = set()
+    stack = [curve_vertex_recipe(4, 2), curve_vertex_recipe(3, 0)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Config) or id(node) in seen:
+            continue
+        seen.add(id(node))
+        outer, left, right = interpret(node), interpret(node.left), interpret(node.right)
+        assert outer.measure == (left.measure + right.measure) / 2
+        assert outer.height == node.gamma + (left.height + right.height) / 2
+        for j in range(-2, 13):
+            level = F(j, 2)
+            shifted = outer.level_set(level + node.gamma * outer.measure)
+            assert shifted == (left.level_set(level) + right.level_set(level)) / 2
+        stack += [node.left, node.right]
+    # Each recipe has its Base node and two nodes per round, 2m + 1 in all.
+    assert len(seen) == 2 * 4 + 1 + 2 * 3 + 1
 
 
 def test_desugared_moves_match_concatenation():
     base = Base(F(1, 2))
     config = interpret(base)
     assert interpret(Jump(base)) == concat_configs(config, config, F(1))
+    half = Config(DyadicSet.prefix(F(1, 2)), CarlesonSequence.from_mapping({ROOT: F(1)}))
+    assert base == Concat(half, half, F(1))
+    assert Jump(base) == Concat(base, base, F(1))
+    assert Halve(base) == Concat(base, Config.empty(), F(0))
+    assert MixZero(base) == Concat(base, Config.full_unweighted(), F(0))
+
+
+def test_interpret_refuses_unknown_nodes_and_weights():
+    config = curve_vertex_config(1, 1)
+    assert interpret(config) is config
+    for node in ("x", Concat(config, "x", F(0)), Concat(None, config, F(1))):
+        with pytest.raises(DomainError, match="unknown recipe node"):
+            interpret(node)
+    # The root weight is checked when the node is built into a configuration.
+    for gamma in (0.5, F(3, 2), F(-1)):
+        with pytest.raises(DomainError, match="root weight"):
+            interpret(Concat(config, config, gamma))
+    # Base checks its measure when it is called, not when it is interpreted.
+    for x in (0.5, F(3, 2), F(1, 3)):
+        with pytest.raises(DomainError, match="prefix measure"):
+            Base(x)
+
+
+def test_shared_child_is_built_once(monkeypatch):
+    # Base is one concatenation and each later round two; a Jump's child is
+    # built once, not once per side.
+    calls = []
+
+    def counting(first, second, gamma):
+        calls.append(gamma)
+        return concat_configs(first, second, gamma)
+
+    monkeypatch.setattr(extremal, "concat_configs", counting)
+    for m in range(7):
+        for k in range(m + 1):
+            calls.clear()
+            interpret(curve_vertex_recipe(m, k))
+            assert len(calls) == 2 * m + 1
 
 
 def test_constructed_heights_stay_carleson():
@@ -159,13 +189,22 @@ def test_tower_config():
     assert c.level_set(F(3)) == F(1, 4)
 
 
+def test_tower_config_matches_recipe_chain():
+    # Each level is one more unit root weight over the tower halved beside the bare full set.
+    full = Config.full_unweighted()
+    tower = Concat(full, full, F(1))
+    for n in range(9):
+        assert tower_config(n) == interpret(tower)
+        tower = Concat(tower, full, F(1))
+
+
 def test_indices_are_ints():
     refused = [
         lambda: tower_config(True),
         lambda: tower_config(2.0),
         lambda: tower_config(-1),
-        lambda: x1_chain_recipe(True),
-        lambda: x1_chain_recipe(1.0),
+        lambda: curve_vertex_recipe(True, 0),
+        lambda: curve_vertex_recipe(1.0, 0),
         lambda: curve_vertex_recipe(2.0, 1),
         lambda: curve_vertex_recipe(2, True),
         lambda: curve_vertex_recipe(1, 2),
@@ -174,7 +213,7 @@ def test_indices_are_ints():
         with pytest.raises(DomainError):
             call()
     assert tower_config(1).height == F(3, 2)
-    assert curve_vertex_recipe(1, 0) == x1_chain_recipe(1)
+    assert curve_vertex_recipe(1, 0) == Jump(MixZero(Base(F(1))))
 
 
 def test_mix_config():
@@ -205,7 +244,7 @@ def test_segment_interior_attainment_by_pad_and_jump():
     for m in (1, 2, 3):
         x = F(3, 4)
         pad = Config(DyadicSet.prefix(2 * x - 1), CarlesonSequence.empty())
-        padded = concat_configs(interpret(x1_chain_recipe(m - 1)), pad, F(0))
+        padded = concat_configs(interpret(curve_vertex_recipe(m - 1, 0)), pad, F(0))
         config = concat_configs(padded, padded, F(1))
         level = m + 1 + x
         assert config.measure == x

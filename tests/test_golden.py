@@ -136,6 +136,11 @@ GOLDEN = {
         ["extremize", "3", "2"], 0, 2932,
         "40b551353ff8f6469102ad0f6c12bb5d97e81f45bb15d9abb0a7980b2314121f",
     ),
+    # A chain that mixes the bare full set in four times, then halves four times.
+    "extremize-8-4": (
+        ["extremize", "8", "4"], 0, 83353,
+        "85c0eccb4328565cc1c5f8ea4e35c6ad64e4636ae288af0b3e27b4fa8fcc6dae",
+    ),
     "corollary-1-3": (
         ["corollary", "1", "3"], 0, 976,
         "77408e3309635cab56b34ca658cf11accf60733aace663c0e693b12c5b4b7e99",
