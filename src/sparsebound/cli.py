@@ -308,11 +308,11 @@ def _cmd_brute(args: argparse.Namespace) -> tuple[str, int]:
 
 def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
     report = attainment_report(config, target)
-    lcm, _, scaled = config.seq._scale
-    texts = {s: _json_rational(Fraction(s, lcm)) for s in set(scaled)}
+    seq = config.seq
+    texts = {v: _json_rational(Fraction(v, seq._den)) for v in set(seq._values)}
     # Generated, not listed: thousands of live row tuples set off a full garbage collection.
     intervals = map(_depth_index, config.subset._keys)
-    weights = ((d, i, texts[s]) for (d, i), s in zip(map(_depth_index, config.seq._keys), scaled))
+    weights = ((d, i, texts[v]) for (d, i), v in zip(map(_depth_index, seq._keys), seq._values))
     config_json = {
         "E": {"intervals": _Rows(("d", "i"), intervals)},
         "alpha": {"weights": _Rows(("d", "i", "w"), weights)},

@@ -7,7 +7,8 @@ children of ``key`` are ``2 * key`` and ``2 * key + 1``, its depth is
 ``DyadicSet`` keeps its keys sorted by left end and a ``CarlesonSequence``
 its keys in the order given, beside their weights.  ``DyadicInterval``s
 appear at the boundary only: the constructors read them, and the
-``intervals`` and ``weights`` views build them on first read.  Three
+``intervals`` and ``weights`` views build them on first read.  Weights
+are likewise int numerators over their least common denominator.  Three
 passes over keys serve everything: ``_merge`` canonicalises a set,
 ``CarlesonSequence._walk`` adds the weights up their ancestor chains once
 per sequence, and ``_piece_walk`` finds where the operator is constant.
@@ -233,28 +234,34 @@ class CarlesonSequence:
 
     The constructor checks the nodes and weights however the sequence is
     built: a node that is not a ``DyadicInterval``, a float or bool weight
-    or a weight outside [0, 1] raises ``DomainError``, and an int weight is
-    stored as a ``Fraction``.  A sequence built directly keeps its order,
-    its zero weights and a node listed twice, whose weights add.
-    ``weights`` is a read-only view of its keys and weights.
+    or a weight outside [0, 1] raises ``DomainError``.  Each weight is
+    stored as an int numerator over ``_den``, the least common denominator
+    of the weights in lowest terms, so equal sequences have equal fields.
+    A sequence built directly keeps its order, its zero weights and a node
+    listed twice, whose weights add.  ``weights`` is a read-only view of
+    its keys and weights.
     """
 
     _keys: tuple[int, ...]
-    _values: tuple[Fraction, ...]
+    _values: tuple[int, ...]
+    _den: int
 
     def __init__(self, weights: Iterable[tuple[DyadicInterval, Fraction]]) -> None:
         pairs = tuple(weights)
-        object.__setattr__(self, "_keys", tuple(_key(iv) for iv, _ in pairs))
+        keys = tuple(_key(iv) for iv, _ in pairs)
         values = tuple(w for _, w in pairs)
         # One pass over exact weights; the names are formatted only on failure.
         if not all(type(w) is Fraction and 0 <= w.numerator <= w.denominator for w in values):
             values = tuple(_unit_weight(w, f"weight at {iv}") for iv, w in pairs)
-        object.__setattr__(self, "_values", values)
+        den = math.lcm(*{w.denominator for w in values})
+        values = tuple(w.numerator * (den // w.denominator) for w in values)
+        self.__dict__.update(_keys=keys, _values=values, _den=den)
 
     @cached_property
     def weights(self) -> tuple[tuple[DyadicInterval, Fraction], ...]:
         """The (interval, weight) pairs in order, built on first read and kept."""
-        return tuple(zip(_intervals(self._keys), self._values))
+        fractions = {v: Fraction(v, self._den) for v in set(self._values)}
+        return tuple(zip(_intervals(self._keys), map(fractions.__getitem__, self._values)))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[DyadicInterval, Fraction]) -> CarlesonSequence:
@@ -263,32 +270,20 @@ class CarlesonSequence:
 
     @classmethod
     def empty(cls) -> CarlesonSequence:
-        return _trusted(cls, _keys=(), _values=())
-
-    @cached_property
-    def _scale(self) -> tuple[int, int, tuple[int, ...]]:
-        """The weights' common denominator lcm, the deepest depth and each ``w * lcm`` in order.
-
-        Kept with the sequence; equality and hashing read its fields only.
-        """
-        lcm = math.lcm(*{w.denominator for w in self._values})
-        depth = _depth(self._keys)
-        if lcm == 1:  # 0/1 weights, as in every extremizer: no scaling
-            return lcm, depth, tuple(w.numerator for w in self._values)
-        return lcm, depth, tuple(w.numerator * (lcm // w.denominator) for w in self._values)
+        return _trusted(cls, _keys=(), _values=(), _den=1)
 
     @cached_property
     def _walk(self) -> tuple[Fraction, Fraction]:
         """The height and the Carleson constant, from one bottom-up walk.
 
-        The weighted lengths, scaled by ``lcm << depth``, go up the ancestor
+        The weighted lengths, scaled by ``_den << depth``, go up the ancestor
         chains one depth at a time; a node's sum times 2**d is its ratio, the
         largest on a chain.  The root's sum is the height.
         """
-        lcm, depth, scaled = self._scale
+        depth = _depth(self._keys)
         # Any order will do: the weights are dealt to their depths first.
         own: list[dict[int, int]] = [{} for _ in range(depth + 1)]
-        for key, w in zip(self._keys, scaled):
+        for key, w in zip(self._keys, self._values):
             level = own[key.bit_length() - 1]
             level[key] = level.get(key, 0) + w
         best = 0
@@ -301,7 +296,7 @@ class CarlesonSequence:
             for key, total in sums.items():
                 parents[key >> 1] = parents.get(key >> 1, 0) + total
             sums = parents
-        return Fraction(sums.get(0, 0), lcm << depth), Fraction(best, lcm << depth)
+        return Fraction(sums.get(0, 0), self._den << depth), Fraction(best, self._den << depth)
 
 
 def carleson_height(seq: CarlesonSequence) -> Fraction:
@@ -324,7 +319,7 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
     any weight or set interval; a weight w on a node of depth d covering c
     cells of size 2**-S adds ``w * c * 2**d`` scaled.
     """
-    lcm, depth, scaled = seq._scale
+    depth = _depth(seq._keys)
     fine = max(depth, _depth(subset._keys))
     # The set's nodes as [lo, hi) in cells of size 2**-fine, offset by
     # 2**fine, left to right, with the cell counts of the first j in covered[j].
@@ -336,7 +331,7 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
         covered.append(covered[-1] + (1 << shift))
     own: dict[int, int] = {}
     inner: set[int] = set()  # nodes with a weight strictly inside
-    for key, w in zip(seq._keys, scaled):
+    for key, w in zip(seq._keys, seq._values):
         shift = fine + 1 - key.bit_length()
         lo, hi = key << shift, (key + 1) << shift
         j = bisect_right(his, lo)  # the first interval ending after lo
@@ -359,7 +354,7 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
             stack.append((2 * key, value))
         else:
             pieces.append((key, value))
-    return pieces, lcm << fine, depth
+    return pieces, seq._den << fine, depth
 
 
 def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
@@ -430,15 +425,18 @@ def concat_seqs(
     The halved weights are sorted stably by key: two sequences sorted by
     depth and then index make two runs, which the sort merges.  Only gamma
     is checked: the halves' weights were checked when their sequences were
-    built.
+    built.  The denominator, the lcm of the halves' and gamma's, is least.
     """
     gamma = _unit_weight(gamma, "root weight")
-    keys = _halved(first._keys, second._keys)
-    pairs = sorted(zip(keys, first._values + second._values), key=itemgetter(0))
+    den = math.lcm(first._den, second._den, gamma.denominator)
+    values = first._values + second._values
+    if not first._den == second._den == den:
+        values = tuple(v * (den // seq._den) for seq in (first, second) for v in seq._values)
+    pairs = sorted(zip(_halved(first._keys, second._keys), values), key=itemgetter(0))
     if gamma:
-        pairs.insert(0, (1, gamma))
+        pairs.insert(0, (1, gamma.numerator * (den // gamma.denominator)))
     keys, values = zip(*pairs) if pairs else ((), ())
-    return _trusted(CarlesonSequence, _keys=keys, _values=values)
+    return _trusted(CarlesonSequence, _keys=keys, _values=values, _den=den)
 
 
 @dataclass(frozen=True)

@@ -49,12 +49,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concat:
     """Recipe node: ``left`` and ``right`` halved side by side, the root weighted by ``gamma``.
 
     The children are ``Concat`` nodes or ``Config`` leaves.  The measure is
     the mean of the children's and the height gamma plus the mean of theirs.
+    Nodes compare and hash by identity, in constant time on a shared DAG.
     """
 
     left: Concat | Config
@@ -195,7 +196,7 @@ def attainment_report(config: Config, target: AttainmentTarget) -> dict:
     0/1 weights only, so a fractional weight raises ``DomainError`` (the
     sequence has already checked that it lies in [0, 1]).
     """
-    if config.seq._scale[0] != 1:  # the weights' common denominator
+    if config.seq._den != 1:
         iv, w = next((iv, w) for iv, w in config.seq.weights if w.denominator != 1)
         raise DomainError(f"the bound covers weights 0 and 1 only, got {w} at {iv}")
     achieved = config.level_set(target.level)

@@ -407,9 +407,6 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
                     yield name, ((window, 1), (m, 1), level)
 
 
-_QUARTERS = tuple(Fraction(n, 4) for n in range(5))  # weights of random configurations
-
-
 def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -> Config:
     mask = rng.getrandbits(2**set_depth)
     subset = DyadicSet.from_cells(set_depth, mask)
@@ -418,8 +415,10 @@ def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -
         roll = rng.random()
         if roll < 0.4:
             keys.append(key)
-            weights.append(ONE if roll < 0.25 else _QUARTERS[rng.randint(1, 4)])
-    return Config(subset, _trusted(CarlesonSequence, _keys=tuple(keys), _values=tuple(weights)))
+            weights.append(4 if roll < 0.25 else rng.randint(1, 4))  # in quarters
+    g = math.gcd(4, *weights)  # over the least denominator, as the constructor stores them
+    values, den = tuple(w // g for w in weights), 4 // g
+    return Config(subset, _trusted(CarlesonSequence, _keys=tuple(keys), _values=values, _den=den))
 
 
 @lru_cache(maxsize=1)
@@ -639,7 +638,7 @@ def _sampled_configs(depth: int, sample: int, seed: int) -> Iterator[Config]:
         for _attempt in range(100):
             k = rng.randint(0, 2 * (depth + 1))
             keys = tuple(sorted(rng.sample(nodes, min(k, len(nodes)))))
-            seq = _trusted(CarlesonSequence, _keys=keys, _values=(ONE,) * len(keys))
+            seq = _trusted(CarlesonSequence, _keys=keys, _values=(1,) * len(keys), _den=1)
             if carleson_constant(seq) <= 2:
                 yield Config(DyadicSet.from_cells(depth, rng.getrandbits(1 << depth)), seq)
                 break

@@ -594,11 +594,10 @@ def height_sum(seq: CarlesonSequence) -> Fraction:
     return sum((w * iv.measure for iv, w in seq.weights), Fraction(0))
 
 
-def scale_per_weight(seq: CarlesonSequence) -> tuple[int, int, tuple[int, ...]]:
-    """The lcm of every weight's denominator, the deepest depth and each ``w * lcm``."""
-    lcm = math.lcm(*(w.denominator for _, w in seq.weights))
-    depth = max((iv.depth for iv, _ in seq.weights), default=0)
-    return lcm, depth, tuple(w.numerator * (lcm // w.denominator) for _, w in seq.weights)
+def scale_per_weight(weights: list[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The lcm of every weight's denominator and each ``w * lcm``, weight by weight."""
+    lcm = math.lcm(*(w.denominator for w in weights))
+    return lcm, tuple(w.numerator * (lcm // w.denominator) for w in weights)
 
 
 def carleson_constant_scan(seq: CarlesonSequence) -> Fraction:

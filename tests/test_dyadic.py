@@ -315,7 +315,10 @@ def _concat_by_rebuilding(c1, c2, gamma):
 
 
 FULL = Config.full_unweighted()
-GAMMAS = st.sampled_from([F(0), F(1, 2), F(1)])
+GAMMAS = st.sampled_from([F(0), F(1, 2), F(1), F(1, 3)])
+# Weights over 4 and over 6: their concatenation is over 12, both halves rescaled.
+QUARTERS = Config(DyadicSet.prefix(F(1, 4)), CarlesonSequence.from_mapping({ROOT: F(3, 4)}))
+SIXTHS = Config(DyadicSet.full(), CarlesonSequence(((ROOT, F(1, 3)), (iv(2, 1), F(5, 6)))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -324,11 +327,14 @@ GAMMAS = st.sampled_from([F(0), F(1, 2), F(1)])
 @example(FULL, FULL, F(1, 2))
 @example(FULL, FULL, F(1))
 @example(Config.empty(), Config.empty(), F(0))
+@example(QUARTERS, SIXTHS, F(0))
+@example(SIXTHS, QUARTERS, F(1, 2))
+@example(QUARTERS, QUARTERS, F(1, 3))
 def test_concat_configs_matches_rebuild(c1, c2, gamma):
     got = concat_configs(c1, c2, gamma)
     want = _concat_by_rebuilding(c1, c2, gamma)
     assert got.subset == want.subset
-    assert got.seq == want.seq
+    assert got.seq == want.seq and hash(got.seq) == hash(want.seq)
     assert got.measure == want.measure == want.subset.measure
     assert got.height == want.height == carleson_height(want.seq)
     assert type(got.measure) is type(got.height) is F
@@ -455,9 +461,9 @@ def raw_sequences(draw):
     st.booleans(),
 )
 def test_one_walk_gives_height_and_constant(seq, height_first):
-    # The scale and the walk are kept with the sequence: whichever is asked
-    # first, both read the same walk, and the sequence stays equal to, and
-    # hashed like, a copy that has computed nothing.
+    # The walk is kept with the sequence: whichever is asked first, both
+    # read the same walk, and the sequence stays equal to, and hashed like,
+    # a copy that has computed nothing.
     expected = height_sum(seq), carleson_constant_scan(seq)
     if height_first:
         height, constant = carleson_height(seq), carleson_constant(seq)
@@ -651,15 +657,17 @@ def test_attainment_text_edge_configs():
             assert _report_text(config, report) == _attainment_json(config, report)
 
 
-@given(sequences())
-@example(CarlesonSequence.empty())
-@example(tower(3))
-@example(CarlesonSequence(((iv(1, 1), F(1, 6)), (ROOT, F(0)), (iv(1, 1), F(3, 4)))))
-@example(CarlesonSequence(((iv(2, 1), F(0)), (iv(2, 1), F(1)), (ROOT, F(1)))))
-def test_scale_matches_per_weight(seq):
-    assert seq._scale == scale_per_weight(seq)
-    assert type(seq._scale[2]) is tuple
-    assert all(type(s) is int for s in seq._scale[2])
+@given(st.lists(st.tuples(intervals(), st.fractions(0, 1, max_denominator=12) | st.just(1))))
+@example([])
+@example([(iv(j, 0), F(1)) for j in range(4)])
+@example([(iv(1, 1), F(1, 6)), (ROOT, F(0)), (iv(1, 1), F(3, 4))])
+@example([(iv(2, 1), F(0)), (iv(2, 1), F(1)), (ROOT, F(1))])
+def test_scale_matches_per_weight(weights):
+    # Against the drawn weights, not the ``weights`` view, which is read from these fields.
+    seq = CarlesonSequence(weights)
+    assert (seq._den, seq._values) == scale_per_weight([w for _, w in weights])
+    assert type(seq._den) is int and type(seq._values) is tuple
+    assert all(type(v) is int for v in seq._values)
 
 
 def test_weight_validation():

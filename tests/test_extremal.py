@@ -106,11 +106,22 @@ def test_desugared_moves_match_concatenation():
     base = Base(F(1, 2))
     config = interpret(base)
     assert interpret(Jump(base)) == concat_configs(config, config, F(1))
+    # Nodes compare by identity, so the shapes are checked field by field.
     half = Config(DyadicSet.prefix(F(1, 2)), CarlesonSequence.from_mapping({ROOT: F(1)}))
-    assert base == Concat(half, half, F(1))
-    assert Jump(base) == Concat(base, base, F(1))
-    assert Halve(base) == Concat(base, Config.empty(), F(0))
-    assert MixZero(base) == Concat(base, Config.full_unweighted(), F(0))
+    assert base.left is base.right and base.left == half and base.gamma == 1
+    j = Jump(base)
+    assert j.left is j.right is base and j.gamma == 1
+    h, mix = Halve(base), MixZero(base)
+    assert h.left is base and h.right == Config.empty() and h.gamma == 0
+    assert mix.left is base and mix.right == Config.full_unweighted() and mix.gamma == 0
+
+
+def test_recipes_compare_and_hash_by_identity(time_limit):
+    # A shared DAG of depth 2m + 1: a structural hash or == would take 2**m steps.
+    recipe, other = curve_vertex_recipe(40, 20), curve_vertex_recipe(40, 20)
+    with time_limit(1):
+        assert hash(recipe) == hash(recipe) and recipe == recipe
+        assert recipe != other and len({recipe, other}) == 2
 
 
 def test_interpret_refuses_unknown_nodes_and_weights():
@@ -213,7 +224,11 @@ def test_indices_are_ints():
         with pytest.raises(DomainError):
             call()
     assert tower_config(1).height == F(3, 2)
-    assert curve_vertex_recipe(1, 0) == Jump(MixZero(Base(F(1))))
+    # Jump(MixZero(Base(1))): two copies of the base beside the bare full set.
+    j = curve_vertex_recipe(1, 0)
+    mix = j.left
+    assert j.right is mix and j.gamma == 1 and mix.gamma == 0
+    assert mix.right == Config.full_unweighted() and interpret(mix.left) == interpret(Base(F(1)))
 
 
 def test_mix_config():

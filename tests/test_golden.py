@@ -118,6 +118,11 @@ GOLDEN = {
         ["brute", "5", "--sample", "200", "--seed", "1"], 0, 72344,
         "7ff32be261b12d03d9f20e5b55ad58fd1752bbb1c0f30767ddc9866d9ec787ba",
     ),
+    # The sampled cap, depth 8: its draws are built straight into sequences.
+    "brute-8-sampled": (
+        ["brute", "8", "--sample", "100", "--seed", "3"], 0, 50100,
+        "2a5fe2027013c2038b5799987ab1978181248d82a628e8a1bef7398981da84da",
+    ),
     # The README's sampled brute at full size, and the largest extremizers
     # under the cap, at both ends of curve 10.
     "brute-5-sampled-2000": (

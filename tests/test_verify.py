@@ -22,6 +22,7 @@ from reference import (
 from sparsebound import cli, verify
 from sparsebound.candidate import bellman_value, vertex_f
 from sparsebound.cli import main
+from sparsebound.dyadic import CarlesonSequence
 from sparsebound.rational import DomainError
 from sparsebound.verify import (
     EXHAUSTIVE_DEPTH_CAP,
@@ -413,6 +414,19 @@ def test_sampled_report_compares_with_the_bound(monkeypatch):
     assert not report.domination
     assert {e.attained for e in report.entries} == {True, False}
     assert report == brute_sampled_reference(3, [F(1)], 60, 4)
+
+
+def test_trusted_builds_are_canonical():
+    # verify builds its draws without the constructor, so each must store its
+    # weights over the least denominator, as the constructor does: equality
+    # and hashing read those fields.
+    rng = random.Random(11)
+    seqs = [verify._random_config(rng).seq for _ in range(300)]
+    seqs += [config.seq for config in verify._sampled_configs(5, 50, 1)]
+    assert {seq._den for seq in seqs} == {1, 2, 4}
+    for seq in seqs:
+        rebuilt = CarlesonSequence(seq.weights)
+        assert seq == rebuilt and hash(seq) == hash(rebuilt)
 
 
 def test_sampled_depth_cap_checked_before_drawing(monkeypatch):
