@@ -29,8 +29,8 @@ the oracle of the differential tests.
 The kernel's entries take and return rationals as (numerator, positive
 denominator) pairs, not necessarily in lowest terms: ``_bound`` (the
 bound, as ``_region`` then ``_region_value``), ``_f_value``,
-``_f_extended``, ``_g_value``, ``_profile_slopes`` and
-``_segment_slope``.  They check nothing; the public functions check their
+``_f_extended``, ``_g_value``, ``_profile_slopes``, ``_segment_slope``
+and ``_recip_slope_forms``.  They check nothing; the public functions check their
 arguments and wrap them, and the verify suites call them directly.
 """
 
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import starmap
 from typing import NamedTuple
 
 from .geometry import PlanePoint
@@ -564,6 +565,31 @@ LinearForm = tuple[Fraction, Fraction]  # value at level t is c0 + c1*t
 LevelRange = tuple[Fraction, Fraction]  # half-open (lo, hi]
 
 
+def _recip_slope_forms(window: int, m: int) -> dict[str, tuple[tuple, tuple]]:
+    """``recip_slope_forms`` at 2 <= window <= m + 1, as unreduced pairs."""
+    two = 2 << m  # 2**s, s = m + 1 the strip index
+
+    def level(k: int, n: int) -> Pair:  # of vertex k of the F curve n
+        return ((n - k + 3) << k) - 1, 1 << k
+
+    def form(c: int, a: int, b: int) -> tuple[Pair, Pair]:
+        # c1 = 2**s (1/a - 1/b) = 2**s (b - a) / (a b), and c0 = -c c1
+        return (-c * two * (b - a), a * b), (two * (b - a), a * b)
+
+    k = window  # the ranges end at k, at two curve vertices and at k + 1
+    ends = (k, 1), level(m - k + 2, m), level(m - k + 3, m + 1), (k + 1, 1)
+    if k == 2:  # the segment's lower end still on an origin segment
+        lo, hi = (1 << m) - 1, (6 << m) - 1
+        low, mid_c0, high = form(0, (3 << m) - 1, hi), (-2 * two, lo), form(2, lo, (2 << m) - 1)
+    else:
+        top = 1 << (m - k + 2)
+        lo, hi = top - 1, 4 * top - 1
+        low, high = form(k - 1, 2 * top - 1, hi), form(k, lo, 2 * top - 1)
+        mid_c0 = (two * ((k - 1) * lo - k * hi), lo * hi)
+    mid = mid_c0, form(0, lo, hi)[1]
+    return {"low": (low, ends[0:2]), "mid": (mid, ends[1:3]), "high": (high, ends[2:4])}
+
+
 def recip_slope_forms(window: int, m: int) -> dict[str, tuple[LinearForm, LevelRange]]:
     """Closed forms of the reciprocal slope on strip m+1 for levels in (window, window+1].
 
@@ -573,45 +599,18 @@ def recip_slope_forms(window: int, m: int) -> dict[str, tuple[LinearForm, LevelR
     ``window = 2`` is the case where the lower endpoint still sits on an
     origin segment; larger windows use interior segments only.
     """
+    return {
+        name: (tuple(starmap(Fraction, form)), tuple(starmap(Fraction, levels)))
+        for name, (form, levels) in _recip_slope_forms(*_check_window(window, m)).items()
+    }
+
+
+def _check_window(window: int, m: int) -> tuple[int, int]:
+    """The window and curve index of ``recip_slope_forms``, checked."""
     window, m = _index(window, "window"), _index(m, "curve index")
-    if window < 2:
-        raise DomainError(f"window must be at least 2, got {window}")
-    s = m + 1  # strip index
-    two = Fraction(2**s)
-    if window == 2:
-        if m < 1:
-            raise DomainError("window 2 forms need m >= 1")
-        x_m = origin_parameter(Family.F, m)
-        x_m1 = origin_parameter(Family.F, m + 1)
-        low = ((ZERO, two * (x_m - x_m1)), (Fraction(2), vertex_f(m, m).y))
-        d_mid = Fraction(1, 2**m - 1) - x_m1
-        mid = (
-            (-2 * two / (2**m - 1), two * d_mid),
-            (vertex_f(m, m).y, vertex_f(m + 1, m + 1).y),
-        )
-        d_high = Fraction(1, 2**m - 1) - Fraction(1, 2 ** (m + 1) - 1)
-        high = ((-2 * two * d_high, two * d_high), (vertex_f(m + 1, m + 1).y, Fraction(3)))
-        return {"low": low, "mid": mid, "high": high}
-    k = window
-    if m < k - 1:
-        raise DomainError(f"window {k} forms need m >= {k - 1}, got m={m}")
-    d_low = Fraction(1, 2 ** (m - k + 3) - 1) - Fraction(1, 2 ** (m - k + 4) - 1)
-    low = (
-        (-(k - 1) * two * d_low, two * d_low),
-        (Fraction(k), vertex_f(m - k + 2, m).y),
-    )
-    c_lo = Fraction(1, 2 ** (m - k + 2) - 1)
-    c_hi = Fraction(1, 2 ** (m - k + 4) - 1)
-    mid = (
-        (two * (-k * c_lo + (k - 1) * c_hi), two * (c_lo - c_hi)),
-        (vertex_f(m - k + 2, m).y, vertex_f(m - k + 3, m + 1).y),
-    )
-    d_high = Fraction(1, 2 ** (m - k + 2) - 1) - Fraction(1, 2 ** (m - k + 3) - 1)
-    high = (
-        (-k * two * d_high, two * d_high),
-        (vertex_f(m - k + 3, m + 1).y, Fraction(k + 1)),
-    )
-    return {"low": low, "mid": mid, "high": high}
+    if not 2 <= window <= m + 1:
+        raise DomainError(f"slope forms need 2 <= window <= m + 1, got window={window}, m={m}")
+    return window, m
 
 
 def _corollary_point(n: int, big_n: int) -> tuple[int, int]:

@@ -46,7 +46,6 @@ __all__ = [
     "concat_sets",
     "concat_seqs",
     "concat_configs",
-    "concat_identity",
 ]
 
 ZERO = Fraction(0)
@@ -216,9 +215,12 @@ class DyadicSet:
 
     @property
     def measure(self) -> Fraction:
-        """The cells of the set's finest depth it covers, over their number."""
+        return Fraction(*self._cells())
+
+    def _cells(self) -> tuple[int, int]:
+        """The cells of the set's finest depth it covers, and their number."""
         fine = _depth(self._keys)
-        return Fraction(sum(1 << (fine + 1 - key.bit_length()) for key in self._keys), 1 << fine)
+        return sum(1 << (fine + 1 - key.bit_length()) for key in self._keys), 1 << fine
 
 
 def _unit_weight(w: Fraction, name: str) -> Fraction:
@@ -390,10 +392,15 @@ def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction)
     cells of size 2**-depth in the pieces that reach it are counted.
     """
     level = _exact(level, "level")
+    return Fraction(*_level_cells(subset, seq, level.numerator, level.denominator))
+
+
+def _level_cells(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple[int, int]:
+    """The cells of size 2**-depth where the operator reaches num/den (den > 0), and 2**depth."""
     pieces, scale, depth = _piece_walk(subset, seq)
-    p, q = level.numerator * scale, level.denominator
-    cells = sum(1 << (depth + 1 - key.bit_length()) for key, value in pieces if value * q >= p)
-    return Fraction(cells, 1 << depth)
+    p = num * scale
+    cells = sum(1 << (depth + 1 - key.bit_length()) for key, value in pieces if value * den >= p)
+    return cells, 1 << depth
 
 
 def _halved(first: Iterable[int], second: Iterable[int]) -> list[int]:
@@ -475,16 +482,3 @@ def concat_configs(first: Config, second: Config, gamma: Fraction) -> Config:
     seq = concat_seqs(first.seq, second.seq, gamma)
     return Config(concat_sets(first.subset, second.subset), seq)
 
-
-def concat_identity(
-    c1: Config, c2: Config, gamma: Fraction, level: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Both sides of the exact concatenation identity for the level-set functional.
-
-    Concatenating shifts the threshold by gamma times the combined measure
-    and averages the two level-set measures, so the two values are equal.
-    """
-    combined = concat_configs(c1, c2, gamma)
-    lhs = combined.level_set(level + gamma * combined.measure)
-    rhs = (c1.level_set(level) + c2.level_set(level)) / 2
-    return lhs, rhs

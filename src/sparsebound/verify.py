@@ -29,7 +29,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -37,23 +37,25 @@ from .candidate import (
     Pair,
     _bound,
     _check_profile_window,
+    _check_window,
     _f_extended,
     _f_value,
     _g_value,
     _pair,
     _profile_slopes,
+    _recip_slope_forms,
     _segment_slope,
-    recip_slope_forms,
 )
 from .dyadic import (
     CarlesonSequence,
     Config,
     DyadicInterval,
     DyadicSet,
+    _level_cells,
     _trusted,
     _value_cells,
     carleson_constant,
-    concat_identity,
+    concat_configs,
 )
 from .rational import DomainError, _exact, _index
 
@@ -134,9 +136,22 @@ def _reciprocal(r: Pair) -> Pair:
     return (r[1], r[0]) if r[0] > 0 else (-r[1], -r[0])
 
 
-def _int(r: Pair) -> int:
-    """An index witness (an integer) as an int."""
-    return r[0] // r[1]
+def _int(r: Pair, name: str, lo: float = -math.inf, stop: float = math.inf) -> int:
+    """An index witness as an int in [lo, stop); else ``DomainError``."""
+    i, rest = divmod(*r)
+    if rest or not lo <= i < stop:
+        raise DomainError(f"{name} must be an integer in [{lo}, {stop}), got {Fraction(*r)}")
+    return i
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``randint(0, n - 1)``'s draw, without its argument checks (CPython 3.10-3.13)."""
+    if n < 1:  # getrandbits(0) is 0: the loop would never end
+        raise DomainError(f"no integer in [0, {n})")
+    k = n.bit_length()  # k bits, drawn again while they are n or more
+    while (r := getrandbits(k)) >= n:
+        pass
+    return r
 
 
 # Sampled rationals have denominators up to this bound.
@@ -145,8 +160,10 @@ _DENOMINATOR_BOUND = 32
 
 def _sample_rational(rng: random.Random, lo: Pair, hi: Pair) -> Pair:
     """A rational p/q in [lo, hi], q drawn up to the bound, then p; not reduced."""
-    q = rng.randint(1, _DENOMINATOR_BOUND)
-    return rng.randint(-(-lo[0] * q // lo[1]), hi[0] * q // hi[1]), q
+    bits = rng.getrandbits
+    q = 1 + _below(bits, _DENOMINATOR_BOUND)
+    p = -(-lo[0] * q // lo[1])
+    return p + _below(bits, hi[0] * q // hi[1] + 1 - p), q
 
 
 # Memos of one or two entries (these two and ``_dynamics_instance``).  A
@@ -163,15 +180,11 @@ def _slopes_at(level: Pair, x_min: Pair) -> tuple[Pair, ...]:
 LinearForm = tuple[Pair, Pair]  # value at level t is c0 + c1*t
 
 
-# Two entries: the sampler asks for the forms of m and m + 1 with m rising,
-# so each window's forms are built once.
+# Two entries: the sampler asks for the forms of m and m + 1 with m rising, so each
+# window's forms are built once; checked here, as the integer forms check nothing.
 @lru_cache(maxsize=2)
 def _forms(window: int, m: int) -> dict[str, tuple[LinearForm, tuple[Pair, Pair]]]:
-    """``recip_slope_forms(window, m)`` with the forms and level ranges as pairs."""
-    return {
-        name: (tuple(map(_pair, form)), tuple(map(_pair, levels)))
-        for name, (form, levels) in recip_slope_forms(window, m).items()
-    }
+    return _recip_slope_forms(*_check_window(window, m))
 
 
 def _form_pair(window: int, m: int) -> tuple[dict, dict]:
@@ -215,29 +228,37 @@ def _eval_gconsist(x: Pair, level: Pair) -> Sides:
 
 def _eval_slopes_monotone(i: Pair, x_min: Pair, level: Pair) -> Sides:
     slopes = _slopes_at(level, x_min)
-    i = _int(i)
+    i = _int(i, "i", 0, len(slopes) - 1)
     return slopes[i], slopes[i + 1]
 
 
 def _eval_slopes_mid_vs_low(window: Pair, m: Pair, level: Pair) -> Sides:
-    forms, forms_next = _form_pair(_int(window), _int(m))
+    forms, forms_next = _form_pair(_int(window, "window"), _int(m, "m"))
     return _form_value(forms["mid"][0], level), _form_value(forms_next["low"][0], level)
 
 
 def _eval_slopes_high_vs_mid(window: Pair, m: Pair, level: Pair) -> Sides:
-    forms, forms_next = _form_pair(_int(window), _int(m))
+    forms, forms_next = _form_pair(_int(window, "window"), _int(m, "m"))
     return _form_value(forms["high"][0], level), _form_value(forms_next["mid"][0], level)
 
 
 def _eval_slopes_form(window: Pair, m: Pair, form: Pair, level: Pair) -> Sides:
-    m = _int(m)
-    linear = _form_pair(_int(window), m)[0][_FORM_NAMES[_int(form)]][0]
+    m = _int(m, "m")
+    name = _FORM_NAMES[_int(form, "form", 0, len(_FORM_NAMES))]
+    linear = _form_pair(_int(window, "window"), m)[0][name][0]
     return _reciprocal(_form_value(linear, level)), _segment_slope(m + 1, level)
 
 
 def _eval_dynamics(seed: Pair, index: Pair, gamma: Pair, level: Pair) -> Sides:
-    lhs, rhs = concat_identity(*_dynamics_instance(_int(seed), _int(index)))
-    return _pair(lhs), _pair(rhs)
+    """The concatenation identity at the witness's gamma and level, in cells of three walks."""
+    # Concatenating shifts the level by gamma times the measure and averages the level sets.
+    c1, c2, _ = _dynamics_instance(_int(seed, "seed"), _int(index, "index", 0))
+    root = _ROOT_WEIGHTS[gamma] if gamma in _ROOT_WEIGHTS else Fraction(*gamma)
+    combined = concat_configs(c1, c2, root)
+    cells, size = combined.subset._cells()
+    shifted = _add(level, (gamma[0] * cells, gamma[1] * size))
+    halves = [_level_cells(c.subset, c.seq, *level) for c in (c1, c2)]
+    return _level_cells(combined.subset, combined.seq, *shifted), _half(_add(*halves))
 
 
 _FORM_NAMES = {0: "low", 1: "mid", 2: "high"}
@@ -283,9 +304,11 @@ def replay(violation: Violation) -> tuple[Fraction, Fraction]:
 
     The check must be known, and the witness must hold every value its
     evaluator takes, each an int or a Fraction (else ``DomainError``).
-    They are turned into pairs in that order, and taken to lie where the
-    check's sampler draws them: the evaluators call the unchecked integer
-    entries of ``candidate``.
+    They are turned into pairs in that order.  An index (i, form, window,
+    m, seed or index) that is not an integer or lies out of range, and a
+    root weight outside [0, 1], raise ``DomainError``; the other values are
+    taken to lie where the check's sampler draws them, since the evaluators
+    call the unchecked integer entries of ``candidate``.
     """
     if violation.check not in _CHECKS:
         raise DomainError(f"unknown check {violation.check!r}")
@@ -300,61 +323,38 @@ def replay(violation: Violation) -> tuple[Fraction, Fraction]:
 
 # Samplers, one per suite: the (check name, witness values) pairs it
 # checks, in a fixed order drawn from the spec's seed.
+Witnesses = Iterator[tuple[str, tuple]]
 
-def _sample_obstacle(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
-    """The bound is identically 1 at nonpositive levels."""
-    rng = random.Random(spec.seed)
+# Check -> the ranges its drawn witness values lie in, in order.
+_RANGES = {
+    # The bound is identically 1 at nonpositive levels.
+    "obstacle": ((_ZERO, _ONE), (_ZERO, _TWO), ((-5, 1), _ZERO)),
+    # Midpoint concavity of the bound in (x, height) at each grid level.
+    "concavity": ((_ZERO, _ONE), (_ZERO, _TWO)) * 2,
+    # Raising the height by 1 and the level by x never lowers the bound (heights in [0, 1]).
+    "jump": ((_ZERO, _ONE), (_ZERO, _ONE), ((-1, 1), (5, 1))),
+    # The a=2 profile after a jump dominates the a=1 profile.
+    "fjg": ((_ZERO, _ONE), ((1, _DENOMINATOR_BOUND), (6, 1))),
+}
+
+
+def _draw(check: str, spec: SampleSpec, level: Fraction | None = None) -> Witnesses:
+    """The check's witnesses from its ranges; a given level ends each, and seeds its own stream."""
+    rng = random.Random(spec.seed if level is None else f"{spec.seed}:{level}")
+    ranges, fixed = _RANGES[check], () if level is None else (_pair(level),)
     for _ in range(spec.count):
-        x = _sample_rational(rng, _ZERO, _ONE)
-        a = _sample_rational(rng, _ZERO, _TWO)
-        level = _sample_rational(rng, (-5, 1), _ZERO)
-        yield "obstacle", (x, a, level)
+        yield check, (*[_sample_rational(rng, lo, hi) for lo, hi in ranges], *fixed)
 
 
-DEFAULT_CONCAVITY_GRID = (
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(3, 2),
-    Fraction(5, 2),
-    Fraction(7, 2),
-    Fraction(9, 2),
-)
+DEFAULT_CONCAVITY_GRID = tuple(Fraction(k, 4) for k in (1, 2, 4, 6, 10, 14, 18))
 
 
-def _sample_concavity(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
-    """Midpoint concavity of the bound in (x, height) at each grid level."""
+def _sample_concavity(spec: SampleSpec) -> Witnesses:
     for level in spec.lambda_grid or DEFAULT_CONCAVITY_GRID:
-        rng = random.Random(f"{spec.seed}:{level}")
-        level_pair = _pair(level)
-        for _ in range(spec.count):
-            x1 = _sample_rational(rng, _ZERO, _ONE)
-            a1 = _sample_rational(rng, _ZERO, _TWO)
-            x2 = _sample_rational(rng, _ZERO, _ONE)
-            a2 = _sample_rational(rng, _ZERO, _TWO)
-            yield "concavity", (x1, a1, x2, a2, level_pair)
+        yield from _draw("concavity", spec, level)
 
 
-def _sample_jump(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
-    """Raising the height by 1 and the level by x never lowers the bound (heights in [0, 1])."""
-    rng = random.Random(spec.seed)
-    for _ in range(spec.count):
-        x = _sample_rational(rng, _ZERO, _ONE)
-        a = _sample_rational(rng, _ZERO, _ONE)
-        level = _sample_rational(rng, (-1, 1), (5, 1))
-        yield "jump", (x, a, level)
-
-
-def _sample_fjg(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
-    """The a=2 profile after a jump dominates the a=1 profile."""
-    rng = random.Random(spec.seed)
-    for _ in range(spec.count):
-        x = _sample_rational(rng, _ZERO, _ONE)
-        level = _sample_rational(rng, (1, _DENOMINATOR_BOUND), (6, 1))
-        yield "fjg", (x, level)
-
-
-def _sample_gconsist(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
+def _sample_gconsist(spec: SampleSpec) -> Witnesses:
     """The a=1 profile agrees with the bound at height 1 (both level regimes)."""
     rng = random.Random(spec.seed)
     for i in range(spec.count):
@@ -373,13 +373,16 @@ def default_level_grid(count: int = 50) -> tuple[Fraction, ...]:
     return tuple(Fraction(10 * j, count) for j in range(1, count + 1))
 
 
-# The slopes suite checks the profile on [SLOPES_X_MIN, 1] and the slope
-# certificates for window and curve indices up to SLOPES_MAX_INDEX.
+# The slopes suite checks the profile on [SLOPES_X_MIN, 1] (by default at
+# the levels of ``default_level_grid()``) and the slope certificates for
+# window and curve indices up to SLOPES_MAX_INDEX.
 SLOPES_X_MIN = Fraction(1, 4096)
 SLOPES_MAX_INDEX = 10
+_SLOPES_GRID = tuple(map(_pair, default_level_grid()))
+_SLOPES_X_MIN = _pair(SLOPES_X_MIN)
 
 
-def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
+def _sample_slopes(spec: SampleSpec) -> Witnesses:
     """Concavity of the a=2 profile, plus the closed-form slope certificates.
 
     Profile slopes listed left to right must be non-increasing.  The closed
@@ -388,10 +391,10 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     on the whole range; the forms themselves are cross-checked against the
     geometric segment slope at interior points.
     """
-    for level in spec.lambda_grid or default_level_grid():
-        level, x_min = _check_profile_window(level, SLOPES_X_MIN)
-        for i in range(len(_slopes_at(level, x_min)) - 1):
-            yield "slopes:monotone", ((i, 1), x_min, level)
+    grid = (_check_profile_window(level, SLOPES_X_MIN)[0] for level in spec.lambda_grid)
+    for level in grid if spec.lambda_grid else _SLOPES_GRID:
+        for i in range(len(_slopes_at(level, _SLOPES_X_MIN)) - 1):
+            yield "slopes:monotone", ((i, 1), _SLOPES_X_MIN, level)
     for window in range(2, SLOPES_MAX_INDEX + 1):
         for m in range(max(1, window - 1), SLOPES_MAX_INDEX + 1):
             forms, forms_next = _form_pair(window, m)
@@ -415,35 +418,38 @@ def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -
         roll = rng.random()
         if roll < 0.4:
             keys.append(key)
-            weights.append(4 if roll < 0.25 else rng.randint(1, 4))  # in quarters
+            weights.append(4 if roll < 0.25 else 1 + _below(rng.getrandbits, 4))  # in quarters
     g = math.gcd(4, *weights)  # over the least denominator, as the constructor stores them
     values, den = tuple(w // g for w in weights), 4 // g
     return Config(subset, _trusted(CarlesonSequence, _keys=tuple(keys), _values=values, _den=den))
 
 
 @lru_cache(maxsize=1)
-def _dynamics_instance(seed: int, index: int) -> tuple[Config, Config, Fraction, Fraction]:
+def _dynamics_instance(seed: int, index: int) -> tuple[Config, Config, Pair]:
+    """The two configurations and the level (in [-1, 6], over 4) drawn for an index."""
     rng = random.Random(f"{seed}:{index}")
-    c1 = _random_config(rng)
-    c2 = _random_config(rng)
-    gamma = (ZERO, Fraction(1, 2), ONE)[index % 3]
-    level = Fraction(rng.randint(-4, 24), 4)
-    return c1, c2, gamma, level
+    c1, c2 = _random_config(rng), _random_config(rng)
+    return c1, c2, (_below(rng.getrandbits, 29) - 4, 4)
 
 
-def _sample_dynamics(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
+# The dynamics suite's root weights by index mod 3, as pairs and as Fractions.
+_ROOT_WEIGHTS = {(0, 1): ZERO, (1, 2): Fraction(1, 2), (1, 1): ONE}
+_GAMMAS = tuple(_ROOT_WEIGHTS)
+
+
+def _sample_dynamics(spec: SampleSpec) -> Witnesses:
     """Exact concatenation identity on seeded random configuration pairs."""
     for index in range(spec.count):
-        _, _, gamma, level = _dynamics_instance(spec.seed, index)
-        yield "dynamics", ((spec.seed, 1), (index, 1), _pair(gamma), _pair(level))
+        level = _dynamics_instance(spec.seed, index)[2]
+        yield "dynamics", ((spec.seed, 1), (index, 1), _GAMMAS[index % 3], level)
 
 
 # Suite name -> sampler, in the order ``verify all`` runs them.
 _SUITES = {
-    "obstacle": _sample_obstacle,
+    "obstacle": partial(_draw, "obstacle"),
     "concavity": _sample_concavity,
-    "jump": _sample_jump,
-    "fjg": _sample_fjg,
+    "jump": partial(_draw, "jump"),
+    "fjg": partial(_draw, "fjg"),
     "slopes": _sample_slopes,
     "gconsist": _sample_gconsist,
     "dynamics": _sample_dynamics,

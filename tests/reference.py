@@ -5,7 +5,8 @@ direct route: the a=2 profile by node interpolation at small levels, the
 level curves' indices by scanning their segments and the strips by
 scanning the curves, the profile's vertices and slopes through a
 piecewise-linear function that interpolates them, the bound, its region tags and the profiles in
-``Fraction`` arithmetic, the verify suites' samplers, evaluators and
+``Fraction`` arithmetic, the closed slope forms from the curve vertices, the
+concatenation identity from ``Fraction`` level sets, the verify suites' samplers, evaluators and
 relations in ``Fraction`` arithmetic, the operator on the uniform cells of one depth,
 a set's measure and a sequence's height as sums of ``Fraction``s, a
 sequence's integer scaling weight by weight, the Carleson constant by
@@ -35,7 +36,6 @@ from sparsebound.candidate import (
     RegionKind,
     RegionTag,
     origin_parameter,
-    recip_slope_forms,
     vertex_f,
     vertex_g,
 )
@@ -45,7 +45,7 @@ from sparsebound.dyadic import (
     Config,
     DyadicSet,
     _value_cells,
-    concat_identity,
+    concat_configs,
 )
 from sparsebound.geometry import PlanePoint, lerp
 from sparsebound.rational import DomainError, format_rational
@@ -336,6 +336,57 @@ def segment_slope_fraction(strip: int, level: Fraction) -> Fraction:
     return 1 / (2**strip * run)
 
 
+def recip_slope_forms_fraction(window: int, m: int) -> dict:
+    """``recip_slope_forms`` in Fraction arithmetic, from the vertices and origin parameters."""
+    if window < 2 or m < max(1, window - 1):
+        raise DomainError(f"no forms for window {window}, m={m}")
+    two = Fraction(2 ** (m + 1))
+    if window == 2:
+        x_m = origin_parameter(Family.F, m)
+        x_m1 = origin_parameter(Family.F, m + 1)
+        low = ((Fraction(0), two * (x_m - x_m1)), (Fraction(2), vertex_f(m, m).y))
+        d_mid = Fraction(1, 2**m - 1) - x_m1
+        mid = (
+            (-2 * two / (2**m - 1), two * d_mid),
+            (vertex_f(m, m).y, vertex_f(m + 1, m + 1).y),
+        )
+        d_high = Fraction(1, 2**m - 1) - Fraction(1, 2 ** (m + 1) - 1)
+        high = ((-2 * two * d_high, two * d_high), (vertex_f(m + 1, m + 1).y, Fraction(3)))
+        return {"low": low, "mid": mid, "high": high}
+    k = window
+    d_low = Fraction(1, 2 ** (m - k + 3) - 1) - Fraction(1, 2 ** (m - k + 4) - 1)
+    low = (
+        (-(k - 1) * two * d_low, two * d_low),
+        (Fraction(k), vertex_f(m - k + 2, m).y),
+    )
+    c_lo = Fraction(1, 2 ** (m - k + 2) - 1)
+    c_hi = Fraction(1, 2 ** (m - k + 4) - 1)
+    mid = (
+        (two * (-k * c_lo + (k - 1) * c_hi), two * (c_lo - c_hi)),
+        (vertex_f(m - k + 2, m).y, vertex_f(m - k + 3, m + 1).y),
+    )
+    d_high = Fraction(1, 2 ** (m - k + 2) - 1) - Fraction(1, 2 ** (m - k + 3) - 1)
+    high = (
+        (-k * two * d_high, two * d_high),
+        (vertex_f(m - k + 3, m + 1).y, Fraction(k + 1)),
+    )
+    return {"low": low, "mid": mid, "high": high}
+
+
+def concat_identity(
+    c1: Config, c2: Config, gamma: Fraction, level: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the concatenation identity, from ``Fraction`` level sets.
+
+    Concatenating shifts the threshold by gamma times the combined measure
+    and averages the two level-set measures, so the two values are equal.
+    """
+    combined = concat_configs(c1, c2, gamma)
+    lhs = combined.level_set(level + gamma * combined.measure)
+    rhs = (c1.level_set(level) + c2.level_set(level)) / 2
+    return lhs, rhs
+
+
 # The verify suites in Fraction arithmetic: the samplers draw each witness
 # as a Fraction, the evaluators compute both sides from the Fraction forms
 # above, and the relations compare Fractions.  These are the forms the
@@ -359,7 +410,7 @@ def _profile_slopes_fraction(level: Fraction, x_min: Fraction) -> tuple[Fraction
 
 @lru_cache(maxsize=1)
 def _form_pair_fraction(window: int, m: int) -> tuple[dict, dict]:
-    return recip_slope_forms(window, m), recip_slope_forms(window, m + 1)
+    return recip_slope_forms_fraction(window, m), recip_slope_forms_fraction(window, m + 1)
 
 
 def _form_value(form: tuple[Fraction, Fraction], level: Fraction) -> Fraction:
@@ -425,7 +476,8 @@ def _eval_slopes_form(w: dict) -> tuple[Fraction, Fraction]:
 
 
 def _eval_dynamics(w: dict) -> tuple[Fraction, Fraction]:
-    return concat_identity(*_dynamics_instance(int(w["seed"]), int(w["index"])))
+    c1, c2, _ = _dynamics_instance(int(w["seed"]), int(w["index"]))
+    return concat_identity(c1, c2, w["gamma"], w["lambda"])
 
 
 def _both_positive_and_ge(lhs: Fraction, rhs: Fraction) -> bool:
@@ -521,7 +573,8 @@ def _sample_slopes(spec: SampleSpec):
 
 def _sample_dynamics(spec: SampleSpec):
     for index in range(spec.count):
-        _, _, gamma, level = _dynamics_instance(spec.seed, index)
+        gamma = (Fraction(0), Fraction(1, 2), Fraction(1))[index % 3]
+        level = Fraction(*_dynamics_instance(spec.seed, index)[2])
         yield "dynamics", _witness(seed=spec.seed, index=index, gamma=gamma, **{"lambda": level})
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from reference import (
     carleson_constant_scan,
+    concat_identity,
     config_to_json,
     height_sum,
     measure_sum,
@@ -28,7 +29,6 @@ from sparsebound.dyadic import (
     carleson_constant,
     carleson_height,
     concat_configs,
-    concat_identity,
     concat_seqs,
     concat_sets,
     level_set_measure,

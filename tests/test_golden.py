@@ -192,13 +192,19 @@ def inject_faults(monkeypatch):
     """
     clear_memos()
     slopes, forms = candidate.profile_slopes, candidate.recip_slope_forms
-    int_slopes = candidate._profile_slopes
+    int_slopes, int_forms = candidate._profile_slopes, candidate._recip_slope_forms
     concat = dyadic.concat_configs
 
     def negated_forms(window, m):
         return {
             name: ((-c0, -c1), levels)
             for name, ((c0, c1), levels) in forms(window, m).items()
+        }
+
+    def int_negated_forms(window, m):
+        return {
+            name: (((-c0n, c0d), (-c1n, c1d)), levels)
+            for name, (((c0n, c0d), (c1n, c1d)), levels) in int_forms(window, m).items()
         }
 
     _replace(monkeypatch, candidate.bellman_value, lambda x, a, level: x * x - a)
@@ -220,6 +226,7 @@ def inject_faults(monkeypatch):
     _replace(monkeypatch, candidate._f_extended, lambda x, level: (1, 1))
     _replace(monkeypatch, int_slopes, lambda level, x_min: int_slopes(level, x_min)[::-1])
     _replace(monkeypatch, candidate._segment_slope, lambda strip, level: (0, 1))
+    _replace(monkeypatch, int_forms, int_negated_forms)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

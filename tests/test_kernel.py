@@ -1,7 +1,7 @@
 """The integer kernel of ``candidate`` against its Fraction forms.
 
 ``bellman_value``, ``classify_region``, ``f_value``, ``g_value``,
-``f_region``, ``g_region`` and ``curve_x`` evaluate on the numerators and
+``f_region``, ``g_region``, ``curve_x`` and ``recip_slope_forms`` evaluate on the numerators and
 denominators of their arguments; ``tests/reference.py`` keeps the same
 closed forms in ``Fraction`` arithmetic, with ``lerp`` for the
 interpolation.  Points are drawn on the region edges on purpose: x = level,
@@ -24,6 +24,7 @@ from reference import (
     f_value_fraction,
     g_value_fraction,
     profile_region_fraction,
+    recip_slope_forms_fraction,
 )
 from sparsebound.candidate import (
     Family,
@@ -32,6 +33,7 @@ from sparsebound.candidate import (
     _f_extended,
     _f_value,
     _g_value,
+    _recip_slope_forms,
     bellman_value,
     classify_region,
     curve_x,
@@ -39,6 +41,7 @@ from sparsebound.candidate import (
     f_value,
     g_region,
     g_value,
+    recip_slope_forms,
     vertex_f,
     vertex_g,
 )
@@ -235,3 +238,16 @@ def test_every_region_kind_on_the_edges():
                 assert bellman_value(x, a, level) == bellman_value_fraction(x, a, level)
                 seen.add(tag.kind)
     assert seen == set(RegionKind)
+
+
+def test_recip_slope_forms_match_fraction_form():
+    # The integer forms, unreduced pairs from differences of reciprocals,
+    # against the forms built from the curve vertices in Fractions.
+    for window in range(2, 15):
+        for m in range(max(1, window - 1), 17):
+            want = recip_slope_forms_fraction(window, m)
+            got = {
+                name: tuple(tuple(F(*pair) for pair in part) for part in form)
+                for name, form in _recip_slope_forms(window, m).items()
+            }
+            assert got == want == recip_slope_forms(window, m), (window, m)

@@ -15,6 +15,7 @@ from reference import (
     brute_report_dict,
     brute_sampled_reference,
     carleson_constant_scan,
+    concat_identity,
     mask_to_sequence,
     run_suite_fraction,
     sup_tables_ordered,
@@ -30,6 +31,7 @@ from sparsebound.verify import (
     SUITE_NAMES,
     SampleSpec,
     Violation,
+    _below,
     _sample_rational,
     _suffix_max,
     _sup_tables,
@@ -62,6 +64,37 @@ def test_sample_fraction_draws_as_fraction_bounds(lo, width, seed):
         q = want.randint(1, 32)
         assert sample == (want.randint(math.ceil(lo * q), math.floor(hi * q)), q)
         assert lo <= F(*sample) <= hi
+
+
+BELOW_SIZES = [1, 2, 3, 4, 29, 32, 33] + [2**k + d for k in range(1, 71) for d in (-1, 1)]
+
+
+def test_below_draws_as_randint():
+    # The same stream as randint(0, n - 1) on this interpreter, including the
+    # redraws above n, and the generator left in the same state.
+    for seed in range(20):
+        got, want = random.Random(seed), random.Random(seed)
+        for n in BELOW_SIZES:
+            draws = [_below(got.getrandbits, n) for _ in range(5)]
+            assert draws == [want.randint(0, n - 1) for _ in range(5)], (seed, n)
+        assert got.getstate() == want.getstate()
+
+
+def test_below_refuses_an_empty_range():
+    # getrandbits(0) is 0, and every draw is at least a negative n: without
+    # the guard the rejection loop would never end.
+    calls = []
+
+    def getrandbits(k):
+        calls.append(k)
+        if len(calls) > 100:
+            raise AssertionError("still drawing")
+        return 0
+
+    for n in (0, -1, -7):
+        with pytest.raises(DomainError):
+            _below(getrandbits, n)
+    assert calls == []
 
 
 def test_obstacle_clean():
@@ -121,6 +154,107 @@ def test_violations_replay_exactly():
         replayed = replay(violation)
         assert replayed == (lhs, rhs)
         assert all(type(side) is F for side in replayed)
+
+
+def test_replay_refuses_bad_index_witnesses():
+    # Index witnesses that are not integers or lie out of range, and slope
+    # windows outside the forms' domain.
+    monotone = {"x_min": F(1, 64), "lambda": F(5, 2)}
+    form = {"window": F(2), "m": F(1), "form": F(1), "lambda": F(21, 8)}
+    pair = {"window": F(3), "m": F(2), "lambda": F(15, 4)}
+    dynamics = {"seed": F(3), "index": F(4), "gamma": F(1, 2), "lambda": F(1)}
+    cases = [
+        ("slopes:monotone", {**monotone, "i": i}) for i in (F(-1), F(999), F(1, 2))
+    ] + [
+        ("slopes:form", {**form, **bad})
+        for bad in (
+            {"form": F(5)},
+            {"form": F(-1)},
+            {"form": F(1, 2)},
+            {"window": F(1)},
+            {"window": F(5, 2)},
+            {"m": F(0)},
+            {"m": F(3, 2)},
+            {"window": F(5), "m": F(3)},
+        )
+    ] + [
+        ("slopes:mid-vs-low", {**pair, **bad})
+        for bad in ({"window": F(0)}, {"m": F(1)}, {"m": F(-2)}, {"window": F(7, 2)})
+    ] + [
+        ("dynamics", {**dynamics, **bad})
+        for bad in (
+            {"seed": F(1, 2)},
+            {"index": F(-1)},
+            {"index": F(9, 2)},
+            {"gamma": F(7)},
+            {"gamma": F(-1, 2)},
+        )
+    ]
+    for name, witness in cases:
+        with pytest.raises(DomainError):
+            replay(Violation(name, tuple(witness.items()), F(0), F(0)))
+
+
+def test_dynamics_replay_reads_its_witness():
+    # The configurations come from the seed and index; the root weight and
+    # level are the witness's, whatever was drawn.
+    c1, c2, _ = verify._dynamics_instance(3, 4)
+    results = set()
+    for gamma in (F(0), F(1, 4), F(1, 2), F(1)):
+        for level in (F(-1), F(1, 2), F(3, 4), F(3, 2), F(99)):
+            witness = (("seed", F(3)), ("index", F(4)), ("gamma", gamma), ("lambda", level))
+            sides = replay(Violation("dynamics", witness, F(0), F(0)))
+            assert sides == concat_identity(c1, c2, gamma, level)
+            results.add(sides)
+    assert len(results) > 2
+
+
+def test_integer_dynamics_sides_match_concat_identity():
+    # The cell counts of the three piece walks against the Fraction level
+    # sets, at the drawn root weights and levels and at others.
+    rng = random.Random(23)
+    for n in range(2000):
+        seed, index = rng.randint(0, 50), rng.randint(0, 200)
+        c1, c2, level = verify._dynamics_instance(seed, index)
+        if n % 2:
+            gamma, level = F(rng.randint(0, 8), 8), (rng.randint(-16, 64), 16)
+        else:
+            gamma = (F(0), F(1, 2), F(1))[index % 3]
+        lhs, rhs = verify._eval_dynamics(
+            (seed, 1), (index, 1), (gamma.numerator, gamma.denominator), level
+        )
+        want = concat_identity(c1, c2, gamma, F(*level))
+        assert (F(*lhs), F(*rhs)) == want
+        assert want[0] == want[1]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_clean_suite_builds_no_fraction(monkeypatch, name):
+    # Both the constructor and, where the interpreter has it, the builder
+    # that Fraction arithmetic uses without the constructor are counted.
+    for value in vars(verify).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    built = []
+    new = F.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted_new))
+    if "_from_coprime_ints" in vars(F):
+        coprime = F._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            built.append(args)
+            return coprime(*args)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counted_coprime))
+    assert F(1, 3) + F(1, 6) == F(1, 2) and built
+    built.clear()
+    assert run_suite(name, SampleSpec(seed=3, count=40)) == []
+    assert built == []
 
 
 # Seeds and counts, and a user grid with levels off the default grids, on
