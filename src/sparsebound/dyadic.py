@@ -215,10 +215,11 @@ class DyadicSet:
 
     @property
     def measure(self) -> Fraction:
+        """The cells of the set's finest depth it covers, over their number."""
         return Fraction(*self._cells())
 
     def _cells(self) -> tuple[int, int]:
-        """The cells of the set's finest depth it covers, and their number."""
+        """``measure`` as a pair: the cells covered and their number."""
         fine = _depth(self._keys)
         return sum(1 << (fine + 1 - key.bit_length()) for key in self._keys), 1 << fine
 

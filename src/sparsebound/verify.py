@@ -29,7 +29,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -136,11 +136,12 @@ def _reciprocal(r: Pair) -> Pair:
     return (r[1], r[0]) if r[0] > 0 else (-r[1], -r[0])
 
 
-def _int(r: Pair, name: str, lo: float = -math.inf, stop: float = math.inf) -> int:
-    """An index witness as an int in [lo, stop); else ``DomainError``."""
+def _int(r: Pair, name: str, lo: int | None = None, stop: int | None = None) -> int:
+    """An index witness as an int in [lo, stop), either end open if None; else ``DomainError``."""
     i, rest = divmod(*r)
-    if rest or not lo <= i < stop:
-        raise DomainError(f"{name} must be an integer in [{lo}, {stop}), got {Fraction(*r)}")
+    if rest or (lo is not None and i < lo) or (stop is not None and i >= stop):
+        bounds = "" if lo is None else f" in [{lo}, {'inf' if stop is None else stop})"
+        raise DomainError(f"{name} must be an integer{bounds}, got {Fraction(*r)}")
     return i
 
 
@@ -323,38 +324,61 @@ def replay(violation: Violation) -> tuple[Fraction, Fraction]:
 
 # Samplers, one per suite: the (check name, witness values) pairs it
 # checks, in a fixed order drawn from the spec's seed.
-Witnesses = Iterator[tuple[str, tuple]]
 
-# Check -> the ranges its drawn witness values lie in, in order.
-_RANGES = {
-    # The bound is identically 1 at nonpositive levels.
-    "obstacle": ((_ZERO, _ONE), (_ZERO, _TWO), ((-5, 1), _ZERO)),
-    # Midpoint concavity of the bound in (x, height) at each grid level.
-    "concavity": ((_ZERO, _ONE), (_ZERO, _TWO)) * 2,
-    # Raising the height by 1 and the level by x never lowers the bound (heights in [0, 1]).
-    "jump": ((_ZERO, _ONE), (_ZERO, _ONE), ((-1, 1), (5, 1))),
-    # The a=2 profile after a jump dominates the a=1 profile.
-    "fjg": ((_ZERO, _ONE), ((1, _DENOMINATOR_BOUND), (6, 1))),
-}
-
-
-def _draw(check: str, spec: SampleSpec, level: Fraction | None = None) -> Witnesses:
-    """The check's witnesses from its ranges; a given level ends each, and seeds its own stream."""
-    rng = random.Random(spec.seed if level is None else f"{spec.seed}:{level}")
-    ranges, fixed = _RANGES[check], () if level is None else (_pair(level),)
+def _sample_obstacle(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
+    """The bound is identically 1 at nonpositive levels."""
+    rng = random.Random(spec.seed)
     for _ in range(spec.count):
-        yield check, (*[_sample_rational(rng, lo, hi) for lo, hi in ranges], *fixed)
+        x = _sample_rational(rng, _ZERO, _ONE)
+        a = _sample_rational(rng, _ZERO, _TWO)
+        level = _sample_rational(rng, (-5, 1), _ZERO)
+        yield "obstacle", (x, a, level)
 
 
-DEFAULT_CONCAVITY_GRID = tuple(Fraction(k, 4) for k in (1, 2, 4, 6, 10, 14, 18))
+DEFAULT_CONCAVITY_GRID = (
+    Fraction(1, 4),
+    Fraction(1, 2),
+    Fraction(1),
+    Fraction(3, 2),
+    Fraction(5, 2),
+    Fraction(7, 2),
+    Fraction(9, 2),
+)
 
 
-def _sample_concavity(spec: SampleSpec) -> Witnesses:
+def _sample_concavity(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
+    """Midpoint concavity of the bound in (x, height) at each grid level."""
     for level in spec.lambda_grid or DEFAULT_CONCAVITY_GRID:
-        yield from _draw("concavity", spec, level)
+        rng = random.Random(f"{spec.seed}:{level}")
+        level_pair = _pair(level)
+        for _ in range(spec.count):
+            x1 = _sample_rational(rng, _ZERO, _ONE)
+            a1 = _sample_rational(rng, _ZERO, _TWO)
+            x2 = _sample_rational(rng, _ZERO, _ONE)
+            a2 = _sample_rational(rng, _ZERO, _TWO)
+            yield "concavity", (x1, a1, x2, a2, level_pair)
 
 
-def _sample_gconsist(spec: SampleSpec) -> Witnesses:
+def _sample_jump(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
+    """Raising the height by 1 and the level by x never lowers the bound (heights in [0, 1])."""
+    rng = random.Random(spec.seed)
+    for _ in range(spec.count):
+        x = _sample_rational(rng, _ZERO, _ONE)
+        a = _sample_rational(rng, _ZERO, _ONE)
+        level = _sample_rational(rng, (-1, 1), (5, 1))
+        yield "jump", (x, a, level)
+
+
+def _sample_fjg(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
+    """The a=2 profile after a jump dominates the a=1 profile."""
+    rng = random.Random(spec.seed)
+    for _ in range(spec.count):
+        x = _sample_rational(rng, _ZERO, _ONE)
+        level = _sample_rational(rng, (1, _DENOMINATOR_BOUND), (6, 1))
+        yield "fjg", (x, level)
+
+
+def _sample_gconsist(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """The a=1 profile agrees with the bound at height 1 (both level regimes)."""
     rng = random.Random(spec.seed)
     for i in range(spec.count):
@@ -378,11 +402,10 @@ def default_level_grid(count: int = 50) -> tuple[Fraction, ...]:
 # window and curve indices up to SLOPES_MAX_INDEX.
 SLOPES_X_MIN = Fraction(1, 4096)
 SLOPES_MAX_INDEX = 10
-_SLOPES_GRID = tuple(map(_pair, default_level_grid()))
-_SLOPES_X_MIN = _pair(SLOPES_X_MIN)
+_SLOPES_GRID = default_level_grid()
 
 
-def _sample_slopes(spec: SampleSpec) -> Witnesses:
+def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Concavity of the a=2 profile, plus the closed-form slope certificates.
 
     Profile slopes listed left to right must be non-increasing.  The closed
@@ -391,10 +414,10 @@ def _sample_slopes(spec: SampleSpec) -> Witnesses:
     on the whole range; the forms themselves are cross-checked against the
     geometric segment slope at interior points.
     """
-    grid = (_check_profile_window(level, SLOPES_X_MIN)[0] for level in spec.lambda_grid)
-    for level in grid if spec.lambda_grid else _SLOPES_GRID:
-        for i in range(len(_slopes_at(level, _SLOPES_X_MIN)) - 1):
-            yield "slopes:monotone", ((i, 1), _SLOPES_X_MIN, level)
+    for level in spec.lambda_grid or _SLOPES_GRID:
+        level, x_min = _check_profile_window(level, SLOPES_X_MIN)
+        for i in range(len(_slopes_at(level, x_min)) - 1):
+            yield "slopes:monotone", ((i, 1), x_min, level)
     for window in range(2, SLOPES_MAX_INDEX + 1):
         for m in range(max(1, window - 1), SLOPES_MAX_INDEX + 1):
             forms, forms_next = _form_pair(window, m)
@@ -428,7 +451,8 @@ def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -
 def _dynamics_instance(seed: int, index: int) -> tuple[Config, Config, Pair]:
     """The two configurations and the level (in [-1, 6], over 4) drawn for an index."""
     rng = random.Random(f"{seed}:{index}")
-    c1, c2 = _random_config(rng), _random_config(rng)
+    c1 = _random_config(rng)
+    c2 = _random_config(rng)
     return c1, c2, (_below(rng.getrandbits, 29) - 4, 4)
 
 
@@ -437,7 +461,7 @@ _ROOT_WEIGHTS = {(0, 1): ZERO, (1, 2): Fraction(1, 2), (1, 1): ONE}
 _GAMMAS = tuple(_ROOT_WEIGHTS)
 
 
-def _sample_dynamics(spec: SampleSpec) -> Witnesses:
+def _sample_dynamics(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     """Exact concatenation identity on seeded random configuration pairs."""
     for index in range(spec.count):
         level = _dynamics_instance(spec.seed, index)[2]
@@ -446,10 +470,10 @@ def _sample_dynamics(spec: SampleSpec) -> Witnesses:
 
 # Suite name -> sampler, in the order ``verify all`` runs them.
 _SUITES = {
-    "obstacle": partial(_draw, "obstacle"),
+    "obstacle": _sample_obstacle,
     "concavity": _sample_concavity,
-    "jump": partial(_draw, "jump"),
-    "fjg": partial(_draw, "fjg"),
+    "jump": _sample_jump,
+    "fjg": _sample_fjg,
     "slopes": _sample_slopes,
     "gconsist": _sample_gconsist,
     "dynamics": _sample_dynamics,

@@ -193,6 +193,11 @@ def test_replay_refuses_bad_index_witnesses():
     for name, witness in cases:
         with pytest.raises(DomainError):
             replay(Violation(name, tuple(witness.items()), F(0), F(0)))
+    # The message names a range only where the witness has one.
+    with pytest.raises(DomainError, match=r"^seed must be an integer, got 1/2$"):
+        replay(Violation("dynamics", tuple({**dynamics, "seed": F(1, 2)}.items()), F(0), F(0)))
+    with pytest.raises(DomainError, match=r"^i must be an integer in \[0, \d+\), got 999$"):
+        replay(Violation("slopes:monotone", tuple({**monotone, "i": F(999)}.items()), F(0), F(0)))
 
 
 def test_dynamics_replay_reads_its_witness():
