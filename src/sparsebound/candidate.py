@@ -29,8 +29,9 @@ the oracle of the differential tests.
 The kernel's entries take and return rationals as (numerator, positive
 denominator) pairs, not necessarily in lowest terms: ``_bound`` (the
 bound, as ``_region`` then ``_region_value``), ``_f_value``,
-``_f_extended``, ``_g_value``, ``_profile_slopes``, ``_segment_slope``
-and ``_recip_slope_forms``.  They check nothing; the public functions check their
+``_f_extended``, ``_g_value``, ``_profile_slopes``, ``_segment_slope``,
+``_recip_slope_forms`` and ``_vertex_level``, the one form of a curve
+vertex's level.  They check nothing; the public functions check their
 arguments and wrap them, and the verify suites call them directly.
 """
 
@@ -79,10 +80,6 @@ class Family(Enum):
     G = "G"
 
 
-def _pow2(k: int) -> Fraction:
-    return Fraction(1, 2**k) if k >= 0 else Fraction(2 ** (-k))
-
-
 def _floor_log2(n: int, d: int) -> int:
     """The largest integer e with 2**e <= n/d, for n, d > 0, read off bit lengths."""
     e = n.bit_length() - d.bit_length()  # 2**(e-1) < n/d < 2**(e+1)
@@ -96,15 +93,18 @@ def _segment(p: int, q: int) -> int:
 
 
 def _offset(family: Family) -> int:
-    # The F and G formulas differ only in this factor s: vertex k of curve m
-    # lies at level m - k + 3 - s * 2**-k, the segment ending at vertex k-1
-    # has reciprocal slope 2**k - s, the origin segment 3 * 2**m - s, and
-    # curve m tops out at level m + 3 - s.
+    # The level curves of both families, which differ only in this offset s.
+    # Curve m is a polygon from the origin through vertices k = m, m-1, ..., 0,
+    # vertex k at (2**-k, m - k + 3 - s * 2**-k); vertex 0, at x = 1, is its
+    # top m + 3 - s.  Slopes are rises per unit of x: the origin segment has
+    # slope 3 * 2**m - s, and segment k, from vertex k to vertex k-1 over
+    # 2**-k < x <= 2**(1-k), has slope 2**k - s (flat for G at k = 1).
     return 1 if family is Family.F else 2
 
 
-def _vertex_level(family: Family, k: int, m: int) -> Fraction:
-    return m - k + 3 - _offset(family) * _pow2(k)
+def _vertex_level(s: int, k: int, m: int) -> tuple[int, int]:
+    """The level of vertex k of curve m for offset s, as a numerator and denominator."""
+    return ((m - k + 3) << k) - s, 1 << k
 
 
 def _curve_index(m: int) -> int:
@@ -118,7 +118,7 @@ def _vertex(family: Family, k: int, m: int) -> PlanePoint:
     k, m = _index(k, "vertex index"), _index(m, "curve index")
     if not 0 <= k <= m:
         raise DomainError(f"vertex indices need 0 <= k <= m, got k={k}, m={m}")
-    return PlanePoint(_pow2(k), _vertex_level(family, k, m))
+    return PlanePoint(Fraction(1, 1 << k), Fraction(*_vertex_level(_offset(family), k, m)))
 
 
 def vertex_f(k: int, m: int) -> PlanePoint:
@@ -140,30 +140,22 @@ def curve_vertices(family: Family, m: int) -> list[PlanePoint]:
 def origin_parameter(family: Family, m: int) -> Fraction:
     """Reciprocal slope of the m-th curve's segment through the origin."""
     m = _curve_index(m)
-    return Fraction(1, 3 * 2**m - _offset(family))
-
-
-def _segment_denominator(family: Family, k: int) -> int:
-    # Reciprocal slope of the segment ending at vertex k-1 is this over 1.
-    return 2**k - _offset(family)
+    return Fraction(1, (3 << m) - _offset(family))
 
 
 def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
     """Level of the m-th curve above ``x`` in [0, 1]."""
     m, x = _curve_index(m), _exact(x, "x")
-    if not ZERO <= x <= ONE:
+    p, q = x.numerator, x.denominator
+    if not 0 <= p <= q:
         raise DomainError(f"curve argument must lie in [0, 1], got {x}")
-    if x == 0:
+    if p == 0:
         return ZERO
-    k = _segment(x.numerator, x.denominator)
+    s, k = _offset(family), _segment(p, q)
     if k > m:  # x <= 2**-m: the origin segment
-        return x / origin_parameter(family, m)
+        return Fraction(p * ((3 << m) - s), q)
     # Segment k; for G it is flat at level m + 1 when k = 1.
-    return x * _segment_denominator(family, k) + (m - k + 2)
-
-
-def _curve_top(family: Family, m: int) -> int:
-    return m + 3 - _offset(family)
+    return Fraction(p * ((1 << k) - s) + (m - k + 2) * q, q)
 
 
 # The kernel.  A point is given by the integer numerators and denominators
@@ -184,7 +176,7 @@ def _curve_x(s: int, m: int, num: int, den: int) -> tuple[int, int]:
     # Vertex m, where the origin segment ends, lies at level 3 - s * 2**-m,
     # below 3, so a higher level is past it without building 2**m.
     if num < 3 * den:
-        origin = (3 << m) - s  # the origin segment's reciprocal slope
+        origin = (3 << m) - s  # the origin segment's slope
         if num << m <= origin * den:
             return num, den * origin
     # Vertex k-1 lies at a level in [m-k+3, m-k+4), so the segment ending at
@@ -255,11 +247,11 @@ def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
     left endpoint x = 1/2.
     """
     m, level = _curve_index(m), _exact(level, "level")
-    top = _curve_top(family, m)
-    num, den = level.numerator, level.denominator
+    s, num, den = _offset(family), level.numerator, level.denominator
+    top = _vertex_level(s, 0, m)[0]  # vertex 0, over 1 << 0
     if not 0 <= num <= top * den:
         raise DomainError(f"level {level} outside curve range [0, {top}]")
-    return Fraction(*_curve_x(_offset(family), m, num, den))
+    return Fraction(*_curve_x(s, m, num, den))
 
 
 def _f_value(x: Pair, level: Pair) -> Pair:
@@ -569,15 +561,12 @@ def _recip_slope_forms(window: int, m: int) -> dict[str, tuple[tuple, tuple]]:
     """``recip_slope_forms`` at 2 <= window <= m + 1, as unreduced pairs."""
     two = 2 << m  # 2**s, s = m + 1 the strip index
 
-    def level(k: int, n: int) -> Pair:  # of vertex k of the F curve n
-        return ((n - k + 3) << k) - 1, 1 << k
-
     def form(c: int, a: int, b: int) -> tuple[Pair, Pair]:
         # c1 = 2**s (1/a - 1/b) = 2**s (b - a) / (a b), and c0 = -c c1
         return (-c * two * (b - a), a * b), (two * (b - a), a * b)
 
     k = window  # the ranges end at k, at two curve vertices and at k + 1
-    ends = (k, 1), level(m - k + 2, m), level(m - k + 3, m + 1), (k + 1, 1)
+    ends = (k, 1), _vertex_level(1, m - k + 2, m), _vertex_level(1, m - k + 3, m + 1), (k + 1, 1)
     if k == 2:  # the segment's lower end still on an origin segment
         lo, hi = (1 << m) - 1, (6 << m) - 1
         low, mid_c0, high = form(0, (3 << m) - 1, hi), (-2 * two, lo), form(2, lo, (2 << m) - 1)
@@ -631,4 +620,4 @@ def corollary_bound(n: int, big_n: int) -> Fraction:
     at least 2.
     """
     n, big_n = _corollary_point(n, big_n)
-    return _pow2(n) * _pow2(big_n - 3)
+    return Fraction(1, 1 << (n + big_n - 3))

@@ -41,7 +41,6 @@ __all__ = [
     "carleson_height",
     "carleson_constant",
     "step_pieces",
-    "value_breakpoints",
     "level_set_measure",
     "concat_sets",
     "concat_seqs",
@@ -378,12 +377,6 @@ def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, in
     for key, value in pieces:
         cells[value] = cells.get(value, 0) + (1 << (depth + 1 - key.bit_length()))
     return cells, scale, depth
-
-
-def value_breakpoints(subset: DyadicSet, seq: CarlesonSequence) -> tuple[Fraction, ...]:
-    """Sorted distinct values taken by the operator."""
-    cells, scale, _ = _value_cells(subset, seq)
-    return tuple(Fraction(value, scale) for value in sorted(cells))
 
 
 def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction) -> Fraction:

@@ -433,11 +433,11 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
                     yield name, ((window, 1), (m, 1), level)
 
 
-def _random_config(rng: random.Random, set_depth: int = 3, seq_depth: int = 2) -> Config:
-    mask = rng.getrandbits(2**set_depth)
-    subset = DyadicSet.from_cells(set_depth, mask)
+def _random_config(rng: random.Random) -> Config:
+    """A set of depth-3 cells and weights in quarters on the nodes down to depth 2."""
+    subset = DyadicSet.from_cells(3, rng.getrandbits(8))
     keys, weights = [], []
-    for key in range(1, 2 << seq_depth):  # every node down to seq_depth, by depth and then index
+    for key in range(1, 8):  # every node down to depth 2, by depth and then index
         roll = rng.random()
         if roll < 0.4:
             keys.append(key)

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    _vertex_level as vertex_level_fraction,
     curve_height_scan,
     curve_top,
     curve_x_scan,
@@ -46,6 +47,7 @@ from sparsebound.candidate import (
     vertex_f,
     vertex_g,
 )
+from sparsebound.geometry import PlanePoint
 from sparsebound.rational import parse_rational
 
 MAX_LEVEL = 2000
@@ -105,6 +107,15 @@ def test_curve_height_matches_scan(family, m, x):
 def test_curve_x_matches_scan(point):
     family, m, level = point
     assert curve_x(family, m, level) == curve_x_scan(family, m, level)
+
+
+def test_vertices_match_fraction_levels():
+    # Every vertex up to curve MAX_EXPONENT against the level's Fraction form.
+    for family, vertex in ((Family.F, vertex_f), (Family.G, vertex_g)):
+        for m in range(MAX_EXPONENT + 1):
+            for k in range(m + 1):
+                expected = PlanePoint(F(1, 2**k), vertex_level_fraction(family, k, m))
+                assert vertex(k, m) == expected
 
 
 @settings(max_examples=300, deadline=None)

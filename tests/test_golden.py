@@ -1,4 +1,4 @@
-"""Golden outputs of the README command-line examples, at test sizes.
+"""Golden outputs of the README command-line examples, at test sizes, and its Python example.
 
 Each case pins the exit status and the exact bytes printed (by length and
 SHA-256), so a refactor that keeps the CLI byte-identical passes and any
@@ -11,9 +11,11 @@ To print the table for the current code: ``PYTHONPATH=src python tests/test_gold
 
 import hashlib
 import io
+import re
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +235,13 @@ def inject_faults(monkeypatch):
 def test_cli_golden(name):
     argv, code, size, digest = GOLDEN[name]
     assert run(argv) == (code, size, digest)
+
+
+def test_readme_python_example():
+    # README's top-level API example runs as written; its asserts are its check.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(example, {})
 
 
 def test_fault_injected_report_golden(monkeypatch):

@@ -1,5 +1,7 @@
+import re
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +53,11 @@ def test_round_trip_beyond_digit_limit(default_digit_limit):
         assert len(text) > default_digit_limit
         assert parse_rational(text) == q
     assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+def test_python_floor_has_the_digit_limit():
+    # rational reads sys.int_info.str_digits_check_threshold, which came with
+    # the int <-> str digit limit in 3.11 and in its backport to 3.10.7.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=([0-9.]+)"$', text, re.M).group(1)
+    assert tuple(map(int, floor.split("."))) >= (3, 10, 7)
