@@ -16,9 +16,10 @@ certifies, over every binary weight sequence with Carleson constant at most
 2 against every set resolved at a small depth, that no level-set measure
 ever exceeds ``bellman_value``, and records where equality is attained.  It
 runs the paper's Bellman recursion over the dyadic tree instead of
-enumerating the configurations.  It keeps only ``E`` (see ``_sup_tables``),
-whose suffix maximum is ``V``.  A sampled run fills the same table, and
-one reader turns either into the report.
+enumerating the configurations, each a root weight over an ordered pair of
+halves, and keeps only ``E`` (see ``_sup_tables``), whose suffix maximum is
+``V``.  A sampled run fills the same table, and one reader turns either
+into the report, walking one rising list of grid and query levels.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import operator
 import random
 from array import array
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -393,7 +395,9 @@ def _sample_gconsist(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
 
 
 def default_level_grid(count: int = 50) -> tuple[Fraction, ...]:
-    """A rational grid of the given size spanning (0, 10]."""
+    """A rational grid of the given size spanning (0, 10]; a size below 1 raises ``DomainError``."""
+    if _index(count, "grid size") < 1:
+        raise DomainError(f"grid size must be at least 1, got {count}")
     return tuple(Fraction(10 * j, count) for j in range(1, count + 1))
 
 
@@ -502,9 +506,8 @@ def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
 
 # Brute force over all small-depth configurations.
 
-# An exhaustive ``brute 4`` process takes about 0.3 s (0.25-0.46 s on a 2-core
-# VM, Python 3.11), 0.15 s of it in the tables.  At depth 5 the tables take
-# about 4 s and 72 MB, for 17 MB of JSON.
+# On a 2-core VM (Python 3.11) an exhaustive ``brute 4`` process takes about 0.3 s, 0.15 s of
+# it in the tables; at depth 5 the tables take about 3.4 s and 88 MiB, for 17 MB of JSON.
 EXHAUSTIVE_DEPTH_CAP = 4
 SAMPLED_DEPTH_CAP = 8
 
@@ -565,16 +568,8 @@ class BruteForceReport:
 # (measure, height) -> E, all scaled by 2**depth; see ``_sup_tables``.
 Table = dict[tuple[int, int], Sequence[int]]
 
-# A level of the report, as a Fraction and as a (numerator, denominator) pair.
-Level = tuple[Fraction, Pair]
-
 # An E entry of a level no configuration takes; sums with it stay negative.
 _MISSING = -(1 << 62)
-
-
-# Candidates held per key before they are reduced, which bounds the memory
-# of the pair loop.
-_PENDING_CAP = 256
 
 
 def _elementwise_max(lists: list) -> list[int]:
@@ -605,11 +600,10 @@ def _sup_tables(depth: int) -> tuple[Table, int]:
     value is ``gamma * xc`` plus twice its value in its half.  So it has a
     cell of value t exactly when one half has a cell of value
     ``(t - gamma * xc) / 2``, and its cells reaching t are the cells of
-    both halves reaching that level.  Swapping the halves keeps (xc, hs)
-    and every level set, so the halves run over unordered pairs, and ``E``
-    takes the larger of the two orientations, a hit in the left half
-    (``E1 + V2``) or in the right one (``E2 + V1``).  Each half's ``V`` is
-    derived once per key and depth, before the pairs.
+    both halves reaching that level.  The halves run over ordered pairs,
+    and each pair counts a hit in its left half, ``E1 + V2``; the swapped
+    pair counts a hit in the right one.  Each half's ``V`` is derived once
+    per key and depth, before the pairs.
     """
     # Depth 0: one cell with weight gamma, of value gamma * xc.
     tables = {
@@ -622,13 +616,9 @@ def _sup_tables(depth: int) -> tuple[Table, int]:
         # The candidates are lazy sums, all reduced at once per key.
         groups: dict[tuple[int, int], list] = {}
         items = [(key, hit, _suffix_max(hit)) for key, hit in tables.items()]
-        for i, ((x1, h1), e1, v1) in enumerate(items):
-            for (x2, h2), e2, v2 in items[i:]:
-                hits = groups.setdefault((x1 + x2, h1 + h2), [])
-                hits.append(map(operator.add, e1, v2))
-                hits.append(map(operator.add, e2, v1))
-                if len(hits) >= _PENDING_CAP:
-                    hits[:] = [_elementwise_max(hits)]
+        for (x1, h1), e1, _ in items:
+            for (x2, h2), _, v2 in items:
+                groups.setdefault((x1 + x2, h1 + h2), []).append(map(operator.add, e1, v2))
         pair_counts: dict[int, int] = {}
         for h1, n1 in counts.items():
             for h2, n2 in counts.items():
@@ -743,33 +733,44 @@ def _table_report(
 ) -> BruteForceReport:
     """The report of an ``E`` table, read off in key order.
 
-    The keys (xc, hs) sort as integers.  Each key's entries are its hit
-    levels ``t / 2**depth`` merged with the query levels, both rising; a
-    query level takes the key's ``V`` (``_suffix_max``), and one on the
-    grid shares the entry of the hit there.  Each bound comes from the
-    integer kernel ``_bound`` on (numerator, denominator) pairs: the grid
-    values lie in the box by construction, and the query levels were
-    checked at the boundary.  The ``Fraction``s built are the grid values,
-    once and shared, and one per distinct bound in lowest terms.
+    The keys (xc, hs) sort as integers.  Each key walks one rising list of
+    ``(place, level, t, query)``: grid level ``t / 2**depth`` at place 2t,
+    and a query level whose ceiling on the grid is t at 2t, in the grid
+    level's stead, or at 2t - 1.  A query reads the key's ``V[t]``
+    (``_suffix_max``), and a grid level the key hits its ``E[t]``.  Each
+    bound comes from the integer kernel ``_bound`` on (numerator,
+    denominator) pairs: the grid values lie in the box by construction, and
+    the query levels were checked at the boundary.  The ``Fraction``s built
+    are the grid values, once and shared, and one per distinct bound.
     """
     cells = 1 << depth
     top = (depth + 1) * cells  # no configuration takes a higher value
     grid = [(Fraction(t, cells), (t, cells)) for t in range(top + 1)]
-    # Each query level once, rising, with its place among the hit levels
-    # (2t for the level t / cells, 2t - 1 just below it) and the level
-    # ceil(level * cells) whose V count it takes.
     queries = []
     for level in sorted(set(lambda_values)):
         t = math.ceil(level * cells)
         place = 2 * t if level * cells == t else 2 * t - 1
-        queries.append((place, (level, _pair(level)), max(t, 0)))
+        queries.append((place, (level, _pair(level)), max(t, 0), True))
+    taken = {query[0] for query in queries}
+    on_grid = [(2 * t, grid[t], t, False) for t in range(1, top + 1) if 2 * t not in taken]
+    levels = sorted(on_grid + queries)  # by place: only queries share one, with distinct levels
     bounds: dict[Pair, Fraction] = {}
     entries = []
     dominated = True
     for xc, hs in sorted(tables):
         hit = tables[xc, hs]
+        v = _suffix_max(hit)
         (x, x_pair), (a, a_pair) = grid[xc], grid[hs]
-        for (level, level_pair), count in _merged_levels(_suffix_max(hit), hit, queries, grid):
+        # A sampled key's list stops at its highest value: above it, only queries.
+        end = 2 * len(hit) - 1  # the place just above that value
+        walk = levels[: bisect(levels, (end,))] + [q for q in queries if q[0] >= end]
+        for _, (level, level_pair), t, query in walk:
+            if query:
+                count = v[t] if t < len(v) else 0
+            elif hit[t] >= 0:
+                count = hit[t]
+            else:
+                continue
             num, den = _bound(x_pair, a_pair, level_pair)
             g = math.gcd(num, den)
             num, den = num // g, den // g
@@ -787,25 +788,3 @@ def _table_report(
         entries=tuple(entries),
         domination=dominated,
     )
-
-
-def _merged_levels(
-    v: list[int], hit: Sequence[int], queries: list[tuple[int, Level, int]], grid: list[Level]
-) -> Iterator[tuple[Level, int]]:
-    """One key's (level, most cells) pairs, rising: hit levels and query levels."""
-    top = len(v) - 1
-    q = 0
-    for t in range(1, top + 1):
-        count = hit[t]
-        if count < 0:
-            continue
-        while q < len(queries) and queries[q][0] < 2 * t:
-            _, level, i = queries[q]
-            yield level, v[i]
-            q += 1
-        if q < len(queries) and queries[q][0] == 2 * t:
-            count = v[t]  # never below E[t], the most among the hits
-            q += 1
-        yield grid[t], count
-    for _, level, i in queries[q:]:
-        yield level, v[i] if i <= top else 0

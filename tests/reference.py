@@ -765,11 +765,14 @@ def _merge(tables: dict, key: tuple[int, int], v: list[int], hit: list[int]) -> 
 
 @lru_cache(maxsize=None)
 def sup_tables_ordered(depth: int) -> tuple[dict, int]:
-    """``verify._sup_tables`` with the halves over ordered pairs.
+    """``verify._sup_tables`` built eagerly, with ``V`` carried by its own recursion.
 
-    Each ordered pair counts only hits in its left half; the swapped pair
-    counts the right one.  Every candidate is merged into its key's maxima
-    as it comes.  Cached: the callers only read the tables.
+    Both run over ordered pairs of halves, each pair counting only hits in
+    its left half.  Here each pair's ``V`` and ``E`` are summed into lists
+    and merged into its key's maxima as they come, and each key keeps
+    ``(V, E)``: ``V`` goes through the doubling and the root weight like
+    ``E``, rather than being read off as ``E``'s suffix maximum.  Cached:
+    the callers only read the tables.
     """
     tables = {
         (xc, gamma): ([1, xc * gamma], [_MISSING, 1] if xc * gamma else [1, _MISSING])

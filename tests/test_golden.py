@@ -169,13 +169,23 @@ def run(argv):
     return code, len(data), hashlib.sha256(data).hexdigest()
 
 
-def _replace(monkeypatch, original, replacement):
-    """Rebind ``original`` in every sparsebound module that binds it."""
+def _replace(monkeypatch, original, replacement, calls):
+    """Rebind ``original`` in every sparsebound module that binds it.
+
+    The replacement counts its calls in ``calls``, under the original's name.
+    """
+    name = original.__name__
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return replacement(*args, **kwargs)
+
     for key, module in list(sys.modules.items()):
         if key.startswith("sparsebound"):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
+                    monkeypatch.setattr(module, attr, counted)
 
 
 def clear_memos():
@@ -186,22 +196,16 @@ def clear_memos():
 
 
 def inject_faults(monkeypatch):
-    """Break every function the verify suites evaluate.
+    """Break every function the verify suites evaluate, and count the calls of each fake.
 
     The suites call the integer entries of ``candidate`` on (numerator,
-    denominator) pairs; each entry gets the integer form of the fake its
-    public wrapper gets.
+    denominator) pairs, and ``dynamics`` calls ``concat_configs``.  Returns
+    the dict of call counts by function name, which the run fills.
     """
     clear_memos()
-    slopes, forms = candidate.profile_slopes, candidate.recip_slope_forms
+    calls: dict[str, int] = {}
     int_slopes, int_forms = candidate._profile_slopes, candidate._recip_slope_forms
     concat = dyadic.concat_configs
-
-    def negated_forms(window, m):
-        return {
-            name: ((-c0, -c1), levels)
-            for name, ((c0, c1), levels) in forms(window, m).items()
-        }
 
     def int_negated_forms(window, m):
         return {
@@ -209,26 +213,23 @@ def inject_faults(monkeypatch):
             for name, (((c0n, c0d), (c1n, c1d)), levels) in int_forms(window, m).items()
         }
 
-    _replace(monkeypatch, candidate.bellman_value, lambda x, a, level: x * x - a)
-    _replace(monkeypatch, candidate.f_value, lambda x, level: F(-1))
-    _replace(monkeypatch, candidate.g_value, lambda x, level: F(0))
-    _replace(monkeypatch, candidate.f_extended, lambda x, level: F(1))
-    _replace(monkeypatch, slopes, lambda level, x_min: slopes(level, x_min)[::-1])
-    _replace(monkeypatch, candidate.segment_slope, lambda strip, level: F(0))
-    _replace(monkeypatch, forms, negated_forms)
-    _replace(monkeypatch, concat, lambda c1, c2, gamma: concat(c1, c2, 1 - gamma))
-
     def int_square_minus_height(x, a, level):  # x * x - a
         (xn, xd), (an, ad) = x, a
         return xn * xn * ad - an * xd * xd, xd * xd * ad
 
-    _replace(monkeypatch, candidate._bound, int_square_minus_height)
-    _replace(monkeypatch, candidate._f_value, lambda x, level: (-1, 1))
-    _replace(monkeypatch, candidate._g_value, lambda x, level: (0, 1))
-    _replace(monkeypatch, candidate._f_extended, lambda x, level: (1, 1))
-    _replace(monkeypatch, int_slopes, lambda level, x_min: int_slopes(level, x_min)[::-1])
-    _replace(monkeypatch, candidate._segment_slope, lambda strip, level: (0, 1))
-    _replace(monkeypatch, int_forms, int_negated_forms)
+    fakes = [
+        (concat, lambda c1, c2, gamma: concat(c1, c2, 1 - gamma)),
+        (candidate._bound, int_square_minus_height),
+        (candidate._f_value, lambda x, level: (-1, 1)),
+        (candidate._g_value, lambda x, level: (0, 1)),
+        (candidate._f_extended, lambda x, level: (1, 1)),
+        (int_slopes, lambda level, x_min: int_slopes(level, x_min)[::-1]),
+        (candidate._segment_slope, lambda strip, level: (0, 1)),
+        (int_forms, int_negated_forms),
+    ]
+    for original, fake in fakes:
+        _replace(monkeypatch, original, fake, calls)
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -245,11 +246,13 @@ def test_readme_python_example():
 
 
 def test_fault_injected_report_golden(monkeypatch):
-    inject_faults(monkeypatch)
+    calls = inject_faults(monkeypatch)
     try:
         assert run(FAULT_ARGV) == FAULT_GOLDEN
     finally:
         clear_memos()
+    # Every fake ran: the pinned report shows each fault, not only some.
+    assert 0 not in calls.values(), calls
 
 
 if __name__ == "__main__":

@@ -396,8 +396,10 @@ def test_bellman_engine_matches_reference_depth_2(levels):
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_unordered_pairs_match_ordered_recursion(depth):
-    # The recursion keeps only E; the ordered one keeps V too, which is
-    # E's suffix maximum.
+    # Both recursions run over ordered pairs of halves.  The library sums
+    # each pair lazily and keeps only E, deriving V as E's suffix maximum;
+    # the reference merges each pair as it comes and carries V through its
+    # own recursion.
     tables, sequences = _sup_tables(depth)
     ordered, ordered_sequences = sup_tables_ordered(depth)
     assert sequences == ordered_sequences
@@ -415,10 +417,14 @@ def test_suffix_max():
 
 
 def _edge_levels(depth):
-    """Levels below zero, at zero, repeated, off the grid, on it, at the top and above."""
+    """Levels below zero, at zero, repeated, off the grid, on it, at the top and above.
+
+    1/3 and 1/3 + 2**-(depth + 3) lie in one gap of the grid: both round up
+    to the same grid level, and each must keep its own entry.
+    """
     top = depth + 1
-    return [F(-1), F(-1, 3), F(0), F(1, 3), F(1, 3), F(7, 5), F(1, 2), F(3, 2), F(3, 2),
-            F(top), F(top) + F(1, 2 ** (depth + 1)), F(40)]
+    return [F(-1), F(-1, 3), F(0), F(1, 3), F(1, 3), F(1, 3) + F(1, 2 ** (depth + 3)), F(7, 5),
+            F(1, 2), F(3, 2), F(3, 2), F(top), F(top) + F(1, 2 ** (depth + 1)), F(40)]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -491,6 +497,14 @@ def test_brute_mode_errors():
         brute_force_sup(EXHAUSTIVE_DEPTH_CAP + 1)
     with pytest.raises(DomainError):
         brute_force_sup(0)
+
+
+def test_default_level_grid_checks_its_size():
+    # An empty grid would read as "use the default grid" in SampleSpec.
+    assert default_level_grid(1) == (F(10),)
+    for count in (True, 2.5, 0):
+        with pytest.raises(DomainError):
+            default_level_grid(count)
 
 
 def test_inputs_checked_at_the_boundary():
