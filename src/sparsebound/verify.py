@@ -18,21 +18,23 @@ ever exceeds ``bellman_value``, and records where equality is attained.  It
 runs the paper's Bellman recursion over the dyadic tree instead of
 enumerating the configurations, each a root weight over an ordered pair of
 halves, and keeps only ``E`` (see ``_sup_tables``), whose suffix maximum is
-``V``.  A sampled run fills the same table, and one reader turns either
-into the report, walking one rising list of grid and query levels.
+``V``, each key's row packed into one int with a 16-bit field per level, so
+that sums and maxima of rows are a few integer operations.  A sampled run
+fills the same table, and one reader turns either into the report, walking
+one rising list of grid and query levels.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
+import sys
 from array import array
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .candidate import (
@@ -506,9 +508,11 @@ def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
 
 # Brute force over all small-depth configurations.
 
-# On a 2-core VM (Python 3.11) an exhaustive ``brute 4`` process takes about 0.3 s, 0.15 s of
-# it in the tables; at depth 5 the tables take about 3.4 s and 88 MiB, for 17 MB of JSON.
-EXHAUSTIVE_DEPTH_CAP = 4
+# On a 2-core VM (Python 3.11) an exhaustive ``brute 4`` process takes about 0.16 s, 0.01 s
+# of it in the tables, and ``brute 5`` about 1.1 s and 84 MiB, 0.15 s of it in the tables and
+# most in the report of 17 MB of JSON; depth 6 would print about 170 MB.  Both caps keep
+# every field of a packed row below 2**15 (see ``_TAKEN``).
+EXHAUSTIVE_DEPTH_CAP = 5
 SAMPLED_DEPTH_CAP = 8
 
 
@@ -565,34 +569,71 @@ class BruteForceReport:
         return zip(*columns, map(flags.__getitem__, attained))
 
 
-# (measure, height) -> E, all scaled by 2**depth; see ``_sup_tables``.
-Table = dict[tuple[int, int], Sequence[int]]
+# (measure, height) -> packed E row, all scaled by 2**depth; see ``_sup_tables``.
+Table = dict[tuple[int, int], int]
 
-# An E entry of a level no configuration takes; sums with it stay negative.
-_MISSING = -(1 << 62)
+# A packed row holds one 16-bit field per level, lowest first.  An E field is
+# 0 where no configuration takes the level, and _TAKEN + c where the most
+# cells is c; a V field is a plain count.  So E1 + V2 adds field by field, a
+# field below _TAKEN still reads "not taken", and bit 15 stays free for the
+# fieldwise max, while every field stays below 2**15: exhaustive depth e
+# gives at most _TAKEN + 2**e, and a sampled row at most _TAKEN + 2**8.
+_TAKEN = 1 << 14
 
 
-def _elementwise_max(lists: list) -> list[int]:
-    return list(map(max, *lists)) if len(lists) > 1 else list(lists[0])
+def _ones(width: int) -> int:
+    """A row of ``width`` fields, each 1."""
+    return ((1 << (width << 4)) - 1) // 0xFFFF
 
 
-def _suffix_max(hit: Sequence[int]) -> list[int]:
-    """``V`` from ``E``: ``V[t]`` is the largest of 0 and every ``E[u]`` with u >= t.
+def _fields(row: int) -> array:
+    """A packed row's fields, lowest level first, through its highest nonzero field."""
+    fields = array("H", row.to_bytes((row.bit_length() + 15) >> 4 << 1, sys.byteorder))
+    if sys.byteorder == "big":  # the highest field came first
+        fields.reverse()
+    return fields
+
+
+def _pack(fields: array) -> int:
+    """The packed row of ``array('H')`` fields, lowest level first."""
+    return int.from_bytes(fields[::-1] if sys.byteorder == "big" else fields, sys.byteorder)
+
+
+def _max(a: int, b: int, high: int) -> int:
+    """The fieldwise max of two rows (SWAR); ``high`` has bit 15 set in each field of both.
+
+    A field of ``(a | high) - b`` keeps bit 15 exactly where a's field is at
+    least b's, and no field borrows from the next, since both are below 2**15.
+    """
+    sel = ((a | high) - b) & high
+    return b ^ ((a ^ b) & (sel - (sel >> 15)))
+
+
+def _suffix_max(row: int) -> int:
+    """``V`` from ``E``: ``V[t]`` is the largest of 0 and every count ``E[u]`` with u >= t.
 
     A configuration that reaches t has a smallest value u >= t, and its
-    cells at or above t are exactly its cells at or above u.
+    cells at or above t are exactly its cells at or above u.  The maxima
+    over 1, 2, 4, ... fields up are taken by shifted fieldwise maxima.
     """
-    return list(accumulate(reversed(hit), max, initial=0))[:0:-1]
+    width = (row.bit_length() + 15) >> 4
+    ones = _ones(width)
+    v, high = row & ones * (_TAKEN - 1), ones << 15
+    span = 1
+    while span < width:
+        v = _max(v, v >> (span << 4), high)
+        span <<= 1
+    return v
 
 
 def _sup_tables(depth: int) -> tuple[Table, int]:
-    """The ``E`` table per (measure, height) at one depth, and the sequence count.
+    """The packed ``E`` row per (measure, height) at one depth, and the sequence count.
 
-    Everything at depth e is scaled by 2**e.  ``tables[xc, hs]`` lists the
-    levels 0 .. (depth + 1) * 2**depth: ``E[t]`` is the most cells of value
-    >= t among the configurations with a cell of value exactly t (negative
-    if none).  The most cells of value >= t among all of them, ``V[t]``, is
-    ``_suffix_max(E)[t]``, so only ``E`` is kept.
+    Everything at depth e is scaled by 2**e.  ``tables[xc, hs]`` has a field
+    for each level 0 .. (depth + 1) * 2**depth: ``E[t]`` is the most cells
+    of value >= t among the configurations with a cell of value exactly t
+    (a zero field if none).  The most cells of value >= t among all of
+    them, ``V[t]``, is ``_suffix_max(E)[t]``, so only ``E`` is kept.
 
     A configuration is a root weight gamma in {0, 1} and two depth e - 1
     configurations on the halves: its set has ``xc = xc1 + xc2`` cells, its
@@ -601,43 +642,54 @@ def _sup_tables(depth: int) -> tuple[Table, int]:
     cell of value t exactly when one half has a cell of value
     ``(t - gamma * xc) / 2``, and its cells reaching t are the cells of
     both halves reaching that level.  The halves run over ordered pairs,
-    and each pair counts a hit in its left half, ``E1 + V2``; the swapped
-    pair counts a hit in the right one.  Each half's ``V`` is derived once
-    per key and depth, before the pairs.
+    and each pair counts a hit in its left half, ``E1 + V2``, one integer
+    addition; the swapped pair counts a hit in the right one.  Each half's
+    ``V`` is derived once per key and depth, before the pairs.
     """
     # Depth 0: one cell with weight gamma, of value gamma * xc.
-    tables = {
-        (xc, gamma): [_MISSING, 1] if xc * gamma else [1, _MISSING]
-        for xc in (0, 1)
-        for gamma in (0, 1)
-    }
+    tables = {(xc, gamma): (_TAKEN + 1) << (xc * gamma << 4) for xc in (0, 1) for gamma in (0, 1)}
     counts = {0: 1, 1: 1}  # binary Carleson sequences by scaled height
     for e in range(1, depth + 1):
-        # The candidates are lazy sums, all reduced at once per key.
-        groups: dict[tuple[int, int], list] = {}
-        items = [(key, hit, _suffix_max(hit)) for key, hit in tables.items()]
-        for (x1, h1), e1, _ in items:
-            for (x2, h2), _, v2 in items:
-                groups.setdefault((x1 + x2, h1 + h2), []).append(map(operator.add, e1, v2))
+        cells = 1 << e
+        # A half's key (xc, hs) is xc * stride + hs, so a pair's key is the sum.
+        stride = 2 * cells + 1
+        ones = _ones((e << (e - 1)) + 1)  # a field for each level of depth e - 1
+        high = ones << 15
+        halves = [(xc * stride + hs, row) for (xc, hs), row in tables.items()]
+        rights = [(key, _suffix_max(row)) for key, row in halves]
+        pairs = [0] * ((cells + 1) * stride)  # 0: no pair has the key
+        for key1, e1 in halves:
+            for key2, v2 in rights:
+                hit = e1 + v2
+                key = key1 + key2
+                old = pairs[key]  # _max, inline: this loop runs once per ordered pair
+                sel = ((old | high) - hit) & high
+                pairs[key] = hit ^ ((old ^ hit) & (sel - (sel >> 15)))
         pair_counts: dict[int, int] = {}
         for h1, n1 in counts.items():
             for h2, n2 in counts.items():
                 pair_counts[h1 + h2] = pair_counts.get(h1 + h2, 0) + n1 * n2
-        cells = 1 << e
-        pairs = {key: _elementwise_max(hits) for key, hits in groups.items()}
-        groups = {}
-        for (xc, hs), hit in pairs.items():
+        taken = ones << 14
+        high = _ones(((e + 1) << e) + 1) << 15
+        tables = {}
+        for key, hit in enumerate(pairs):
+            if not hit:
+                continue
+            xc, hs = divmod(key, stride)
+            hit &= ((hit & taken) >> 14) * 0x7FFF  # clear the fields not taken
             # The pair's hits at the doubled levels 2 * t1 (no odd level is
-            # hit), padded by one root weight's worth of levels.
-            size = 2 * len(hit) - 1
-            doubled = [_MISSING] * (size + cells)
-            doubled[0:size:2] = hit
+            # hit); a root weight shifts them by xc <= 2**e levels, into the
+            # 2**e levels above the doubled ones.
+            fields = _fields(hit)
+            doubled = array("H", bytes(4 * len(fields) - 2))
+            doubled[::2] = fields
+            hit = _pack(doubled)
             for gamma in (0, 1):
-                height, shift = (gamma << e) + hs, gamma * xc
+                height = (gamma << e) + hs
                 if height <= 2 * cells:
-                    shifted = [_MISSING] * shift + doubled[: len(doubled) - shift]
-                    groups.setdefault((xc, height), []).append(shifted)
-        tables = {key: _elementwise_max(hits) for key, hits in groups.items()}
+                    row = hit << (gamma * xc << 4)
+                    old = tables.get((xc, height))
+                    tables[xc, height] = row if old is None else _max(old, row, high)
         counts = {
             h: pair_counts.get(h, 0) + pair_counts.get(h - cells, 0) for h in range(2 * cells + 1)
         }
@@ -667,28 +719,27 @@ def _sampled_configs(depth: int, sample: int, seed: int) -> Iterator[Config]:
 def _sampled_tables(depth: int, sample: int, seed: int) -> tuple[Table, int]:
     """``_sup_tables``' table over the sampled configurations, and their number.
 
-    Each key's list stops at the highest value taken.  Few levels are
-    taken (one in 60 at depth 8), so a list is an array of 16-bit counts
-    (at most 2**SAMPLED_DEPTH_CAP), -1 where no level is taken.
+    Each key's fields are filled in an ``array('H')`` up to the highest
+    value taken, then packed.  Few levels are taken (one in 60 at depth 8).
     """
     cells = 1 << depth
-    tables: Table = {}
+    tables: dict[tuple[int, int], array] = {}
     scanned = 0
     for config in _sampled_configs(depth, sample, seed):
         values, scale, weight_depth = _value_cells(config.subset, config.seq)
         key = int(config.measure * cells), int(config.height * cells)
-        hit = tables.setdefault(key, array("h"))
+        hit = tables.setdefault(key, array("H"))
         # Values (scaled by 2**fine, fine <= depth) and counts (in cells of
         # size 2**-weight_depth) are moved to the 2**-depth grid.
-        hit.extend([-1] * (max(values) * cells // scale + 1 - len(hit)))
-        reaching = 0
+        hit.extend([0] * (max(values) * cells // scale + 1 - len(hit)))
+        reaching = _TAKEN
         for value in sorted(values, reverse=True):
             reaching += values[value] << (depth - weight_depth)
             t = value * cells // scale
             if hit[t] < reaching:
                 hit[t] = reaching
         scanned += 1
-    return tables, scanned
+    return {key: _pack(hit) for key, hit in tables.items()}, scanned
 
 
 def brute_force_sup(
@@ -731,13 +782,14 @@ def brute_force_sup(
 def _table_report(
     depth: int, exhaustive: bool, configs_scanned: int, tables: Table, lambda_values: list[Fraction]
 ) -> BruteForceReport:
-    """The report of an ``E`` table, read off in key order.
+    """The report of a packed ``E`` table, read off in key order.
 
     The keys (xc, hs) sort as integers.  Each key walks one rising list of
     ``(place, level, t, query)``: grid level ``t / 2**depth`` at place 2t,
     and a query level whose ceiling on the grid is t at 2t, in the grid
     level's stead, or at 2t - 1.  A query reads the key's ``V[t]``
-    (``_suffix_max``), and a grid level the key hits its ``E[t]``.  Each
+    (``_suffix_max``, built only when a query is given), and a grid level
+    the key hits its ``E[t]``, from the row's fields (``_fields``).  Each
     bound comes from the integer kernel ``_bound`` on (numerator,
     denominator) pairs: the grid values lie in the box by construction, and
     the query levels were checked at the boundary.  The ``Fraction``s built
@@ -758,17 +810,18 @@ def _table_report(
     entries = []
     dominated = True
     for xc, hs in sorted(tables):
-        hit = tables[xc, hs]
-        v = _suffix_max(hit)
+        row = tables[xc, hs]
+        hit = _fields(row)
+        v = _suffix_max(row) if queries else 0
         (x, x_pair), (a, a_pair) = grid[xc], grid[hs]
-        # A sampled key's list stops at its highest value: above it, only queries.
+        # The fields stop at the highest value taken: above it, only queries.
         end = 2 * len(hit) - 1  # the place just above that value
         walk = levels[: bisect(levels, (end,))] + [q for q in queries if q[0] >= end]
         for _, (level, level_pair), t, query in walk:
             if query:
-                count = v[t] if t < len(v) else 0
-            elif hit[t] >= 0:
-                count = hit[t]
+                count = v >> (t << 4) & 0xFFFF
+            elif hit[t]:
+                count = hit[t] - _TAKEN
             else:
                 continue
             num, den = _bound(x_pair, a_pair, level_pair)

@@ -51,7 +51,6 @@ from sparsebound.geometry import PlanePoint, lerp
 from sparsebound.rational import DomainError, format_rational
 from sparsebound.verify import (
     _DENOMINATOR_BOUND as DENOMINATOR_BOUND,
-    _MISSING,
     DEFAULT_CONCAVITY_GRID,
     SLOPES_MAX_INDEX,
     SLOPES_X_MIN,
@@ -65,6 +64,9 @@ from sparsebound.verify import (
     intervals_to_depth,
     iter_binary_carleson,
 )
+
+# An E entry of a level no configuration takes; sums with it stay negative.
+MISSING = -(1 << 62)
 
 
 def f_value_nodes(x: Fraction, level: Fraction) -> Fraction:
@@ -775,7 +777,7 @@ def sup_tables_ordered(depth: int) -> tuple[dict, int]:
     the callers only read the tables.
     """
     tables = {
-        (xc, gamma): ([1, xc * gamma], [_MISSING, 1] if xc * gamma else [1, _MISSING])
+        (xc, gamma): ([1, xc * gamma], [MISSING, 1] if xc * gamma else [1, MISSING])
         for xc in (0, 1)
         for gamma in (0, 1)
     }
@@ -794,13 +796,13 @@ def sup_tables_ordered(depth: int) -> tuple[dict, int]:
         tables = {}
         for (xc, hs), (v, hit) in pairs.items():
             v = [v[(u + 1) // 2] for u in range(2 * len(v) - 1)] + [0] * cells
-            hit = [hit[u // 2] if u % 2 == 0 else _MISSING for u in range(2 * len(hit) - 1)]
-            hit += [_MISSING] * cells
+            hit = [hit[u // 2] if u % 2 == 0 else MISSING for u in range(2 * len(hit) - 1)]
+            hit += [MISSING] * cells
             for gamma in (0, 1):
                 height, shift = (gamma << e) + hs, gamma * xc
                 if height <= 2 * cells:
                     v_root = [cells] * shift + v[: len(v) - shift]
-                    hit_root = [_MISSING] * shift + hit[: len(hit) - shift]
+                    hit_root = [MISSING] * shift + hit[: len(hit) - shift]
                     _merge(tables, (xc, height), v_root, hit_root)
         counts = {
             h: pair_counts.get(h, 0) + pair_counts.get(h - cells, 0) for h in range(2 * cells + 1)

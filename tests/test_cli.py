@@ -224,7 +224,7 @@ def test_curves_help_states_the_cap(capsys):
 def test_brute_help_states_the_exhaustive_cap(capsys):
     with pytest.raises(SystemExit):
         main(["brute", "--help"])
-    assert "Exhaustive up to depth 4; deeper runs need --sample." in capsys.readouterr().out
+    assert "Exhaustive up to depth 5; deeper runs need --sample." in capsys.readouterr().out
 
 
 def test_brute_help_states_the_sampled_cap(capsys):
@@ -242,13 +242,13 @@ def test_brute_9_sampled_is_usage_error(capsys, time_limit):
     assert captured.err == "error: sampled mode is capped at depth 8\n"
 
 
-def test_brute_5_without_sample_is_usage_error(capsys, time_limit):
+def test_brute_6_without_sample_is_usage_error(capsys, time_limit):
     with time_limit(1):
-        code = main(["brute", "5"])
+        code = main(["brute", "6"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "exhaustive mode is capped at depth 4" in captured.err
+    assert "exhaustive mode is capped at depth 5" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["jump", "--count", "-5"], ["all", "--count", "0"]])

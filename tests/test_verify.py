@@ -32,6 +32,8 @@ from sparsebound.verify import (
     SampleSpec,
     Violation,
     _below,
+    _max,
+    _ones,
     _sample_rational,
     _suffix_max,
     _sup_tables,
@@ -394,26 +396,53 @@ def test_bellman_engine_matches_reference_depth_2(levels):
     assert brute_force_sup(2, levels) == brute_reference(2, levels)
 
 
+def _packed(fields):
+    """The packed row of a list of 16-bit fields, lowest level first."""
+    return sum(field << 16 * t for t, field in enumerate(fields))
+
+
+def _packed_hits(hit):
+    """A list ``E`` row, negative where no configuration takes the level, packed."""
+    return _packed([verify._TAKEN + count if count >= 0 else 0 for count in hit])
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-def test_unordered_pairs_match_ordered_recursion(depth):
-    # Both recursions run over ordered pairs of halves.  The library sums
-    # each pair lazily and keeps only E, deriving V as E's suffix maximum;
-    # the reference merges each pair as it comes and carries V through its
-    # own recursion.
+def test_packed_tables_match_ordered_recursion(depth):
+    # Both recursions run over ordered pairs of halves.  The library packs
+    # each key's E into one int and derives V as E's suffix maximum; the
+    # reference keeps lists, merges each pair as it comes and carries V
+    # through its own recursion.
     tables, sequences = _sup_tables(depth)
     ordered, ordered_sequences = sup_tables_ordered(depth)
     assert sequences == ordered_sequences
-    assert tables == {key: hit for key, (_, hit) in ordered.items()}
-    assert {key: _suffix_max(hit) for key, hit in tables.items()} == {
-        key: v for key, (v, _) in ordered.items()
+    assert tables == {key: _packed_hits(hit) for key, (_, hit) in ordered.items()}
+    assert {key: _suffix_max(row) for key, row in tables.items()} == {
+        key: _packed(v) for key, (v, _) in ordered.items()
     }
 
 
 def test_suffix_max():
-    missing = verify._MISSING
-    assert _suffix_max([4, missing, 3, missing, 1, missing]) == [4, 3, 3, 1, 1, 0]
-    assert _suffix_max([missing, missing]) == [0, 0]
-    assert _suffix_max([]) == []
+    missing = reference.MISSING
+    assert _suffix_max(_packed_hits([4, missing, 3, missing, 1, missing])) == _packed(
+        [4, 3, 3, 1, 1, 0]
+    )
+    assert _suffix_max(_packed_hits([missing, missing])) == _packed([0, 0])
+    assert _suffix_max(_packed_hits([])) == _packed([])
+
+
+# Fields at both ends of the "not taken" and "taken" ranges, and the largest
+# a field may hold.
+EDGE_FIELDS = st.sampled_from([0, 1, 2**14 - 1, 2**14, 2**15 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(EDGE_FIELDS, EDGE_FIELDS), min_size=1, max_size=9))
+def test_packed_max_matches_elementwise_max(pairs):
+    # The high mask is one field wider than the rows, as it may be.
+    a, b = map(list, zip(*pairs))
+    high = _ones(len(pairs) + 1) << 15
+    assert _max(_packed(a), _packed(b), high) == _packed(map(max, a, b))
+    assert _max(_packed(b), _packed(a), high) == _packed(map(max, a, b))
 
 
 def _edge_levels(depth):
@@ -466,7 +495,7 @@ def test_configs_scanned_counts_enumerated_configurations(depth):
 
 def test_brute_depth_4_exhaustive_dominated_and_sampled_below():
     report = brute_force_sup(4, README_LAMBDAS)
-    assert EXHAUSTIVE_DEPTH_CAP == 4
+    assert EXHAUSTIVE_DEPTH_CAP == 5
     assert report.exhaustive and report.domination
     table = {(e.x, e.height, e.level): e for e in report.entries}
     # The extremizer of F curve m has weights down to depth m + 1, so at
@@ -493,7 +522,7 @@ def test_brute_monotone_in_depth():
 
 
 def test_brute_mode_errors():
-    with pytest.raises(DomainError, match="exhaustive mode is capped at depth 4"):
+    with pytest.raises(DomainError, match="exhaustive mode is capped at depth 5"):
         brute_force_sup(EXHAUSTIVE_DEPTH_CAP + 1)
     with pytest.raises(DomainError):
         brute_force_sup(0)
