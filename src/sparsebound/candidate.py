@@ -33,6 +33,11 @@ bound, as ``_region`` then ``_region_value``), ``_f_value``,
 ``_recip_slope_forms`` and ``_vertex_level``, the one form of a curve
 vertex's level.  They check nothing; the public functions check their
 arguments and wrap them, and the verify suites call them directly.
+``_region`` hands a strip's tag back as a plain ``(kind, m, plateau)``
+tuple, which ``_region_value`` reads as it reads a ``RegionTag``: building
+the named tuple costs about 0.5 us, near half of a whole ``_bound``, and
+the brute report makes one ``_bound`` call per entry.  ``classify_region``
+alone wraps it, so the public functions return only ``RegionTag``s.
 """
 
 from __future__ import annotations
@@ -85,11 +90,6 @@ def _floor_log2(n: int, d: int) -> int:
     e = n.bit_length() - d.bit_length()  # 2**(e-1) < n/d < 2**(e+1)
     at_least = n >= d << e if e >= 0 else n << -e >= d
     return e if at_least else e - 1
-
-
-def _segment(p: int, q: int) -> int:
-    """The index k of the dyadic segment 2**-k < x <= 2**(1-k) holding x = p/q in (0, 1]."""
-    return 1 + _floor_log2(q, p)
 
 
 def _offset(family: Family) -> int:
@@ -151,7 +151,7 @@ def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
         raise DomainError(f"curve argument must lie in [0, 1], got {x}")
     if p == 0:
         return ZERO
-    s, k = _offset(family), _segment(p, q)
+    s, k = _offset(family), 1 + _floor_log2(q, p)  # 2**-k < x <= 2**(1-k)
     if k > m:  # x <= 2**-m: the origin segment
         return Fraction(p * ((3 << m) - s), q)
     # Segment k; for G it is flat at level m + 1 when k = 1.
@@ -201,13 +201,19 @@ def _strip(s: int, p: int, q: int, num: int, den: int) -> tuple[int, bool]:
     of curve m-1.  Requires 0 < x <= 1 and level > 0 (level > 1 for the G
     family).
     """
-    k = _segment(p, q)
+    # x's dyadic segment k, 2**-k < x <= 2**(1-k).  Each bound at a level
+    # above 1 runs this, so max is written out as two tests.
+    k = 1 + _floor_log2(q, p)
     # The first m with x * (3 * 2**m - s) >= level, i.e. 2**m >= (level + s*x) / (3*x).
-    m = max(0, -_floor_log2(3 * p * den, num * q + s * p * den))
+    m = -_floor_log2(3 * p * den, num * q + s * p * den)
+    if m < 0:
+        m = 0
     if m >= k:
         # The first m >= k with curve_height = x * (2**k - s) + m - k + 2 >= level,
         # i.e. m - k + 2 >= ceil(level - x * (2**k - s)).
-        m = max(k, k - 2 - (((1 << k) - s) * p * den - num * q) // (den * q))
+        m = k - 2 - (((1 << k) - s) * p * den - num * q) // (den * q)
+        if m < k:
+            m = k
     return m, m == 0 or num > (m + 2 - s) * den
 
 
@@ -353,6 +359,15 @@ _MIXED = RegionTag(RegionKind.MIXED)
 _PROFILE = RegionTag(RegionKind.PROFILE)
 _ZERO = RegionTag(RegionKind.ZERO)
 
+# The kinds _region_value tests, as globals: each read of an Enum member is
+# a class attribute lookup, about 0.15 us on Python 3.10 and 3.11.
+_OBSTACLE_KIND = RegionKind.OBSTACLE
+_FULL_KIND = RegionKind.FULL
+_HEIGHT_KIND = RegionKind.HEIGHT
+_MIXED_KIND = RegionKind.MIXED
+_STRIP_KIND = RegionKind.STRIP
+_ZERO_KIND = RegionKind.ZERO
+
 
 def _check_box(x: Fraction, a: Fraction) -> None:
     if not 0 <= x.numerator <= x.denominator:
@@ -367,8 +382,8 @@ def _scaled(xn: int, xd: int, an: int, ad: int) -> tuple[int, int]:
     return (p, q) if p < q else (1, 1)
 
 
-def _region(x: Pair, a: Pair, level: Pair) -> RegionTag:
-    """``classify_region`` at x in [0, 1] and a in [0, 2]."""
+def _region(x: Pair, a: Pair, level: Pair) -> tuple[RegionKind, int | None, bool]:
+    """``classify_region`` at x in [0, 1] and a in [0, 2]; a strip's tag is a plain tuple."""
     (xn, xd), (an, ad), (num, den) = x, a, level
     if num <= 0:
         return _OBSTACLE
@@ -385,27 +400,27 @@ def _region(x: Pair, a: Pair, level: Pair) -> RegionTag:
         return _MIXED
     if an == 0 or xn == 0:
         return _ZERO
-    return RegionTag(RegionKind.STRIP, *_strip(1, *_scaled(xn, xd, an, ad), num, den))
+    return (_STRIP_KIND, *_strip(1, *_scaled(xn, xd, an, ad), num, den))
 
 
-def _region_value(tag: RegionTag, x: Pair, a: Pair, level: Pair) -> Pair:
+def _region_value(tag: tuple[RegionKind, int | None, bool], x: Pair, a: Pair, level: Pair) -> Pair:
     """The bound at x in [0, 1] and a in [0, 2], in the region ``tag`` that holds the point."""
-    kind = tag.kind
-    if kind is RegionKind.OBSTACLE or kind is RegionKind.FULL:
+    kind, strip, plateau = tag
+    if kind is _OBSTACLE_KIND or kind is _FULL_KIND:
         return 1, 1
-    if kind is RegionKind.HEIGHT:
+    if kind is _HEIGHT_KIND:
         return a
-    if kind is RegionKind.ZERO:
+    if kind is _ZERO_KIND:
         return 0, 1
     (xn, xd), (an, ad), (num, den) = x, a, level
-    if kind is RegionKind.MIXED:
+    if kind is _MIXED_KIND:
         # (a + 2x / level) / 3
         return an * xd * num + 2 * xn * den * ad, 3 * ad * xd * num
     # Profile (level <= 1) or strip (level > 1): a/2 times the F profile at
     # min(2x/a, 1), where a > 0 (a = 0 is a height or zero point).
     p, q = _scaled(xn, xd, an, ad)
-    if kind is RegionKind.STRIP:
-        f_num, f_den = _strip_value(1, p, q, num, den, tag.strip, tag.plateau)
+    if kind is _STRIP_KIND:
+        f_num, f_den = _strip_value(1, p, q, num, den, strip, plateau)
     else:
         f_num, f_den = _profile(1, p, q, num, den)
     return an * f_num, 2 * ad * f_den
@@ -427,7 +442,8 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
     """
     x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
     _check_box(x, a)
-    return _region(_pair(x), _pair(a), _pair(level))
+    tag = _region(_pair(x), _pair(a), _pair(level))
+    return tag if type(tag) is RegionTag else RegionTag(*tag)
 
 
 def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:

@@ -31,7 +31,7 @@ import random
 import sys
 from array import array
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -509,9 +509,9 @@ def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
 # Brute force over all small-depth configurations.
 
 # On a 2-core VM (Python 3.11) an exhaustive ``brute 4`` process takes about 0.16 s, 0.01 s
-# of it in the tables, and ``brute 5`` about 1.1 s and 84 MiB, 0.15 s of it in the tables and
-# most in the report of 17 MB of JSON; depth 6 would print about 170 MB.  Both caps keep
-# every field of a packed row below 2**15 (see ``_TAKEN``).
+# of it in the tables, and ``brute 5`` about 1 s and 84 MiB: 0.15 s in the tables, 0.4 s in
+# the report of 121,687 entries and 0.2 s in its 17 MB of JSON; depth 6 would print about
+# 170 MB.  Both caps keep every field of a packed row below 2**15 (see ``_TAKEN``).
 EXHAUSTIVE_DEPTH_CAP = 5
 SAMPLED_DEPTH_CAP = 8
 
@@ -554,17 +554,18 @@ class BruteForceReport:
     configs_scanned: int
     entries: tuple[ReportEntry, ...]
     domination: bool
+    values: tuple[Fraction, ...] = field(default=(), compare=False)  # see ``rows``
 
     def rows(self, text: Callable[[Fraction], str], flags: tuple[str, str]) -> Iterator[tuple]:
         """Each entry's x, A, level, maxV and bound through ``text``, and ``flags[attained]``.
 
-        Each value is formatted once.  The entries share their grid values
-        and bounds as objects, so the text is looked up by the value's
-        identity: every value is held by the report while it is in use.
+        The entries share their values as objects, so each text is looked
+        up by the value's identity.  ``values``, which takes no part in
+        ``==``, holds each distinct object once, and each is formatted once;
+        a report built without it formats every cell.
         """
         *columns, attained = list(zip(*self.entries)) or [()] * 6
-        values = dict(zip(map(id, chain(*columns)), chain(*columns)))
-        texts = {key: text(value) for key, value in values.items()}.__getitem__
+        texts = {id(value): text(value) for value in self.values or chain(*columns)}.__getitem__
         columns = [map(texts, map(id, column)) for column in columns]
         return zip(*columns, map(flags.__getitem__, attained))
 
@@ -793,7 +794,8 @@ def _table_report(
     bound comes from the integer kernel ``_bound`` on (numerator,
     denominator) pairs: the grid values lie in the box by construction, and
     the query levels were checked at the boundary.  The ``Fraction``s built
-    are the grid values, once and shared, and one per distinct bound.
+    are the grid values, once and shared, and one per distinct bound; with
+    the query levels they are the report's ``values``.
     """
     cells = 1 << depth
     top = (depth + 1) * cells  # no configuration takes a higher value
@@ -840,4 +842,5 @@ def _table_report(
         configs_scanned=configs_scanned,
         entries=tuple(entries),
         domination=dominated,
+        values=(*(value for value, _ in grid), *(q[1][0] for q in queries), *bounds.values()),
     )

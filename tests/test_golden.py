@@ -37,6 +37,27 @@ GOLDEN = {
         ["eval", "--which", "B", "1/4", "1", "1/2"], 0, 12,
         "e4ef45c94799920261e6f972d1e75df24c6335b4b50ac49ddee0ea3698c52bcf",
     ),
+    # The bound's other five kinds, one point each, with the tag eval prints.
+    "eval-B-obstacle": (
+        ["eval", "--which", "B", "1/2", "1", "0"], 0, 13,
+        "47cdd443c7c660e0b6725298ebea96d7dd13542ea0be43b0c204f92f0dcea812",
+    ),
+    "eval-B-full": (
+        ["eval", "--which", "B", "3/4", "3/2", "1/2"], 0, 9,
+        "f47d8586b0074cca3a1014a50a868537ad7396ea85a32d51cd2bb76983ba4a7a",
+    ),
+    "eval-B-height": (
+        ["eval", "--which", "B", "1/2", "3/4", "1/2"], 0, 13,
+        "a60d0956d277d32b13c0a3dd201ccc56d4ce4436f98ff9a5cb6ae269fc253426",
+    ),
+    "eval-B-profile": (
+        ["eval", "--which", "B", "1/16", "1", "1/2"], 0, 15,
+        "68bccbce9d561f8bcbf5fa67a0b5ab6451a2ffc833438ff1507080292e9d8693",
+    ),
+    "eval-B-zero": (
+        ["eval", "--which", "B", "0", "1", "2"], 0, 9,
+        "fc5654e124ee91abe06968cc7859b3023ffcbb7d133c6fc5d75f82fe247d1495",
+    ),
     "eval-f-strip-0": (
         ["eval", "--which", "f", "1", "1/2"], 0, 23,
         "83efdb4328da3c75087a96e9a0e88233e622cb3b172830e90410b4f585191c4c",

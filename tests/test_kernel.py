@@ -29,6 +29,7 @@ from reference import (
 from sparsebound.candidate import (
     Family,
     RegionKind,
+    RegionTag,
     _bound,
     _f_extended,
     _f_value,
@@ -238,6 +239,43 @@ def test_every_region_kind_on_the_edges():
                 assert bellman_value(x, a, level) == bellman_value_fraction(x, a, level)
                 seen.add(tag.kind)
     assert seen == set(RegionKind)
+
+
+# (function, arguments, describe()) at every kind each public function returns.
+PUBLIC_TAGS = [
+    (classify_region, (F(1, 3), F(2), F(-1)), "obstacle"),
+    (classify_region, (F(1), F(2), F(1)), "full"),
+    (classify_region, (F(3, 4), F(1, 2), F(1, 2)), "height"),
+    (classify_region, (F(1, 4), F(1), F(1, 2)), "mixed"),
+    (classify_region, (F(7, 80), F(1), F(1, 2)), "profile"),
+    (classify_region, (F(1, 3), F(2), F(3)), "strip m=2"),
+    (classify_region, (F(1, 2), F(2), F(5, 2)), "strip m=1, plateau"),
+    (classify_region, (F(1, 32), F(2), F(FAR_LEVEL)), "strip m=1000003"),
+    (classify_region, (F(0), F(2), F(3)), "zero"),
+    (f_region, (F(1, 2), F(0)), "obstacle"),
+    (f_region, (F(1, 3), F(3)), "strip m=2"),
+    (f_region, (F(1), F(7, 2)), "strip m=2, plateau"),
+    (f_region, (F(1, 2**20), F(FAR_LEVEL)), "strip m=1000018"),
+    (f_region, (F(0), F(3)), "zero"),
+    (g_region, (F(1, 2), F(-1)), "obstacle"),
+    (g_region, (F(3, 4), F(1, 2)), "full"),
+    (g_region, (F(1, 2), F(1)), "mixed"),
+    (g_region, (F(1, 10), F(1)), "profile"),
+    (g_region, (F(1, 3), F(3, 2)), "strip m=2"),
+    (g_region, (F(1), F(5, 2)), "strip m=2, plateau"),
+    (g_region, (F(1, 3), F(FAR_LEVEL)), "strip m=1000000"),
+    (g_region, (F(0), F(5, 2)), "zero"),
+]
+
+
+def test_public_region_functions_return_region_tags():
+    # The kernel hands a strip back as a plain tuple, which == cannot tell
+    # from a tag with the same fields; the public functions return tags.
+    for region, args, text in PUBLIC_TAGS:
+        tag = region(*args)
+        assert type(tag) is RegionTag, (region.__name__, args)
+        assert tag.describe() == text, (region.__name__, args)
+    assert {region(*args).kind for region, args, _ in PUBLIC_TAGS} == set(RegionKind)
 
 
 def test_recip_slope_forms_match_fraction_form():

@@ -657,6 +657,8 @@ def test_one_bound_object_per_distinct_bound():
 def _json_reports():
     yield brute_force_sup(1)
     yield brute_force_sup(3, README_LAMBDAS)
+    # Built outside _table_report: its equal bounds are distinct objects.
+    yield brute_from_tables(3, README_LAMBDAS)
     yield brute_force_sup(3, _edge_levels(3))
     yield brute_force_sup(5, _edge_levels(5), sample=60, seed=2)
     yield verify.BruteForceReport(
