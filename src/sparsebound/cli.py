@@ -312,7 +312,8 @@ def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
     texts = {v: _json_rational(Fraction(v, seq._den)) for v in set(seq._values)}
     # Generated, not listed: thousands of live row tuples set off a full garbage collection.
     intervals = map(_depth_index, config.subset._keys)
-    weights = ((d, i, texts[v]) for (d, i), v in zip(map(_depth_index, seq._keys), seq._values))
+    rows = zip(seq._keys, seq._values)
+    weights = ((d, key - (1 << d), texts[v]) for key, v in rows for d in [key.bit_length() - 1])
     config_json = {
         "E": {"intervals": _Rows(("d", "i"), intervals)},
         "alpha": {"weights": _Rows(("d", "i", "w"), weights)},

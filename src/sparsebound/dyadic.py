@@ -8,10 +8,10 @@ children of ``key`` are ``2 * key`` and ``2 * key + 1``, its depth is
 its keys in the order given, beside their weights.  ``DyadicInterval``s
 appear at the boundary only: the constructors read them, and the
 ``intervals`` and ``weights`` views build them on first read.  Weights
-are likewise int numerators over their least common denominator.  Three
-passes over keys serve everything: ``_merge`` canonicalises a set,
-``CarlesonSequence._walk`` adds the weights up their ancestor chains once
-per sequence, and ``_piece_walk`` finds where the operator is constant.
+are likewise int numerators over their least common denominator.  Level
+sets and Carleson constants read the weighted nodes only, each linked to
+its nearest weighted ancestor (key 0 if none): an unweighted node's ratio
+is the mean of its children's, so the largest is a weighted node's, or 0.
 
 Concatenation halves by key arithmetic: a node of depth d moves into the
 left half by adding 2**d and into the right half by adding 2**(d + 1).
@@ -276,29 +276,26 @@ class CarlesonSequence:
 
     @cached_property
     def _walk(self) -> tuple[Fraction, Fraction]:
-        """The height and the Carleson constant, from one bottom-up walk.
+        """The height and the Carleson constant, from one pass over the weighted nodes.
 
-        The weighted lengths, scaled by ``_den << depth``, go up the ancestor
-        chains one depth at a time; a node's sum times 2**d is its ratio, the
-        largest on a chain.  The root's sum is the height.
+        In descending key order each weighted node's length, scaled by
+        ``_den << depth``, goes into its nearest weighted ancestor's, or the
+        height at key 0.  A sum times 2**d is a ratio; an unweighted node's is
+        the mean of its children's, so the largest is a weighted node's, or 0.
         """
         depth = _depth(self._keys)
-        # Any order will do: the weights are dealt to their depths first.
-        own: list[dict[int, int]] = [{} for _ in range(depth + 1)]
+        best, sums = 0, {0: 0}  # weighted node key -> scaled length of the weights inside it
         for key, w in zip(self._keys, self._values):
-            level = own[key.bit_length() - 1]
-            level[key] = level.get(key, 0) + w
-        best = 0
-        sums: dict[int, int] = {}  # node key -> scaled length of the weights inside it
-        for d in range(depth, -1, -1):
-            for key, w in own[d].items():
-                sums[key] = sums.get(key, 0) + (w << (depth - d))
-            best = max(best, max(sums.values(), default=0) << d)
-            parents: dict[int, int] = {}
-            for key, total in sums.items():
-                parents[key >> 1] = parents.get(key >> 1, 0) + total
-            sums = parents
-        return Fraction(sums.get(0, 0), self._den << depth), Fraction(best, self._den << depth)
+            sums[key] = sums.get(key, 0) + (w << (depth + 1 - key.bit_length()))
+        for key in sorted(sums, reverse=True)[:-1]:
+            total = sums[key]
+            if total << (key.bit_length() - 1) > best:
+                best = total << (key.bit_length() - 1)
+            key >>= 1
+            while key not in sums:
+                key >>= 1
+            sums[key] += total
+        return Fraction(sums[0], self._den << depth), Fraction(best, self._den << depth)
 
 
 def carleson_height(seq: CarlesonSequence) -> Fraction:
@@ -311,16 +308,8 @@ def carleson_constant(seq: CarlesonSequence) -> Fraction:
     return seq._walk[1]
 
 
-def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int, int]:
-    """The operator's pieces left to right, their scale and the deepest piece's depth.
-
-    The walk goes down from the root and splits a node only while a weight
-    lies strictly inside it; each node where it stops is a piece
-    ``(key, value)``, the operator being ``value / scale`` on it.  The scale
-    is the weights' common denominator times 2**S, S the deepest depth of
-    any weight or set interval; a weight w on a node of depth d covering c
-    cells of size 2**-S adds ``w * c * 2**d`` scaled.
-    """
+def _covered(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
+    """Each weighted node's scaled share of the set, the finest depth and the weights' depth."""
     depth = _depth(seq._keys)
     fine = max(depth, _depth(subset._keys))
     # The set's nodes as [lo, hi) in cells of size 2**-fine, offset by
@@ -331,8 +320,8 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
         los.append(key << shift)
         his.append((key + 1) << shift)
         covered.append(covered[-1] + (1 << shift))
+    # A weight w on a node of depth d covering c of those cells adds w * c * 2**d.
     own: dict[int, int] = {}
-    inner: set[int] = set()  # nodes with a weight strictly inside
     for key, w in zip(seq._keys, seq._values):
         shift = fine + 1 - key.bit_length()
         lo, hi = key << shift, (key + 1) << shift
@@ -342,12 +331,19 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
         else:
             cells = covered[bisect_left(los, hi)] - covered[j]
         own[key] = own.get(key, 0) + ((w * cells) << (fine - shift))
+    return own, fine, depth
+
+
+def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int]:
+    """``step_pieces`` as ``(key, value)`` pairs over the scale ``_den << fine``, and the scale."""
+    own, fine, _ = _covered(subset, seq)
+    inner: set[int] = set()  # nodes with a weight strictly inside
+    for key in own:
         key >>= 1
         while key and key not in inner:
             inner.add(key)
             key >>= 1
-    pieces = []
-    stack = [(1, 0)]
+    pieces, stack = [], [(1, 0)]
     while stack:
         key, value = stack.pop()
         value += own.get(key, 0)
@@ -356,7 +352,7 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
             stack.append((2 * key, value))
         else:
             pieces.append((key, value))
-    return pieces, seq._den << fine, depth
+    return pieces, seq._den << fine
 
 
 def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
@@ -366,24 +362,43 @@ def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicIn
     operator value on each: the nodes of the weight tree with no weight
     strictly inside.
     """
-    pieces, scale, _ = _piece_walk(subset, seq)
+    pieces, scale = _piece_walk(subset, seq)
     return [(DyadicInterval(*_depth_index(key)), Fraction(value, scale)) for key, value in pieces]
+
+
+def _forest(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict, dict, int, int]:
+    """Each weighted node's scaled value and free cells (key 0 first), the scale and the depth.
+
+    In key order a node's value is its nearest weighted ancestor's plus its
+    share of the set, and its free cells of size 2**-depth, where the operator
+    is ``value / scale``, are its cells less its nearest weighted descendants'.
+    """
+    own, fine, depth = _covered(subset, seq)
+    values, free = {0: 0}, {0: 1 << depth}  # ints: a list per node sets off collections
+    for key in sorted(own):
+        up = key >> 1
+        while up not in values:
+            up >>= 1
+        free[key] = cells = 1 << (depth + 1 - key.bit_length())
+        free[up] -= cells
+        values[key] = values[up] + own[key]
+    return values, free, seq._den << fine, depth
 
 
 def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
     """The cells of size 2**-depth taking each scaled value, the scale and the depth."""
-    pieces, scale, depth = _piece_walk(subset, seq)
+    values, free, scale, depth = _forest(subset, seq)
     cells: dict[int, int] = {}
-    for key, value in pieces:
-        cells[value] = cells.get(value, 0) + (1 << (depth + 1 - key.bit_length()))
-    return cells, scale, depth
+    for value, n in zip(values.values(), free.values()):
+        cells[value] = cells.get(value, 0) + n
+    return {value: n for value, n in cells.items() if n}, scale, depth
 
 
 def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction) -> Fraction:
     """Exact measure of the set where the operator reaches ``level``.
 
-    The pieces' values are compared with the level in integers, and the
-    cells of size 2**-depth in the pieces that reach it are counted.
+    The weighted nodes' values are compared with the level in integers, and
+    the free cells of size 2**-depth of those that reach it are counted.
     """
     level = _exact(level, "level")
     return Fraction(*_level_cells(subset, seq, level.numerator, level.denominator))
@@ -391,10 +406,9 @@ def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction)
 
 def _level_cells(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple[int, int]:
     """The cells of size 2**-depth where the operator reaches num/den (den > 0), and 2**depth."""
-    pieces, scale, depth = _piece_walk(subset, seq)
+    values, free, scale, depth = _forest(subset, seq)
     p = num * scale
-    cells = sum(1 << (depth + 1 - key.bit_length()) for key, value in pieces if value * den >= p)
-    return cells, 1 << depth
+    return sum(free[key] for key, value in values.items() if value * den >= p), 1 << depth
 
 
 def _halved(first: Iterable[int], second: Iterable[int]) -> list[int]:

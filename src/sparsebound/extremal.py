@@ -119,8 +119,8 @@ def curve_vertex_recipe(m: int, k: int) -> Concat:
 
 
 # Curve m's configuration has 2**(m+2) - 1 weights, so time and memory double
-# with m.  ``extremize 10 0`` takes about 0.14 s as a new process (2-core VM,
-# Python 3.11), about 20 ms of it building, certifying and printing the
+# with m.  ``extremize 10 0`` takes about 0.12 s as a new process (2-core VM,
+# Python 3.11), about 11 ms of it building, certifying and printing the
 # configuration and the rest starting Python; m near 22 no longer fits in memory.
 EXTREMIZER_CURVE_CAP = 10
 

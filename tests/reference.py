@@ -44,8 +44,8 @@ from sparsebound.dyadic import (
     CarlesonSequence,
     Config,
     DyadicSet,
-    _value_cells,
     concat_configs,
+    step_pieces,
 )
 from sparsebound.geometry import PlanePoint, lerp
 from sparsebound.rational import DomainError, format_rational
@@ -685,17 +685,19 @@ def _scan(
 ) -> None:
     """Fold one configuration's level-set measures into ``table``.
 
-    One walk of the operator's pieces gives the cells taking each value.
-    The level sets at every positive value and at the extra levels are
-    counted from them; the table keeps the maximum per key.
+    The operator's pieces from ``step_pieces`` (the piece walk, not the
+    library's weighted-node pass) give the measure taking each value.  The
+    level sets at every positive value and at the extra levels are summed
+    from them; the table keeps the maximum per key.
     """
-    cells, scale, depth = _value_cells(config.subset, config.seq)
-    levels = [Fraction(v, scale) for v in cells if v > 0] + list(lambda_values)
+    measures: dict[Fraction, Fraction] = {}
+    for piece, value in step_pieces(config.subset, config.seq):
+        measures[value] = measures.get(value, Fraction(0)) + piece.measure
+    levels = [v for v in measures if v > 0] + list(lambda_values)
     for level in levels:
         key = (config.measure, config.height, level)
-        p, q = level.numerator * scale, level.denominator
-        count = sum(n for value, n in cells.items() if value * q >= p)
-        table[key] = max(table.get(key, Fraction(0)), Fraction(count, 1 << depth))
+        got = sum((m for v, m in measures.items() if v >= level), Fraction(0))
+        table[key] = max(table.get(key, Fraction(0)), got)
 
 
 def _report(

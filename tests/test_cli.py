@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsebound import extremal
-from sparsebound.cli import _Rows, _dumps, main
+from sparsebound import extremal, verify
+from sparsebound.cli import CURVES_CAP, _Rows, _dumps, main
 from sparsebound.rational import format_rational, parse_rational
 from sparsebound.verify import Violation
 
@@ -213,6 +213,20 @@ def test_curves_above_cap_is_usage_error(capsys, time_limit, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert "capped at m_max=400" in captured.err
+
+
+def test_readme_exit_codes_state_the_caps():
+    # The README's exit-code paragraph states each cap as its constant has it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (paragraph,) = [p for p in readme.split("\n\n") if p.startswith("Exit codes:")]
+    text = " ".join(paragraph.split())
+    for stated in (
+        f"exhaustive depth beyond the cap of {verify.EXHAUSTIVE_DEPTH_CAP} without `--sample`",
+        f"sampled depth beyond its cap of {verify.SAMPLED_DEPTH_CAP},",
+        f"extremizers beyond curve index m = {extremal.EXTREMIZER_CURVE_CAP}:",
+        f"`curves` beyond m_max = {CURVES_CAP},",
+    ):
+        assert stated in text
 
 
 def test_curves_help_states_the_cap(capsys):

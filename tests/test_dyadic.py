@@ -31,6 +31,7 @@ from sparsebound.dyadic import (
     concat_configs,
     concat_seqs,
     concat_sets,
+    _value_cells,
     level_set_measure,
     step_pieces,
 )
@@ -487,6 +488,85 @@ def test_deep_interval():
         assert subset.intervals == (deep,)
         assert carleson_constant(seq) == F(1)
         assert level_set_measure(subset, seq, F(1)) == F(1, 2**2000)
+
+
+def pieces_measure(config, level):
+    """The measure where the operator reaches ``level``, summed over the pieces of the piece walk."""
+    pieces = step_pieces(config.subset, config.seq)
+    return sum((piece.measure for piece, value in pieces if value >= level), F(0))
+
+
+VERTICES = [(m, k) for m in range(9) for k in range(m + 1)]
+
+
+@pytest.mark.parametrize("m, k", VERTICES)
+def test_vertex_level_sets_match_pieces(m, k):
+    # The weighted-node pass against the piece walk on every extremizer with
+    # m <= 8: at the vertex level, 1/3 below and 1/7 above it, and at each
+    # value the operator takes.
+    config, level = curve_vertex_config(m, k), curve_vertex_target(m, k).level
+    levels = [level, level - F(1, 3), level + F(1, 7)] + piece_values(config)
+    for lam in levels:
+        assert level_set_measure(config.subset, config.seq, lam) == pieces_measure(config, lam)
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m, k in VERTICES if m <= 6])
+def test_vertex_walks_match_scan(m, k):
+    # The walk over weighted nodes only against the scan of every base
+    # interval (too slow beyond m = 6).
+    seq = curve_vertex_config(m, k).seq
+    assert carleson_constant(seq) == carleson_constant_scan(seq)
+    assert carleson_height(seq) == height_sum(seq)
+
+
+def piece_histogram(config):
+    """The measure taking each value, read off the pieces of the piece walk."""
+    out = {}
+    for piece, value in step_pieces(config.subset, config.seq):
+        out[value] = out.get(value, F(0)) + piece.measure
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs(), st.none() | raw_sequences())
+# A weight on a node that covers no cell of the set adds nothing.
+@example(Config(DyadicSet.prefix(F(1, 2)), CarlesonSequence.from_mapping({iv(1, 1): F(1)})), None)
+# The root's own value covers no cell: its children are weighted.
+@example(Config(DyadicSet.full(), CarlesonSequence(((ROOT, F(1)), (iv(1, 0), F(1)), (iv(1, 1), F(1, 2))))), None)
+def test_value_cells_match_pieces(config, raw):
+    if raw is not None:
+        config = Config(config.subset, raw)
+    cells, scale, depth = _value_cells(config.subset, config.seq)
+    assert all(n > 0 for n in cells.values())
+    got = {F(value, scale): F(n, 2**depth) for value, n in cells.items()}
+    assert got == piece_histogram(config)
+
+
+def test_deep_chain():
+    # Weights at depths 0, 1000 and 2000 on the leftmost path: each walk hops
+    # across about 1000 unweighted levels to the nearest weighted ancestor.
+    leaf, mid = iv(2000, 0), iv(1000, 0)
+    seq = CarlesonSequence.from_mapping({ROOT: F(1, 2), mid: F(1), leaf: F(1)})
+    assert carleson_height(seq) == F(1, 2) + F(1, 2**1000) + F(1, 2**2000)
+    # The largest ratio is mid's, (2**-1000 + 2**-2000) / 2**-1000.
+    assert carleson_constant(seq) == 1 + F(1, 2**1000)
+    # On the full set the operator is 1/2, 3/2 inside mid and 5/2 on the leaf.
+    full = DyadicSet.full()
+    for values, measure in (((F(-1), F(0), F(1, 2)), F(1)), ((F(1), F(3, 2)), F(1, 2**1000))):
+        for lam in values:
+            assert level_set_measure(full, seq, lam) == measure
+    assert level_set_measure(full, seq, F(5, 2)) == F(1, 2**2000)
+    assert level_set_measure(full, seq, F(5, 2) + F(1, 2**3000)) == 0
+    # On the leaf alone each weight sees its share 2**-(2000 - d) of it: the
+    # operator is 2**-2001, 2**-1000 more inside mid and 1 more on the leaf.
+    alone = DyadicSet.from_intervals([leaf])
+    low = F(1, 2**2001)
+    steps = [(low, F(1)), (low + F(1, 2**1000), F(1, 2**1000)), (low + F(1, 2**1000) + 1, F(1, 2**2000))]
+    for (value, measure), above in zip(steps, [m for _, m in steps[1:]] + [F(0)]):
+        assert level_set_measure(alone, seq, value) == measure
+        assert level_set_measure(alone, seq, value + F(1, 2**3000)) == above
+    cells, scale, depth = _value_cells(alone, seq)
+    assert depth == 2000 and sum(cells.values()) == 2**2000 and len(cells) == 3
 
 
 def test_level_set_examples():
