@@ -27,17 +27,18 @@ and products, and one ``Fraction`` is built per result.  The
 the oracle of the differential tests.
 
 The kernel's entries take and return rationals as (numerator, positive
-denominator) pairs, not necessarily in lowest terms: ``_bound`` (the
-bound, as ``_region`` then ``_region_value``), ``_f_value``,
-``_f_extended``, ``_g_value``, ``_profile_slopes``, ``_segment_slope``,
-``_recip_slope_forms`` and ``_vertex_level``, the one form of a curve
-vertex's level.  They check nothing; the public functions check their
-arguments and wrap them, and the verify suites call them directly.
-``_region`` hands a strip's tag back as a plain ``(kind, m, plateau)``
-tuple, which ``_region_value`` reads as it reads a ``RegionTag``: building
-the named tuple costs about 0.5 us, near half of a whole ``_bound``, and
-the brute report makes one ``_bound`` call per entry.  ``classify_region``
-alone wraps it, so the public functions return only ``RegionTag``s.
+denominator) pairs, not necessarily in lowest terms: ``_bound_row``,
+``_bound``, ``_f_value``, ``_f_extended``, ``_g_value``,
+``_profile_slopes``, ``_segment_slope``, ``_recip_slope_forms`` and
+``_vertex_level``, the one form of a curve vertex's level.  They check
+nothing; the public functions check their arguments and wrap them, and the
+verify suites call them directly.  The bound's region tests and closed
+forms are written once, in ``_bound_row(x, a, levels)``: it scales x once
+for the point (x, a) and gives each level a plain ``(kind, m, plateau,
+num, den)`` tuple, since the brute report reads a whole row of levels per
+(x, a) and building a ``RegionTag`` costs about 0.5 us.  ``_bound`` is its
+one-level case; ``classify_region`` reads one level's tag, without a
+strip's value, and alone builds the named tuple.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import starmap
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .geometry import PlanePoint
 from .rational import DomainError, _exact, _index
@@ -353,20 +354,20 @@ class RegionTag(NamedTuple):
 
 
 _OBSTACLE = RegionTag(RegionKind.OBSTACLE)
-_FULL = RegionTag(RegionKind.FULL)
-_HEIGHT = RegionTag(RegionKind.HEIGHT)
-_MIXED = RegionTag(RegionKind.MIXED)
-_PROFILE = RegionTag(RegionKind.PROFILE)
 _ZERO = RegionTag(RegionKind.ZERO)
 
-# The kinds _region_value tests, as globals: each read of an Enum member is
-# a class attribute lookup, about 0.15 us on Python 3.10 and 3.11.
-_OBSTACLE_KIND = RegionKind.OBSTACLE
-_FULL_KIND = RegionKind.FULL
+# A point's entry in a row of the bound: its kind, strip and plateau flag
+# (as in a RegionTag) and the value's numerator and denominator.  The kinds
+# are globals: each read of an Enum member is a class attribute lookup,
+# about 0.15 us on Python 3.10 and 3.11.
+RowEntry = tuple[RegionKind, int | None, bool, int | None, int | None]
 _HEIGHT_KIND = RegionKind.HEIGHT
 _MIXED_KIND = RegionKind.MIXED
+_PROFILE_KIND = RegionKind.PROFILE
 _STRIP_KIND = RegionKind.STRIP
-_ZERO_KIND = RegionKind.ZERO
+_OBSTACLE_ENTRY = (RegionKind.OBSTACLE, None, False, 1, 1)
+_FULL_ENTRY = (RegionKind.FULL, None, False, 1, 1)
+_ZERO_ENTRY = (RegionKind.ZERO, None, False, 0, 1)
 
 
 def _check_box(x: Fraction, a: Fraction) -> None:
@@ -376,59 +377,53 @@ def _check_box(x: Fraction, a: Fraction) -> None:
         raise DomainError(f"height must lie in [0, 2], got {a}")
 
 
-def _scaled(xn: int, xd: int, an: int, ad: int) -> tuple[int, int]:
-    """The point min(2x/a, 1) of the F profile that carries the bound at level > 1."""
+def _bound_row(x: Pair, a: Pair, levels: Iterable[Pair], values: bool = True) -> list[RowEntry]:
+    """The bound's region and value at x in [0, 1], a in [0, 2] and each of ``levels``, in order.
+
+    Without ``values`` a strip entry's value, about 2**-level and too large
+    to build at a far level, is (None, None); its tag costs the same anywhere.
+    """
+    (xn, xd), (an, ad) = x, a
+    # The point min(2x/a, 1) of the F profile, which carries the bound at
+    # profile and strip points, a/2 times its value there (there a > 0).
     p, q = 2 * xn * ad, an * xd
-    return (p, q) if p < q else (1, 1)
-
-
-def _region(x: Pair, a: Pair, level: Pair) -> tuple[RegionKind, int | None, bool]:
-    """``classify_region`` at x in [0, 1] and a in [0, 2]; a strip's tag is a plain tuple."""
-    (xn, xd), (an, ad), (num, den) = x, a, level
-    if num <= 0:
-        return _OBSTACLE
-    if num <= den:
-        # x and the level's factor, both over xd * den * ad: the edges
-        # 2x = level * (3 - a), x = level * a and 4x = level * a.
-        u, w = xn * den * ad, num * xd
-        if an >= ad and 2 * u >= w * (3 * ad - an):
-            return _FULL
-        if an <= ad and u >= w * an:
-            return _HEIGHT
-        if 4 * u <= w * an:
-            return _PROFILE
-        return _MIXED
-    if an == 0 or xn == 0:
-        return _ZERO
-    return (_STRIP_KIND, *_strip(1, *_scaled(xn, xd, an, ad), num, den))
-
-
-def _region_value(tag: tuple[RegionKind, int | None, bool], x: Pair, a: Pair, level: Pair) -> Pair:
-    """The bound at x in [0, 1] and a in [0, 2], in the region ``tag`` that holds the point."""
-    kind, strip, plateau = tag
-    if kind is _OBSTACLE_KIND or kind is _FULL_KIND:
-        return 1, 1
-    if kind is _HEIGHT_KIND:
-        return a
-    if kind is _ZERO_KIND:
-        return 0, 1
-    (xn, xd), (an, ad), (num, den) = x, a, level
-    if kind is _MIXED_KIND:
-        # (a + 2x / level) / 3
-        return an * xd * num + 2 * xn * den * ad, 3 * ad * xd * num
-    # Profile (level <= 1) or strip (level > 1): a/2 times the F profile at
-    # min(2x/a, 1), where a > 0 (a = 0 is a height or zero point).
-    p, q = _scaled(xn, xd, an, ad)
-    if kind is _STRIP_KIND:
-        f_num, f_den = _strip_value(1, p, q, num, den, strip, plateau)
-    else:
-        f_num, f_den = _profile(1, p, q, num, den)
-    return an * f_num, 2 * ad * f_den
+    if p >= q:
+        p = q = 1
+    xa = xn * ad
+    row = []
+    append = row.append
+    for num, den in levels:
+        if num <= 0:
+            append(_OBSTACLE_ENTRY)
+        elif num <= den:
+            # x and the level's factor, both over xd * den * ad: the edges
+            # 2x = level * (3 - a), x = level * a and 4x = level * a.
+            u, w = xa * den, num * xd
+            if an >= ad and 2 * u >= w * (3 * ad - an):
+                append(_FULL_ENTRY)
+            elif an <= ad and u >= w * an:
+                append((_HEIGHT_KIND, None, False, an, ad))
+            elif 4 * u <= w * an:
+                f_num, f_den = _profile(1, p, q, num, den)
+                append((_PROFILE_KIND, None, False, an * f_num, 2 * ad * f_den))
+            else:  # (a + 2x / level) / 3
+                append((_MIXED_KIND, None, False, an * w + 2 * u, 3 * ad * w))
+        elif an == 0 or xn == 0:
+            append(_ZERO_ENTRY)
+        else:
+            m, plateau = _strip(1, p, q, num, den)
+            if values:
+                f_num, f_den = _strip_value(1, p, q, num, den, m, plateau)
+                append((_STRIP_KIND, m, plateau, an * f_num, 2 * ad * f_den))
+            else:
+                append((_STRIP_KIND, m, plateau, None, None))
+    return row
 
 
 def _bound(x: Pair, a: Pair, level: Pair) -> Pair:
-    """``bellman_value`` at x in [0, 1] and a in [0, 2]."""
-    return _region_value(_region(x, a, level), x, a, level)
+    """``bellman_value`` at x in [0, 1] and a in [0, 2]: the one-level row."""
+    ((_, _, _, num, den),) = _bound_row(x, a, (level,))
+    return num, den
 
 
 def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
@@ -442,8 +437,8 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
     """
     x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
     _check_box(x, a)
-    tag = _region(_pair(x), _pair(a), _pair(level))
-    return tag if type(tag) is RegionTag else RegionTag(*tag)
+    (entry,) = _bound_row(_pair(x), _pair(a), (_pair(level),), values=False)
+    return tuple.__new__(RegionTag, entry[:3])  # without the named tuple's slower __new__
 
 
 def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
@@ -454,9 +449,11 @@ def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
     """
     x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
     # One classify_region call, looked up at call time, so a wrapper
-    # installed on the module's name sees every evaluation's region.
-    tag = classify_region(x, a, level)
-    return Fraction(*_region_value(tag, _pair(x), _pair(a), _pair(level)))
+    # installed on the module's name sees every evaluation's region; the
+    # value is the same one-level row, evaluated again.
+    classify_region(x, a, level)
+    ((_, _, _, num, den),) = _bound_row(_pair(x), _pair(a), (_pair(level),))
+    return Fraction(num, den)
 
 
 def f_region(x: Fraction, level: Fraction) -> RegionTag:

@@ -40,6 +40,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .candidate import (
     Pair,
     _bound,
+    _bound_row,
     _check_profile_window,
     _check_window,
     _f_extended,
@@ -90,8 +91,9 @@ ONE = Fraction(1)
 class SampleSpec:
     """Deterministic sampling plan for a property check.
 
-    A seed that is not an int, a count below 1, which would check nothing,
-    and an inexact grid level raise ``DomainError``.
+    A seed that is not an int or is negative (``Random(-s)`` draws as
+    ``Random(s)``), a count below 1, which would check nothing, and an
+    inexact grid level raise ``DomainError``.
     """
 
     seed: int
@@ -99,7 +101,8 @@ class SampleSpec:
     lambda_grid: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        _index(self.seed, "seed")
+        if _index(self.seed, "seed") < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if _index(self.count, "sample count") < 1:
             raise DomainError(f"sample count must be at least 1, got {self.count}")
         grid = tuple(_exact(level, "grid level") for level in self.lambda_grid)
@@ -508,9 +511,9 @@ def run_suite(name: str, spec: SampleSpec) -> list[Violation]:
 
 # Brute force over all small-depth configurations.
 
-# On a 2-core VM (Python 3.11) an exhaustive ``brute 4`` process takes about 0.16 s, 0.01 s
-# of it in the tables, and ``brute 5`` about 1 s and 84 MiB: 0.15 s in the tables, 0.4 s in
-# the report of 121,687 entries and 0.2 s in its 17 MB of JSON; depth 6 would print about
+# On a 2-core VM (Python 3.11) an exhaustive ``brute 4`` process takes about 0.15 s, and
+# ``brute 5`` about 0.8 s and 84 MiB: 0.15 s in the tables, 0.25 s in the report of 121,687
+# entries (one kernel row per key) and 0.2 s in its 17 MB of JSON; depth 6 would print about
 # 170 MB.  Both caps keep every field of a packed row below 2**15 (see ``_TAKEN``).
 EXHAUSTIVE_DEPTH_CAP = 5
 SAMPLED_DEPTH_CAP = 8
@@ -764,7 +767,8 @@ def brute_force_sup(
         raise DomainError(f"depth must be at least 1, got {depth}")
     if sample is not None and _index(sample, "sample size") < 1:
         raise DomainError(f"sample size must be at least 1, got {sample}")
-    _index(seed, "seed")
+    if _index(seed, "seed") < 0:  # random.Random(-s) draws what Random(s) does
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     lambda_values = [_exact(level, "level") for level in lambda_values]
     if sample is None:
         if depth > EXHAUSTIVE_DEPTH_CAP:
@@ -786,16 +790,17 @@ def _table_report(
     """The report of a packed ``E`` table, read off in key order.
 
     The keys (xc, hs) sort as integers.  Each key walks one rising list of
-    ``(place, level, t, query)``: grid level ``t / 2**depth`` at place 2t,
-    and a query level whose ceiling on the grid is t at 2t, in the grid
-    level's stead, or at 2t - 1.  A query reads the key's ``V[t]``
+    ``(place, level, level pair, t, query)``: grid level ``t / 2**depth`` at
+    place 2t, and a query level whose ceiling on the grid is t at 2t, in
+    the grid level's stead, or at 2t - 1.  A query reads the key's ``V[t]``
     (``_suffix_max``, built only when a query is given), and a grid level
-    the key hits its ``E[t]``, from the row's fields (``_fields``).  Each
-    bound comes from the integer kernel ``_bound`` on (numerator,
-    denominator) pairs: the grid values lie in the box by construction, and
-    the query levels were checked at the boundary.  The ``Fraction``s built
-    are the grid values, once and shared, and one per distinct bound; with
-    the query levels they are the report's ``values``.
+    the key hits its ``E[t]``, from the row's fields (``_fields``).  The
+    bounds of a key's entries are one row of the integer kernel,
+    ``_bound_row``, on (numerator, denominator) pairs: the grid values lie
+    in the box by construction, and the query levels were checked at the
+    boundary.  The ``Fraction``s built are the grid values, once and
+    shared, and one per distinct bound; with the query levels they are the
+    report's ``values``.
     """
     cells = 1 << depth
     top = (depth + 1) * cells  # no configuration takes a higher value
@@ -804,12 +809,13 @@ def _table_report(
     for level in sorted(set(lambda_values)):
         t = math.ceil(level * cells)
         place = 2 * t if level * cells == t else 2 * t - 1
-        queries.append((place, (level, _pair(level)), max(t, 0), True))
+        queries.append((place, level, _pair(level), max(t, 0), True))
     taken = {query[0] for query in queries}
-    on_grid = [(2 * t, grid[t], t, False) for t in range(1, top + 1) if 2 * t not in taken]
+    on_grid = [(2 * t, *grid[t], t, False) for t in range(1, top + 1) if 2 * t not in taken]
     levels = sorted(on_grid + queries)  # by place: only queries share one, with distinct levels
     bounds: dict[Pair, Fraction] = {}
     entries = []
+    entry = tuple.__new__  # a ReportEntry without the named tuple's slower __new__
     dominated = True
     for xc, hs in sorted(tables):
         row = tables[xc, hs]
@@ -818,15 +824,11 @@ def _table_report(
         (x, x_pair), (a, a_pair) = grid[xc], grid[hs]
         # The fields stop at the highest value taken: above it, only queries.
         end = 2 * len(hit) - 1  # the place just above that value
-        walk = levels[: bisect(levels, (end,))] + [q for q in queries if q[0] >= end]
-        for _, (level, level_pair), t, query in walk:
-            if query:
-                count = v >> (t << 4) & 0xFFFF
-            elif hit[t]:
-                count = hit[t] - _TAKEN
-            else:
-                continue
-            num, den = _bound(x_pair, a_pair, level_pair)
+        walk = [step for step in levels[: bisect(levels, (end,))] if step[4] or hit[step[3]]]
+        walk += [q for q in queries if q[0] >= end]
+        bound_row = _bound_row(x_pair, a_pair, [step[2] for step in walk])
+        for (_, level, _, t, query), (_, _, _, num, den) in zip(walk, bound_row):
+            count = v >> (t << 4) & 0xFFFF if query else hit[t] - _TAKEN
             g = math.gcd(num, den)
             num, den = num // g, den // g
             bound = bounds.get((num, den))
@@ -835,12 +837,13 @@ def _table_report(
             # count / cells against the bound, in integers.
             scaled = num * cells
             dominated = dominated and count * den <= scaled
-            entries.append(ReportEntry(x, a, level, grid[count][0], bound, count * den == scaled))
+            attained = count * den == scaled
+            entries.append(entry(ReportEntry, (x, a, level, grid[count][0], bound, attained)))
     return BruteForceReport(
         depth=depth,
         exhaustive=exhaustive,
         configs_scanned=configs_scanned,
         entries=tuple(entries),
         domination=dominated,
-        values=(*(value for value, _ in grid), *(q[1][0] for q in queries), *bounds.values()),
+        values=(*(value for value, _ in grid), *(q[1] for q in queries), *bounds.values()),
     )

@@ -708,13 +708,14 @@ def _report(
 ) -> BruteForceReport:
     """Compare each maximum in ``table`` with the bound, in key order.
 
-    The bound is the integer kernel ``verify._bound`` as it is when this is
-    called, so a bound patched on ``verify`` reaches both this and the
-    library's report.
+    The bound is the integer kernel's row ``verify._bound_row``, one level
+    at a time, as it is when this is called, so a row patched on ``verify``
+    reaches both this and the library's report.
     """
     entries = []
     for (x, a, level), max_v in sorted(table.items()):
-        bound = Fraction(*verify._bound(_pair(x), _pair(a), _pair(level)))
+        ((*_, num, den),) = verify._bound_row(_pair(x), _pair(a), [_pair(level)])
+        bound = Fraction(num, den)
         entries.append(ReportEntry(x, a, level, max_v, bound, max_v == bound))
     return BruteForceReport(
         depth=depth,

@@ -274,6 +274,16 @@ def test_verify_count_below_one_is_usage_error(capsys, argv):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["verify", "jump"], ["brute", "3", "--sample", "5"]])
+def test_negative_seed_is_usage_error(capsys, argv):
+    # --seed -5 would draw what --seed 5 draws.
+    code = main([*argv, "--seed", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative, got -5\n"
+
+
 def test_eval_prints_beyond_digit_limit(capsys, default_digit_limit):
     code, out = run_cli(capsys, "eval", "--which", "B", "1", "2", "15000")
     assert code == 0

@@ -8,7 +8,9 @@ interpolation.  Points are drawn on the region edges on purpose: x = level,
 4x = level * a, 2x = level * (3 - a), x = 0, a = 0, the curve vertices and
 the points where a curve crosses the level, at levels up to 10**6 and x
 down to 2**-64.  The kernel's own entries are also fed numerators and
-denominators that share a factor, as the verify suites feed them.
+denominators that share a factor, as the verify suites feed them, and
+``_bound_row`` whole rows of levels at one point, as the brute report
+feeds it.
 """
 
 from fractions import Fraction as F
@@ -31,6 +33,7 @@ from sparsebound.candidate import (
     RegionKind,
     RegionTag,
     _bound,
+    _bound_row,
     _f_extended,
     _f_value,
     _g_value,
@@ -199,6 +202,50 @@ def test_profile_entries_on_unreduced_inputs(point, ks):
     # f beyond x = 1 by its boundary value, at 2x in [0, 2].
     doubled = (2 * x_pair[0], x_pair[1])
     assert F(*_f_extended(doubled, level_pair)) == f_value_fraction(min(2 * x, F(1)), level)
+
+
+# One level of a row beside those of ``levels()``: exactly 1, an integer
+# (where a strip's plateau begins), just above one, or above 1000.
+row_level = st.one_of(
+    levels(),
+    st.just(F(1)),
+    st.integers(2, MAX_LEVEL).map(F),
+    st.builds(lambda k, e: k + F(1, 2**e), st.integers(1, MAX_LEVEL), st.integers(0, MAX_EXPONENT)),
+    st.builds(lambda n, q: F(1000 * q + n, q), st.integers(1, 10**7), st.integers(1, 7)),
+)
+
+
+@st.composite
+def row_points(draw):
+    """(x, a) and a rising list of levels with repeats, some on the point's own region edges."""
+    x, a, level = draw(bound_points())
+    if a and draw(st.booleans()):
+        # The scaled point 2x/a anywhere in (0, 1]: at (1/2, 1) every integer
+        # level above 1 is a plateau edge.
+        q = draw(st.integers(1, 48))
+        x = min(a * F(draw(st.integers(1, q)), q) / 2, F(1))
+    # The levels at which (x, a) lies on the height, profile and full edges.
+    edges = [x / a, 4 * x / a, 2 * x / (3 - a)] if a else []
+    return x, a, sorted([level, level, *edges, *draw(st.lists(row_level, max_size=10))])
+
+
+@settings(max_examples=250, deadline=None)
+@given(point=row_points(), ks=st.tuples(factors, factors))
+def test_bound_row_matches_fraction_forms(point, ks):
+    # One row per (x, a), as the brute report reads it: each entry is that
+    # level's region and value, as the Fraction forms give them.
+    x, a, row_levels = point
+    pairs = [unreduced(t, k) for k, t in enumerate(row_levels, 1)]
+    x_pair, a_pair = unreduced(x, ks[0]), unreduced(a, ks[1])
+    row = _bound_row(x_pair, a_pair, pairs)
+    assert len(row) == len(row_levels)
+    # The tags alone, as classify_region reads them: the same, with no strip value built.
+    tags = _bound_row(x_pair, a_pair, pairs, values=False)
+    assert [entry[:3] for entry in tags] == [entry[:3] for entry in row]
+    assert all(entry[3:] == (None, None) for entry in tags if entry[0] is RegionKind.STRIP)
+    for level, (kind, strip, plateau, num, den) in zip(row_levels, row):
+        assert (kind, strip, plateau) == classify_region_fraction(x, a, level), level
+        assert F(num, den) == bellman_value_fraction(x, a, level), level
 
 
 @st.composite

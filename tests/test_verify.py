@@ -462,15 +462,15 @@ def test_exhaustive_report_matches_fraction_assembly(depth):
         assert brute_force_sup(depth, levels) == brute_from_tables(depth, levels)
 
 
-def half(x, a, level):
-    """A bound of 1/2 on the kernel's (numerator, denominator) pairs."""
-    return 1, 2
+def half(x, a, levels):
+    """A row of the kernel with the bound 1/2 at every level, in a region no point has."""
+    return [(None, None, False, 1, 2) for _ in levels]
 
 
 def test_exhaustive_report_compares_with_the_bound(monkeypatch):
     # Under a bound of 1/2 some entries are beaten and some attained; both
-    # assemblies read the patched kernel.
-    monkeypatch.setattr(verify, "_bound", half)
+    # assemblies read the patched row, the one entry the report reads.
+    monkeypatch.setattr(verify, "_bound_row", half)
     report = brute_force_sup(2, [F(1)])
     assert not report.domination
     assert {e.attained for e in report.entries} == {True, False}
@@ -537,7 +537,8 @@ def test_default_level_grid_checks_its_size():
 
 
 def test_inputs_checked_at_the_boundary():
-    # Inexact levels and seeds, and counts or samples that would check nothing, are refused.
+    # Inexact levels and seeds, negative seeds, and counts or samples that
+    # would check nothing, are refused.
     refused = [
         lambda: brute_force_sup(2, [0.1]),
         lambda: brute_force_sup(2, [0.1], sample=5),
@@ -555,6 +556,10 @@ def test_inputs_checked_at_the_boundary():
         lambda: SampleSpec(True, 10),
         lambda: brute_force_sup(2, sample=5, seed=0.5),
         lambda: brute_force_sup(2, sample=5, seed=True),
+        # random.Random(-s) draws what Random(s) does: a negative seed would
+        # repeat its positive twin's draws.
+        lambda: SampleSpec(-5, 5),
+        lambda: brute_force_sup(4, sample=50, seed=-3),
         lambda: replay(Violation("jump", (("x", 0.5), ("A", F(1)), ("lambda", F(2))), F(0), F(0))),
         lambda: replay(Violation("nope", (("x", F(1)),), F(0), F(0))),
         lambda: replay(Violation("jump", (("x", F(1)), ("lambda", F(2))), F(0), F(0))),
@@ -591,7 +596,7 @@ def test_sampled_report_matches_fraction_scan(depth, seed):
 
 
 def test_sampled_report_compares_with_the_bound(monkeypatch):
-    monkeypatch.setattr(verify, "_bound", half)
+    monkeypatch.setattr(verify, "_bound_row", half)
     report = brute_force_sup(3, [F(1)], sample=60, seed=4)
     assert not report.domination
     assert {e.attained for e in report.entries} == {True, False}
