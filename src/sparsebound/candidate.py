@@ -370,13 +370,6 @@ _FULL_ENTRY = (RegionKind.FULL, None, False, 1, 1)
 _ZERO_ENTRY = (RegionKind.ZERO, None, False, 0, 1)
 
 
-def _check_box(x: Fraction, a: Fraction) -> None:
-    if not 0 <= x.numerator <= x.denominator:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if not 0 <= a.numerator <= 2 * a.denominator:
-        raise DomainError(f"height must lie in [0, 2], got {a}")
-
-
 def _bound_row(x: Pair, a: Pair, levels: Iterable[Pair], values: bool = True) -> list[RowEntry]:
     """The bound's region and value at x in [0, 1], a in [0, 2] and each of ``levels``, in order.
 
@@ -435,9 +428,12 @@ def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
     neutral).  For larger levels the tag is the F-strip of the rescaled
     point (2x/a clamped to 1, level).
     """
-    x, a, level = _exact(x, "x"), _exact(a, "height"), _exact(level, "level")
-    _check_box(x, a)
-    (entry,) = _bound_row(_pair(x), _pair(a), (_pair(level),), values=False)
+    x, a, level = _pair(_exact(x, "x")), _pair(_exact(a, "height")), _pair(_exact(level, "level"))
+    if not 0 <= x[0] <= x[1]:
+        raise DomainError(f"x must lie in [0, 1], got {Fraction(*x)}")
+    if not 0 <= a[0] <= 2 * a[1]:
+        raise DomainError(f"height must lie in [0, 2], got {Fraction(*a)}")
+    (entry,) = _bound_row(x, a, (level,), values=False)
     return tuple.__new__(RegionTag, entry[:3])  # without the named tuple's slower __new__
 
 

@@ -188,30 +188,33 @@ def _dumps(obj) -> str:
     ``Fraction``s, ints, bools and ``None``; anything else, such as a float
     or a key that is not a string, raises ``TypeError``.  The standard
     encoder runs in pure Python when it indents; this looks scalars up by
-    type, writes the rows of a ``_Rows`` from one template, and joins all
-    the pieces once.
+    type and writes one in a container inline, writes the rows of a
+    ``_Rows`` from one template, and joins all the pieces once.
     """
+    scalar = _SCALARS.get(type(obj))
+    if scalar:
+        return scalar(obj)
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
 
 
 def _write(obj, newline: str, out: list[str]) -> None:
-    scalar = _SCALARS.get(type(obj))
-    if scalar is not None:
-        out.append(scalar(obj))
-        return
     inner = newline + "  "
     sep, brackets, start = "," + inner, "[]", len(out)
     if isinstance(obj, dict):
         brackets = "{}"
         for key, value in obj.items():
-            out.append(f"{sep}{_encode_str(key)}: ")
-            _write(value, inner, out)
+            scalar = _SCALARS.get(type(value))
+            out.append(f"{sep}{_encode_str(key)}: {scalar(value) if scalar else ''}")
+            if not scalar:
+                _write(value, inner, out)
     elif isinstance(obj, list):
         for value in obj:
-            out.append(sep)
-            _write(value, inner, out)
+            scalar = _SCALARS.get(type(value))
+            out.append(sep + scalar(value) if scalar else sep)
+            if not scalar:
+                _write(value, inner, out)
     elif type(obj) is _Rows:
         keys = [f"{inner}  {_encode_str(key).replace('%', '%%')}: %s" for key in obj.keys]
         template = sep + ("{" + ",".join(keys) + inner + "}" if keys else "{}")
@@ -311,11 +314,10 @@ def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
     seq = config.seq
     texts = {v: _json_rational(Fraction(v, seq._den)) for v in set(seq._values)}
     # Generated, not listed: thousands of live row tuples set off a full garbage collection.
-    intervals = map(_depth_index, config.subset._keys)
     rows = zip(seq._keys, seq._values)
     weights = ((d, key - (1 << d), texts[v]) for key, v in rows for d in [key.bit_length() - 1])
     config_json = {
-        "E": {"intervals": _Rows(("d", "i"), intervals)},
+        "E": {"intervals": _Rows(("d", "i"), map(_depth_index, config.subset._keys))},
         "alpha": {"weights": _Rows(("d", "i", "w"), weights)},
     }
     return _dumps({"config": config_json, "report": report}), 0 if report["attained"] else 1

@@ -439,13 +439,15 @@ def concat_seqs(
     The height of the result is the mean of the two heights plus gamma.
     The halved weights are sorted stably by key: two sequences sorted by
     depth and then index make two runs, which the sort merges.  Only gamma
-    is checked: the halves' weights were checked when their sequences were
-    built.  The denominator, the lcm of the halves' and gamma's, is least.
+    is checked, on its numerator and denominator as the constructor checks
+    weights: the halves' were checked when they were built.  The
+    denominator, the lcm of the halves' and gamma's, is least.
     """
-    gamma = _unit_weight(gamma, "root weight")
-    den = math.lcm(first._den, second._den, gamma.denominator)
-    values = first._values + second._values
-    if not first._den == second._den == den:
+    if type(gamma) is not Fraction or not 0 <= gamma.numerator <= gamma.denominator:
+        gamma = _unit_weight(gamma, "root weight")
+    den, values = first._den, first._values + second._values
+    if not den == second._den == gamma.denominator:
+        den = math.lcm(den, second._den, gamma.denominator)
         values = tuple(v * (den // seq._den) for seq in (first, second) for v in seq._values)
     pairs = sorted(zip(_halved(first._keys, second._keys), values), key=itemgetter(0))
     if gamma:
@@ -488,5 +490,5 @@ class Config:
 def concat_configs(first: Config, second: Config, gamma: Fraction) -> Config:
     """The concatenation: its measure is the mean of the two and its height gamma plus theirs."""
     seq = concat_seqs(first.seq, second.seq, gamma)
-    return Config(concat_sets(first.subset, second.subset), seq)
+    return _trusted(Config, subset=concat_sets(first.subset, second.subset), seq=seq)
 

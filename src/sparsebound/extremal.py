@@ -21,7 +21,7 @@ from .dyadic import (
     Config,
     DyadicInterval,
     DyadicSet,
-    ROOT,
+    _trusted,
     carleson_constant,
     concat_configs,
 )
@@ -47,6 +47,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_EMPTY, _BARE_FULL = Config.empty(), Config.full_unweighted()  # Halve's and MixZero's shared leaves
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,7 @@ def Base(x: Fraction) -> Concat:
     under another: each child sees average x, so the operator is constant
     2x at height 2.
     """
-    half = Config(DyadicSet.prefix(x), CarlesonSequence.from_mapping({ROOT: ONE}))
+    half = Config(DyadicSet.prefix(x), _trusted(CarlesonSequence, _keys=(1,), _values=(1,), _den=1))
     return Concat(half, half, ONE)
 
 
@@ -81,12 +82,12 @@ def Jump(recipe: Concat | Config) -> Concat:
 
 def Halve(recipe: Concat | Config) -> Concat:
     """Beside the empty configuration: measure, height and the level sets above 0 halve."""
-    return Concat(recipe, Config.empty(), ZERO)
+    return Concat(recipe, _EMPTY, ZERO)
 
 
 def MixZero(recipe: Concat | Config) -> Concat:
     """Beside the bare full set: the measure moves halfway to 1, the rest halves as in ``Halve``."""
-    return Concat(recipe, Config.full_unweighted(), ZERO)
+    return Concat(recipe, _BARE_FULL, ZERO)
 
 
 def interpret(recipe: Concat | Config) -> Config:
@@ -118,10 +119,9 @@ def curve_vertex_recipe(m: int, k: int) -> Concat:
     return recipe
 
 
-# Curve m's configuration has 2**(m+2) - 1 weights, so time and memory double
-# with m.  ``extremize 10 0`` takes about 0.12 s as a new process (2-core VM,
-# Python 3.11), about 11 ms of it building, certifying and printing the
-# configuration and the rest starting Python; m near 22 no longer fits in memory.
+# Curve m's configuration has 2**(m+2) - 1 weights, so time and memory double with m.
+# ``extremize 10 0`` takes about 0.1 s as a new process (2-core VM, Python 3.11), about
+# 10 ms of it in ``cli.main``, the rest starting Python; m near 22 no longer fits in memory.
 EXTREMIZER_CURVE_CAP = 10
 
 

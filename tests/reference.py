@@ -6,7 +6,8 @@ level curves' indices by scanning their segments and the strips by
 scanning the curves, the profile's vertices and slopes through a
 piecewise-linear function that interpolates them, the bound, its region tags and the profiles in
 ``Fraction`` arithmetic, the closed slope forms from the curve vertices, the
-concatenation identity from ``Fraction`` level sets, the verify suites' samplers, evaluators and
+concatenation identity from ``Fraction`` level sets, concatenation and the extremizers' moves
+through the public constructors, the verify suites' samplers, evaluators and
 relations in ``Fraction`` arithmetic, the operator on the uniform cells of one depth,
 a set's measure and a sequence's height as sums of ``Fraction``s, a
 sequence's integer scaling weight by weight, the Carleson constant by
@@ -41,8 +42,10 @@ from sparsebound.candidate import (
 )
 from sparsebound import verify
 from sparsebound.dyadic import (
+    ROOT,
     CarlesonSequence,
     Config,
+    DyadicInterval,
     DyadicSet,
     concat_configs,
     step_pieces,
@@ -387,6 +390,41 @@ def concat_identity(
     lhs = combined.level_set(level + gamma * combined.measure)
     rhs = (c1.level_set(level) + c2.level_set(level)) / 2
     return lhs, rhs
+
+
+def concat_by_rebuilding(c1: Config, c2: Config, gamma: Fraction) -> Config:
+    """``concat_configs`` through canonicalisation and validation of the halved inputs.
+
+    The halved intervals and weights are built as ``DyadicInterval``s and
+    passed to the public constructors, which sort, merge and check them.
+    """
+    halved = [DyadicInterval(j.depth + 1, j.index) for j in c1.subset.intervals]
+    halved += [DyadicInterval(j.depth + 1, j.index + 2**j.depth) for j in c2.subset.intervals]
+    mapping = {ROOT: gamma}
+    mapping.update({DyadicInterval(j.depth + 1, j.index): w for j, w in c1.seq.weights})
+    right = {DyadicInterval(j.depth + 1, j.index + 2**j.depth): w for j, w in c2.seq.weights}
+    mapping.update(right)
+    return Config(DyadicSet.from_intervals(halved), CarlesonSequence.from_mapping(mapping))
+
+
+def base_by_constructors(x: Fraction) -> Config:
+    """``Base(x)``'s configuration: two prefixes [0, x) under unit root weights, under another."""
+    half = Config(DyadicSet.prefix(x), CarlesonSequence.from_mapping({ROOT: Fraction(1)}))
+    return concat_by_rebuilding(half, half, Fraction(1))
+
+
+def curve_vertex_config_by_moves(m: int, k: int) -> Config:
+    """``curve_vertex_config(m, k)``, every move built through the public constructors.
+
+    From ``Base(1)``, m - k rounds of ``Jump(MixZero(.))`` beside
+    ``Config.full_unweighted()``, then k rounds of ``Jump(Halve(.))`` beside
+    ``Config.empty()``, each concatenation rebuilt by ``concat_by_rebuilding``.
+    """
+    config = base_by_constructors(Fraction(1))
+    for beside in [Config.full_unweighted()] * (m - k) + [Config.empty()] * k:
+        moved = concat_by_rebuilding(config, beside, Fraction(0))
+        config = concat_by_rebuilding(moved, moved, Fraction(1))
+    return config
 
 
 # The verify suites in Fraction arithmetic: the samplers draw each witness

@@ -474,6 +474,11 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(JSON_VALUES)
+# Scalars of every kind directly in a dict and in a list, beside nested and empty containers.
+@example({"a": 1, "b": F(-1, 3), "c": None, "d": True, "e": "\u00e9", "f": [], "g": {}, "h": [2]})
+@example([0, F(1, 2), None, False, "", [], {}, [1, [F(3)]], {"k": {"x": -5}}])
+@example({"": {"": []}, "x": [{}]})
+@example([[]])
 def test_dumps_matches_json_dumps_drawn(value):
     assert _dumps(value) == json.dumps(value, indent=2, default=format_rational)
 
@@ -502,6 +507,7 @@ def test_rows_written_as_json_dumps_writes_their_dicts(records, key):
 
 
 def test_dumps_refuses_floats_and_non_string_keys():
-    for bad in (0.5, [1, 2.0], {"a": {"b": [float("nan")]}}, {1: "a"}):
+    # A float at top level, directly in a dict or a list, or deeper down.
+    for bad in (0.5, {"a": 0.5}, [0.5], [1, 2.0], {"a": {"b": [float("nan")]}}, {1: "a"}):
         with pytest.raises(TypeError):
             _dumps(bad)

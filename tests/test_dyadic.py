@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from reference import (
     carleson_constant_scan,
+    concat_by_rebuilding,
     concat_identity,
     config_to_json,
     height_sum,
@@ -308,16 +309,6 @@ def test_measure_and_height_match_fraction_sums(config, data):
     assert type(raw.height) is F
 
 
-def _concat_by_rebuilding(c1, c2, gamma):
-    """``concat_configs`` through canonicalisation and validation of the halved inputs."""
-    halved = [iv(j.depth + 1, j.index) for j in c1.subset.intervals]
-    halved += [iv(j.depth + 1, j.index + 2**j.depth) for j in c2.subset.intervals]
-    mapping = {ROOT: gamma}
-    mapping.update({iv(j.depth + 1, j.index): w for j, w in c1.seq.weights})
-    mapping.update({iv(j.depth + 1, j.index + 2**j.depth): w for j, w in c2.seq.weights})
-    return Config(DyadicSet.from_intervals(halved), CarlesonSequence.from_mapping(mapping))
-
-
 FULL = Config.full_unweighted()
 GAMMAS = st.sampled_from([F(0), F(1, 2), F(1), F(1, 3)])
 # Weights over 4 and over 6: their concatenation is over 12, both halves rescaled.
@@ -336,7 +327,7 @@ SIXTHS = Config(DyadicSet.full(), CarlesonSequence(((ROOT, F(1, 3)), (iv(2, 1), 
 @example(QUARTERS, QUARTERS, F(1, 3))
 def test_concat_configs_matches_rebuild(c1, c2, gamma):
     got = concat_configs(c1, c2, gamma)
-    want = _concat_by_rebuilding(c1, c2, gamma)
+    want = concat_by_rebuilding(c1, c2, gamma)
     assert got.subset == want.subset
     assert got.seq == want.seq and hash(got.seq) == hash(want.seq)
     assert got.measure == want.measure == want.subset.measure

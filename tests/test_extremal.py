@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from reference import base_by_constructors, concat_by_rebuilding, curve_vertex_config_by_moves
 from sparsebound.candidate import bellman_value, corollary_bound, vertex_f
 from sparsebound.dyadic import (
     ROOT,
@@ -12,6 +14,7 @@ from sparsebound.dyadic import (
     DyadicSet,
     carleson_constant,
     concat_configs,
+    concat_seqs,
 )
 from sparsebound import extremal
 from sparsebound.extremal import (
@@ -138,6 +141,64 @@ def test_interpret_refuses_unknown_nodes_and_weights():
     for x in (0.5, F(3, 2), F(1, 3)):
         with pytest.raises(DomainError, match="prefix measure"):
             Base(x)
+
+
+# The root weights the check refuses, each with its message.
+ROOT_WEIGHTS_REFUSED = (
+    (True, "root weight must be an int or a Fraction, got True"),
+    (0.5, "root weight must be an int or a Fraction, got 0.5"),
+    (F(3, 2), "root weight must lie in [0, 1], got 3/2"),
+    (-1, "root weight must lie in [0, 1], got -1"),
+    (2, "root weight must lie in [0, 1], got 2"),
+)
+
+
+def test_root_weight_check_accepts_unit_ints_and_fractions_only():
+    config, empty = curve_vertex_config(1, 1), CarlesonSequence.empty()
+    for gamma in (0, 1, F(0), F(1, 3), F(1)):
+        root = CarlesonSequence.from_mapping({ROOT: F(gamma)})
+        assert concat_seqs(empty, empty, gamma) == root
+        want = concat_by_rebuilding(config, config, gamma)
+        assert interpret(Concat(config, config, gamma)) == want
+    for gamma, message in ROOT_WEIGHTS_REFUSED:
+        builds = (
+            lambda: concat_seqs(empty, empty, gamma),
+            lambda: interpret(Concat(config, config, gamma)),
+        )
+        for build in builds:
+            with pytest.raises(DomainError) as refused:
+                build()
+            assert str(refused.value) == message
+
+
+def _fields(config):
+    return config.subset._keys, config.seq._keys, config.seq._values, config.seq._den
+
+
+def test_base_matches_public_constructors():
+    for j in range(7):
+        for p in range(2**j + 1):
+            x = F(p, 2**j)
+            half = Config(DyadicSet.prefix(x), CarlesonSequence.from_mapping({ROOT: F(1)}))
+            base = Base(x)
+            assert _fields(base.left) == _fields(half) and base.left == half
+            got, want = interpret(base), base_by_constructors(x)
+            assert _fields(got) == _fields(want) and got == want and hash(got) == hash(want)
+
+
+def test_curve_vertex_configs_match_moves_built_by_constructors():
+    base = Base(F(1, 2))
+    for m in range(7):
+        for k in range(m + 1):
+            got, want = curve_vertex_config(m, k), curve_vertex_config_by_moves(m, k)
+            assert _fields(got) == _fields(want) and got == want
+            # The moves' right-hand leaves are shared, and no build changes them.
+            assert Halve(base).right == Config.empty()
+            assert MixZero(base).right == Config.full_unweighted()
+    assert Halve(base).right is Halve(Jump(base)).right
+    assert MixZero(base).right is MixZero(Jump(base)).right
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Halve(base).right.seq = CarlesonSequence.from_mapping({ROOT: F(1)})
 
 
 def test_shared_child_is_built_once(monkeypatch):

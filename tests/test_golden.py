@@ -173,6 +173,20 @@ GOLDEN = {
         ["corollary", "1", "3"], 0, 976,
         "77408e3309635cab56b34ca658cf11accf60733aace663c0e693b12c5b4b7e99",
     ),
+    # The smallest extremizers, whose time is mostly the fixed cost of one
+    # command: the base alone (corollary 0 3 is curve 0, vertex 0), and one round of each move.
+    "extremize-0-0": (
+        ["extremize", "0", "0"], 0, 606,
+        "5fd7c7b7384f562f0ae3df934e447257723ab8832c050ae8fbdefca55aaae438",
+    ),
+    "extremize-2-1": (
+        ["extremize", "2", "1"], 0, 1589,
+        "f4055a6d5dddcce005bb9f9a00232790e7c1bb522db62f7d4fe22d9892feaa3a",
+    ),
+    "corollary-0-3": (
+        ["corollary", "0", "3"], 0, 606,
+        "5fd7c7b7384f562f0ae3df934e447257723ab8832c050ae8fbdefca55aaae438",
+    ),
 }
 
 FAULT_ARGV = ["verify", "all", "--seed", "7", "--count", "20"]
