@@ -8,8 +8,11 @@ with exact rational arithmetic.
 
 The top level holds only the names of the README example; everything else
 is imported from its module (``sparsebound.candidate``, ``.dyadic``,
-``.extremal``, ``.verify`` and so on).
+``.extremal``, ``.verify`` and so on).  A submodule not yet imported is
+also reached as an attribute, ``sparsebound.verify``, which imports it.
 """
+
+import importlib
 
 from .candidate import bellman_value, vertex_f
 from .extremal import curve_vertex_config
@@ -18,3 +21,11 @@ from .rational import DomainError
 __all__ = ["bellman_value", "vertex_f", "curve_vertex_config", "DomainError", "__version__"]
 
 __version__ = "0.1.0"
+
+_SUBMODULES = ("candidate", "cli", "dyadic", "extremal", "geometry", "rational", "verify")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,17 +8,26 @@ exact values and only this module turns them into text: ``_dumps`` writes
 every JSON report, each ``Fraction`` as its ``"p/q"`` string.  Exit status: 0
 all checks pass, 1 a violation or missed attainment was found, 2 usage error,
 3 the run did not complete (an unexpected error, or stdout closed early).
+
+``_COMMANDS`` holds each command's help, description, arguments and
+handler.  A call that names a command first is parsed once, by that
+command's own parser, built on its first use; any other call (no
+arguments, ``-h``, an unknown command) goes to the whole tree of parsers,
+which also reports extra arguments.  Only ``verify`` and ``brute`` import
+``verify``, the largest module, and they read its functions from it each
+time they run, so that a function replaced there is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .candidate import (
     Family,
@@ -41,14 +50,6 @@ from .extremal import (
     EXTREMIZER_CURVE_CAP,
 )
 from .rational import DomainError, format_rational, parse_rational
-from .verify import (
-    EXHAUSTIVE_DEPTH_CAP,
-    SAMPLED_DEPTH_CAP,
-    SampleSpec,
-    SUITE_NAMES,
-    brute_force_sup,
-    run_suite,
-)
 
 
 # The curves output grows about as m_max**3 bytes: 11 MB of CSV at the cap.
@@ -84,78 +85,6 @@ class _Parser(argparse.ArgumentParser):
             r"^-\d+(?:/\d+)?$|^-\d*\.\d+$", re.ASCII
         )
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sparsebound",
-        description="Exact level-set bounds for dyadic sparse averaging operators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate the bound or a boundary profile")
-    p_eval.add_argument("--which", choices=("B", "f", "g"), default="B")
-    p_eval.add_argument("args", nargs="+", type=_rational, metavar="RATIONAL")
-
-    p_curves = sub.add_parser(
-        "curves",
-        help="emit level-curve vertices",
-        description=f"Output grows as m_max**3 bytes; m_max above {CURVES_CAP} is a usage error.",
-    )
-    p_curves.add_argument("m_max", type=_integer)
-    p_curves.add_argument("--family", choices=("F", "G"), default="F")
-    p_curves.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_curves.add_argument("--output", "-o", default=None)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p_verify.add_argument("--seed", type=_integer, default=0)
-    p_verify.add_argument("--count", type=_integer, default=1000)
-
-    p_brute = sub.add_parser(
-        "brute",
-        help="enumerate configurations at one depth",
-        description=(
-            f"Exhaustive up to depth {EXHAUSTIVE_DEPTH_CAP}; deeper runs need --sample. "
-            f"Sampled mode is capped at depth {SAMPLED_DEPTH_CAP}."
-        ),
-    )
-    p_brute.add_argument("depth", type=_integer)
-    p_brute.add_argument("--sample", type=_integer, default=None)
-    p_brute.add_argument("--seed", type=_integer, default=0)
-    p_brute.add_argument(
-        "--lambda", dest="lambdas", type=_rational, action="append", default=[]
-    )
-    p_brute.add_argument("--format", choices=("json", "csv"), default="json")
-    p_brute.add_argument("--output", "-o", default=None)
-
-    p_ext = sub.add_parser(
-        "extremize",
-        help="construct a curve-vertex extremizer",
-        description=(
-            "The configuration of curve m has 2**(m+2) - 1 weights; "
-            f"m above {EXTREMIZER_CURVE_CAP} is a usage error."
-        ),
-    )
-    p_ext.add_argument("m", type=_integer)
-    p_ext.add_argument("k", type=_integer)
-
-    p_cor = sub.add_parser(
-        "corollary",
-        help="construct a lattice-bound extremizer",
-        description=(
-            "The extremizer is that of curve m = N + n - 3, with 2**(m+2) - 1 weights; "
-            f"m above {EXTREMIZER_CURVE_CAP} is a usage error."
-        ),
-    )
-    p_cor.add_argument("n", type=_integer)
-    p_cor.add_argument("N", type=_integer)
-
-    return parser
-
-
-# Built once, at import: parsing reads the parser and writes only the
-# namespace it returns, so one parser serves every call of ``main``.
-_PARSER = _build_parser()
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -229,18 +158,56 @@ def _write(obj, newline: str, out: list[str]) -> None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Write ``text`` and a final newline to stdout, or the same bytes to ``output``."""
+    """Write ``text`` and a final newline to stdout, or the same bytes to ``output``.
+
+    A file is written whole or not at all: into a temporary file beside it,
+    which then replaces it, so a failed write leaves the old file as it was.
+    A target that is not a regular file, such as ``/dev/null``, is written
+    in place.
+    """
     if not text.endswith("\n"):
         text += "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
+        return
+    target = os.path.realpath(output)  # through a symlink, as opening it would
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        return
+    import tempfile
+
+    try:
+        fd, temp = tempfile.mkstemp(".tmp", ".sparsebound-", os.path.dirname(target))
+    except OSError as exc:  # named by the file asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, output) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.chmod(temp, _file_mode(target))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _file_mode(path: str) -> int:
+    """The permissions ``open(path, "w")`` leaves: the file's own, or the umask's for a new one."""
+    try:
+        return os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _csv(rows) -> str:
     return "\n".join(",".join(row) for row in rows)
+
+
+def _eval_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--which", choices=("B", "f", "g"), default="B")
+    parser.add_argument("args", nargs="+", type=_rational, metavar="RATIONAL")
 
 
 def _cmd_eval(args: argparse.Namespace) -> tuple[str, int]:
@@ -258,6 +225,13 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[str, int]:
         value, region = (f_value, f_region) if args.which == "f" else (g_value, g_region)
         result, tag = value(x, level), region(x, level).describe()
     return f"{format_rational(result)} ({tag})", 0
+
+
+def _curves_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("m_max", type=_integer)
+    parser.add_argument("--family", choices=("F", "G"), default="F")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--output", "-o", default=None)
 
 
 def _cmd_curves(args: argparse.Namespace) -> tuple[str, int]:
@@ -278,7 +252,17 @@ def _cmd_curves(args: argparse.Namespace) -> tuple[str, int]:
     return _csv(rows), 0
 
 
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    from .verify import SUITE_NAMES
+
+    parser.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    parser.add_argument("--seed", type=_integer, default=0)
+    parser.add_argument("--count", type=_integer, default=1000)
+
+
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    from .verify import SUITE_NAMES, SampleSpec, run_suite
+
     spec = SampleSpec(seed=args.seed, count=args.count)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     runs = [
@@ -289,10 +273,30 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return _dumps(report), 1 if any(found for _, found in runs) else 0
 
 
+def _brute_arguments(parser: argparse.ArgumentParser) -> None:
+    from .verify import EXHAUSTIVE_DEPTH_CAP, SAMPLED_DEPTH_CAP
+
+    # Set here, not in ``_COMMANDS``: the caps live in ``verify``.
+    parser.description = (
+        f"Exhaustive up to depth {EXHAUSTIVE_DEPTH_CAP}; deeper runs need --sample. "
+        f"Sampled mode is capped at depth {SAMPLED_DEPTH_CAP}."
+    )
+    parser.add_argument("depth", type=_integer)
+    parser.add_argument("--sample", type=_integer, default=None)
+    parser.add_argument("--seed", type=_integer, default=0)
+    parser.add_argument(
+        "--lambda", dest="lambdas", type=_rational, action="append", default=[]
+    )
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--output", "-o", default=None)
+
+
 _BRUTE_KEYS = ("x", "A", "lambda", "maxV", "B", "attained")
 
 
 def _cmd_brute(args: argparse.Namespace) -> tuple[str, int]:
+    from .verify import brute_force_sup
+
     report = brute_force_sup(
         args.depth, lambda_values=args.lambdas, sample=args.sample, seed=args.seed
     )
@@ -323,29 +327,104 @@ def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
     return _dumps({"config": config_json, "report": report}), 0 if report["attained"] else 1
 
 
+def _extremize_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("m", type=_integer)
+    parser.add_argument("k", type=_integer)
+
+
 def _cmd_extremize(args: argparse.Namespace) -> tuple[str, int]:
     return _attainment(curve_vertex_config(args.m, args.k), curve_vertex_target(args.m, args.k))
+
+
+def _corollary_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("n", type=_integer)
+    parser.add_argument("N", type=_integer)
 
 
 def _cmd_corollary(args: argparse.Namespace) -> tuple[str, int]:
     return _attainment(corollary_config(args.n, args.N), corollary_target(args.n, args.N))
 
 
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "curves": _cmd_curves,
-    "verify": _cmd_verify,
-    "brute": _cmd_brute,
-    "extremize": _cmd_extremize,
-    "corollary": _cmd_corollary,
+class _Command(NamedTuple):
+    help: str
+    description: str | None
+    arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], tuple[str, int]]
+
+
+# In the order ``sparsebound -h`` lists them.
+_COMMANDS = {
+    "eval": _Command(
+        "evaluate the bound or a boundary profile", None, _eval_arguments, _cmd_eval
+    ),
+    "curves": _Command(
+        "emit level-curve vertices",
+        f"Output grows as m_max**3 bytes; m_max above {CURVES_CAP} is a usage error.",
+        _curves_arguments,
+        _cmd_curves,
+    ),
+    "verify": _Command("run a verification suite", None, _verify_arguments, _cmd_verify),
+    "brute": _Command(
+        "enumerate configurations at one depth", None, _brute_arguments, _cmd_brute
+    ),
+    "extremize": _Command(
+        "construct a curve-vertex extremizer",
+        "The configuration of curve m has 2**(m+2) - 1 weights; "
+        f"m above {EXTREMIZER_CURVE_CAP} is a usage error.",
+        _extremize_arguments,
+        _cmd_extremize,
+    ),
+    "corollary": _Command(
+        "construct a lattice-bound extremizer",
+        "The extremizer is that of curve m = N + n - 3, with 2**(m+2) - 1 weights; "
+        f"m above {EXTREMIZER_CURVE_CAP} is a usage error.",
+        _corollary_arguments,
+        _cmd_corollary,
+    ),
 }
+
+
+# Each parser is built on its first use and kept: parsing reads a parser and
+# writes only the namespace it returns, so one parser serves every call of ``main``.
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """What ``sparsebound NAME`` parses its arguments with: the subparser of the tree, alone."""
+    command = _COMMANDS[name]
+    parser = _Parser(prog=f"sparsebound {name}", description=command.description)
+    command.arguments(parser)
+    return parser
+
+
+@functools.cache
+def _tree_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every command's parser under it."""
+    parser = _Parser(
+        prog="sparsebound",
+        description="Exact level-set bounds for dyadic sparse averaging operators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        command.arguments(sub.add_parser(name, help=command.help, description=command.description))
+    return parser
+
+
+def _parse(argv: list[str]) -> tuple[_Command, argparse.Namespace]:
+    """The command ``argv`` names and its arguments, or a usage error as the tree reports it."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        args = _tree_parser().parse_args(argv)
+        return _COMMANDS[args.command], args
+    args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:
+        _tree_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    return command, args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; each returns its text and exit status, written here."""
-    args = _PARSER.parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        text, status = _DISPATCH[args.command](args)
+        text, status = command.run(args)
         _emit(text, getattr(args, "output", None))
         sys.stdout.flush()
         return status

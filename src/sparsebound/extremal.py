@@ -120,8 +120,10 @@ def curve_vertex_recipe(m: int, k: int) -> Concat:
 
 
 # Curve m's configuration has 2**(m+2) - 1 weights, so time and memory double with m.
-# ``extremize 10 0`` takes about 0.1 s as a new process (2-core VM, Python 3.11), about
-# 10 ms of it in ``cli.main``, the rest starting Python; m near 22 no longer fits in memory.
+# ``extremize 10 0`` takes about 0.09 s as a new process compiling the package from
+# source, 0.066 s from cached bytecode (2-core VM, Python 3.11), about 10 ms of it in
+# ``cli.main``, the rest starting Python and importing the package without ``verify``;
+# m near 22 no longer fits in memory.
 EXTREMIZER_CURVE_CAP = 10
 
 

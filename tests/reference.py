@@ -17,11 +17,12 @@ table of ``Fraction``s, the Bellman
 recursion's tables over ordered pairs of halves, the exhaustive
 report assembled from them as a sorted table of ``Fraction``s, and a
 brute report's and a configuration's JSON as the dicts ``json.dumps``
-writes.
+writes, and the command line's parsers as one argparse tree.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import operator
 import random
@@ -40,7 +41,7 @@ from sparsebound.candidate import (
     vertex_f,
     vertex_g,
 )
-from sparsebound import verify
+from sparsebound import cli, verify
 from sparsebound.dyadic import (
     ROOT,
     CarlesonSequence,
@@ -906,3 +907,19 @@ def config_to_json(config: Config) -> dict:
             ]
         },
     }
+
+
+def cli_tree_parser() -> argparse.ArgumentParser:
+    """The command line as one parser with a subparser per command, from ``cli._COMMANDS``.
+
+    argparse itself routes each call to its command and reports what is
+    left over, as a single parser tree did before each command had its own.
+    """
+    parser = cli._Parser(
+        prog="sparsebound",
+        description="Exact level-set bounds for dyadic sparse averaging operators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli._COMMANDS.items():
+        command.arguments(sub.add_parser(name, help=command.help, description=command.description))
+    return parser

@@ -10,11 +10,14 @@ empty.  The tracing module is loaded from its file, without changing
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_traced(monkeypatch):
@@ -38,6 +41,26 @@ def test_traced_names_resolve(monkeypatch):
             missing.append(f"{layer}.{name}")
     assert len(wanted) == 23
     assert missing == []
+
+
+def test_layers_resolve_after_importing_the_cli(monkeypatch):
+    # bench/run.py imports sparsebound.cli alone, then Tracer.install reads
+    # each layer as an attribute of the package, verify among them, which
+    # the CLI does not import.
+    layers = list(load_traced(monkeypatch))
+    code = (
+        "import sys, sparsebound.cli\n"
+        "import sparsebound\n"
+        "before = 'sparsebound.verify' in sys.modules\n"
+        f"found = [getattr(sparsebound, layer) is sys.modules['sparsebound.' + layer] for layer in {layers!r}]\n"
+        "print(before, found)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout == f"False {[True] * len(layers)}\n", proc.stderr
 
 
 # A point of every region kind, as (x, a, level).

@@ -1,7 +1,10 @@
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsebound import extremal, verify
+import reference
+from sparsebound import cli, extremal, verify
 from sparsebound.cli import CURVES_CAP, _Rows, _dumps, main
 from sparsebound.rational import format_rational, parse_rational
 from sparsebound.verify import Violation
@@ -120,6 +124,64 @@ def test_output_file_gets_the_stdout_bytes(tmp_path, capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert run_cli(capsys, *argv, "--output", str(target)) == (code, "")
     assert out.endswith("\n") and target.read_bytes() == out.encode()
+
+
+class HalfWriter:
+    """A file that writes half of its first text, then fails as a full disk does."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.handle.close()
+
+    def write(self, text: str) -> None:
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_output_write_leaves_the_old_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: HalfWriter(fdopen(*args, **kwargs)))
+    code = main(["brute", "2", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert target.read_text() == "old report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]  # no temporary file left
+
+
+def test_output_file_keeps_its_mode_and_link(tmp_path, capsys):
+    real, link, new = tmp_path / "real.csv", tmp_path / "link.csv", tmp_path / "new.csv"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link.symlink_to(real)
+    assert run_cli(capsys, "curves", "2", "--output", str(link)) == (0, "")
+    assert link.is_symlink() and real.read_text().startswith("m,k,x,lambda\n")
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert run_cli(capsys, "curves", "2", "--output", str(new)) == (0, "")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "new.csv", "real.csv"]
+
+
+def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(capsys, "curves", "1", "--output", str(pipe)) == (0, "")
+    reader.join(timeout=60)
+    assert received == [run_cli(capsys, "curves", "1")[1].encode()]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
 def test_brute_depth_cap_is_mode_error(capsys):
@@ -403,6 +465,16 @@ def test_unexpected_error_exits_3_with_one_line(tmp_path):
     assert proc.stderr.endswith(f"'{target}'\n") and len(proc.stderr.splitlines()) == 1
 
 
+def outcome(capsys, run, argv):
+    """The exit code, stdout and stderr of ``run(argv)``, which may exit through argparse."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 # Calls that could leak into the next through one shared parser: an append
 # option and its default, a usage error, and --help.
 IN_A_ROW = [
@@ -417,19 +489,13 @@ IN_A_ROW = [
 def test_one_parser_serves_calls_in_a_row(capsys, monkeypatch):
     """Each call made after the others prints and exits as it does alone, in a new process."""
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    in_a_row = []
-    for argv, _ in IN_A_ROW:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        in_a_row.append((code, capsys.readouterr().out))
+    in_a_row = [outcome(capsys, main, argv) for argv, _ in IN_A_ROW]
     for (argv, code), got in zip(IN_A_ROW, in_a_row):
         alone = subprocess.run(
             [sys.executable, "-m", "sparsebound.cli", *argv],
             env={**ENV, "COLUMNS": "80"}, capture_output=True, text=True, timeout=120,
         )
-        assert got == (alone.returncode, alone.stdout) and got[0] == code, argv
+        assert got == (alone.returncode, alone.stdout, alone.stderr) and got[0] == code, argv
     # The levels show in the report, so a default that kept them would be seen.
     assert in_a_row[0] != in_a_row[1]
 
@@ -439,6 +505,57 @@ def test_numpy_is_not_imported():
     proc = run_python(["-c", code], stdout=subprocess.PIPE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# Calls that argparse answers with help or a usage error: no command or an
+# unknown one, missing, extra or invalid arguments, and each command's help.
+USAGE_BATTERY = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--"],
+    ["extremize"],
+    ["extremize", "1", "1", "2"],
+    ["extremize", "x", "0"],
+    ["verify", "bogus"],
+    ["eval", "--which", "X", "1", "2"],
+    ["brute", "3", "--lambda", "x"],
+    ["curves", "3", "--format", "xml"],
+] + [[name, "--help"] for name in cli._COMMANDS]
+
+
+@pytest.mark.parametrize("argv", USAGE_BATTERY, ids=lambda argv: " ".join(argv) or "none")
+def test_usage_matches_one_parser_tree(capsys, monkeypatch, argv):
+    """Each command's own parser prints and exits as argparse's routing through one tree does."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    want = outcome(capsys, reference.cli_tree_parser().parse_args, argv)
+    assert want[0] in (0, 2)  # help or a usage error: the tree never returns
+    assert outcome(capsys, main, argv) == want
+
+
+# Commands that run no verify code, and commands that do.
+WITHOUT_VERIFY = [
+    ["extremize", "0", "0"],
+    ["eval", "--which", "B", "1/2", "2", "5/2"],
+    ["curves", "2"],
+    ["corollary", "1", "3"],
+]
+
+
+@pytest.mark.parametrize(
+    "argvs, imported",
+    [(WITHOUT_VERIFY, False), ([["verify", "jump", "--count", "1"]], True), ([["brute", "1"]], True)],
+)
+def test_verify_is_imported_by_its_commands_only(argvs, imported):
+    code = (
+        "import contextlib, io, sys\n"
+        "from sparsebound.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'sparsebound.verify' in sys.modules)\n"
+    )
+    proc = run_python(["-c", code], stdout=subprocess.PIPE)
+    assert proc.stdout == f"{[0] * len(argvs)} {imported}\n", proc.stderr
 
 
 def _payloads(capsys):

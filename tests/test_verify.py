@@ -20,7 +20,7 @@ from reference import (
     run_suite_fraction,
     sup_tables_ordered,
 )
-from sparsebound import cli, verify
+from sparsebound import verify
 from sparsebound.candidate import bellman_value, vertex_f
 from sparsebound.cli import main
 from sparsebound.dyadic import CarlesonSequence
@@ -681,7 +681,7 @@ def _reference_csv(report):
 def test_report_json_text_is_json_dumps_of_the_reference_dict(monkeypatch, capsys):
     # Each report goes through the command's writers in place of a fresh brute force.
     for report in _json_reports():
-        monkeypatch.setattr(cli, "brute_force_sup", lambda *args, report=report, **kw: report)
+        monkeypatch.setattr(verify, "brute_force_sup", lambda *args, report=report, **kw: report)
         status = 0 if report.domination else 1
         assert main(["brute", "1"]) == status
         assert capsys.readouterr().out == json.dumps(brute_report_dict(report), indent=2) + "\n"
