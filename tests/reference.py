@@ -8,7 +8,8 @@ piecewise-linear function that interpolates them, the bound, its region tags and
 ``Fraction`` arithmetic, the closed slope forms from the curve vertices, the
 concatenation identity from ``Fraction`` level sets, concatenation and the extremizers' moves
 through the public constructors, the verify suites' samplers, evaluators and
-relations in ``Fraction`` arithmetic, the operator on the uniform cells of one depth,
+relations in ``Fraction`` arithmetic, the dynamics suite's draws through the
+public constructors, the operator on the uniform cells of one depth,
 a set's measure and a sequence's height as sums of ``Fraction``s, a
 sequence's integer scaling weight by weight, the Carleson constant by
 scanning every base interval, the brute-force tables, exhaustive and
@@ -62,7 +63,6 @@ from sparsebound.verify import (
     ReportEntry,
     SampleSpec,
     Violation,
-    _dynamics_instance,
     _sampled_configs,
     default_level_grid,
     intervals_to_depth,
@@ -516,8 +516,29 @@ def _eval_slopes_form(w: dict) -> tuple[Fraction, Fraction]:
     return 1 / _form_value(form, w["lambda"]), segment_slope_fraction(m + 1, w["lambda"])
 
 
+def dynamics_config(rng: random.Random) -> Config:
+    """A set of depth-3 cells and quarter weights on the nodes down to depth 2, by constructors."""
+    subset = DyadicSet.from_cells(3, rng.getrandbits(8))
+    weights = []
+    for depth in range(3):
+        for index in range(2**depth):
+            roll = rng.random()
+            if roll < 0.4:
+                w = Fraction(1) if roll < 0.25 else Fraction(rng.randint(1, 4), 4)
+                weights.append((DyadicInterval(depth, index), w))
+    return Config(subset, CarlesonSequence(weights))
+
+
+@lru_cache(maxsize=1)  # drawn by the sampler, read back by the evaluator
+def dynamics_instance(seed: int, index: int) -> tuple[Config, Config, Fraction]:
+    """The dynamics suite's draw for an index: two configurations and a level in [-1, 6] over 4."""
+    rng = random.Random(f"{seed}:{index}")
+    c1, c2 = dynamics_config(rng), dynamics_config(rng)
+    return c1, c2, Fraction(rng.randint(-4, 24), 4)
+
+
 def _eval_dynamics(w: dict) -> tuple[Fraction, Fraction]:
-    c1, c2, _ = _dynamics_instance(int(w["seed"]), int(w["index"]))
+    c1, c2, _ = dynamics_instance(int(w["seed"]), int(w["index"]))
     return concat_identity(c1, c2, w["gamma"], w["lambda"])
 
 
@@ -615,7 +636,7 @@ def _sample_slopes(spec: SampleSpec):
 def _sample_dynamics(spec: SampleSpec):
     for index in range(spec.count):
         gamma = (Fraction(0), Fraction(1, 2), Fraction(1))[index % 3]
-        level = Fraction(*_dynamics_instance(spec.seed, index)[2])
+        level = dynamics_instance(spec.seed, index)[2]
         yield "dynamics", _witness(seed=spec.seed, index=index, gamma=gamma, **{"lambda": level})
 
 
