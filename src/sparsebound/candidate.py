@@ -415,8 +415,7 @@ def _bound_row(x: Pair, a: Pair, levels: Iterable[Pair], values: bool = True) ->
 
 def _bound(x: Pair, a: Pair, level: Pair) -> Pair:
     """``bellman_value`` at x in [0, 1] and a in [0, 2]: the one-level row."""
-    ((_, _, _, num, den),) = _bound_row(x, a, (level,))
-    return num, den
+    return _bound_row(x, a, (level,))[0][3:]
 
 
 def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:

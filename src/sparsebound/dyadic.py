@@ -10,8 +10,9 @@ appear at the boundary only: the constructors read them, and the
 ``intervals`` and ``weights`` views build them on first read.  Weights
 are likewise int numerators over their least common denominator.  Level
 sets and Carleson constants read the weighted nodes only, each linked to
-its nearest weighted ancestor (key 0 if none): an unweighted node's ratio
-is the mean of its children's, so the largest is a weighted node's, or 0.
+its nearest weighted ancestor (key 0 if none) in one walk: an unweighted
+node's ratio is the mean of its children's, so the largest is a weighted
+node's, or 0, and values only rise down the forest, by nonnegative shares.
 
 Concatenation halves by key arithmetic: a node of depth d moves into the
 left half by adding 2**d and into the right half by adding 2**(d + 1).
@@ -366,49 +367,46 @@ def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicIn
     return [(DyadicInterval(*_depth_index(key)), Fraction(value, scale)) for key, value in pieces]
 
 
-def _forest(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict, dict, int, int]:
-    """Each weighted node's scaled value and free cells (key 0 first), the scale and the depth.
+def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
+    """The cells of size 2**-depth taking each scaled value, the scale and the depth.
 
-    In key order a node's value is its nearest weighted ancestor's plus its
-    share of the set, and its free cells of size 2**-depth, where the operator
-    is ``value / scale``, are its cells less its nearest weighted descendants'.
+    In the walk each node's cells pass from its ancestor's value to its own.
     """
     own, fine, depth = _covered(subset, seq)
-    values, free = {0: 0}, {0: 1 << depth}  # ints: a list per node sets off collections
+    values, cells = {0: 0}, {0: 1 << depth}  # node key -> value; value -> free cells
     for key in sorted(own):
         up = key >> 1
         while up not in values:
             up >>= 1
-        free[key] = cells = 1 << (depth + 1 - key.bit_length())
-        free[up] -= cells
-        values[key] = values[up] + own[key]
-    return values, free, seq._den << fine, depth
-
-
-def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
-    """The cells of size 2**-depth taking each scaled value, the scale and the depth."""
-    values, free, scale, depth = _forest(subset, seq)
-    cells: dict[int, int] = {}
-    for value, n in zip(values.values(), free.values()):
+        n = 1 << (depth + 1 - key.bit_length())
+        cells[values[up]] -= n
+        values[key] = value = values[up] + own[key]
         cells[value] = cells.get(value, 0) + n
-    return {value: n for value, n in cells.items() if n}, scale, depth
+    return {value: n for value, n in cells.items() if n}, seq._den << fine, depth
 
 
 def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction) -> Fraction:
-    """Exact measure of the set where the operator reaches ``level``.
-
-    The weighted nodes' values are compared with the level in integers, and
-    the free cells of size 2**-depth of those that reach it are counted.
-    """
+    """Exact measure of the set where the operator reaches ``level``, counted in integers."""
     level = _exact(level, "level")
     return Fraction(*_level_cells(subset, seq, level.numerator, level.denominator))
 
 
 def _level_cells(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple[int, int]:
-    """The cells of size 2**-depth where the operator reaches num/den (den > 0), and 2**depth."""
-    values, free, scale, depth = _forest(subset, seq)
-    p = num * scale
-    return sum(free[key] for key, value in values.items() if value * den >= p), 1 << depth
+    """The cells of size 2**-depth where the operator reaches num/den (den > 0), and 2**depth.
+
+    The walk counts each node (key 0 first) that reaches it while its ancestor does not.
+    """
+    own, fine, depth = _covered(subset, seq)
+    least = -(-num * (seq._den << fine) // den)  # the least scaled value reaching the level
+    values, cells = {0: 0}, 0 if least > 0 else 1 << depth
+    for key in sorted(own):
+        up = key >> 1
+        while up not in values:
+            up >>= 1
+        values[key] = value = values[up] + own[key]
+        if value >= least > values[up]:
+            cells += 1 << (depth + 1 - key.bit_length())
+    return cells, 1 << depth
 
 
 def _halved(first: Iterable[int], second: Iterable[int]) -> list[int]:

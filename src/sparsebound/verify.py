@@ -174,11 +174,12 @@ def _sample_rational(rng: random.Random, lo: Pair, hi: Pair) -> Pair:
     return p + _below(bits, hi[0] * q // hi[1] + 1 - p), q
 
 
-# Memos of one or two entries (these two and ``_dynamics_instance``).  A
-# sampler computes them to lay out its witnesses and the evaluators read
-# them back, so each is computed once per level, form or instance.  The kernel
-# entries are looked up at call time, so replacements installed on them see
-# every call.
+# Memos: of one or two entries (these two and ``_dynamics_instance``), which a
+# sampler computes to lay out its witnesses and the evaluators read back, so
+# each is computed once per level, form or instance; and the depth-3 table
+# ``_cell_set``, the 256 sets of depth-3 cells that the dynamics draws share,
+# each built on first use.  The kernel entries are looked up at call time, so
+# replacements installed on them see every call.
 
 @lru_cache(maxsize=1)
 def _slopes_at(level: Pair, x_min: Pair) -> tuple[Pair, ...]:
@@ -265,8 +266,9 @@ def _eval_dynamics(seed: Pair, index: Pair, gamma: Pair, level: Pair) -> Sides:
     combined = concat_configs(c1, c2, root)
     cells, size = combined.subset._cells()
     shifted = _add(level, (gamma[0] * cells, gamma[1] * size))
-    halves = [_level_cells(c.subset, c.seq, *level) for c in (c1, c2)]
-    return _level_cells(combined.subset, combined.seq, *shifted), _half(_add(*halves))
+    n1, d1 = _level_cells(c1.subset, c1.seq, *level)
+    n2, d2 = _level_cells(c2.subset, c2.seq, *level)
+    return _level_cells(combined.subset, combined.seq, *shifted), (n1 * d2 + n2 * d1, 2 * d1 * d2)
 
 
 _FORM_NAMES = {0: "low", 1: "mid", 2: "high"}
@@ -407,11 +409,12 @@ def default_level_grid(count: int = 50) -> tuple[Fraction, ...]:
 
 
 # The slopes suite checks the profile on [SLOPES_X_MIN, 1] (by default at
-# the levels of ``default_level_grid()``) and the slope certificates for
-# window and curve indices up to SLOPES_MAX_INDEX.
+# the levels of ``default_level_grid()``, checked once here as (level,
+# x_min) pairs) and the slope certificates for window and curve indices up
+# to SLOPES_MAX_INDEX.
 SLOPES_X_MIN = Fraction(1, 4096)
 SLOPES_MAX_INDEX = 10
-_SLOPES_GRID = default_level_grid()
+_SLOPES_GRID = tuple(_check_profile_window(level, SLOPES_X_MIN) for level in default_level_grid())
 
 
 def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
@@ -423,8 +426,8 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     on the whole range; the forms themselves are cross-checked against the
     geometric segment slope at interior points.
     """
-    for level in spec.lambda_grid or _SLOPES_GRID:
-        level, x_min = _check_profile_window(level, SLOPES_X_MIN)
+    grid = (_check_profile_window(level, SLOPES_X_MIN) for level in spec.lambda_grid)
+    for level, x_min in grid if spec.lambda_grid else _SLOPES_GRID:
         for i in range(len(_slopes_at(level, x_min)) - 1):
             yield "slopes:monotone", ((i, 1), x_min, level)
     for window in range(2, SLOPES_MAX_INDEX + 1):
@@ -442,9 +445,15 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
                     yield name, ((window, 1), (m, 1), level)
 
 
+@lru_cache(maxsize=256)
+def _cell_set(mask: int) -> DyadicSet:
+    """The set of the depth-3 cells whose bits are set in the 8-bit ``mask``."""
+    return DyadicSet.from_cells(3, mask)
+
+
 def _random_config(rng: random.Random) -> Config:
     """A set of depth-3 cells and weights in quarters on the nodes down to depth 2."""
-    subset = DyadicSet.from_cells(3, rng.getrandbits(8))
+    subset = _cell_set(rng.getrandbits(8))
     keys, weights = [], []
     for key in range(1, 8):  # every node down to depth 2, by depth and then index
         roll = rng.random()
@@ -453,7 +462,8 @@ def _random_config(rng: random.Random) -> Config:
             weights.append(4 if roll < 0.25 else 1 + _below(rng.getrandbits, 4))  # in quarters
     g = math.gcd(4, *weights)  # over the least denominator, as the constructor stores them
     values, den = tuple(w // g for w in weights), 4 // g
-    return Config(subset, _trusted(CarlesonSequence, _keys=tuple(keys), _values=values, _den=den))
+    seq = _trusted(CarlesonSequence, _keys=tuple(keys), _values=values, _den=den)
+    return _trusted(Config, subset=subset, seq=seq)
 
 
 @lru_cache(maxsize=1)

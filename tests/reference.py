@@ -9,7 +9,8 @@ piecewise-linear function that interpolates them, the bound, its region tags and
 concatenation identity from ``Fraction`` level sets, concatenation and the extremizers' moves
 through the public constructors, the verify suites' samplers, evaluators and
 relations in ``Fraction`` arithmetic, the dynamics suite's draws through the
-public constructors, the operator on the uniform cells of one depth,
+public constructors, the operator on the uniform cells of one depth (as
+``Fraction``s, or counted by value in integers for deep configurations),
 a set's measure and a sequence's height as sums of ``Fraction``s, a
 sequence's integer scaling weight by weight, the Carleson constant by
 scanning every base interval, the brute-force tables, exhaustive and
@@ -28,9 +29,11 @@ import math
 import operator
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from sparsebound.candidate import (
@@ -697,6 +700,33 @@ def sparse_apply(subset: DyadicSet, seq: CarlesonSequence) -> StepFunction:
         for i in cells:
             values[i] += w * share
     return StepFunction(depth, tuple(values))
+
+
+def uniform_cell_counts(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[Fraction, int], int]:
+    """``sparse_apply``'s cells counted by value, and the depth, for depths too deep for it.
+
+    The same definition in integers: a weight w on a node of depth d, whose
+    2**(depth - d) cells hold c of the set's, adds w * c / 2**(depth - d) to
+    each of its cells, which is w * lcm * c * 2**d over the scale
+    lcm * 2**depth; the additions are laid down as a difference array.
+    """
+    depths = [iv.depth for iv in subset.intervals] + [iv.depth for iv, _ in seq.weights]
+    depth = max(depths, default=0)
+    inside = bytearray(2**depth)
+    for iv in subset.intervals:
+        span = 2 ** (depth - iv.depth)
+        inside[iv.index * span : (iv.index + 1) * span] = b"\x01" * span
+    before = [0, *accumulate(inside)]  # the set's cells left of each cell boundary
+    lcm = math.lcm(*(w.denominator for _, w in seq.weights))
+    steps = [0] * (2**depth + 1)
+    for iv, w in seq.weights:
+        span = 2 ** (depth - iv.depth)
+        lo, hi = iv.index * span, (iv.index + 1) * span
+        add = w.numerator * (lcm // w.denominator) * (before[hi] - before[lo]) << iv.depth
+        steps[lo] += add
+        steps[hi] -= add
+    counts = Counter(accumulate(steps[:-1]))
+    return {Fraction(v, lcm << depth): n for v, n in counts.items()}, depth
 
 
 def measure_sum(subset: DyadicSet) -> Fraction:

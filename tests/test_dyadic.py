@@ -18,6 +18,7 @@ from reference import (
     measure_sum,
     scale_per_weight,
     sparse_apply,
+    uniform_cell_counts,
 )
 from sparsebound import cli
 from sparsebound.cli import main
@@ -32,6 +33,7 @@ from sparsebound.dyadic import (
     concat_configs,
     concat_seqs,
     concat_sets,
+    _level_cells,
     _value_cells,
     level_set_measure,
     step_pieces,
@@ -531,6 +533,80 @@ def test_value_cells_match_pieces(config, raw):
     assert all(n > 0 for n in cells.values())
     got = {F(value, scale): F(n, 2**depth) for value, n in cells.items()}
     assert got == piece_histogram(config)
+
+
+def node_values(config):
+    """Each weighted node's operator value: the shares of the set under the weights on and above it."""
+
+    def share(node):
+        if any(j.contains(node) for j in config.subset.intervals):
+            return F(1)
+        inside = sum((j.measure for j in config.subset.intervals if node.contains(j)), F(0))
+        return inside / node.measure
+
+    weights = config.seq.weights
+    return {j: sum((w * share(i) for i, w in weights if i.contains(j)), F(0)) for j, _ in weights}
+
+
+def walk_level_set(config, level):
+    cells, size = _level_cells(config.subset, config.seq, level.numerator, level.denominator)
+    return F(cells, size)
+
+
+def counted_level_set(counts, depth, level):
+    return F(sum(n for value, n in counts.items() if value >= level), 2**depth)
+
+
+def cells_by_value(config):
+    """``_value_cells`` as the measure taking each value."""
+    cells, scale, depth = _value_cells(config.subset, config.seq)
+    assert all(n > 0 for n in cells.values())
+    return {F(value, scale): F(n, 2**depth) for value, n in cells.items()}
+
+
+TINY = F(1, 2**20)
+EMPTY_SEQ = CarlesonSequence.empty()
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_sequences(), st.integers(0, 6), st.integers(0, 2**64 - 1))
+# The empty set and the empty sequence, alone and together.
+@example(EMPTY_SEQ, 0, 0)
+@example(EMPTY_SEQ, 3, 0b10110110)
+@example(CarlesonSequence(((iv(1, 1), F(1)),)), 2, 0)
+# Weights finer than the set's cells, a zero weight and a node listed twice.
+@example(CarlesonSequence(((ROOT, F(1)), (iv(2, 1), F(0)), (iv(2, 1), F(1, 2)))), 0, 1)
+# Weights coarser than the set's cells.
+@example(CarlesonSequence(((ROOT, F(1)), (iv(1, 0), F(1, 2)))), 4, 0x0FF0)
+def test_fused_walks_match_uniform_cells(seq, set_depth, mask):
+    # The walks that count as they build the values against the operator
+    # on uniform cells, at every node's value, 2**-20 either side of it,
+    # and at levels at or below 0 (the mask's bits from 2**set_depth up are
+    # ignored).
+    config = Config(DyadicSet.from_cells(set_depth, mask), seq)
+    step = sparse_apply(config.subset, seq)
+    counts, depth = uniform_cell_counts(config.subset, seq)
+    assert depth == step.depth and sum(counts.values()) == 2**depth
+    histogram = {value: F(n, 2**depth) for value, n in counts.items()}
+    assert all(step.values.count(value) == n for value, n in counts.items())
+    assert cells_by_value(config) == histogram
+    levels = {F(0), F(-1), F(-1, 3), TINY}
+    for value in node_values(config).values():
+        levels |= {value, value - TINY, value + TINY}
+    for level in levels:
+        assert walk_level_set(config, level) == counted_level_set(counts, depth, level)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_fused_walks_at_vertex_levels(m):
+    # Every vertex extremizer with m <= 8, at its vertex level and 2**-20
+    # either side, against the uniform cells counted in integers.
+    for k in range(m + 1):
+        config, level = curve_vertex_config(m, k), curve_vertex_target(m, k).level
+        counts, depth = uniform_cell_counts(config.subset, config.seq)
+        assert cells_by_value(config) == {v: F(n, 2**depth) for v, n in counts.items()}
+        for lam in (level - TINY, level, level + TINY):
+            assert walk_level_set(config, lam) == counted_level_set(counts, depth, lam)
 
 
 def test_deep_chain():
