@@ -97,6 +97,21 @@ GOLDEN = {
         ["eval", "--which", "g", "1", "5/2"], 0, 25,
         "e826d33c06fa1188151b9b75c88f328a377bfb667506ac7a5c8a3965f45a907a",
     ),
+    # Above level 1, g at x is half of f at min(2x, 1): x > 1/2 takes the
+    # clamp, x = 1/2 ends the flat top of G curve 1, and near level 2000 the
+    # strip index is read off the point, not scanned.
+    "eval-g-clamped": (
+        ["eval", "--which", "g", "3/4", "3"], 0, 25,
+        "e826d33c06fa1188151b9b75c88f328a377bfb667506ac7a5c8a3965f45a907a",
+    ),
+    "eval-g-flat-end": (
+        ["eval", "--which", "g", "1/2", "2"], 0, 25,
+        "e4a64eca21ab59e43ee03070e9e6da85aff5cc19d73ebf378eb241d2d005cc7a",
+    ),
+    "eval-g-level-1999": (
+        ["eval", "--which", "g", "1/3", "1999"], 0, 621,
+        "63e902c1d3df9a166816746f28b10fa81ff5617ee1a0587610e79fab4da78c6d",
+    ),
     "curves-F-csv": (
         ["curves", "3", "--family", "F"], 0, 148,
         "f8f67ea852232c4ea63b46656865892c8ceb4557c6ef150d8235813530850cf6",
@@ -104,6 +119,15 @@ GOLDEN = {
     "curves-G-json": (
         ["curves", "3", "--family", "G", "--format", "json"], 0, 786,
         "2b15866790e7f317c205e4968a6b5cb7932629b0ef65de9c8941b6d5a3ed2623",
+    ),
+    # Every G curve and vertex up to m = 120, and the JSON form up to m = 12.
+    "curves-G-120-csv": (
+        ["curves", "120", "--family", "G"], 0, 367507,
+        "bdfbae3bfb42e7ab7b10a00d9a662ed5c4cf22b45058bd57bbc40e1aad4e3baf",
+    ),
+    "curves-G-12-json": (
+        ["curves", "12", "--family", "G", "--format", "json"], 0, 5471,
+        "bd46fd6ad0d31dc00e0ed7952e50d36e092219e85ff93fcf6510ec96b1d1f14b",
     ),
     "verify-jump": (
         ["verify", "jump", "--seed", "1", "--count", "100"], 0, 74,
