@@ -8,29 +8,29 @@ indicator of measure ``x``, built from a weight sequence of height ``a``
 (1, 3/2, 3/2), root weight 1/2 over two halves of root weight 1 reaches
 level 3/2 on all of [0, 1), where the bound is 3/4.
 
-Its structure is carried by two one-variable-family profiles.  ``f_value``
-is the restriction to height a = 2 and ``g_value`` the restriction to
-height a = 1.  Both are piecewise linear in x for each fixed level, with
-kinks on an explicit family of polygonal level curves indexed by m; on the
-m-th curve the profile equals 2**-m.  Between consecutive curves the value
-is a linear interpolation along horizontal lines.
+Its structure is carried by two profiles, ``f_value`` at height a = 2
+and ``g_value`` at height a = 1, each piecewise linear in x at a fixed
+level with kinks on polygonal level curves indexed by m (families F and
+G): 2**-m on the m-th curve, interpolated along horizontal lines between
+curves.  G curve m at x is F curve m - 1 at min(2x, 1), so above level 1
+g is half of f there.
 
-Evaluation runs on integers.  The public entry points take ``int`` or
-``Fraction`` arguments, refuse floats and bools, and hand the numerators
-and denominators of x, a and the level to a small kernel: ``_strip``
-finds the strip that holds a point and ``_curve_x`` where a curve crosses
-a level, each from bit lengths and one floor division, so in constant
-time at any level; ``_strip_value`` interpolates between the two curves
-of a strip.  The region tests and closed forms are integer comparisons
-and products, and one ``Fraction`` is built per result.  The
-``Fraction`` forms these replaced are kept in ``tests/reference.py`` as
-the oracle of the differential tests.
+Evaluation runs on integers, over the F curves only.  The public entry
+points take ``int`` or ``Fraction`` arguments, refuse floats and bools,
+and hand the numerators and denominators of x, a and the level to a small
+kernel: ``_strip`` finds the strip that holds a point and ``_curve_x``
+where a curve crosses a level, each from bit lengths and one floor
+division, so in constant time at any level; ``_strip_value`` interpolates
+between the two curves of a strip.  The region tests and closed forms are
+integer comparisons and products, and one ``Fraction`` is built per
+result.  The ``Fraction`` forms these replaced are kept in
+``tests/reference.py`` as the oracle of the differential tests.
 
 The kernel's entries take and return rationals as (numerator, positive
 denominator) pairs, not necessarily in lowest terms: ``_bound_row``,
 ``_bound``, ``_f_value``, ``_f_extended``, ``_g_value``,
 ``_profile_slopes``, ``_segment_slope``, ``_recip_slope_forms`` and
-``_vertex_level``, the one form of a curve vertex's level.  They check
+``_vertex_level``, the one form of an F vertex's level.  They check
 nothing; the public functions check their arguments and wrap them, and the
 verify suites call them directly.  The bound's region tests and closed
 forms are written once, in ``_bound_row(x, a, levels)``: it scales x once
@@ -93,19 +93,13 @@ def _floor_log2(n: int, d: int) -> int:
     return e if at_least else e - 1
 
 
-def _offset(family: Family) -> int:
-    # The level curves of both families, which differ only in this offset s.
-    # Curve m is a polygon from the origin through vertices k = m, m-1, ..., 0,
-    # vertex k at (2**-k, m - k + 3 - s * 2**-k); vertex 0, at x = 1, is its
-    # top m + 3 - s.  Slopes are rises per unit of x: the origin segment has
-    # slope 3 * 2**m - s, and segment k, from vertex k to vertex k-1 over
-    # 2**-k < x <= 2**(1-k), has slope 2**k - s (flat for G at k = 1).
-    return 1 if family is Family.F else 2
-
-
-def _vertex_level(s: int, k: int, m: int) -> tuple[int, int]:
-    """The level of vertex k of curve m for offset s, as a numerator and denominator."""
-    return ((m - k + 3) << k) - s, 1 << k
+def _vertex_level(k: int, m: int) -> tuple[int, int]:
+    """The level of vertex k of F curve m, as a numerator and denominator."""
+    # F curve m is a polygon from the origin through vertices k = m, ..., 0,
+    # vertex k at (2**-k, m - k + 3 - 2**-k), to its top m + 2 at x = 1.  Its
+    # origin segment rises 3 * 2**m - 1 per unit of x, and segment k, from
+    # vertex k to vertex k-1 over 2**-k < x <= 2**(1-k), rises 2**k - 1.
+    return ((m - k + 3) << k) - 1, 1 << k
 
 
 def _curve_index(m: int) -> int:
@@ -119,7 +113,8 @@ def _vertex(family: Family, k: int, m: int) -> PlanePoint:
     k, m = _index(k, "vertex index"), _index(m, "curve index")
     if not 0 <= k <= m:
         raise DomainError(f"vertex indices need 0 <= k <= m, got k={k}, m={m}")
-    return PlanePoint(Fraction(1, 1 << k), Fraction(*_vertex_level(_offset(family), k, m)))
+    num, den = _vertex_level(k, m)  # G's lies 2**-k lower: it is F curve m - 1's vertex k - 1
+    return PlanePoint(Fraction(1, den), Fraction(num - (family is Family.G), den))
 
 
 def vertex_f(k: int, m: int) -> PlanePoint:
@@ -140,8 +135,8 @@ def curve_vertices(family: Family, m: int) -> list[PlanePoint]:
 
 def origin_parameter(family: Family, m: int) -> Fraction:
     """Reciprocal slope of the m-th curve's segment through the origin."""
-    m = _curve_index(m)
-    return Fraction(1, (3 << m) - _offset(family))
+    m = _curve_index(m)  # G's segment ends at its vertex m, 2**-m below F's: one less slope
+    return Fraction(1, (3 << m) - 1 - (family is Family.G))
 
 
 def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
@@ -150,48 +145,46 @@ def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
         raise DomainError(f"curve argument must lie in [0, 1], got {x}")
+    if family is Family.G:  # F curve m - 1 at min(2x, 1); G curve 0 is the line level = x
+        if m == 0:
+            return x
+        m, p = m - 1, min(2 * p, q)
     if p == 0:
         return ZERO
-    s, k = _offset(family), 1 + _floor_log2(q, p)  # 2**-k < x <= 2**(1-k)
+    k = 1 + _floor_log2(q, p)  # 2**-k < x <= 2**(1-k)
     if k > m:  # x <= 2**-m: the origin segment
-        return Fraction(p * ((3 << m) - s), q)
-    # Segment k; for G it is flat at level m + 1 when k = 1.
-    return Fraction(p * ((1 << k) - s) + (m - k + 2) * q, q)
+        return Fraction(p * ((3 << m) - 1), q)
+    return Fraction(p * ((1 << k) - 1) + (m - k + 2) * q, q)
 
 
-# The kernel.  A point is given by the integer numerators and denominators
-# of its coordinates (denominators positive, not necessarily in lowest
-# terms); s is the family's offset.  Each function solves its closed form
-# on those integers and returns integers, and the public entry points build
-# one Fraction from them.
+# The kernel, over the F curves: closed forms solved on the integer
+# numerators and denominators of a point, as the module docstring says.
 
 Pair = tuple[int, int]  # a rational as (numerator, positive denominator)
 
 
-def _curve_x(s: int, m: int, num: int, den: int) -> tuple[int, int]:
-    """The x at which curve m reaches level num/den, as a numerator and denominator.
+def _curve_x(m: int, num: int, den: int) -> tuple[int, int]:
+    """The x at which F curve m reaches level num/den, as a numerator and denominator.
 
-    Requires 0 <= level <= the curve's top.  For the G family the inverse
-    of the flat top segment is taken to be its left endpoint x = 1/2.
+    Requires 0 <= level <= the curve's top m + 2.
     """
-    # Vertex m, where the origin segment ends, lies at level 3 - s * 2**-m,
+    # Vertex m, where the origin segment ends, lies at level 3 - 2**-m,
     # below 3, so a higher level is past it without building 2**m.
     if num < 3 * den:
-        origin = (3 << m) - s  # the origin segment's slope
+        origin = (3 << m) - 1  # the origin segment's slope
         if num << m <= origin * den:
             return num, den * origin
     # Vertex k-1 lies at a level in [m-k+3, m-k+4), so the segment ending at
     # the first vertex at or above the level is k = m + 4 - ceil(level) or
-    # the next one up, k - 1.  (For G, k - 1 >= 2: the flat top segment
-    # k = 1 is never taken.)
+    # the next one up, k - 1.
     k = m + 4 + (-num // den)  # m + 4 - ceil(level)
-    if num << (k - 1) > (((m - k + 4) << (k - 1)) - s) * den:
+    if num << (k - 1) > (((m - k + 4) << (k - 1)) - 1) * den:
         k -= 1
-    return num - (m - k + 2) * den, den * ((1 << k) - s)
+    return num - (m - k + 2) * den, den * ((1 << k) - 1)
 
 
-def _strip(s: int, p: int, q: int, num: int, den: int) -> tuple[int, bool]:
-    """Strip index of (x, level) = (p/q, num/den) over the family's curves and a plateau flag.
+def _strip(p: int, q: int, num: int, den: int) -> tuple[int, bool]:
+    """Strip index of (x, level) = (p/q, num/den) over the F curves and a plateau flag.
 
     Strip m is the set where the level exceeds curve m-1 but not curve m
     (strip 0: at or below curve 0), so m is the first curve that reaches
@@ -199,37 +192,34 @@ def _strip(s: int, p: int, q: int, num: int, den: int) -> tuple[int, bool]:
     origin segments, curves k and up on their segment k; on either part
     the curve's level above x is explicit in m and solved for it.  The
     profile is constant on strip 0 and wherever the level exceeds the top
-    of curve m-1.  Requires 0 < x <= 1 and level > 0 (level > 1 for the G
-    family).
+    of curve m-1.  Requires 0 < x <= 1 and level > 0.
     """
     # x's dyadic segment k, 2**-k < x <= 2**(1-k).  Each bound at a level
     # above 1 runs this, so max is written out as two tests.
     k = 1 + _floor_log2(q, p)
-    # The first m with x * (3 * 2**m - s) >= level, i.e. 2**m >= (level + s*x) / (3*x).
-    m = -_floor_log2(3 * p * den, num * q + s * p * den)
+    # The first m with x * (3 * 2**m - 1) >= level, i.e. 2**m >= (level + x) / (3*x).
+    m = -_floor_log2(3 * p * den, num * q + p * den)
     if m < 0:
         m = 0
     if m >= k:
-        # The first m >= k with curve_height = x * (2**k - s) + m - k + 2 >= level,
-        # i.e. m - k + 2 >= ceil(level - x * (2**k - s)).
-        m = k - 2 - (((1 << k) - s) * p * den - num * q) // (den * q)
+        # The first m >= k with curve_height = x * (2**k - 1) + m - k + 2 >= level,
+        # i.e. m - k + 2 >= ceil(level - x * (2**k - 1)).
+        m = k - 2 - (((1 << k) - 1) * p * den - num * q) // (den * q)
         if m < k:
             m = k
-    return m, m == 0 or num > (m + 2 - s) * den
+    return m, m == 0 or num > (m + 1) * den
 
 
-def _strip_value(
-    s: int, p: int, q: int, num: int, den: int, m: int, plateau: bool
-) -> tuple[int, int]:
-    """The profile over the family's curves at 0 < x = p/q <= 1 in strip m: 2**-m on curve m.
+def _strip_value(p: int, q: int, num: int, den: int, m: int, plateau: bool) -> tuple[int, int]:
+    """The profile over the F curves at 0 < x = p/q <= 1 in strip m: 2**-m on curve m.
 
     Between curves m and m-1 it interpolates linearly along the horizontal
     line at the level, from 2**-m to 2**(1-m), except on a plateau.
     """
     if plateau:
         return 1, 1 << m
-    left_p, left_q = _curve_x(s, m, num, den)
-    right_p, right_q = _curve_x(s, m - 1, num, den)
+    left_p, left_q = _curve_x(m, num, den)
+    right_p, right_q = _curve_x(m - 1, num, den)
     # x - left and right - left, over the common denominator q * left_q * right_q.
     rise = (p * left_q - left_p * q) * right_q
     run = (right_p * left_q - left_p * right_q) * q
@@ -240,49 +230,51 @@ def _strip_value(
     return run + rise, run << m
 
 
-def _profile(s: int, p: int, q: int, num: int, den: int) -> tuple[int, int]:
-    """The profile over the family's curves at 0 <= x = p/q <= 1: 0 on the axis x = 0."""
+def _profile(p: int, q: int, num: int, den: int) -> tuple[int, int]:
+    """The F profile at 0 <= x = p/q <= 1: 0 on the axis x = 0."""
     if p == 0:
         return 0, 1
-    return _strip_value(s, p, q, num, den, *_strip(s, p, q, num, den))
+    return _strip_value(p, q, num, den, *_strip(p, q, num, den))
 
 
 def curve_x(family: Family, m: int, level: Fraction) -> Fraction:
     """Inverse of ``curve_height``: the x at which curve m reaches ``level``.
 
-    For the G family the inverse of the flat top segment is taken to be its
-    left endpoint x = 1/2.
+    G curve m is F curve m - 1 at 2x: its crossing is half of F's, so the
+    inverse of its flat top on [1/2, 1] is 1/2; G curve 0 is the line level = x.
     """
     m, level = _curve_index(m), _exact(level, "level")
-    s, num, den = _offset(family), level.numerator, level.denominator
-    top = _vertex_level(s, 0, m)[0]  # vertex 0, over 1 << 0
+    num, den, g = level.numerator, level.denominator, family is Family.G
+    top = m + 2 - g
     if not 0 <= num <= top * den:
         raise DomainError(f"level {level} outside curve range [0, {top}]")
-    return Fraction(*_curve_x(s, m, num, den))
+    if g and m == 0:
+        return level
+    p, q = _curve_x(m - g, num, den)
+    return Fraction(p, q << g)
 
 
 def _f_value(x: Pair, level: Pair) -> Pair:
     """``f_value`` at 0 <= x <= 1 and level > 0."""
-    return _profile(1, *x, *level)
+    return _profile(*x, *level)
 
 
 def _f_extended(x: Pair, level: Pair) -> Pair:
     """``f_extended`` at x >= 0 and level > 0."""
-    return _profile(1, *(x if x[0] <= x[1] else (1, 1)), *level)
+    return _profile(*(x if x[0] <= x[1] else (1, 1)), *level)
 
 
 def _g_value(x: Pair, level: Pair) -> Pair:
     """``g_value`` at 0 <= x <= 1 and level > 0."""
     (p, q), (num, den) = x, level
-    if num <= den:
-        if 4 * p * den <= num * q:
-            f_num, f_den = _profile(1, 2 * p, q, num, den)
-            return f_num, 2 * f_den
+    if num <= den and 4 * p * den > num * q:
         if p * den <= num * q:
             # The line from (level/4, 1/2) to (level, 1): (level + 2x) / (3 * level).
             return num * q + 2 * p * den, 3 * num * q
         return 1, 1
-    return _profile(2, p, q, num, den)
+    # Half of f at min(2x, 1).
+    f_num, f_den = _profile(2 * p, q, num, den) if 2 * p < q else _profile(1, 1, num, den)
+    return f_num, 2 * f_den
 
 
 def _pair(value: Fraction) -> Pair:
@@ -322,8 +314,8 @@ def g_value(x: Fraction, level: Fraction) -> Fraction:
 
     For levels at most 1: half the rescaled a=2 profile left of level/4, a
     straight interpolation up to 1 on [level/4, level], and 1 beyond.  For
-    larger levels: the same strip construction as ``f_value`` but over the
-    G family of curves.
+    larger levels: half of the a=2 profile at min(2x, 1), which is the strip
+    construction of ``f_value`` over the G family of curves.
     """
     x, level = _exact(x, "x"), _exact(level, "level")
     _check_profile_args(x, level)
@@ -397,16 +389,16 @@ def _bound_row(x: Pair, a: Pair, levels: Iterable[Pair], values: bool = True) ->
             elif an <= ad and u >= w * an:
                 append((_HEIGHT_KIND, None, False, an, ad))
             elif 4 * u <= w * an:
-                f_num, f_den = _profile(1, p, q, num, den)
+                f_num, f_den = _profile(p, q, num, den)
                 append((_PROFILE_KIND, None, False, an * f_num, 2 * ad * f_den))
             else:  # (a + 2x / level) / 3
                 append((_MIXED_KIND, None, False, an * w + 2 * u, 3 * ad * w))
         elif an == 0 or xn == 0:
             append(_ZERO_ENTRY)
         else:
-            m, plateau = _strip(1, p, q, num, den)
+            m, plateau = _strip(p, q, num, den)
             if values:
-                f_num, f_den = _strip_value(1, p, q, num, den, m, plateau)
+                f_num, f_den = _strip_value(p, q, num, den, m, plateau)
                 append((_STRIP_KIND, m, plateau, an * f_num, 2 * ad * f_den))
             else:
                 append((_STRIP_KIND, m, plateau, None, None))
@@ -457,7 +449,7 @@ def f_region(x: Fraction, level: Fraction) -> RegionTag:
 
 
 def g_region(x: Fraction, level: Fraction) -> RegionTag:
-    """Region tag of the a=1 profile at (x, level)."""
+    """Region tag of the a=1 profile at (x, level): above level 1, F's at min(2x, 1), a strip up."""
     return _profile_region(Family.G, x, level)
 
 
@@ -471,12 +463,13 @@ def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if num <= 0:
         return _OBSTACLE
-    if family is Family.G and num <= den:
+    g = family is Family.G
+    if g and num <= den:
         return classify_region(x, ONE, level)
     if p == 0:
         return _ZERO
-    m, plateau = _strip(_offset(family), p, q, num, den)
-    return RegionTag(RegionKind.STRIP, strip=m, plateau=plateau)
+    m, plateau = _strip(min(2 * p, q) if g else p, q, num, den)  # G strip m + 1: F strip m at 2x
+    return RegionTag(RegionKind.STRIP, m + g, plateau)
 
 
 def _profile_vertices(level: Pair, x_min: Pair) -> list[tuple[Pair, Pair]]:
@@ -486,11 +479,11 @@ def _profile_vertices(level: Pair, x_min: Pair) -> list[tuple[Pair, Pair]]:
     # The ends take f's values unless a crossing is x_min itself; a curve
     # crossing at x = 1 (when the level is its top) gives way to f(1).
     (num, den), (xn, xd) = level, x_min
-    first, _ = _strip(1, 1, 1, num, den)
-    last, _ = _strip(1, xn, xd, num, den)
+    first, _ = _strip(1, 1, num, den)
+    last, _ = _strip(xn, xd, num, den)
     vertices = []
     for m in range(last, first - 1, -1):
-        p, q = _curve_x(1, m, num, den)
+        p, q = _curve_x(m, num, den)
         if xn * q <= p * xd and p < q:
             vertices.append(((p, q), (1, 1 << m)))
     if not vertices or vertices[0][0][0] * xd != xn * vertices[0][0][1]:
@@ -540,8 +533,8 @@ def profile_slopes(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
 
 def _segment_slope(strip: int, level: Pair) -> Pair:
     """``segment_slope`` at strip >= 1 and 0 < level <= strip + 1."""
-    left_p, left_q = _curve_x(1, strip, *level)
-    right_p, right_q = _curve_x(1, strip - 1, *level)
+    left_p, left_q = _curve_x(strip, *level)
+    right_p, right_q = _curve_x(strip - 1, *level)
     # 1 / (2**strip * (right - left))
     return left_q * right_q, (right_p * left_q - left_p * right_q) << strip
 
@@ -574,7 +567,7 @@ def _recip_slope_forms(window: int, m: int) -> dict[str, tuple[tuple, tuple]]:
         return (-c * two * (b - a), a * b), (two * (b - a), a * b)
 
     k = window  # the ranges end at k, at two curve vertices and at k + 1
-    ends = (k, 1), _vertex_level(1, m - k + 2, m), _vertex_level(1, m - k + 3, m + 1), (k + 1, 1)
+    ends = (k, 1), _vertex_level(m - k + 2, m), _vertex_level(m - k + 3, m + 1), (k + 1, 1)
     if k == 2:  # the segment's lower end still on an origin segment
         lo, hi = (1 << m) - 1, (6 << m) - 1
         low, mid_c0, high = form(0, (3 << m) - 1, hi), (-2 * two, lo), form(2, lo, (2 << m) - 1)

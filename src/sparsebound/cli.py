@@ -13,9 +13,9 @@ all checks pass, 1 a violation or missed attainment was found, 2 usage error,
 handler.  A call that names a command first is parsed once, by that
 command's own parser, built on its first use; any other call (no
 arguments, ``-h``, an unknown command) goes to the whole tree of parsers,
-which also reports extra arguments.  Only ``verify`` and ``brute`` import
-``verify``, the largest module, and they read its functions from it each
-time they run, so that a function replaced there is the one called.
+which also reports extra arguments.  ``verify`` and ``brute`` import
+``verify``, ``extremize`` and ``corollary`` import ``extremal``, and each
+reads them at every run, so that a function replaced there is the one called.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .candidate import (
     Family,
@@ -39,17 +39,11 @@ from .candidate import (
     g_region,
     g_value,
 )
-from .dyadic import Config, _depth_index
-from .extremal import (
-    attainment_report,
-    corollary_config,
-    corollary_target,
-    curve_vertex_config,
-    curve_vertex_target,
-    AttainmentTarget,
-    EXTREMIZER_CURVE_CAP,
-)
 from .rational import DomainError, format_rational, parse_rational
+
+if TYPE_CHECKING:  # imported at run time only by the commands that build a configuration
+    from .dyadic import Config
+    from .extremal import AttainmentTarget
 
 
 # The curves output grows about as m_max**3 bytes: 11 MB of CSV at the cap.
@@ -276,7 +270,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 def _brute_arguments(parser: argparse.ArgumentParser) -> None:
     from .verify import EXHAUSTIVE_DEPTH_CAP, SAMPLED_DEPTH_CAP
 
-    # Set here, not in ``_COMMANDS``: the caps live in ``verify``.
     parser.description = (
         f"Exhaustive up to depth {EXHAUSTIVE_DEPTH_CAP}; deeper runs need --sample. "
         f"Sampled mode is capped at depth {SAMPLED_DEPTH_CAP}."
@@ -314,34 +307,52 @@ def _cmd_brute(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
-    report = attainment_report(config, target)
+    from . import dyadic, extremal  # one import per call, and the cheapest form of it
+
+    report = extremal.attainment_report(config, target)
     seq = config.seq
     texts = {v: _json_rational(Fraction(v, seq._den)) for v in set(seq._values)}
     # Generated, not listed: thousands of live row tuples set off a full garbage collection.
     rows = zip(seq._keys, seq._values)
     weights = ((d, key - (1 << d), texts[v]) for key, v in rows for d in [key.bit_length() - 1])
     config_json = {
-        "E": {"intervals": _Rows(("d", "i"), map(_depth_index, config.subset._keys))},
+        "E": {"intervals": _Rows(("d", "i"), map(dyadic._depth_index, config.subset._keys))},
         "alpha": {"weights": _Rows(("d", "i", "w"), weights)},
     }
     return _dumps({"config": config_json, "report": report}), 0 if report["attained"] else 1
 
 
 def _extremize_arguments(parser: argparse.ArgumentParser) -> None:
+    from .extremal import EXTREMIZER_CURVE_CAP
+
+    parser.description = (
+        "The configuration of curve m has 2**(m+2) - 1 weights; "
+        f"m above {EXTREMIZER_CURVE_CAP} is a usage error."
+    )
     parser.add_argument("m", type=_integer)
     parser.add_argument("k", type=_integer)
 
 
 def _cmd_extremize(args: argparse.Namespace) -> tuple[str, int]:
+    from .extremal import curve_vertex_config, curve_vertex_target
+
     return _attainment(curve_vertex_config(args.m, args.k), curve_vertex_target(args.m, args.k))
 
 
 def _corollary_arguments(parser: argparse.ArgumentParser) -> None:
+    from .extremal import EXTREMIZER_CURVE_CAP
+
+    parser.description = (
+        "The extremizer is that of curve m = N + n - 3, with 2**(m+2) - 1 weights; "
+        f"m above {EXTREMIZER_CURVE_CAP} is a usage error."
+    )
     parser.add_argument("n", type=_integer)
     parser.add_argument("N", type=_integer)
 
 
 def _cmd_corollary(args: argparse.Namespace) -> tuple[str, int]:
+    from .extremal import corollary_config, corollary_target
+
     return _attainment(corollary_config(args.n, args.N), corollary_target(args.n, args.N))
 
 
@@ -352,7 +363,8 @@ class _Command(NamedTuple):
     run: Callable[[argparse.Namespace], tuple[str, int]]
 
 
-# In the order ``sparsebound -h`` lists them.
+# In the order ``sparsebound -h`` lists them.  A description that names a cap
+# is set by the arguments function, which imports the cap's module.
 _COMMANDS = {
     "eval": _Command(
         "evaluate the bound or a boundary profile", None, _eval_arguments, _cmd_eval
@@ -368,18 +380,10 @@ _COMMANDS = {
         "enumerate configurations at one depth", None, _brute_arguments, _cmd_brute
     ),
     "extremize": _Command(
-        "construct a curve-vertex extremizer",
-        "The configuration of curve m has 2**(m+2) - 1 weights; "
-        f"m above {EXTREMIZER_CURVE_CAP} is a usage error.",
-        _extremize_arguments,
-        _cmd_extremize,
+        "construct a curve-vertex extremizer", None, _extremize_arguments, _cmd_extremize
     ),
     "corollary": _Command(
-        "construct a lattice-bound extremizer",
-        "The extremizer is that of curve m = N + n - 3, with 2**(m+2) - 1 weights; "
-        f"m above {EXTREMIZER_CURVE_CAP} is a usage error.",
-        _corollary_arguments,
-        _cmd_corollary,
+        "construct a lattice-bound extremizer", None, _corollary_arguments, _cmd_corollary
     ),
 }
 

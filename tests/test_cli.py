@@ -558,6 +558,40 @@ def test_verify_is_imported_by_its_commands_only(argvs, imported):
     assert proc.stdout == f"{[0] * len(argvs)} {imported}\n", proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argvs, imported",
+    [
+        ([["eval", "--which", "B", "1/2", "2", "5/2"], ["eval", "--which", "g", "1/3", "3/2"]], False),
+        ([["curves", "2"], ["curves", "2", "--family", "G", "--format", "json"]], False),
+        ([["extremize", "0", "0"]], True),
+        ([["corollary", "1", "3"]], True),
+    ],
+)
+def test_extremal_is_imported_by_its_commands_only(argvs, imported):
+    code = (
+        "import contextlib, io, sys\n"
+        "from sparsebound.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, [f'sparsebound.{name}' in sys.modules for name in ('dyadic', 'extremal')])\n"
+    )
+    proc = run_python(["-c", code], stdout=subprocess.PIPE)
+    assert proc.stdout == f"{[0] * len(argvs)} {[imported] * 2}\n", proc.stderr
+
+
+def test_package_imports_extremal_on_first_use():
+    # The README example's curve_vertex_config is extremal's own, imported when first read.
+    code = (
+        "import sys, sparsebound\n"
+        "before = 'sparsebound.extremal' in sys.modules\n"
+        "from sparsebound import curve_vertex_config\n"
+        "from sparsebound.extremal import curve_vertex_config as own\n"
+        "print(before, curve_vertex_config is own)\n"
+    )
+    proc = run_python(["-c", code], stdout=subprocess.PIPE)
+    assert proc.stdout == "False True\n", proc.stderr
+
+
 def _payloads(capsys):
     """The JSON each JSON-printing command writes, parsed back."""
     argvs = [

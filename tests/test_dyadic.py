@@ -735,7 +735,8 @@ REPORTS = [
 
 def _report_text(config, report):
     """What ``extremize`` and ``corollary`` write for a configuration and its report."""
-    with mock.patch.object(cli, "attainment_report", lambda _config, _target: report):
+    # The CLI reads attainment_report from extremal at each call.
+    with mock.patch("sparsebound.extremal.attainment_report", lambda _config, _target: report):
         return cli._attainment(config, None)[0]
 
 
