@@ -29,23 +29,23 @@ result.  The ``Fraction`` forms these replaced are kept in
 The kernel's entries take and return rationals as (numerator, positive
 denominator) pairs, not necessarily in lowest terms: ``_bound_row``,
 ``_bound``, ``_f_value``, ``_f_extended``, ``_g_value``,
-``_profile_slopes``, ``_segment_slope``, ``_recip_slope_forms`` and
-``_vertex_level``, the one form of an F vertex's level.  They check
-nothing; the public functions check their arguments and wrap them, and the
-verify suites call them directly.  The bound's region tests and closed
-forms are written once, in ``_bound_row(x, a, levels)``: it scales x once
-for the point (x, a) and gives each level a plain ``(kind, m, plateau,
-num, den)`` tuple, since the brute report reads a whole row of levels per
-(x, a) and building a ``RegionTag`` costs about 0.5 us.  ``_bound`` is its
-one-level case; ``classify_region`` reads one level's tag, without a
-strip's value, and alone builds the named tuple.
+``_profile_vertices``, ``_profile_slopes``, ``_segment_slope``,
+``_recip_slope_forms`` and ``_vertex_level``, the one form of an F
+vertex's level.  They check nothing: the public functions that wrap them
+check their arguments, and the verify suites call them directly.  The
+bound's region tests and closed forms are written once, in
+``_bound_row(x, a, levels)``: it scales x once for the point (x, a) and
+gives each level a plain ``(kind, m, plateau, num, den)`` tuple, since the
+brute report reads a whole row of levels per (x, a) and building a
+``RegionTag`` costs about 0.5 us.  ``_bound`` is its one-level case;
+``classify_region`` reads one level's tag, without a strip's value, and
+alone builds the named tuple.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import starmap
 from typing import Iterable, NamedTuple
 
 from .geometry import PlanePoint
@@ -56,11 +56,9 @@ __all__ = [
     "RegionKind",
     "RegionTag",
     "vertex_f",
-    "vertex_g",
     "curve_vertices",
     "curve_height",
     "curve_x",
-    "origin_parameter",
     "f_value",
     "f_extended",
     "g_value",
@@ -68,10 +66,7 @@ __all__ = [
     "g_region",
     "classify_region",
     "bellman_value",
-    "profile_vertices",
     "profile_slopes",
-    "segment_slope",
-    "recip_slope_forms",
     "corollary_bound",
 ]
 
@@ -122,21 +117,10 @@ def vertex_f(k: int, m: int) -> PlanePoint:
     return _vertex(Family.F, k, m)
 
 
-def vertex_g(k: int, m: int) -> PlanePoint:
-    """k-th vertex of the m-th G curve: (2**-k, m - k + 3 - 2**(1-k))."""
-    return _vertex(Family.G, k, m)
-
-
 def curve_vertices(family: Family, m: int) -> list[PlanePoint]:
     """Vertices of the m-th curve: origin, then k = m down to 0."""
     m = _curve_index(m)
     return [PlanePoint(ZERO, ZERO)] + [_vertex(family, k, m) for k in range(m, -1, -1)]
-
-
-def origin_parameter(family: Family, m: int) -> Fraction:
-    """Reciprocal slope of the m-th curve's segment through the origin."""
-    m = _curve_index(m)  # G's segment ends at its vertex m, 2**-m below F's: one less slope
-    return Fraction(1, (3 << m) - 1 - (family is Family.G))
 
 
 def curve_height(family: Family, m: int, x: Fraction) -> Fraction:
@@ -473,7 +457,7 @@ def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
 
 
 def _profile_vertices(level: Pair, x_min: Pair) -> list[tuple[Pair, Pair]]:
-    """``profile_vertices`` at level > 0 and 0 < x_min <= 1, as (x, value) pairs."""
+    """The (x, f) vertices of ``f_value(., level)`` on [x_min, 1], 0 < x_min <= 1, left to right."""
     # Curves first to last cross the level in [x_min, 1], left to right
     # from last, first and last being the strips of x = 1 and of x_min.
     # The ends take f's values unless a crossing is x_min itself; a curve
@@ -511,16 +495,6 @@ def _check_profile_window(level: Fraction, x_min: Fraction) -> tuple[Pair, Pair]
     return _pair(level), _pair(x_min)
 
 
-def profile_vertices(level: Fraction, x_min: Fraction) -> tuple[PlanePoint, ...]:
-    """Vertices of ``f_value(., level)`` restricted to [x_min, 1], left to right.
-
-    The full vertex set accumulates at x = 0, hence the positive left
-    cutoff; the leftmost vertex is (x_min, f(x_min)).
-    """
-    vertices = _profile_vertices(*_check_profile_window(level, x_min))
-    return tuple(PlanePoint(Fraction(*x), Fraction(*y)) for x, y in vertices)
-
-
 def profile_slopes(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
     """Slopes of ``f_value(., level)`` on [x_min, 1], left to right.
 
@@ -532,34 +506,15 @@ def profile_slopes(level: Fraction, x_min: Fraction) -> tuple[Fraction, ...]:
 
 
 def _segment_slope(strip: int, level: Pair) -> Pair:
-    """``segment_slope`` at strip >= 1 and 0 < level <= strip + 1."""
+    """The profile's slope in strip >= 1 at 0 < level <= strip + 1, between its two curves."""
     left_p, left_q = _curve_x(strip, *level)
     right_p, right_q = _curve_x(strip - 1, *level)
     # 1 / (2**strip * (right - left))
     return left_q * right_q, (right_p * left_q - left_p * right_q) << strip
 
 
-def segment_slope(strip: int, level: Fraction) -> Fraction:
-    """Slope of the interpolation segment inside the given strip.
-
-    The segment joins (curve_x(F, strip), 2**-strip) to
-    (curve_x(F, strip - 1), 2**(1 - strip)); defined for levels at most
-    strip + 1 (beyond that the strip is a plateau).
-    """
-    strip, level = _index(strip, "strip index"), _exact(level, "level")
-    if strip < 1:
-        raise DomainError(f"strip index must be at least 1, got {strip}")
-    if not ZERO < level <= strip + 1:
-        raise DomainError(f"level {level} outside (0, {strip + 1}]")
-    return Fraction(*_segment_slope(strip, _pair(level)))
-
-
-LinearForm = tuple[Fraction, Fraction]  # value at level t is c0 + c1*t
-LevelRange = tuple[Fraction, Fraction]  # half-open (lo, hi]
-
-
 def _recip_slope_forms(window: int, m: int) -> dict[str, tuple[tuple, tuple]]:
-    """``recip_slope_forms`` at 2 <= window <= m + 1, as unreduced pairs."""
+    """Strip m + 1's reciprocal slope c0 + c1 * level, by level range in (window, window + 1]."""
     two = 2 << m  # 2**s, s = m + 1 the strip index
 
     def form(c: int, a: int, b: int) -> tuple[Pair, Pair]:
@@ -580,23 +535,8 @@ def _recip_slope_forms(window: int, m: int) -> dict[str, tuple[tuple, tuple]]:
     return {"low": (low, ends[0:2]), "mid": (mid, ends[1:3]), "high": (high, ends[2:4])}
 
 
-def recip_slope_forms(window: int, m: int) -> dict[str, tuple[LinearForm, LevelRange]]:
-    """Closed forms of the reciprocal slope on strip m+1 for levels in (window, window+1].
-
-    Returns the three linear-in-level forms ("low", "mid", "high") together
-    with their level sub-ranges; as the level rises through the window the
-    segment endpoints cross curve vertices, switching the active form.
-    ``window = 2`` is the case where the lower endpoint still sits on an
-    origin segment; larger windows use interior segments only.
-    """
-    return {
-        name: (tuple(starmap(Fraction, form)), tuple(starmap(Fraction, levels)))
-        for name, (form, levels) in _recip_slope_forms(*_check_window(window, m)).items()
-    }
-
-
 def _check_window(window: int, m: int) -> tuple[int, int]:
-    """The window and curve index of ``recip_slope_forms``, checked."""
+    """The window and curve index of ``_recip_slope_forms``, checked."""
     window, m = _index(window, "window"), _index(m, "curve index")
     if not 2 <= window <= m + 1:
         raise DomainError(f"slope forms need 2 <= window <= m + 1, got window={window}, m={m}")

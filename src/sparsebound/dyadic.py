@@ -69,21 +69,6 @@ class DyadicInterval:
     def measure(self) -> Fraction:
         return Fraction(1, 2**self.depth)
 
-    @property
-    def left(self) -> Fraction:
-        return Fraction(self.index, 2**self.depth)
-
-    def parent(self) -> DyadicInterval:
-        if self.depth == 0:
-            raise DomainError("the root interval has no parent")
-        return DyadicInterval(self.depth - 1, self.index // 2)
-
-    def children(self) -> tuple[DyadicInterval, DyadicInterval]:
-        return (
-            DyadicInterval(self.depth + 1, 2 * self.index),
-            DyadicInterval(self.depth + 1, 2 * self.index + 1),
-        )
-
     def contains(self, other: DyadicInterval) -> bool:
         """Whether ``other`` is contained in (or equal to) this interval."""
         return other.depth >= self.depth and (other.index >> (other.depth - self.depth)) == self.index

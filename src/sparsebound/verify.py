@@ -424,7 +424,8 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     forms of the reciprocal slopes are linear in the level, so checking each
     certificate inequality at both endpoints of its level range certifies it
     on the whole range; the forms themselves are cross-checked against the
-    geometric segment slope at interior points.
+    geometric segment slope at interior points.  The spec's seed and count go
+    unread: the certificates and default grid are fixed, and the CLI's "samples" echoes --count.
     """
     grid = (_check_profile_window(level, SLOPES_X_MIN) for level in spec.lambda_grid)
     for level, x_min in grid if spec.lambda_grid else _SLOPES_GRID:

@@ -2,8 +2,10 @@
 
 Each one computes what a fast path of the package computes, by a more
 direct route: the a=2 profile by node interpolation at small levels, the
-level curves' indices by scanning their segments and the strips by
-scanning the curves, the profile's vertices and slopes through a
+level curves' vertex levels and origin slopes from formulas of its own
+(it borrows none from the package), the curves' indices by scanning their
+segments and the strips by scanning the curves, the profile's vertices
+and slopes through a
 piecewise-linear function that interpolates them, the bound, its region tags and the profiles in
 ``Fraction`` arithmetic, the closed slope forms from the curve vertices, the
 concatenation identity from ``Fraction`` level sets, concatenation and the extremizers' moves
@@ -32,19 +34,11 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from sparsebound.candidate import (
-    Family,
-    _pair,
-    RegionKind,
-    RegionTag,
-    origin_parameter,
-    vertex_f,
-    vertex_g,
-)
+from sparsebound.candidate import Family, RegionKind, RegionTag, _pair
 from sparsebound import cli, verify
 from sparsebound.dyadic import (
     ROOT,
@@ -102,8 +96,18 @@ def f_value_nodes(x: Fraction, level: Fraction) -> Fraction:
     return lo + (hi - lo) * (x - node(k)) / (node(k - 1) - node(k))
 
 
-def _vertex(family: Family, k: int, m: int):
-    return vertex_f(k, m) if family is Family.F else vertex_g(k, m)
+def _offset(family: Family) -> int:
+    return 1 if family is Family.F else 2
+
+
+def _vertex_level(family: Family, k: int, m: int) -> Fraction:
+    """The level of vertex k of curve m: m - k + 3 - 2**-k for F, 2**-k lower for G."""
+    return m - k + 3 - _offset(family) * Fraction(2) ** -k
+
+
+def _origin_recip_slope(family: Family, m: int) -> Fraction:
+    """Reciprocal slope of curve m's origin segment, which ends at vertex m."""
+    return Fraction(1, 3 * 2**m - _offset(family))
 
 
 def _segment_denominator(family: Family, k: int) -> int:
@@ -120,7 +124,7 @@ def curve_height_scan(family: Family, m: int, x: Fraction) -> Fraction:
     if x == 0:
         return Fraction(0)
     if x <= Fraction(1, 2**m):
-        return x / origin_parameter(family, m)
+        return x / _origin_recip_slope(family, m)
     k = 1
     while x <= Fraction(1, 2**k):
         k += 1
@@ -132,11 +136,11 @@ def curve_height_scan(family: Family, m: int, x: Fraction) -> Fraction:
 
 def curve_x_scan(family: Family, m: int, level: Fraction) -> Fraction:
     """``curve_x`` with the segment found by walking the vertices k = m, m-1, ... upward."""
-    if level <= _vertex(family, m, m).y:
-        return level * origin_parameter(family, m)
+    if level <= _vertex_level(family, m, m):
+        return level * _origin_recip_slope(family, m)
     k_min = 2 if family is Family.G else 1
     for k in range(m, k_min - 1, -1):
-        if level <= _vertex(family, k - 1, m).y:
+        if level <= _vertex_level(family, k - 1, m):
             return (level - (m - k + 2)) / _segment_denominator(family, k)
     raise AssertionError("unreachable: segment search exhausted")
 
@@ -196,7 +200,10 @@ class PiecewiseLinearFn:
 
 
 def profile_vertices_scan(level: Fraction, x_min: Fraction) -> tuple[PlanePoint, ...]:
-    """``profile_vertices`` by walking curves upward from the first to reach the level at x = 1."""
+    """``candidate._profile_vertices`` as points, by walking curves upward.
+
+    The walk starts at the first curve to reach the level at x = 1.
+    """
     collected: list[tuple[Fraction, Fraction]] = []
     m = max(0, math.ceil(level) - 2)
     while True:
@@ -223,10 +230,6 @@ def profile_vertices_scan(level: Fraction, x_min: Fraction) -> tuple[PlanePoint,
 # but every step is a Fraction operation and the interpolation is ``lerp``.
 
 
-def _offset(family: Family) -> int:
-    return 1 if family is Family.F else 2
-
-
 def _floor_log2(r: Fraction) -> int:
     """The largest integer e with 2**e <= r, for r > 0."""
     p, q = r.numerator, r.denominator
@@ -235,14 +238,10 @@ def _floor_log2(r: Fraction) -> int:
     return e if at_least else e - 1
 
 
-def _vertex_level(family: Family, k: int, m: int) -> Fraction:
-    return m - k + 3 - _offset(family) * Fraction(2) ** -k
-
-
 def curve_x_fraction(family: Family, m: int, level: Fraction) -> Fraction:
     """``curve_x`` in Fraction arithmetic, for 0 <= level <= the curve's top."""
     if level < 3 and level <= _vertex_level(family, m, m):
-        return level * origin_parameter(family, m)
+        return level * _origin_recip_slope(family, m)
     k = m + 4 - math.ceil(level)
     if level > _vertex_level(family, k - 1, m):
         k -= 1
@@ -340,44 +339,45 @@ def bellman_value_fraction(x: Fraction, a: Fraction, level: Fraction) -> Fractio
 
 
 def segment_slope_fraction(strip: int, level: Fraction) -> Fraction:
-    """``segment_slope`` from the two curves' crossings of the level."""
+    """``candidate._segment_slope`` from the two curves' crossings of the level."""
     run = curve_x_fraction(Family.F, strip - 1, level) - curve_x_fraction(Family.F, strip, level)
     return 1 / (2**strip * run)
 
 
 def recip_slope_forms_fraction(window: int, m: int) -> dict:
-    """``recip_slope_forms`` in Fraction arithmetic, from the vertices and origin parameters."""
+    """``candidate._recip_slope_forms`` in Fractions, from the vertex levels and origin slopes."""
     if window < 2 or m < max(1, window - 1):
         raise DomainError(f"no forms for window {window}, m={m}")
     two = Fraction(2 ** (m + 1))
+    vertex_level = partial(_vertex_level, Family.F)
     if window == 2:
-        x_m = origin_parameter(Family.F, m)
-        x_m1 = origin_parameter(Family.F, m + 1)
-        low = ((Fraction(0), two * (x_m - x_m1)), (Fraction(2), vertex_f(m, m).y))
+        x_m = _origin_recip_slope(Family.F, m)
+        x_m1 = _origin_recip_slope(Family.F, m + 1)
+        low = ((Fraction(0), two * (x_m - x_m1)), (Fraction(2), vertex_level(m, m)))
         d_mid = Fraction(1, 2**m - 1) - x_m1
         mid = (
             (-2 * two / (2**m - 1), two * d_mid),
-            (vertex_f(m, m).y, vertex_f(m + 1, m + 1).y),
+            (vertex_level(m, m), vertex_level(m + 1, m + 1)),
         )
         d_high = Fraction(1, 2**m - 1) - Fraction(1, 2 ** (m + 1) - 1)
-        high = ((-2 * two * d_high, two * d_high), (vertex_f(m + 1, m + 1).y, Fraction(3)))
+        high = ((-2 * two * d_high, two * d_high), (vertex_level(m + 1, m + 1), Fraction(3)))
         return {"low": low, "mid": mid, "high": high}
     k = window
     d_low = Fraction(1, 2 ** (m - k + 3) - 1) - Fraction(1, 2 ** (m - k + 4) - 1)
     low = (
         (-(k - 1) * two * d_low, two * d_low),
-        (Fraction(k), vertex_f(m - k + 2, m).y),
+        (Fraction(k), vertex_level(m - k + 2, m)),
     )
     c_lo = Fraction(1, 2 ** (m - k + 2) - 1)
     c_hi = Fraction(1, 2 ** (m - k + 4) - 1)
     mid = (
         (two * (-k * c_lo + (k - 1) * c_hi), two * (c_lo - c_hi)),
-        (vertex_f(m - k + 2, m).y, vertex_f(m - k + 3, m + 1).y),
+        (vertex_level(m - k + 2, m), vertex_level(m - k + 3, m + 1)),
     )
     d_high = Fraction(1, 2 ** (m - k + 2) - 1) - Fraction(1, 2 ** (m - k + 3) - 1)
     high = (
         (-k * two * d_high, two * d_high),
-        (vertex_f(m - k + 3, m + 1).y, Fraction(k + 1)),
+        (vertex_level(m - k + 3, m + 1), Fraction(k + 1)),
     )
     return {"low": low, "mid": mid, "high": high}
 

@@ -1,6 +1,9 @@
 import errno
+import importlib
 import json
 import os
+import pkgutil
+import re
 import stat
 import subprocess
 import sys
@@ -13,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+import sparsebound
 from sparsebound import cli, extremal, verify
 from sparsebound.cli import CURVES_CAP, _Rows, _dumps, main
 from sparsebound.rational import format_rational, parse_rational
@@ -89,6 +93,19 @@ def test_verify_suite(capsys):
     payload = json.loads(out)
     assert payload[0]["check"] == "jump"
     assert payload[0]["violations"] == []
+
+
+def test_verify_slopes_reads_neither_seed_nor_count(capsys):
+    # A fixed grid with fixed certificates: the seed changes no byte, and the
+    # count only the "samples" field that echoes it.
+    reports = {
+        (seed, count): run_cli(capsys, "verify", "slopes", "--seed", seed, "--count", count)
+        for seed, count in (("1", "5"), ("2", "5"), ("1", "500"))
+    }
+    assert reports[("1", "5")] == reports[("2", "5")]
+    (code, few), (_, many) = reports[("1", "5")], reports[("1", "500")]
+    assert code == 0 and '"samples": 5,' in few
+    assert many == few.replace('"samples": 5,', '"samples": 500,') != few
 
 
 def test_verify_unknown_suite_usage_error(capsys):
@@ -289,6 +306,17 @@ def test_readme_exit_codes_state_the_caps():
         f"`curves` beyond m_max = {CURVES_CAP},",
     ):
         assert stated in text
+
+
+def test_readme_api_lists_each_module_all():
+    # One README bullet per module that has an __all__, naming exactly its names.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullets = re.findall(r"^- `(sparsebound[.\w]*)`: (.*(?:\n  .*)*)", readme, re.M)
+    listed = {module: set(re.findall(r"`(\w+)`", names)) for module, names in bullets}
+    submodules = (f"sparsebound.{m.name}" for m in pkgutil.iter_modules(sparsebound.__path__))
+    modules = map(importlib.import_module, ("sparsebound", *submodules))
+    exported = {m.__name__: set(m.__all__) for m in modules if hasattr(m, "__all__")}
+    assert listed == exported
 
 
 def test_curves_help_states_the_cap(capsys):

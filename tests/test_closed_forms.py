@@ -1,9 +1,12 @@
 """Closed-form curve and strip indices: against the scans, and at far levels.
 
-``curve_x``, ``curve_height``, ``candidate._strip`` and ``profile_vertices``
-read the segment and strip indices off the point itself.  The scans they
-replaced stay in ``tests/reference.py`` as the oracle; a scan costs time
-linear in the level, so the differential tests stay below level 2000.
+``curve_x``, ``curve_height``, ``candidate._strip`` and
+``candidate._profile_vertices`` read the segment and strip indices off the
+point itself.  The scans they replaced stay in ``tests/reference.py`` as
+the oracle, with their own vertex levels and origin slopes, so they share
+no closed form with the package; a scan costs time linear in the level,
+so the differential tests stay below level 2000.  The vertices of every
+curve up to ``MAX_EXPONENT`` are checked against those levels.
 
 The far-level tests check values that do not come from the code under
 test: the lattice values 2**-n * 2**(3-N) at (2**-n, N - 2**-n), the
@@ -34,18 +37,19 @@ from sparsebound import cli
 from sparsebound.candidate import (
     Family,
     RegionKind,
+    _pair,
+    _profile_vertices,
     _strip,
     bellman_value,
     classify_region,
     curve_height,
+    curve_vertices,
     curve_x,
     f_region,
     f_value,
     g_region,
     g_value,
-    profile_vertices,
     vertex_f,
-    vertex_g,
 )
 from sparsebound.geometry import PlanePoint
 from sparsebound.rational import parse_rational
@@ -55,6 +59,11 @@ MAX_EXPONENT = 64  # x goes down to 2**-64 and a little below
 FAR_LEVELS = (10**6, 10**12)
 
 families = st.sampled_from(list(Family))
+
+
+def kernel_vertices(level, x_min):
+    """``candidate._profile_vertices`` at ``Fraction`` arguments, as pairs of ``Fraction``s."""
+    return tuple((F(*x), F(*y)) for x, y in _profile_vertices(_pair(level), _pair(x_min)))
 
 
 @st.composite
@@ -75,7 +84,7 @@ def levels_up_to(draw, top):
         family = draw(families)
         m = draw(st.integers(0, top - 2))
         k = draw(st.integers(0, min(m, MAX_EXPONENT)))
-        return (vertex_f if family is Family.F else vertex_g)(k, m).y
+        return vertex_level_fraction(family, k, m)
     q = draw(st.integers(1, 64))
     return F(draw(st.integers(1, top * q)), q)
 
@@ -89,7 +98,7 @@ def curve_levels(draw):
     kind = draw(st.sampled_from(("any", "vertex", "near")))
     if kind == "vertex":
         k = draw(st.integers(0, m))
-        return family, m, (vertex_f if family is Family.F else vertex_g)(k, m).y
+        return family, m, vertex_level_fraction(family, k, m)
     if kind == "near":  # at the top or just below it
         return family, m, top - F(draw(st.integers(0, 3)), draw(st.integers(4, 8)))
     q = draw(st.integers(1, 64))
@@ -111,11 +120,13 @@ def test_curve_x_matches_scan(point):
 
 def test_vertices_match_fraction_levels():
     # Every vertex up to curve MAX_EXPONENT against the level's Fraction form.
-    for family, vertex in ((Family.F, vertex_f), (Family.G, vertex_g)):
+    for family in Family:
         for m in range(MAX_EXPONENT + 1):
-            for k in range(m + 1):
-                expected = PlanePoint(F(1, 2**k), vertex_level_fraction(family, k, m))
-                assert vertex(k, m) == expected
+            ks = range(m, -1, -1)
+            expected = [PlanePoint(F(1, 2**k), vertex_level_fraction(family, k, m)) for k in ks]
+            assert curve_vertices(family, m) == [PlanePoint(F(0), F(0)), *expected]
+            if family is Family.F:
+                assert [vertex_f(k, m) for k in ks] == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,16 +156,16 @@ def test_profiles_match_scan(x, level, a):
 @settings(max_examples=30, deadline=None)
 @given(level=levels_up_to(MAX_LEVEL), x_min=unit_points())
 def test_profile_vertices_match_scan(level, x_min):
-    assert profile_vertices(level, x_min) == profile_vertices_scan(level, x_min)
+    assert kernel_vertices(level, x_min) == profile_vertices_scan(level, x_min)
 
 
 def test_profile_vertices_match_scan_on_edges():
     # x_min on a kink, at x = 1 (one vertex), and integer levels, where a curve ends at x = 1.
     for level in (F(1, 3), F(1), F(2), F(5, 2), F(3), F(7, 2), F(10), F(11, 4)):
         for x_min in (F(1), F(1, 2), F(1, 4), F(1, 3), F(1, 2**40)):
-            assert profile_vertices(level, x_min) == profile_vertices_scan(level, x_min)
+            assert kernel_vertices(level, x_min) == profile_vertices_scan(level, x_min)
         kink = curve_x(Family.F, math.ceil(level) + 3, level)
-        assert profile_vertices(level, kink) == profile_vertices_scan(level, kink)
+        assert kernel_vertices(level, kink) == profile_vertices_scan(level, kink)
 
 
 # Far levels.  Lattice point n of level N: x = 2**-n at level N - 2**-n,

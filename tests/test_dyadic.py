@@ -129,15 +129,10 @@ def piece_values(config):
 def test_interval_basics():
     j = iv(2, 3)
     assert j.measure == F(1, 4)
-    assert j.left == F(3, 4)
-    assert j.parent() == iv(1, 1)
-    assert j.children() == (iv(3, 6), iv(3, 7))
     assert iv(0, 0).contains(j)
     assert not j.contains(iv(0, 0))
     with pytest.raises(DomainError):
         iv(1, 2)
-    with pytest.raises(DomainError):
-        ROOT.parent()
 
 
 def test_set_canonicalization():
@@ -229,14 +224,14 @@ def test_pieces_match_uniform_cells(config):
     weighted = [j for j, _ in config.seq.weights]
     end = F(0)
     for piece, value in pieces:
-        assert piece.left == end
+        assert F(piece.index, 2**piece.depth) == end
         end += piece.measure
         span = 2 ** (step.depth - piece.depth)
         assert set(step.values[piece.index * span : (piece.index + 1) * span]) == {value}
         # The walk splits a node only while a weight lies strictly inside it.
         assert not any(piece.contains(j) and j != piece for j in weighted)
         if piece.depth:
-            parent = piece.parent()
+            parent = iv(piece.depth - 1, piece.index // 2)
             assert any(parent.contains(j) and j != parent for j in weighted)
     assert end == 1
     values = step.breakpoints()
@@ -425,7 +420,7 @@ def test_from_intervals_is_canonical(given_intervals):
     got = DyadicSet.from_intervals(given_intervals).intervals
     assert DyadicSet(tuple(given_intervals)).intervals == got
     assert cells_of(got) == cells_of(given_intervals)
-    assert list(got) == sorted(got, key=lambda j: j.left)
+    assert list(got) == sorted(got, key=lambda j: F(j.index, 2**j.depth))
     for a in range(len(got)):
         for b in range(len(got)):
             assert a == b or not got[a].contains(got[b])

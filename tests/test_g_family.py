@@ -23,11 +23,11 @@ from fractions import Fraction as F
 import pytest
 
 from reference import (
-    _offset,
     _vertex_level,
     curve_height_scan,
     curve_top,
     curve_x_fraction,
+    curve_x_scan,
     g_value_fraction,
     profile_region_fraction,
 )
@@ -38,7 +38,6 @@ from sparsebound.candidate import (
     curve_x,
     g_region,
     g_value,
-    origin_parameter,
 )
 from sparsebound.geometry import PlanePoint
 
@@ -47,7 +46,7 @@ EPS = F(1, 2**20)
 GRID_X = [F(i, 128) for i in range(129)]
 GRID_LEVELS = [F(j, 16) for j in range(-1, 14 * 16 + 1)]
 VERTEX_CURVES = 12  # vertex levels of G curves 0..11
-CURVES = 40  # curve indices checked for curve_height, curve_vertices and origin_parameter
+CURVES = 40  # curve indices checked for curve_height, curve_vertices and the origin segment
 FAR_LEVEL = 10**6 + F(1, 3)
 
 
@@ -117,7 +116,9 @@ def test_half():
 def test_curves():
     xs = sorted({*GRID_X, *(x for k in range(CURVES) for x in near(F(1, 2**k)) if 0 <= x <= 1)})
     for m in range(CURVES):
-        assert origin_parameter(G, m) == F(1, 3 * 2**m - _offset(G))
+        # The origin segment ends at vertex m: curve_x there and a third of the way up.
+        for level in (_vertex_level(G, m, m) / 3, _vertex_level(G, m, m)):
+            assert curve_x(G, m, level) == curve_x_scan(G, m, level), (m, level)
         expected = [PlanePoint(F(0), F(0))]
         expected += [PlanePoint(F(1, 2**k), _vertex_level(G, k, m)) for k in range(m, -1, -1)]
         assert curve_vertices(G, m) == expected
@@ -132,4 +133,4 @@ def test_far_level(x, time_limit):
         m = 10**6 + 3  # a curve above the level
         assert curve_x(G, m, FAR_LEVEL) == curve_x_fraction(G, m, FAR_LEVEL)
         assert curve_height(G, m, x) == curve_height_scan(G, m, x)
-        assert origin_parameter(G, m) == F(1, 3 * 2**m - _offset(G))
+        assert curve_x(G, m, F(1, 3)) == curve_x_scan(G, m, F(1, 3))  # on the origin segment
