@@ -159,16 +159,16 @@ def _emit(text: str, output: str | None) -> None:
     A target that is not a regular file, such as ``/dev/null``, is written
     in place.
     """
-    if not text.endswith("\n"):
-        text += "\n"
+    def put(handle) -> None:  # the newline apart: text + "\n" copies the report
+        handle.write(text)
+        handle.write("" if text.endswith("\n") else "\n")
+
     if output is None:
-        sys.stdout.write(text)
-        return
+        return put(sys.stdout)
     target = os.path.realpath(output)  # through a symlink, as opening it would
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        return
+            return put(handle)
     import tempfile
 
     try:
@@ -177,7 +177,7 @@ def _emit(text: str, output: str | None) -> None:
         raise type(exc)(exc.errno, exc.strerror, output) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            put(handle)
         os.chmod(temp, _file_mode(target))
         os.replace(temp, target)
     except BaseException:
@@ -313,8 +313,7 @@ def _attainment(config: Config, target: AttainmentTarget) -> tuple[str, int]:
     seq = config.seq
     texts = {v: _json_rational(Fraction(v, seq._den)) for v in set(seq._values)}
     # Generated, not listed: thousands of live row tuples set off a full garbage collection.
-    rows = zip(seq._keys, seq._values)
-    weights = ((d, key - (1 << d), texts[v]) for key, v in rows for d in [key.bit_length() - 1])
+    weights = dyadic._weight_rows(seq, texts.__getitem__)
     config_json = {
         "E": {"intervals": _Rows(("d", "i"), map(dyadic._depth_index, config.subset._keys))},
         "alpha": {"weights": _Rows(("d", "i", "w"), weights)},

@@ -5,17 +5,19 @@ node is its heap key ``2**depth + index``, an int: the root is 1, the
 children of ``key`` are ``2 * key`` and ``2 * key + 1``, its depth is
 ``key.bit_length() - 1``, and key order is depth-then-index order.  A
 ``DyadicSet`` keeps its keys sorted by left end and a ``CarlesonSequence``
-its keys in the order given, beside their weights.  ``DyadicInterval``s
-appear at the boundary only: the constructors read them, and the
-``intervals`` and ``weights`` views build them on first read.  Weights
-are likewise int numerators over their least common denominator.  Level
-sets and Carleson constants read the weighted nodes only, each linked to
-its nearest weighted ancestor (key 0 if none) in one walk: an unweighted
-node's ratio is the mean of its children's, so the largest is a weighted
-node's, or 0, and values only rise down the forest, by nonnegative shares.
+its keys in key order, however either is built, beside their weights.
+``DyadicInterval``s appear at the boundary only: the constructors read
+them, and the ``intervals`` and ``weights`` views build them on first
+read.  Weights are likewise int numerators over their least common
+denominator.  Level sets and Carleson constants read the weighted nodes
+only, each linked to its nearest weighted ancestor (key 0 if none) in one
+walk over the keys as stored, forward or in reverse: an unweighted node's
+ratio is the mean of its children's, so the largest is a weighted node's,
+or 0, and values only rise down the forest, by nonnegative shares.
 
 Concatenation halves by key arithmetic: a node of depth d moves into the
-left half by adding 2**d and into the right half by adding 2**(d + 1).
+left half by adding 2**d and into the right half by adding 2**(d + 1), so
+each half stays in key order, and the halves interleave depth by depth.
 It checks only the root weight, since a canonical set stays canonical when
 halved and the halves' weights were checked when they were built.
 """
@@ -27,9 +29,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import starmap
+from itertools import chain, compress, repeat, starmap
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .rational import DomainError, _exact, _index
 
@@ -88,6 +90,30 @@ def _depth_index(key: int) -> tuple[int, int]:
     """The depth and index of the node with heap key ``key``."""
     depth = key.bit_length() - 1
     return depth, key - (1 << depth)
+
+
+# From this many keys on, work on a key-ordered sequence goes faster depth by
+# depth, on one slice of keys per depth, than key by key.
+_BY_DEPTH_KEYS = 200
+
+
+def _weight_rows(seq: CarlesonSequence, label: Callable[[int], object]) -> Iterator[tuple]:
+    """Each weight as ``(depth, index, label(numerator))``, in key order.
+
+    From ``_BY_DEPTH_KEYS`` keys on, the rows of one depth's run of keys are
+    made by ``zip`` and ``map`` from slices, offset and labelled at once.
+    """
+    keys, values = seq._keys, seq._values
+    if len(keys) < _BY_DEPTH_KEYS:
+        rows = zip(keys, map(label, values))
+        return ((d, key - (1 << d), text) for key, text in rows for d in [key.bit_length() - 1])
+    runs, stop = [], 0
+    while stop < len(keys):
+        start, depth = stop, keys[stop].bit_length() - 1
+        stop = bisect_left(keys, 2 << depth, start)
+        indices = map((1 << depth).__rsub__, keys[start:stop])
+        runs.append(zip(repeat(depth), indices, map(label, values[start:stop])))
+    return chain.from_iterable(runs)
 
 
 def _intervals(keys: Iterable[int]) -> tuple[DyadicInterval, ...]:
@@ -222,12 +248,13 @@ class CarlesonSequence:
 
     The constructor checks the nodes and weights however the sequence is
     built: a node that is not a ``DyadicInterval``, a float or bool weight
-    or a weight outside [0, 1] raises ``DomainError``.  Each weight is
-    stored as an int numerator over ``_den``, the least common denominator
-    of the weights in lowest terms, so equal sequences have equal fields.
-    A sequence built directly keeps its order, its zero weights and a node
-    listed twice, whose weights add.  ``weights`` is a read-only view of
-    its keys and weights.
+    or a weight outside [0, 1] raises ``DomainError``.  It then sorts the
+    weights stably by key (depth, then index), so ``CarlesonSequence(
+    seq.weights) == seq``.  Each weight is stored as an int numerator over
+    ``_den``, the least common denominator of the weights in lowest terms,
+    so equal sequences have equal fields.  A sequence built directly keeps
+    its zero weights and a node listed twice, whose weights, now side by
+    side, add.  ``weights`` is a read-only view of its keys and weights.
     """
 
     _keys: tuple[int, ...]
@@ -236,25 +263,31 @@ class CarlesonSequence:
 
     def __init__(self, weights: Iterable[tuple[DyadicInterval, Fraction]]) -> None:
         pairs = tuple(weights)
-        keys = tuple(_key(iv) for iv, _ in pairs)
-        values = tuple(w for _, w in pairs)
+        keys = [_key(iv) for iv, _ in pairs]
+        values = [w for _, w in pairs]
         # One pass over exact weights; the names are formatted only on failure.
         if not all(type(w) is Fraction and 0 <= w.numerator <= w.denominator for w in values):
-            values = tuple(_unit_weight(w, f"weight at {iv}") for iv, w in pairs)
+            values = [_unit_weight(w, f"weight at {iv}") for iv, w in pairs]
         den = math.lcm(*{w.denominator for w in values})
-        values = tuple(w.numerator * (den // w.denominator) for w in values)
+        scaled = (w.numerator * (den // w.denominator) for w in values)
+        ordered = sorted(zip(keys, scaled), key=itemgetter(0))  # stable: repeats keep their order
+        keys, values = zip(*ordered) if ordered else ((), ())
         self.__dict__.update(_keys=keys, _values=values, _den=den)
 
     @cached_property
     def weights(self) -> tuple[tuple[DyadicInterval, Fraction], ...]:
-        """The (interval, weight) pairs in order, built on first read and kept."""
+        """The (interval, weight) pairs in key order, built on first read and kept."""
         fractions = {v: Fraction(v, self._den) for v in set(self._values)}
         return tuple(zip(_intervals(self._keys), map(fractions.__getitem__, self._values)))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[DyadicInterval, Fraction]) -> CarlesonSequence:
-        """The mapping's nonzero weights, sorted by depth and then index."""
-        return cls(sorted((iv, w) for iv, w in cls(mapping.items()).weights if w))
+        """The mapping's nonzero weights, in key order; a zero weight is checked, then dropped."""
+        seq = cls(mapping.items())
+        if 0 not in seq._values:
+            return seq
+        keys = tuple(compress(seq._keys, seq._values))
+        return _trusted(cls, _keys=keys, _values=tuple(filter(None, seq._values)), _den=seq._den)
 
     @classmethod
     def empty(cls) -> CarlesonSequence:
@@ -264,17 +297,24 @@ class CarlesonSequence:
     def _walk(self) -> tuple[Fraction, Fraction]:
         """The height and the Carleson constant, from one pass over the weighted nodes.
 
-        In descending key order each weighted node's length, scaled by
-        ``_den << depth``, goes into its nearest weighted ancestor's, or the
-        height at key 0.  A sum times 2**d is a ratio; an unweighted node's is
-        the mean of its children's, so the largest is a weighted node's, or 0.
+        The stored keys are walked in reverse, deepest first: each weighted
+        node's length, scaled by ``_den << depth``, goes into its nearest
+        weighted ancestor's, or the height at key 0.  A node listed twice has
+        its weights added first.  A sum times 2**d is a ratio; an unweighted
+        node's is the mean of its children's, so the largest is a weighted
+        node's, or 0.
         """
-        depth = _depth(self._keys)
-        best, sums = 0, {0: 0}  # weighted node key -> scaled length of the weights inside it
-        for key, w in zip(self._keys, self._values):
-            sums[key] = sums.get(key, 0) + (w << (depth + 1 - key.bit_length()))
-        for key in sorted(sums, reverse=True)[:-1]:
-            total = sums[key]
+        keys, values = self._keys, self._values
+        depth = _depth(keys[-1:])  # the last key is the deepest
+        sums = dict.fromkeys(keys, 0)  # weighted node key -> scaled length of the weights inside it
+        if len(sums) < len(keys):
+            for key, w in zip(keys, values):
+                sums[key] += w
+            keys, values = tuple(sums), tuple(sums.values())
+            sums = dict.fromkeys(keys, 0)
+        sums[0] = best = 0
+        for key, w in zip(reversed(keys), reversed(values)):
+            total = sums[key] + (w << (depth + 1 - key.bit_length()))
             if total << (key.bit_length() - 1) > best:
                 best = total << (key.bit_length() - 1)
             key >>= 1
@@ -294,35 +334,54 @@ def carleson_constant(seq: CarlesonSequence) -> Fraction:
     return seq._walk[1]
 
 
-def _covered(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
-    """Each weighted node's scaled share of the set, the finest depth and the weights' depth."""
-    depth = _depth(seq._keys)
-    fine = max(depth, _depth(subset._keys))
-    # The set's nodes as [lo, hi) in cells of size 2**-fine, offset by
-    # 2**fine, left to right, with the cell counts of the first j in covered[j].
+def _depths(subset: DyadicSet, seq: CarlesonSequence) -> tuple[int, int]:
+    """The weights' depth and the finest depth of the set and the weights."""
+    depth = _depth(seq._keys[-1:])  # the last key is the deepest
+    return depth, max(depth, _depth(subset._keys))
+
+
+def _spans(subset: DyadicSet, fine: int) -> tuple[list[int], list[int], list[int]]:
+    """The set's nodes as [lo, hi) in cells of size 2**-fine, offset by 2**fine, left to right.
+
+    Returns the los, then a lo past every node's end; the his; and the cell
+    counts of the first j nodes in ``covered[j]``.  A weight w on a node of
+    depth d - 1 whose [lo, hi) holds c of the set's cells has the share
+    w * c * 2**(d - 1), over ``_den << fine``: c is ``hi - lo`` when
+    ``los[j] <= lo`` and ``his[j] >= hi`` for the first node j ending after
+    lo, ``j = bisect_right(his, lo)``, and otherwise
+    ``covered[bisect_left(los, hi, j)] - covered[j]``.
+    """
     los, his, covered = [], [], [0]
     for key in subset._keys:
         shift = fine + 1 - key.bit_length()
         los.append(key << shift)
         his.append((key + 1) << shift)
         covered.append(covered[-1] + (1 << shift))
-    # A weight w on a node of depth d covering c of those cells adds w * c * 2**d.
+    los.append(2 << fine)
+    return los, his, covered
+
+
+def _covered(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int]:
+    """Each weighted node's scaled share of the set (see ``_spans``), and the finest depth."""
+    _, fine = _depths(subset, seq)
+    los, his, covered = _spans(subset, fine)
     own: dict[int, int] = {}
     for key, w in zip(seq._keys, seq._values):
-        shift = fine + 1 - key.bit_length()
-        lo, hi = key << shift, (key + 1) << shift
-        j = bisect_right(his, lo)  # the first interval ending after lo
-        if j < len(los) and los[j] <= lo and his[j] >= hi:
-            cells = hi - lo  # an interval of the set contains the node
+        d = key.bit_length()
+        lo = key << (fine + 1 - d)
+        hi = lo + (1 << (fine + 1 - d))
+        j = bisect_right(his, lo)
+        if los[j] <= lo and his[j] >= hi:
+            share = (w * (hi - lo)) << (d - 1)
         else:
-            cells = covered[bisect_left(los, hi)] - covered[j]
-        own[key] = own.get(key, 0) + ((w * cells) << (fine - shift))
-    return own, fine, depth
+            share = (w * (covered[bisect_left(los, hi, j)] - covered[j])) << (d - 1)
+        own[key] = own.get(key, 0) + share
+    return own, fine
 
 
 def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int]:
     """``step_pieces`` as ``(key, value)`` pairs over the scale ``_den << fine``, and the scale."""
-    own, fine, _ = _covered(subset, seq)
+    own, fine = _covered(subset, seq)
     inner: set[int] = set()  # nodes with a weight strictly inside
     for key in own:
         key >>= 1
@@ -355,18 +414,37 @@ def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicIn
 def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
     """The cells of size 2**-depth taking each scaled value, the scale and the depth.
 
-    In the walk each node's cells pass from its ancestor's value to its own.
+    One forward pass over the keys as stored, coarsest first: each weight
+    adds its share of the set (see ``_spans``) to its base, the value of its
+    nearest weighted ancestor (key 0 if none), or, for a node listed twice,
+    whose weights are side by side, its own running value; its node's cells
+    pass from the base to the sum.
     """
-    own, fine, depth = _covered(subset, seq)
+    depth, fine = _depths(subset, seq)
+    los, his, covered = _spans(subset, fine)
     values, cells = {0: 0}, {0: 1 << depth}  # node key -> value; value -> free cells
-    for key in sorted(own):
-        up = key >> 1
-        while up not in values:
-            up >>= 1
-        n = 1 << (depth + 1 - key.bit_length())
-        cells[values[up]] -= n
-        values[key] = value = values[up] + own[key]
+    last = value = 0  # the key before, and its value
+    for key, w in zip(seq._keys, seq._values):
+        d = key.bit_length()
+        lo = key << (fine + 1 - d)
+        hi = lo + (1 << (fine + 1 - d))
+        j = bisect_right(his, lo)
+        if los[j] <= lo and his[j] >= hi:
+            share = (w * (hi - lo)) << (d - 1)
+        else:
+            share = (w * (covered[bisect_left(los, hi, j)] - covered[j])) << (d - 1)
+        if key == last:  # listed twice: its own running value is the base
+            base = value
+        else:
+            up = key >> 1
+            while up not in values:
+                up >>= 1
+            base = values[up]
+        n = 1 << (depth + 1 - d)
+        cells[base] -= n
+        values[key] = value = base + share
         cells[value] = cells.get(value, 0) + n
+        last = key
     return {value: n for value, n in cells.items() if n}, seq._den << fine, depth
 
 
@@ -379,18 +457,34 @@ def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction)
 def _level_cells(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple[int, int]:
     """The cells of size 2**-depth where the operator reaches num/den (den > 0), and 2**depth.
 
-    The walk counts each node (key 0 first) that reaches it while its ancestor does not.
+    The forward pass of ``_value_cells``, counting each node (key 0 first)
+    whose value reaches the level while its base does not.
     """
-    own, fine, depth = _covered(subset, seq)
+    depth, fine = _depths(subset, seq)
+    los, his, covered = _spans(subset, fine)
     least = -(-num * (seq._den << fine) // den)  # the least scaled value reaching the level
     values, cells = {0: 0}, 0 if least > 0 else 1 << depth
-    for key in sorted(own):
-        up = key >> 1
-        while up not in values:
-            up >>= 1
-        values[key] = value = values[up] + own[key]
-        if value >= least > values[up]:
-            cells += 1 << (depth + 1 - key.bit_length())
+    last = value = 0  # the key before, and its value
+    for key, w in zip(seq._keys, seq._values):
+        d = key.bit_length()
+        lo = key << (fine + 1 - d)
+        hi = lo + (1 << (fine + 1 - d))
+        j = bisect_right(his, lo)
+        if los[j] <= lo and his[j] >= hi:
+            share = (w * (hi - lo)) << (d - 1)
+        else:
+            share = (w * (covered[bisect_left(los, hi, j)] - covered[j])) << (d - 1)
+        if key == last:  # listed twice: its own running value is the base
+            base = value
+        else:
+            up = key >> 1
+            while up not in values:
+                up >>= 1
+            base = values[up]
+        values[key] = value = base + share
+        last = key
+        if value >= least > base:
+            cells += 1 << (depth + 1 - d)
     return cells, 1 << depth
 
 
@@ -420,23 +514,39 @@ def concat_seqs(
     """Push two sequences into the two subtrees and weight the root by gamma.
 
     The height of the result is the mean of the two heights plus gamma.
-    The halved weights are sorted stably by key: two sequences sorted by
-    depth and then index make two runs, which the sort merges.  Only gamma
-    is checked, on its numerator and denominator as the constructor checks
-    weights: the halves' were checked when they were built.  The
-    denominator, the lcm of the halves' and gamma's, is least.
+    Each halved sequence stays in key order, and at each depth the first's
+    nodes come before the second's.  So from ``_BY_DEPTH_KEYS`` keys on the
+    halves are merged depth by depth, each depth's slice moved by one
+    addition; below that, one stable sort merges the two runs.
+    Only gamma is checked, on its numerator and denominator as the
+    constructor checks weights: the halves' were checked when they were
+    built.  The denominator, the lcm of the halves' and gamma's, is least.
     """
     if type(gamma) is not Fraction or not 0 <= gamma.numerator <= gamma.denominator:
         gamma = _unit_weight(gamma, "root weight")
-    den, values = first._den, first._values + second._values
+    den, left, right = first._den, first._values, second._values
     if not den == second._den == gamma.denominator:
         den = math.lcm(den, second._den, gamma.denominator)
-        values = tuple(v * (den // seq._den) for seq in (first, second) for v in seq._values)
-    pairs = sorted(zip(_halved(first._keys, second._keys), values), key=itemgetter(0))
-    if gamma:
-        pairs.insert(0, (1, gamma.numerator * (den // gamma.denominator)))
-    keys, values = zip(*pairs) if pairs else ((), ())
-    return _trusted(CarlesonSequence, _keys=keys, _values=values, _den=den)
+        left, right = (tuple(v * (den // seq._den) for v in seq._values) for seq in (first, second))
+    root = gamma.numerator * (den // gamma.denominator)
+    ahead, behind = first._keys, second._keys
+    if len(ahead) + len(behind) < _BY_DEPTH_KEYS:
+        pairs = sorted(zip(_halved(ahead, behind), left + right), key=itemgetter(0))
+        if root:
+            pairs.insert(0, (1, root))
+        keys, values = zip(*pairs) if pairs else ((), ())
+        return _trusted(CarlesonSequence, _keys=keys, _values=values, _den=den)
+    keys, values = ([1], [root]) if root else ([], [])
+    a = b = 0
+    for depth in range(max(_depth(ahead[-1:]), _depth(behind[-1:])) + 1):
+        top = 2 << depth  # the first key below this depth, and the right half's offset
+        stop_a, stop_b = bisect_left(ahead, top, a), bisect_left(behind, top, b)
+        keys += map((top >> 1).__add__, ahead[a:stop_a])
+        keys += map(top.__add__, behind[b:stop_b])
+        values += left[a:stop_a]
+        values += right[b:stop_b]
+        a, b = stop_a, stop_b
+    return _trusted(CarlesonSequence, _keys=tuple(keys), _values=tuple(values), _den=den)
 
 
 @dataclass(frozen=True)

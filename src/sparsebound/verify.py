@@ -425,7 +425,11 @@ def _sample_slopes(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
     certificate inequality at both endpoints of its level range certifies it
     on the whole range; the forms themselves are cross-checked against the
     geometric segment slope at interior points.  The spec's seed and count go
-    unread: the certificates and default grid are fixed, and the CLI's "samples" echoes --count.
+    unread: the certificates and default grid are fixed, so ``verify slopes``
+    runs the same checks at every ``--seed`` and ``--count``, and its report's
+    ``"samples"`` only echoes ``--count``.  That field is kept: the sha256 of
+    ``verify all`` pinned in CI and the benchmark's ``samples == --count``
+    check both read it.
     """
     grid = (_check_profile_window(level, SLOPES_X_MIN) for level in spec.lambda_grid)
     for level, x_min in grid if spec.lambda_grid else _SLOPES_GRID:

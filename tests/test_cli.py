@@ -1,5 +1,6 @@
 import errno
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -8,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -141,6 +143,33 @@ def test_output_file_gets_the_stdout_bytes(tmp_path, capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert run_cli(capsys, *argv, "--output", str(target)) == (code, "")
     assert out.endswith("\n") and target.read_bytes() == out.encode()
+
+
+class Discard(io.TextIOBase):
+    """A text stream that drops what it is given, allocating nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_emit_does_not_copy_the_report(tmp_path, monkeypatch):
+    # The final newline is written on its own: ``text + "\n"`` would copy
+    # the whole report while the caller still holds it.
+    text = "x" * (1 << 20)
+    target = tmp_path / "report.txt"
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        cli._emit(text, None)
+        to_stdout = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cli._emit(text, str(target))
+        to_file = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert to_stdout < len(text) // 8
+    assert to_file < len(text) * 3 // 2  # the encoded bytes, and no copy of the text
+    assert target.read_text() == text + "\n"
 
 
 class HalfWriter:

@@ -20,7 +20,7 @@ from reference import (
     sparse_apply,
     uniform_cell_counts,
 )
-from sparsebound import cli
+from sparsebound import cli, verify
 from sparsebound.cli import main
 from sparsebound.dyadic import (
     CarlesonSequence,
@@ -33,12 +33,19 @@ from sparsebound.dyadic import (
     concat_configs,
     concat_seqs,
     concat_sets,
+    _BY_DEPTH_KEYS,
     _level_cells,
     _value_cells,
     level_set_measure,
     step_pieces,
 )
-from sparsebound.extremal import attainment_report, curve_vertex_config, curve_vertex_target
+from sparsebound.extremal import (
+    Base,
+    attainment_report,
+    curve_vertex_config,
+    curve_vertex_target,
+    interpret,
+)
 from sparsebound.rational import DomainError, format_rational, parse_rational
 
 
@@ -434,12 +441,111 @@ def test_carleson_constant_matches_scan(seq):
 
 
 @st.composite
-def raw_sequences(draw):
-    """Built directly: unsorted, with zero weights and nodes listed more than once."""
+def raw_pairs(draw):
+    """(interval, weight) pairs unsorted, with zero weights and nodes listed more than once."""
     nodes = draw(st.lists(intervals(), max_size=10))
     nodes += nodes[: draw(st.integers(0, len(nodes)))]
     weights = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=12)
-    return CarlesonSequence(tuple((node, draw(weights)) for node in draw(st.permutations(nodes))))
+    return [(node, draw(weights)) for node in draw(st.permutations(nodes))]
+
+
+def raw_sequences():
+    """Built directly from ``raw_pairs``."""
+    return raw_pairs().map(CarlesonSequence)
+
+
+def by_key(pairs):
+    """The (interval, weight) pairs sorted stably by depth and then index."""
+    return sorted(pairs, key=lambda pair: (pair[0].depth, pair[0].index))
+
+
+def assert_key_ordered(seq):
+    """The weights are in key order, and the constructor given them builds the same sequence."""
+    assert list(seq.weights) == by_key(seq.weights)
+    assert CarlesonSequence(seq.weights) == seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_pairs())
+@example([(iv(1, 1), F(1, 6)), (ROOT, F(0)), (iv(1, 1), F(3, 4))])
+@example([(iv(2, 3), F(1)), (iv(2, 0), F(0)), (iv(1, 1), F(1, 2)), (iv(2, 0), F(1, 3))])
+def test_constructor_keeps_key_order(pairs):
+    # Sorted stably: a repeated node's weights side by side in the order
+    # given, zero weights kept.
+    seq = CarlesonSequence(pairs)
+    assert list(seq.weights) == by_key(pairs)
+    assert_key_ordered(seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(intervals(8), st.just(F(0)) | st.fractions(0, 1, max_denominator=12)))
+def test_from_mapping_keeps_key_order(mapping):
+    seq = CarlesonSequence.from_mapping(mapping)
+    assert list(seq.weights) == sorted((node, w) for node, w in mapping.items() if w)
+    assert_key_ordered(seq)
+
+
+def concat_by_constructor(first, second, gamma):
+    """``concat_seqs`` built by the constructor from the halved weights, repeats and zeros kept."""
+    pairs = [(ROOT, gamma)] if gamma else []
+    pairs += [(iv(j.depth + 1, j.index), w) for j, w in first.weights]
+    pairs += [(iv(j.depth + 1, j.index + 2**j.depth), w) for j, w in second.weights]
+    return CarlesonSequence(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences() | raw_sequences(), sequences() | raw_sequences(), GAMMAS)
+def test_concat_seqs_keeps_key_order(first, second, gamma):
+    got = concat_seqs(first, second, gamma)
+    assert got == concat_by_constructor(first, second, gamma)
+    assert_key_ordered(got)
+
+
+def big_pairs(rng, n):
+    """n pairs on nodes down to depth 9, one in eight a repeat, shuffled; weights in quarters."""
+    nodes = [iv(d, rng.randrange(2**d)) for d in (rng.randint(0, 9) for _ in range(n - n // 8))]
+    nodes += rng.choices(nodes, k=n // 8) if nodes else []
+    rng.shuffle(nodes)
+    return [(node, F(rng.randint(0, 4), 4)) for node in nodes]
+
+
+# Key counts on either side of the switch from a sorted merge to a merge depth by depth.
+MERGE_SIZES = [(0, 0), (5, 0), (0, 9), (_BY_DEPTH_KEYS - 1, 0), (0, _BY_DEPTH_KEYS)]
+MERGE_SIZES += [(_BY_DEPTH_KEYS // 2, _BY_DEPTH_KEYS // 2 - 1), (150, 150), (700, 3), (1, 900)]
+
+
+@pytest.mark.parametrize("sizes", MERGE_SIZES)
+def test_concat_seqs_merges_either_way(sizes):
+    # Raw halves (repeats and zeros, with a third denominator in gamma) and
+    # canonical ones, alone and beside an extremizer's sequence.
+    rng = random.Random(str(sizes))
+    raw = [CarlesonSequence(big_pairs(rng, n)) for n in sizes]
+    canonical = [CarlesonSequence.from_mapping(dict(big_pairs(rng, n))) for n in sizes]
+    vertex = curve_vertex_config(6, 2).seq
+    for first, second in (raw, canonical, (raw[0], vertex), (vertex, canonical[1])):
+        for gamma in (F(0), F(1, 3), F(1)):
+            got = concat_seqs(first, second, gamma)
+            want = concat_by_constructor(first, second, gamma)
+            assert got == want
+            assert_key_ordered(got)
+            assert carleson_constant(got) == carleson_constant(want)
+
+
+def test_library_producers_keep_key_order():
+    # The sequences built without the constructor's sort.
+    rng = random.Random(35)
+    for _ in range(300):
+        assert_key_ordered(verify._random_config(rng).seq)
+    for x in (F(0), F(1, 4), F(3, 8), F(1)):
+        assert_key_ordered(Base(x).left.seq)
+        assert_key_ordered(interpret(Base(x)).seq)
+    for depth in (1, 3, 5, 8):
+        drawn = list(verify._sampled_configs(depth, 40, depth))
+        assert drawn
+        for config in drawn:
+            assert_key_ordered(config.seq)
+    for m, k in ((2, 1), (5, 0), (6, 6), (8, 3)):
+        assert_key_ordered(curve_vertex_config(m, k).seq)
 
 
 @settings(max_examples=300, deadline=None)
@@ -562,6 +668,12 @@ def cells_by_value(config):
 TINY = F(1, 2**20)
 EMPTY_SEQ = CarlesonSequence.empty()
 
+# A node listed twice, [0, 1/2) with 1/2 and 1/2, around 1/4 on the root.  On
+# the full set the operator is 1/4 on [1/2, 1) and 5/4 on [0, 1/2), which is
+# 3/4 after the first of the two weights: at a level in (3/4, 5/4] the second
+# one reaches it, and at one in (1/4, 3/4] the first one does.
+STRADDLE = CarlesonSequence(((iv(1, 0), F(1, 2)), (ROOT, F(1, 4)), (iv(1, 0), F(1, 2))))
+
 
 @settings(max_examples=80, deadline=None)
 @given(raw_sequences(), st.integers(0, 6), st.integers(0, 2**64 - 1))
@@ -573,6 +685,9 @@ EMPTY_SEQ = CarlesonSequence.empty()
 @example(CarlesonSequence(((ROOT, F(1)), (iv(2, 1), F(0)), (iv(2, 1), F(1, 2)))), 0, 1)
 # Weights coarser than the set's cells.
 @example(CarlesonSequence(((ROOT, F(1)), (iv(1, 0), F(1, 2)))), 4, 0x0FF0)
+# A node listed twice whose two weights straddle a level.
+@example(STRADDLE, 0, 1)
+@example(STRADDLE, 3, 0b01101101)
 def test_fused_walks_match_uniform_cells(seq, set_depth, mask):
     # The walks that count as they build the values against the operator
     # on uniform cells, at every node's value, 2**-20 either side of it,
@@ -590,6 +705,31 @@ def test_fused_walks_match_uniform_cells(seq, set_depth, mask):
         levels |= {value, value - TINY, value + TINY}
     for level in levels:
         assert walk_level_set(config, level) == counted_level_set(counts, depth, level)
+
+
+@pytest.mark.parametrize(
+    "subset", [DyadicSet.full(), DyadicSet.prefix(F(3, 8)), DyadicSet.from_cells(3, 0b10110110)]
+)
+def test_repeated_node_straddling_the_level(subset):
+    # Each walk against the uniform cells and against the one merged weight.
+    merged = CarlesonSequence.from_mapping({ROOT: F(1, 4), iv(1, 0): F(1)})
+    assert STRADDLE._keys == (1, 2, 2)
+    assert carleson_constant(STRADDLE) == carleson_constant_scan(STRADDLE) == F(1)
+    assert carleson_constant(merged) == F(1)
+    counts, depth = uniform_cell_counts(subset, STRADDLE)
+    config = Config(subset, STRADDLE)
+    assert cells_by_value(config) == {v: F(n, 2**depth) for v, n in counts.items()}
+    assert cells_by_value(config) == cells_by_value(Config(subset, merged))
+    levels = {F(1, 2), F(3, 4), F(1), F(5, 4), F(0)}
+    for value in counts:
+        levels |= {value, value - TINY, value + TINY}
+    for level in levels:
+        want = counted_level_set(counts, depth, level)
+        assert level_set_measure(subset, STRADDLE, level) == want
+        assert level_set_measure(subset, merged, level) == want
+    if subset == DyadicSet.full():
+        assert level_set_measure(subset, STRADDLE, F(1)) == F(1, 2)
+        assert level_set_measure(subset, STRADDLE, F(1, 2)) == F(1, 2)
 
 
 @pytest.mark.parametrize("m", range(9))
@@ -809,9 +949,10 @@ def test_attainment_text_edge_configs():
 @example([(iv(1, 1), F(1, 6)), (ROOT, F(0)), (iv(1, 1), F(3, 4))])
 @example([(iv(2, 1), F(0)), (iv(2, 1), F(1)), (ROOT, F(1))])
 def test_scale_matches_per_weight(weights):
-    # Against the drawn weights, not the ``weights`` view, which is read from these fields.
+    # Against the drawn weights, not the ``weights`` view, which is read from these fields:
+    # the constructor stores them in key order, a repeated node's weights in the order given.
     seq = CarlesonSequence(weights)
-    assert (seq._den, seq._values) == scale_per_weight([w for _, w in weights])
+    assert (seq._den, seq._values) == scale_per_weight([w for _, w in by_key(weights)])
     assert type(seq._den) is int and type(seq._values) is tuple
     assert all(type(v) is int for v in seq._values)
 

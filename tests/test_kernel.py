@@ -86,7 +86,8 @@ def levels(draw):
     if kind == "vertex":
         m = draw(st.integers(0, MAX_LEVEL))
         return vertex(draw(families), draw(st.integers(0, min(m, MAX_EXPONENT))), m).y
-    # The top of curve m, m + 3 - s, or just below it.
+    # An integer level in [1, MAX_LEVEL], or just below one: every curve top
+    # is such a level (F curve m tops out at m + 2, G curve m at m + 1).
     top = draw(st.integers(1, MAX_LEVEL))
     return top - F(draw(st.integers(0, 1)), 2 ** draw(st.integers(0, MAX_EXPONENT)))
 
