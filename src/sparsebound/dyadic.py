@@ -13,7 +13,10 @@ denominator.  Level sets and Carleson constants read the weighted nodes
 only, each linked to its nearest weighted ancestor (key 0 if none) in one
 walk over the keys as stored, forward or in reverse: an unweighted node's
 ratio is the mean of its children's, so the largest is a weighted node's,
-or 0, and values only rise down the forest, by nonnegative shares.
+or 0, and values only rise down the forest, by nonnegative shares.  A
+sequence keeps its height and Carleson constant as one integer triple,
+walked once on first read, or composed by concatenation from its halves'
+without a walk when both halves hold theirs.
 
 Concatenation halves by key arithmetic: a node of depth d moves into the
 left half by adding 2**d and into the right half by adding 2**(d + 1), so
@@ -294,44 +297,54 @@ class CarlesonSequence:
         return _trusted(cls, _keys=(), _values=(), _den=1)
 
     @cached_property
-    def _walk(self) -> tuple[Fraction, Fraction]:
-        """The height and the Carleson constant, from one pass over the weighted nodes.
+    def _sums(self) -> tuple[int, int, int]:
+        """The height and the Carleson constant as ``(H, C, D)``, both over ``_den << D``.
 
-        The stored keys are walked in reverse, deepest first: each weighted
-        node's length, scaled by ``_den << depth``, goes into its nearest
-        weighted ancestor's, or the height at key 0.  A node listed twice has
-        its weights added first.  A sum times 2**d is a ratio; an unweighted
-        node's is the mean of its children's, so the largest is a weighted
-        node's, or 0.
+        A concatenation whose halves hold theirs is given its own, composed
+        from them (see ``concat_seqs``); any other sequence walks its keys
+        once, on first read, and keeps the result.
         """
-        keys, values = self._keys, self._values
-        depth = _depth(keys[-1:])  # the last key is the deepest
-        sums = dict.fromkeys(keys, 0)  # weighted node key -> scaled length of the weights inside it
-        if len(sums) < len(keys):
-            for key, w in zip(keys, values):
-                sums[key] += w
-            keys, values = tuple(sums), tuple(sums.values())
-            sums = dict.fromkeys(keys, 0)
-        sums[0] = best = 0
-        for key, w in zip(reversed(keys), reversed(values)):
-            total = sums[key] + (w << (depth + 1 - key.bit_length()))
-            if total << (key.bit_length() - 1) > best:
-                best = total << (key.bit_length() - 1)
+        return _key_walk(self._keys, self._values)
+
+
+def _key_walk(keys: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, int, int]:
+    """``CarlesonSequence._sums`` from one pass over the weighted nodes, D the deepest depth.
+
+    The keys, in key order, are walked in reverse, deepest first: each
+    weighted node's length, scaled by ``den << D``, goes into its nearest
+    weighted ancestor's, or the height at key 0.  A node listed twice has its
+    weights added first.  A sum times 2**d is a ratio; an unweighted node's
+    is the mean of its children's, so the largest is a weighted node's, or 0.
+    """
+    depth = _depth(keys[-1:])  # the last key is the deepest
+    sums = dict.fromkeys(keys, 0)  # weighted node key -> scaled length of the weights inside it
+    if len(sums) < len(keys):
+        for key, w in zip(keys, values):
+            sums[key] += w
+        keys, values = tuple(sums), tuple(sums.values())
+        sums = dict.fromkeys(keys, 0)
+    sums[0] = best = 0
+    for key, w in zip(reversed(keys), reversed(values)):
+        total = sums[key] + (w << (depth + 1 - key.bit_length()))
+        if total << (key.bit_length() - 1) > best:
+            best = total << (key.bit_length() - 1)
+        key >>= 1
+        while key not in sums:
             key >>= 1
-            while key not in sums:
-                key >>= 1
-            sums[key] += total
-        return Fraction(sums[0], self._den << depth), Fraction(best, self._den << depth)
+        sums[key] += total
+    return sums[0], best, depth
 
 
 def carleson_height(seq: CarlesonSequence) -> Fraction:
-    """Weighted length of the support, the sum of w * |I|: the root sum of the walk."""
-    return seq._walk[0]
+    """Weighted length of the support, the sum of w * |I|: the H of ``_sums``."""
+    height, _, depth = seq._sums
+    return Fraction(height, seq._den << depth)
 
 
 def carleson_constant(seq: CarlesonSequence) -> Fraction:
-    """Supremum of heights over all base intervals: the largest node ratio of the walk."""
-    return seq._walk[1]
+    """Supremum of heights over all base intervals: the C of ``_sums``, the largest node ratio."""
+    _, constant, depth = seq._sums
+    return Fraction(constant, seq._den << depth)
 
 
 def _depths(subset: DyadicSet, seq: CarlesonSequence) -> tuple[int, int]:
@@ -513,7 +526,10 @@ def concat_seqs(
 ) -> CarlesonSequence:
     """Push two sequences into the two subtrees and weight the root by gamma.
 
-    The height of the result is the mean of the two heights plus gamma.
+    The height of the result is the mean of the two heights plus gamma, and
+    its Carleson constant the largest of its height and the two constants:
+    when both halves hold their ``_sums``, the result's are composed from
+    them in integers, and otherwise are left for a walk.
     Each halved sequence stays in key order, and at each depth the first's
     nodes come before the second's.  So from ``_BY_DEPTH_KEYS`` keys on the
     halves are merged depth by depth, each depth's slice moved by one
@@ -535,18 +551,31 @@ def concat_seqs(
         if root:
             pairs.insert(0, (1, root))
         keys, values = zip(*pairs) if pairs else ((), ())
-        return _trusted(CarlesonSequence, _keys=keys, _values=values, _den=den)
-    keys, values = ([1], [root]) if root else ([], [])
-    a = b = 0
-    for depth in range(max(_depth(ahead[-1:]), _depth(behind[-1:])) + 1):
-        top = 2 << depth  # the first key below this depth, and the right half's offset
-        stop_a, stop_b = bisect_left(ahead, top, a), bisect_left(behind, top, b)
-        keys += map((top >> 1).__add__, ahead[a:stop_a])
-        keys += map(top.__add__, behind[b:stop_b])
-        values += left[a:stop_a]
-        values += right[b:stop_b]
-        a, b = stop_a, stop_b
-    return _trusted(CarlesonSequence, _keys=tuple(keys), _values=tuple(values), _den=den)
+    else:
+        keys, values = ([1], [root]) if root else ([], [])
+        a = b = 0
+        for depth in range(max(_depth(ahead[-1:]), _depth(behind[-1:])) + 1):
+            top = 2 << depth  # the first key below this depth, and the right half's offset
+            stop_a, stop_b = bisect_left(ahead, top, a), bisect_left(behind, top, b)
+            keys += map((top >> 1).__add__, ahead[a:stop_a])
+            keys += map(top.__add__, behind[b:stop_b])
+            values += left[a:stop_a]
+            values += right[b:stop_b]
+            a, b = stop_a, stop_b
+        keys, values = tuple(keys), tuple(values)
+    seq = _trusted(CarlesonSequence, _keys=keys, _values=values, _den=den)
+    if "_sums" in vars(first) and "_sums" in vars(second):
+        # Over den << D, D one more than the deeper of the halves' Di, each
+        # half's sums are scaled by den // _den and shifted: its height,
+        # which the result halves, by D - 1 - Di, and its constant, a ratio
+        # that halving keeps, by D - Di.
+        (h1, c1, d1), (h2, c2, d2) = first._sums, second._sums
+        depth = max(d1, d2) + 1
+        r1, r2 = den // first._den, den // second._den
+        height = (root << depth) + (h1 * r1 << (depth - 1 - d1)) + (h2 * r2 << (depth - 1 - d2))
+        constant = max(height, c1 * r1 << (depth - d1), c2 * r2 << (depth - d2))
+        seq.__dict__["_sums"] = height, constant, depth
+    return seq
 
 
 @dataclass(frozen=True)
@@ -554,7 +583,7 @@ class Config:
     """A set paired with a weight sequence.
 
     Its measure and height are the set's measure and the sequence's
-    ``carleson_height``, read from them; the sequence keeps its walk.
+    ``carleson_height``, read from them; the sequence keeps its sums.
     """
 
     subset: DyadicSet

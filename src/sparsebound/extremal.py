@@ -48,6 +48,12 @@ __all__ = [
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _EMPTY, _BARE_FULL = Config.empty(), Config.full_unweighted()  # Halve's and MixZero's shared leaves
+_UNIT_ROOT = _trusted(CarlesonSequence, _keys=(1,), _values=(1,), _den=1)  # Base's halves' weights
+# The leaves walk their keys once, here: every recipe node then composes its height
+# and Carleson constant from its children's (``dyadic.concat_seqs``), walking none.
+for _leaf in (_EMPTY.seq, _BARE_FULL.seq, _UNIT_ROOT):
+    carleson_constant(_leaf)
+del _leaf
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +77,7 @@ def Base(x: Fraction) -> Concat:
     under another: each child sees average x, so the operator is constant
     2x at height 2.
     """
-    half = Config(DyadicSet.prefix(x), _trusted(CarlesonSequence, _keys=(1,), _values=(1,), _den=1))
+    half = Config(DyadicSet.prefix(x), _UNIT_ROOT)
     return Concat(half, half, ONE)
 
 
@@ -120,10 +126,11 @@ def curve_vertex_recipe(m: int, k: int) -> Concat:
 
 
 # Curve m's configuration has 2**(m+2) - 1 weights, so time and memory double with m.
-# ``extremize 10 0`` takes about 0.09 s as a new process compiling the package from
-# source, 0.066 s from cached bytecode (2-core VM, Python 3.11), about 10 ms of it in
-# ``cli.main``, the rest starting Python and importing the package without ``verify``;
-# m near 22 no longer fits in memory.
+# ``extremize 10 0`` takes about 0.1-0.13 s as a new process, with or without cached
+# bytecode (2-core VM, Python 3.11, medians of 11 runs, where starting Python alone
+# took 52-60 ms), of which ``cli.main`` takes about 5.5 ms at best and 9 ms in the
+# median of 30 in-process calls, the rest starting Python and importing the package
+# without ``verify``; m near 22 no longer fits in memory.
 EXTREMIZER_CURVE_CAP = 10
 
 

@@ -172,6 +172,21 @@ def test_emit_does_not_copy_the_report(tmp_path, monkeypatch):
     assert target.read_text() == text + "\n"
 
 
+def test_emit_writes_a_file_in_slices(tmp_path):
+    # A file's text stream encodes each write whole, so a report goes out
+    # in slices: its encoded copy is one slice at a time, with the same bytes.
+    text = "0123456789abcdef\n" * (1 << 18)  # 4.25 MiB
+    target = tmp_path / "report.txt"
+    tracemalloc.start()
+    try:
+        cli._emit(text, str(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) // 4
+    assert target.read_bytes() == text.encode()
+
+
 class HalfWriter:
     """A file that writes half of its first text, then fails as a full disk does."""
 

@@ -20,7 +20,7 @@ from reference import (
     sparse_apply,
     uniform_cell_counts,
 )
-from sparsebound import cli, verify
+from sparsebound import cli, dyadic, verify
 from sparsebound.cli import main
 from sparsebound.dyadic import (
     CarlesonSequence,
@@ -40,9 +40,11 @@ from sparsebound.dyadic import (
     step_pieces,
 )
 from sparsebound.extremal import (
+    EXTREMIZER_CURVE_CAP,
     Base,
     attainment_report,
     curve_vertex_config,
+    curve_vertex_recipe,
     curve_vertex_target,
     interpret,
 )
@@ -606,11 +608,29 @@ def test_vertex_level_sets_match_pieces(m, k):
 
 @pytest.mark.parametrize("m, k", [(m, k) for m, k in VERTICES if m <= 6])
 def test_vertex_walks_match_scan(m, k):
-    # The walk over weighted nodes only against the scan of every base
+    # The sums composed through the recipe against the scan of every base
     # interval (too slow beyond m = 6).
-    seq = curve_vertex_config(m, k).seq
+    seq = interpret(curve_vertex_recipe(m, k)).seq
+    assert "_sums" in vars(seq)  # composed, before any read
     assert carleson_constant(seq) == carleson_constant_scan(seq)
     assert carleson_height(seq) == height_sum(seq)
+
+
+def walked_anew(seq):
+    """The height and Carleson constant of a copy of the sequence's fields, which walks its keys."""
+    copy = dyadic._trusted(CarlesonSequence, _keys=seq._keys, _values=seq._values, _den=seq._den)
+    assert "_sums" not in vars(copy)
+    return carleson_height(copy), carleson_constant(copy)
+
+
+@pytest.mark.parametrize("m", range(EXTREMIZER_CURVE_CAP + 1))
+def test_vertex_sums_are_composed(m):
+    # Every vertex extremizer up to the cap holds sums composed by
+    # concatenation before any read, equal to a fresh walk of its keys.
+    for k in range(m + 1):
+        seq = interpret(curve_vertex_recipe(m, k)).seq
+        assert "_sums" in vars(seq)
+        assert (carleson_height(seq), carleson_constant(seq)) == walked_anew(seq) == (2, 2)
 
 
 def piece_histogram(config):
@@ -998,3 +1018,66 @@ def test_weight_validation():
     seq = CarlesonSequence.from_mapping({ROOT: F(0), iv(1, 1): F(1)})
     assert seq.weights == ((iv(1, 1), F(1)),)
     assert CarlesonSequence.from_mapping({ROOT: F(1, 2)}).weights == ((ROOT, F(1, 2)),)
+
+
+def shallow(seq):
+    """Whether the weights lie at depth 6 or above, where the scan is quick."""
+    return max(seq._keys, default=1) < 1 << 7
+
+
+ROOT_GAMMAS = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(sequences(5) | raw_sequences() | st.just(CarlesonSequence.empty()), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), ROOT_GAMMAS), min_size=1, max_size=6),
+)
+@example([STRADDLE, CarlesonSequence.empty()], [(0, 1, F(1, 3)), (2, 2, F(1)), (3, 0, F(0))])
+@example([CarlesonSequence.empty()], [(0, 0, F(0)), (1, 1, F(1, 2))])
+def test_concat_dags_compose_sums(leaves, moves):
+    # Random concatenation DAGs over walked leaves, children shared within
+    # and across nodes: each node's sums are composed as it is built, and
+    # equal a fresh walk of its keys, and on shallow nodes the scan.
+    for leaf in leaves:
+        carleson_height(leaf)
+    nodes = list(leaves)
+    for a, b, gamma in moves:
+        seq = concat_seqs(nodes[a % len(nodes)], nodes[b % len(nodes)], gamma)
+        assert "_sums" in vars(seq)
+        nodes.append(seq)
+    for seq in nodes[len(leaves):]:
+        got = carleson_height(seq), carleson_constant(seq)
+        assert got == walked_anew(seq)
+        if len(seq._keys) <= 40 and shallow(seq):
+            assert got == (height_sum(seq), carleson_constant_scan(seq))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sequences() | raw_sequences(), sequences() | raw_sequences(), ROOT_GAMMAS)
+def test_concat_of_an_unwalked_half_stays_lazy(first, second, gamma):
+    # Sums are composed only from two halves that hold theirs; otherwise
+    # the result walks on first read, as any sequence does.
+    carleson_height(first)
+    seq = concat_seqs(first, second, gamma)
+    assert "_sums" not in vars(seq) and "_sums" not in vars(second)
+    assert carleson_height(seq) == gamma + (carleson_height(first) + carleson_height(second)) / 2
+    if shallow(seq):
+        assert carleson_constant(seq) == carleson_constant_scan(seq)
+
+
+def test_dynamics_draws_stay_lazy(monkeypatch):
+    # The dynamics suite concatenates draws that never walk, so it composes
+    # nothing and walks nothing: with the key walk refused it stays clean.
+    rng = random.Random(5)
+    for gamma in (F(0), F(1, 2), F(1)):
+        c1, c2 = verify._random_config(rng), verify._random_config(rng)
+        combined = concat_configs(c1, c2, gamma)
+        assert not any("_sums" in vars(config.seq) for config in (c1, c2, combined))
+
+    def refuse(keys, values):
+        raise AssertionError("the dynamics suite walked a sequence's keys")
+
+    verify._dynamics_instance.cache_clear()
+    monkeypatch.setattr(dyadic, "_key_walk", refuse)
+    assert verify.run_suite("dynamics", verify.SampleSpec(seed=3, count=300)) == []

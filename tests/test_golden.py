@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsebound import candidate, cli, dyadic, verify
+from sparsebound import candidate, cli, dyadic, extremal, verify
 
 LAMBDAS = ["--lambda", "1/2", "--lambda", "1", "--lambda", "3/2", "--lambda", "2"]
 
@@ -293,6 +293,21 @@ def inject_faults(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_golden(name):
+    argv, code, size, digest = GOLDEN[name]
+    assert run(argv) == (code, size, digest)
+
+
+@pytest.mark.parametrize("name", ["extremize-8-4", "corollary-1-3"])
+def test_extremizers_do_not_walk_their_keys(monkeypatch, name):
+    # An extremizer composes its height and Carleson constant through its
+    # recipe from leaves walked when ``extremal`` was imported: with the key
+    # walk refused, the command still prints its golden report.
+    def refuse(keys, values):
+        raise AssertionError("an extremizer walked its keys")
+
+    leaves = extremal._EMPTY.seq, extremal._BARE_FULL.seq, extremal._UNIT_ROOT
+    assert all("_sums" in vars(seq) for seq in leaves)
+    monkeypatch.setattr(dyadic, "_key_walk", refuse)
     argv, code, size, digest = GOLDEN[name]
     assert run(argv) == (code, size, digest)
 
