@@ -151,8 +151,8 @@ def _write(obj, newline: str, out: list[str]) -> None:
         out.append(newline + brackets[1])
 
 
-# Characters per write into a file, so a report's encoded copy is one slice at a time.
-_WRITE_SLICE = 1 << 18
+# Characters per write, so a text stream encodes one slice of a report at a time.
+_WRITE_SLICE = 1 << 16
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -161,21 +161,20 @@ def _emit(text: str, output: str | None) -> None:
     A file is written whole or not at all: into a temporary file beside it,
     which then replaces it, so a failed write leaves the old file as it was.
     A target that is not a regular file, such as ``/dev/null``, is written
-    in place.  A file is written in slices of ``_WRITE_SLICE`` characters,
-    since a file's text stream encodes each write in one piece; stdout,
-    which may be a stream that encodes nothing, takes the text uncopied.
+    in place.  Either target takes the text in slices of ``_WRITE_SLICE``
+    characters, since a text stream encodes each write in one piece.
     """
-    def put(handle, size: int) -> None:
-        for start in range(0, len(text), size):  # one slice covering the text is the text itself
-            handle.write(text[start:start + size])
+    def put(handle) -> None:
+        for start in range(0, len(text), _WRITE_SLICE):  # a slice covering the text is the text
+            handle.write(text[start:start + _WRITE_SLICE])
         handle.write("" if text.endswith("\n") else "\n")  # apart: text + "\n" copies the report
 
     if output is None:
-        return put(sys.stdout, len(text) or 1)
+        return put(sys.stdout)
     target = os.path.realpath(output)  # through a symlink, as opening it would
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            return put(handle, _WRITE_SLICE)
+            return put(handle)
     import tempfile
 
     try:
@@ -184,7 +183,7 @@ def _emit(text: str, output: str | None) -> None:
         raise type(exc)(exc.errno, exc.strerror, output) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            put(handle, _WRITE_SLICE)
+            put(handle)
         os.chmod(temp, _file_mode(target))
         os.replace(temp, target)
     except BaseException:

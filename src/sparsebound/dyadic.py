@@ -15,8 +15,9 @@ walk over the keys as stored, forward or in reverse: an unweighted node's
 ratio is the mean of its children's, so the largest is a weighted node's,
 or 0, and values only rise down the forest, by nonnegative shares.  A
 sequence keeps its height and Carleson constant as one integer triple,
-walked once on first read, or composed by concatenation from its halves'
-without a walk when both halves hold theirs.
+walked once on first read, or known without a walk: zeros for the empty
+sequence, and for a concatenation composed from its halves' when both
+hold theirs.
 
 Concatenation halves by key arithmetic: a node of depth d moves into the
 left half by adding 2**d and into the right half by adding 2**(d + 1), so
@@ -294,15 +295,17 @@ class CarlesonSequence:
 
     @classmethod
     def empty(cls) -> CarlesonSequence:
-        return _trusted(cls, _keys=(), _values=(), _den=1)
+        """No weights: its height and Carleson constant, both 0, are known without a walk."""
+        return _trusted(cls, _keys=(), _values=(), _den=1, _sums=(0, 0, 0))
 
     @cached_property
     def _sums(self) -> tuple[int, int, int]:
         """The height and the Carleson constant as ``(H, C, D)``, both over ``_den << D``.
 
-        A concatenation whose halves hold theirs is given its own, composed
-        from them (see ``concat_seqs``); any other sequence walks its keys
-        once, on first read, and keeps the result.
+        The empty sequence is given ``(0, 0, 0)``, and a concatenation whose
+        halves hold theirs its own, composed from them (see ``concat_seqs``);
+        any other sequence walks its keys once, on first read, and keeps the
+        result.
         """
         return _key_walk(self._keys, self._values)
 

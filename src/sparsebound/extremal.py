@@ -21,9 +21,9 @@ from .dyadic import (
     Config,
     DyadicInterval,
     DyadicSet,
-    _trusted,
     carleson_constant,
     concat_configs,
+    concat_seqs,
 )
 from .rational import DomainError, _index
 
@@ -48,12 +48,10 @@ __all__ = [
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _EMPTY, _BARE_FULL = Config.empty(), Config.full_unweighted()  # Halve's and MixZero's shared leaves
-_UNIT_ROOT = _trusted(CarlesonSequence, _keys=(1,), _values=(1,), _den=1)  # Base's halves' weights
-# The leaves walk their keys once, here: every recipe node then composes its height
-# and Carleson constant from its children's (``dyadic.concat_seqs``), walking none.
-for _leaf in (_EMPTY.seq, _BARE_FULL.seq, _UNIT_ROOT):
-    carleson_constant(_leaf)
-del _leaf
+# Base's halves' one root weight, concatenated from empty sequences as the recipe's
+# other leaves are, so every recipe node composes its height and Carleson constant
+# from its children's (``dyadic.concat_seqs``) and walks no keys for them.
+_UNIT_ROOT = concat_seqs(CarlesonSequence.empty(), CarlesonSequence.empty(), ONE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +148,7 @@ def curve_vertex_config(m: int, k: int) -> Config:
     m, k = _index(m, "curve index"), _index(k, "vertex index")
     _check_curve_cap(m)
     config = interpret(curve_vertex_recipe(m, k))
-    if carleson_constant(config.seq) > 2:
+    if carleson_constant(config.seq) > 2:  # composed by the recipe, not walked on the keys
         raise AssertionError("constructed sequence exceeds the height budget")
     return config
 

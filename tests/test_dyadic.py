@@ -20,7 +20,7 @@ from reference import (
     sparse_apply,
     uniform_cell_counts,
 )
-from sparsebound import cli, dyadic, verify
+from sparsebound import cli, dyadic, extremal, verify
 from sparsebound.cli import main
 from sparsebound.dyadic import (
     CarlesonSequence,
@@ -621,6 +621,15 @@ def walked_anew(seq):
     copy = dyadic._trusted(CarlesonSequence, _keys=seq._keys, _values=seq._values, _den=seq._den)
     assert "_sums" not in vars(copy)
     return carleson_height(copy), carleson_constant(copy)
+
+
+def test_leaf_sums_match_a_walk():
+    # The recipes' leaves hold their sums as built: the empty sequence its
+    # own, and Base's one root weight those composed from two empty ones.
+    for seq in (CarlesonSequence.empty(), extremal._UNIT_ROOT):
+        assert "_sums" in vars(seq)
+        assert (carleson_height(seq), carleson_constant(seq)) == walked_anew(seq)
+    assert walked_anew(extremal._UNIT_ROOT) == (1, 1)
 
 
 @pytest.mark.parametrize("m", range(EXTREMIZER_CURVE_CAP + 1))
