@@ -9,11 +9,11 @@ its keys in key order, however either is built, beside their weights.
 ``DyadicInterval``s appear at the boundary only: the constructors read
 them, and the ``intervals`` and ``weights`` views build them on first
 read.  Weights are likewise int numerators over their least common
-denominator.  Level sets and Carleson constants read the weighted nodes
-only, each linked to its nearest weighted ancestor (key 0 if none) in one
-walk over the keys as stored, forward or in reverse: an unweighted node's
-ratio is the mean of its children's, so the largest is a weighted node's,
-or 0, and values only rise down the forest, by nonnegative shares.  A
+denominator.  Level sets, pieces and value counts read one forward walk
+over the keys as stored, and Carleson constants one walk in reverse, each
+linking a weighted node to its nearest weighted ancestor (key 0 if none):
+an unweighted node's ratio is the mean of its children's, so the largest
+is a weighted node's, or 0, and values only rise down the forest.  A
 sequence keeps its height and Carleson constant as one integer triple,
 walked once on first read, or known without a walk: zeros for the empty
 sequence, and for a concatenation composed from its halves' when both
@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat, starmap
+from itertools import compress, starmap
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -96,28 +96,10 @@ def _depth_index(key: int) -> tuple[int, int]:
     return depth, key - (1 << depth)
 
 
-# From this many keys on, work on a key-ordered sequence goes faster depth by
-# depth, on one slice of keys per depth, than key by key.
-_BY_DEPTH_KEYS = 200
-
-
 def _weight_rows(seq: CarlesonSequence, label: Callable[[int], object]) -> Iterator[tuple]:
-    """Each weight as ``(depth, index, label(numerator))``, in key order.
-
-    From ``_BY_DEPTH_KEYS`` keys on, the rows of one depth's run of keys are
-    made by ``zip`` and ``map`` from slices, offset and labelled at once.
-    """
-    keys, values = seq._keys, seq._values
-    if len(keys) < _BY_DEPTH_KEYS:
-        rows = zip(keys, map(label, values))
-        return ((d, key - (1 << d), text) for key, text in rows for d in [key.bit_length() - 1])
-    runs, stop = [], 0
-    while stop < len(keys):
-        start, depth = stop, keys[stop].bit_length() - 1
-        stop = bisect_left(keys, 2 << depth, start)
-        indices = map((1 << depth).__rsub__, keys[start:stop])
-        runs.append(zip(repeat(depth), indices, map(label, values[start:stop])))
-    return chain.from_iterable(runs)
+    """Each weight as ``(depth, index, label(numerator))``, in key order."""
+    rows = zip(seq._keys, map(label, seq._values))
+    return ((d, key - (1 << d), text) for key, text in rows for d in [key.bit_length() - 1])
 
 
 def _intervals(keys: Iterable[int]) -> tuple[DyadicInterval, ...]:
@@ -350,22 +332,17 @@ def carleson_constant(seq: CarlesonSequence) -> Fraction:
     return Fraction(constant, seq._den << depth)
 
 
-def _depths(subset: DyadicSet, seq: CarlesonSequence) -> tuple[int, int]:
-    """The weights' depth and the finest depth of the set and the weights."""
-    depth = _depth(seq._keys[-1:])  # the last key is the deepest
-    return depth, max(depth, _depth(subset._keys))
-
-
 def _spans(subset: DyadicSet, fine: int) -> tuple[list[int], list[int], list[int]]:
     """The set's nodes as [lo, hi) in cells of size 2**-fine, offset by 2**fine, left to right.
 
     Returns the los, then a lo past every node's end; the his; and the cell
-    counts of the first j nodes in ``covered[j]``.  A weight w on a node of
-    depth d - 1 whose [lo, hi) holds c of the set's cells has the share
-    w * c * 2**(d - 1), over ``_den << fine``: c is ``hi - lo`` when
-    ``los[j] <= lo`` and ``his[j] >= hi`` for the first node j ending after
-    lo, ``j = bisect_right(his, lo)``, and otherwise
-    ``covered[bisect_left(los, hi, j)] - covered[j]``.
+    counts of the first j nodes in ``covered[j]``.  ``_walk``, the one walk
+    behind level sets, pieces and value counts, gives a weight w on a node
+    of depth d - 1 whose [lo, hi) holds c of the set's cells the share
+    w * c * 2**(d - 1), over ``_den << fine``: c is ``hi - lo`` when the
+    first node j ending after lo, ``j = bisect_right(his, lo)``, holds
+    [lo, hi), and otherwise the ``covered`` count of the nodes from j up to
+    the first starting at or after hi.
     """
     los, his, covered = [], [], [0]
     for key in subset._keys:
@@ -377,106 +354,18 @@ def _spans(subset: DyadicSet, fine: int) -> tuple[list[int], list[int], list[int
     return los, his, covered
 
 
-def _covered(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int]:
-    """Each weighted node's scaled share of the set (see ``_spans``), and the finest depth."""
-    _, fine = _depths(subset, seq)
-    los, his, covered = _spans(subset, fine)
-    own: dict[int, int] = {}
-    for key, w in zip(seq._keys, seq._values):
-        d = key.bit_length()
-        lo = key << (fine + 1 - d)
-        hi = lo + (1 << (fine + 1 - d))
-        j = bisect_right(his, lo)
-        if los[j] <= lo and his[j] >= hi:
-            share = (w * (hi - lo)) << (d - 1)
-        else:
-            share = (w * (covered[bisect_left(los, hi, j)] - covered[j])) << (d - 1)
-        own[key] = own.get(key, 0) + share
-    return own, fine
-
-
-def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int]:
-    """``step_pieces`` as ``(key, value)`` pairs over the scale ``_den << fine``, and the scale."""
-    own, fine = _covered(subset, seq)
-    inner: set[int] = set()  # nodes with a weight strictly inside
-    for key in own:
-        key >>= 1
-        while key and key not in inner:
-            inner.add(key)
-            key >>= 1
-    pieces, stack = [], [(1, 0)]
-    while stack:
-        key, value = stack.pop()
-        value += own.get(key, 0)
-        if key in inner:
-            stack.append((2 * key + 1, value))
-            stack.append((2 * key, value))
-        else:
-            pieces.append((key, value))
-    return pieces, seq._den << fine
-
-
-def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
-    """Adaptive piecewise-constant form of the weighted-average sum.
-
-    Returns disjoint intervals tiling [0, 1), left to right, with the exact
-    operator value on each: the nodes of the weight tree with no weight
-    strictly inside.
-    """
-    pieces, scale = _piece_walk(subset, seq)
-    return [(DyadicInterval(*_depth_index(key)), Fraction(value, scale)) for key, value in pieces]
-
-
-def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
-    """The cells of size 2**-depth taking each scaled value, the scale and the depth.
+def _walk(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple[dict, int, int, int]:
+    """Each weighted node's scaled value, the cells reaching num/den (den > 0), depth and fine.
 
     One forward pass over the keys as stored, coarsest first: each weight
     adds its share of the set (see ``_spans``) to its base, the value of its
-    nearest weighted ancestor (key 0 if none), or, for a node listed twice,
-    whose weights are side by side, its own running value; its node's cells
-    pass from the base to the sum.
+    nearest weighted ancestor (key 0, of value 0, if none), or, for a node
+    listed twice, whose weights are side by side, its own running value.
+    Values are over ``_den << fine``; a node reaching the level while its
+    base does not adds its cells of size 2**-depth (key 0 all, at a level <= 0).
     """
-    depth, fine = _depths(subset, seq)
-    los, his, covered = _spans(subset, fine)
-    values, cells = {0: 0}, {0: 1 << depth}  # node key -> value; value -> free cells
-    last = value = 0  # the key before, and its value
-    for key, w in zip(seq._keys, seq._values):
-        d = key.bit_length()
-        lo = key << (fine + 1 - d)
-        hi = lo + (1 << (fine + 1 - d))
-        j = bisect_right(his, lo)
-        if los[j] <= lo and his[j] >= hi:
-            share = (w * (hi - lo)) << (d - 1)
-        else:
-            share = (w * (covered[bisect_left(los, hi, j)] - covered[j])) << (d - 1)
-        if key == last:  # listed twice: its own running value is the base
-            base = value
-        else:
-            up = key >> 1
-            while up not in values:
-                up >>= 1
-            base = values[up]
-        n = 1 << (depth + 1 - d)
-        cells[base] -= n
-        values[key] = value = base + share
-        cells[value] = cells.get(value, 0) + n
-        last = key
-    return {value: n for value, n in cells.items() if n}, seq._den << fine, depth
-
-
-def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction) -> Fraction:
-    """Exact measure of the set where the operator reaches ``level``, counted in integers."""
-    level = _exact(level, "level")
-    return Fraction(*_level_cells(subset, seq, level.numerator, level.denominator))
-
-
-def _level_cells(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple[int, int]:
-    """The cells of size 2**-depth where the operator reaches num/den (den > 0), and 2**depth.
-
-    The forward pass of ``_value_cells``, counting each node (key 0 first)
-    whose value reaches the level while its base does not.
-    """
-    depth, fine = _depths(subset, seq)
+    depth = _depth(seq._keys[-1:])  # the weights' depth: the last key is the deepest
+    fine = max(depth, _depth(subset._keys))  # the finest depth of the set and the weights
     los, his, covered = _spans(subset, fine)
     least = -(-num * (seq._den << fine) // den)  # the least scaled value reaching the level
     values, cells = {0: 0}, 0 if least > 0 else 1 << depth
@@ -501,6 +390,62 @@ def _level_cells(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -
         last = key
         if value >= least > base:
             cells += 1 << (depth + 1 - d)
+    return values, cells, depth, fine
+
+
+def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int, int]:
+    """``step_pieces`` as ``(key, value)`` pairs over the scale ``_den << fine``, the scale and depth.
+
+    A piece's value is ``_walk``'s, its own or its nearest weighted ancestor's.
+    """
+    values, _, depth, fine = _walk(subset, seq, 0, 1)
+    inner: set[int] = set()  # nodes with a weight strictly inside
+    for key in values:
+        key >>= 1
+        while key and key not in inner:
+            inner.add(key)
+            key >>= 1
+    pieces, stack = [], [(1, 0)]
+    while stack:
+        key, value = stack.pop()
+        value = values.get(key, value)
+        if key in inner:
+            stack.append((2 * key + 1, value))
+            stack.append((2 * key, value))
+        else:
+            pieces.append((key, value))
+    return pieces, seq._den << fine, depth
+
+
+def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
+    """Adaptive piecewise-constant form of the weighted-average sum.
+
+    Returns disjoint intervals tiling [0, 1), left to right, with the exact
+    operator value on each: the nodes of the weight tree with no weight
+    strictly inside.
+    """
+    pieces, scale, _ = _piece_walk(subset, seq)
+    return [(DyadicInterval(*_depth_index(key)), Fraction(value, scale)) for key, value in pieces]
+
+
+def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
+    """The cells of size 2**-depth taking each scaled value, the scale and the depth: the pieces counted."""
+    pieces, scale, depth = _piece_walk(subset, seq)
+    cells: dict[int, int] = {}
+    for key, value in pieces:
+        cells[value] = cells.get(value, 0) + (1 << (depth + 1 - key.bit_length()))
+    return cells, scale, depth
+
+
+def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction) -> Fraction:
+    """Exact measure of the set where the operator reaches ``level``, counted in integers."""
+    level = _exact(level, "level")
+    return Fraction(*_level_cells(subset, seq, level.numerator, level.denominator))
+
+
+def _level_cells(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple[int, int]:
+    """The cells of size 2**-depth where the operator reaches num/den (den > 0), and 2**depth."""
+    _, cells, depth, _ = _walk(subset, seq, num, den)
     return cells, 1 << depth
 
 
@@ -522,6 +467,11 @@ def concat_sets(first: DyadicSet, second: DyadicSet) -> DyadicSet:
     if first._keys == second._keys == (1,):
         return DyadicSet.full()
     return _trusted(DyadicSet, _keys=tuple(_halved(first._keys, second._keys)))
+
+
+# From this many keys on, concatenation merges its halves faster depth by
+# depth, on one slice of keys per depth, than by one sort.
+_BY_DEPTH_KEYS = 200
 
 
 def concat_seqs(

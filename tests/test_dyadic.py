@@ -642,27 +642,22 @@ def test_vertex_sums_are_composed(m):
         assert (carleson_height(seq), carleson_constant(seq)) == walked_anew(seq) == (2, 2)
 
 
-def piece_histogram(config):
-    """The measure taking each value, read off the pieces of the piece walk."""
-    out = {}
-    for piece, value in step_pieces(config.subset, config.seq):
-        out[value] = out.get(value, F(0)) + piece.measure
-    return out
-
-
 @settings(max_examples=300, deadline=None)
 @given(configs(), st.none() | raw_sequences())
 # A weight on a node that covers no cell of the set adds nothing.
 @example(Config(DyadicSet.prefix(F(1, 2)), CarlesonSequence.from_mapping({iv(1, 1): F(1)})), None)
 # The root's own value covers no cell: its children are weighted.
 @example(Config(DyadicSet.full(), CarlesonSequence(((ROOT, F(1)), (iv(1, 0), F(1)), (iv(1, 1), F(1, 2))))), None)
-def test_value_cells_match_pieces(config, raw):
+def test_value_cells_match_uniform_cells(config, raw):
+    # The value counts, read off the pieces, against the operator summed on
+    # uniform cells, which shares no code with the walk.
     if raw is not None:
         config = Config(config.subset, raw)
     cells, scale, depth = _value_cells(config.subset, config.seq)
     assert all(n > 0 for n in cells.values())
     got = {F(value, scale): F(n, 2**depth) for value, n in cells.items()}
-    assert got == piece_histogram(config)
+    counts, cell_depth = uniform_cell_counts(config.subset, config.seq)
+    assert got == {value: F(n, 2**cell_depth) for value, n in counts.items()}
 
 
 def node_values(config):
@@ -721,8 +716,13 @@ def test_fused_walks_match_uniform_cells(seq, set_depth, mask):
     # The walks that count as they build the values against the operator
     # on uniform cells, at every node's value, 2**-20 either side of it,
     # and at levels at or below 0 (the mask's bits from 2**set_depth up are
-    # ignored).
+    # ignored); the walk's node values, repeats and zero weights included,
+    # against the shares summed node by node.
     config = Config(DyadicSet.from_cells(set_depth, mask), seq)
+    values, _, _, fine = dyadic._walk(config.subset, seq, 0, 1)
+    assert values.pop(0) == 0
+    walked = {iv(*dyadic._depth_index(key)): F(v, seq._den << fine) for key, v in values.items()}
+    assert walked == node_values(config)
     step = sparse_apply(config.subset, seq)
     counts, depth = uniform_cell_counts(config.subset, seq)
     assert depth == step.depth and sum(counts.values()) == 2**depth
