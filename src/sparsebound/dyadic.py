@@ -97,9 +97,13 @@ def _depth_index(key: int) -> tuple[int, int]:
 
 
 def _weight_rows(seq: CarlesonSequence, label: Callable[[int], object]) -> Iterator[tuple]:
-    """Each weight as ``(depth, index, label(numerator))``, in key order."""
-    rows = zip(seq._keys, map(label, seq._values))
-    return ((d, key - (1 << d), text) for key, text in rows for d in [key.bit_length() - 1])
+    """Each weight as ``(depth, index, label(numerator))``, in key order.
+
+    ``zip`` makes the rows: it reuses its row tuple once the writer lets it go.
+    """
+    depths = [key.bit_length() - 1 for key in seq._keys]
+    indices = [key - (1 << d) for key, d in zip(seq._keys, depths)]
+    return zip(depths, indices, map(label, seq._values))
 
 
 def _intervals(keys: Iterable[int]) -> tuple[DyadicInterval, ...]:
