@@ -13,7 +13,7 @@ and ``g_value`` at height a = 1, each piecewise linear in x at a fixed
 level with kinks on polygonal level curves indexed by m (families F and
 G): 2**-m on the m-th curve, interpolated along horizontal lines between
 curves.  G curve m at x is F curve m - 1 at min(2x, 1), so above level 1
-g is half of f there.
+g is half of f there; at every level g is the bound itself at height 1.
 
 Evaluation runs on integers, over the F curves only.  The public entry
 points take ``int`` or ``Fraction`` arguments, refuse floats and bools,
@@ -33,13 +33,14 @@ denominator) pairs, not necessarily in lowest terms: ``_bound_row``,
 ``_recip_slope_forms`` and ``_vertex_level``, the one form of an F
 vertex's level.  They check nothing: the public functions that wrap them
 check their arguments, and the verify suites call them directly.  The
-bound's region tests and closed forms are written once, in
+region tests and closed forms of the bound, and so of g, are written once, in
 ``_bound_row(x, a, levels)``: it scales x once for the point (x, a) and
 gives each level a plain ``(kind, m, plateau, num, den)`` tuple, since the
 brute report reads a whole row of levels per (x, a) and building a
 ``RegionTag`` costs about 0.5 us.  ``_bound`` is its one-level case;
 ``classify_region`` reads one level's tag, without a strip's value, and
-alone builds the named tuple.
+alone builds the named tuple.  ``_g_value`` is ``_bound`` at a = 1, and
+``g_region`` is ``classify_region`` there with G's strip index, one up.
 """
 
 from __future__ import annotations
@@ -248,19 +249,6 @@ def _f_extended(x: Pair, level: Pair) -> Pair:
     return _profile(*(x if x[0] <= x[1] else (1, 1)), *level)
 
 
-def _g_value(x: Pair, level: Pair) -> Pair:
-    """``g_value`` at 0 <= x <= 1 and level > 0."""
-    (p, q), (num, den) = x, level
-    if num <= den and 4 * p * den > num * q:
-        if p * den <= num * q:
-            # The line from (level/4, 1/2) to (level, 1): (level + 2x) / (3 * level).
-            return num * q + 2 * p * den, 3 * num * q
-        return 1, 1
-    # Half of f at min(2x, 1).
-    f_num, f_den = _profile(2 * p, q, num, den) if 2 * p < q else _profile(1, 1, num, den)
-    return f_num, 2 * f_den
-
-
 def _pair(value: Fraction) -> Pair:
     return value.numerator, value.denominator
 
@@ -294,7 +282,7 @@ def f_extended(x: Fraction, level: Fraction) -> Fraction:
 
 
 def g_value(x: Fraction, level: Fraction) -> Fraction:
-    """The a = 1 boundary profile.
+    """The a = 1 boundary profile: the bound ``bellman_value(x, 1, level)``.
 
     For levels at most 1: half the rescaled a=2 profile left of level/4, a
     straight interpolation up to 1 on [level/4, level], and 1 beyond.  For
@@ -394,6 +382,11 @@ def _bound(x: Pair, a: Pair, level: Pair) -> Pair:
     return _bound_row(x, a, (level,))[0][3:]
 
 
+def _g_value(x: Pair, level: Pair) -> Pair:
+    """``g_value`` at 0 <= x <= 1 and level > 0: the bound at height 1."""
+    return _bound(x, (1, 1), level)
+
+
 def classify_region(x: Fraction, a: Fraction, level: Fraction) -> RegionTag:
     """Locate (x, a, level) in the phase portrait of the bound.
 
@@ -429,31 +422,21 @@ def bellman_value(x: Fraction, a: Fraction, level: Fraction) -> Fraction:
 
 def f_region(x: Fraction, level: Fraction) -> RegionTag:
     """Strip tag of the a=2 profile at (x, level)."""
-    return _profile_region(Family.F, x, level)
-
-
-def g_region(x: Fraction, level: Fraction) -> RegionTag:
-    """Region tag of the a=1 profile at (x, level): above level 1, F's at min(2x, 1), a strip up."""
-    return _profile_region(Family.G, x, level)
-
-
-def _profile_region(family: Family, x: Fraction, level: Fraction) -> RegionTag:
-    # The branch of f_value or g_value taken at (x, level); at levels up to
-    # 1 the a=1 profile's branch is the bound's region at height 1, so its
-    # ties are broken by classify_region itself.
     x, level = _exact(x, "x"), _exact(level, "level")
     p, q, num, den = x.numerator, x.denominator, level.numerator, level.denominator
     if not 0 <= p <= q:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if num <= 0:
         return _OBSTACLE
-    g = family is Family.G
-    if g and num <= den:
-        return classify_region(x, ONE, level)
     if p == 0:
         return _ZERO
-    m, plateau = _strip(min(2 * p, q) if g else p, q, num, den)  # G strip m + 1: F strip m at 2x
-    return RegionTag(RegionKind.STRIP, m + g, plateau)
+    return RegionTag(RegionKind.STRIP, *_strip(p, q, num, den))
+
+
+def g_region(x: Fraction, level: Fraction) -> RegionTag:
+    """Region tag of the a=1 profile: the bound's at height 1, where G strip m + 1 is F's m."""
+    kind, strip, plateau = tag = classify_region(x, ONE, level)
+    return RegionTag(kind, strip + 1, plateau) if kind is RegionKind.STRIP else tag
 
 
 def _profile_vertices(level: Pair, x_min: Pair) -> list[tuple[Pair, Pair]]:

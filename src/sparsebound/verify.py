@@ -388,7 +388,11 @@ def _sample_fjg(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
 
 
 def _sample_gconsist(spec: SampleSpec) -> Iterator[tuple[str, tuple]]:
-    """The a=1 profile agrees with the bound at height 1 (both level regimes)."""
+    """The a=1 profile agrees with the bound at height 1 (both level regimes).
+
+    ``_g_value`` reads that bound, so this is a self-consistency check at
+    every level; the independent check of g is ``tests/test_g_family.py``.
+    """
     rng = random.Random(spec.seed)
     for i in range(spec.count):
         x = _sample_rational(rng, _ZERO, _ONE)

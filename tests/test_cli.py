@@ -363,6 +363,24 @@ def test_readme_api_lists_each_module_all():
     assert listed == exported
 
 
+def test_readme_line_counts_match_the_modules():
+    # README's sizes of the source each command loads, as `wc -l` counts the module files.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    package = Path(sparsebound.__file__).parent
+
+    def lines(*modules):
+        return sum((package / f"{module}.py").read_bytes().count(b"\n") for module in modules)
+
+    text = " ".join(readme.split())
+    shared = lines("__init__", "rational", "geometry", "candidate", "cli")
+    for stated in (
+        f"`candidate` and `cli` modules ({shared:,} lines of source)",
+        f"`dyadic` and `extremal` ({lines('dyadic', 'extremal'):,} lines)",
+        f"`dyadic` and `verify` ({lines('dyadic', 'verify'):,} lines)",
+    ):
+        assert stated in text
+
+
 def test_curves_help_states_the_cap(capsys):
     with pytest.raises(SystemExit):
         main(["curves", "--help"])

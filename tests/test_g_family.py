@@ -1,14 +1,17 @@
 """The G family, read from F, against the reference's own G kernel.
 
-``candidate`` keeps the F curves only: above level 1, g at x is half of f
-at min(2x, 1), G's strip is F's strip there plus one, G curve m is F curve
-m - 1 at min(2x, 1) and G curve 0 is the line level = x.  The ``verify``
-suite ``gconsist`` compares g with the same identity, so above level 1 it
-checks that code path against itself.  This test is the independent check:
-``tests/reference.py`` builds the G curves from their own offset, in
-``Fraction`` arithmetic (``strip_fraction``, ``curve_x_fraction``,
-``g_value_fraction``) or by scanning the segments (``curve_height_scan``),
-and every public G entry must agree with it:
+``candidate`` keeps the F curves only, and reads g off the bound at
+height 1: ``_g_value`` is ``_bound`` at a = 1 and ``g_region`` is
+``classify_region`` there, a strip up, so g has no region tests of its
+own.  Above level 1 that makes g at x half of f at min(2x, 1), G's strip
+F's strip there plus one, G curve m F curve m - 1 at min(2x, 1) and G
+curve 0 the line level = x.  The ``verify`` suite ``gconsist`` compares g
+with the bound at height 1 up to level 1 and with half of f above it, so
+at every level it checks a code path against itself.  This test is the
+independent check: ``tests/reference.py`` builds the G curves from their
+own offset, in ``Fraction`` arithmetic (``strip_fraction``,
+``curve_x_fraction``, ``g_value_fraction``) or by scanning the segments
+(``curve_height_scan``), and every public G entry must agree with it:
 
 - on the grid x = i/128, level = j/16 up to 14;
 - at every G vertex level of the curves below ``VERTEX_CURVES``, and
@@ -16,6 +19,9 @@ and every public G entry must agree with it:
 - at and around the integer levels, where a strip's plateau flips;
 - at x = 1/2, where the clamp min(2x, 1) begins and G's flat top ends;
 - at one far level.
+
+The identity the library assumes, g and its regions as the bound's at
+height 1, is checked between the reference's two independent forms.
 """
 
 from fractions import Fraction as F
@@ -24,6 +30,8 @@ import pytest
 
 from reference import (
     _vertex_level,
+    bellman_value_fraction,
+    classify_region_fraction,
     curve_height_scan,
     curve_top,
     curve_x_fraction,
@@ -33,6 +41,7 @@ from reference import (
 )
 from sparsebound.candidate import (
     Family,
+    RegionKind,
     curve_height,
     curve_vertices,
     curve_x,
@@ -124,6 +133,19 @@ def test_curves():
         assert curve_vertices(G, m) == expected
         for x in xs:
             assert curve_height(G, m, x) == curve_height_scan(G, m, x), (m, x)
+
+
+def test_g_is_the_bound_at_height_1():
+    # The reference's G kernel against its bound at a = 1, both in Fraction
+    # arithmetic: the full grid up to level 1, every eighth x above it.
+    for level in sorted({*GRID_LEVELS, *vertex_levels()}):
+        for x in GRID_X if level <= 1 else GRID_X[::8]:
+            tag = classify_region_fraction(x, F(1), level)
+            if tag.kind is RegionKind.STRIP:  # G strip m + 1 is F strip m at min(2x, 1)
+                tag = tag._replace(strip=tag.strip + 1)
+            assert profile_region_fraction(G, x, level) == tag, (x, level)
+            if level > 0:
+                assert g_value_fraction(x, level) == bellman_value_fraction(x, F(1), level), (x, level)
 
 
 @pytest.mark.parametrize("x", [F(0), F(1, 2**40), F(1, 3), F(1, 2), F(5, 7), F(1)])
