@@ -4,26 +4,28 @@ Exact model of the unit interval split dyadically.  Inside this module a
 node is its heap key ``2**depth + index``, an int: the root is 1, the
 children of ``key`` are ``2 * key`` and ``2 * key + 1``, its depth is
 ``key.bit_length() - 1``, and key order is depth-then-index order.  A
-``DyadicSet`` keeps its keys sorted by left end and a ``CarlesonSequence``
-its keys in key order, however either is built, beside their weights.
-``DyadicInterval``s appear at the boundary only: the constructors read
-them, and the ``intervals`` and ``weights`` views build them on first
-read.  Weights are likewise int numerators over their least common
-denominator.  Level sets, pieces and value counts read one forward walk
-over the keys as stored, and Carleson constants one walk in reverse, each
-linking a weighted node to its nearest weighted ancestor (key 0 if none):
-an unweighted node's ratio is the mean of its children's, so the largest
-is a weighted node's, or 0, and values only rise down the forest.  A
-sequence keeps its height and Carleson constant as one integer triple,
-walked once on first read, or known without a walk: zeros for the empty
-sequence, and for a concatenation composed from its halves' when both
-hold theirs.
+``DyadicSet`` and a ``CarlesonSequence`` both store their keys by left
+end, coarser first, however either is built: the tree's pre-order, each
+node before its descendants.  Key order stays the public order of
+weights, sorted into when read.  ``DyadicInterval``s appear at the
+boundary only: the constructors read them, and the ``intervals`` and
+``weights`` views build them on first read.  Weights are int numerators
+over their least common denominator.  Level sets, pieces and value counts
+read one forward walk over the keys as stored, and Carleson constants one
+walk in reverse, each linking a weighted node to its nearest weighted
+ancestor (key 0 if none): an unweighted node's ratio is the mean of its
+children's, so the largest is a weighted node's, or 0, and values only
+rise down the forest.  A sequence keeps its height and Carleson constant
+as one integer triple, walked once on first read, or known without a
+walk: zeros for the empty sequence, and for a concatenation composed from
+its halves' when both hold theirs.
 
 Concatenation halves by key arithmetic: a node of depth d moves into the
 left half by adding 2**d and into the right half by adding 2**(d + 1), so
-each half stays in key order, and the halves interleave depth by depth.
-It checks only the root weight, since a canonical set stays canonical when
-halved and the halves' weights were checked when they were built.
+the root, the left half and the right half, one after another, are in
+storage order with no sort.  It checks only the root weight, since a
+canonical set stays canonical when halved and the halves' weights were
+checked when they were built.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, starmap
-from operator import itemgetter
+from itertools import compress, islice, starmap
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .rational import DomainError, _exact, _index
@@ -97,13 +98,16 @@ def _depth_index(key: int) -> tuple[int, int]:
 
 
 def _weight_rows(seq: CarlesonSequence, label: Callable[[int], object]) -> Iterator[tuple]:
-    """Each weight as ``(depth, index, label(numerator))``, in key order.
+    """Each weight as ``(depth, index, label(numerator))``, sorted into key order.
 
-    ``zip`` makes the rows: it reuses its row tuple once the writer lets it go.
+    A node listed twice keeps the order stored.  ``zip`` makes the rows: it
+    reuses its row tuple once the writer lets it go.
     """
-    depths = [key.bit_length() - 1 for key in seq._keys]
-    indices = [key - (1 << d) for key, d in zip(seq._keys, depths)]
-    return zip(depths, indices, map(label, seq._values))
+    keys, values = seq._keys, seq._values
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    depths = [keys[i].bit_length() - 1 for i in order]
+    indices = [keys[i] - (1 << d) for i, d in zip(order, depths)]
+    return zip(depths, indices, map(label, map(values.__getitem__, order)))
 
 
 def _intervals(keys: Iterable[int]) -> tuple[DyadicInterval, ...]:
@@ -113,6 +117,14 @@ def _intervals(keys: Iterable[int]) -> tuple[DyadicInterval, ...]:
 def _depth(keys: Iterable[int]) -> int:
     """The deepest depth of the keys (a deeper key is a larger one), 0 for none."""
     return max(keys, default=1).bit_length() - 1
+
+
+def _by_left_end(fine: int) -> Callable[[int], tuple[int, int]]:
+    """The sort key of storage order for nodes down to depth ``fine``: left end, coarser first.
+
+    A stable sort by it keeps a node listed twice side by side, in the order given.
+    """
+    return lambda key: (key << (fine + 1 - key.bit_length()), key)
 
 
 def _merge(fine: int, ordered: Iterable[int]) -> tuple[int, ...]:
@@ -159,7 +171,7 @@ class DyadicSet:
     def __init__(self, intervals: Iterable[DyadicInterval]) -> None:
         keys = [_key(iv) for iv in intervals]
         fine = _depth(keys)
-        keys.sort(key=lambda key: (key << (fine + 1 - key.bit_length()), key))
+        keys.sort(key=_by_left_end(fine))
         object.__setattr__(self, "_keys", _merge(fine, keys))
 
     @cached_property
@@ -239,12 +251,13 @@ class CarlesonSequence:
     The constructor checks the nodes and weights however the sequence is
     built: a node that is not a ``DyadicInterval``, a float or bool weight
     or a weight outside [0, 1] raises ``DomainError``.  It then sorts the
-    weights stably by key (depth, then index), so ``CarlesonSequence(
-    seq.weights) == seq``.  Each weight is stored as an int numerator over
+    weights stably into storage order, by left end and coarser first, as
+    ``DyadicSet`` does.  Each weight is stored as an int numerator over
     ``_den``, the least common denominator of the weights in lowest terms,
     so equal sequences have equal fields.  A sequence built directly keeps
     its zero weights and a node listed twice, whose weights, now side by
-    side, add.  ``weights`` is a read-only view of its keys and weights.
+    side, add.  ``weights`` is a read-only view of its keys and weights in
+    key order (depth, then index), so ``CarlesonSequence(seq.weights) == seq``.
     """
 
     _keys: tuple[int, ...]
@@ -260,7 +273,8 @@ class CarlesonSequence:
             values = [_unit_weight(w, f"weight at {iv}") for iv, w in pairs]
         den = math.lcm(*{w.denominator for w in values})
         scaled = (w.numerator * (den // w.denominator) for w in values)
-        ordered = sorted(zip(keys, scaled), key=itemgetter(0))  # stable: repeats keep their order
+        order = _by_left_end(_depth(keys))
+        ordered = sorted(zip(keys, scaled), key=lambda pair: order(pair[0]))
         keys, values = zip(*ordered) if ordered else ((), ())
         self.__dict__.update(_keys=keys, _values=values, _den=den)
 
@@ -268,11 +282,11 @@ class CarlesonSequence:
     def weights(self) -> tuple[tuple[DyadicInterval, Fraction], ...]:
         """The (interval, weight) pairs in key order, built on first read and kept."""
         fractions = {v: Fraction(v, self._den) for v in set(self._values)}
-        return tuple(zip(_intervals(self._keys), map(fractions.__getitem__, self._values)))
+        return tuple((DyadicInterval(d, i), w) for d, i, w in _weight_rows(self, fractions.__getitem__))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[DyadicInterval, Fraction]) -> CarlesonSequence:
-        """The mapping's nonzero weights, in key order; a zero weight is checked, then dropped."""
+        """The mapping's nonzero weights; a zero weight is checked, then dropped."""
         seq = cls(mapping.items())
         if 0 not in seq._values:
             return seq
@@ -299,13 +313,14 @@ class CarlesonSequence:
 def _key_walk(keys: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, int, int]:
     """``CarlesonSequence._sums`` from one pass over the weighted nodes, D the deepest depth.
 
-    The keys, in key order, are walked in reverse, deepest first: each
-    weighted node's length, scaled by ``den << D``, goes into its nearest
-    weighted ancestor's, or the height at key 0.  A node listed twice has its
-    weights added first.  A sum times 2**d is a ratio; an unweighted node's
-    is the mean of its children's, so the largest is a weighted node's, or 0.
+    The keys, in storage order, are walked in reverse, each node before its
+    ancestors: each weighted node's length, scaled by ``den << D``, goes into
+    its nearest weighted ancestor's, or the height at key 0.  A node listed
+    twice has its weights added first.  A sum times 2**d is a ratio; an
+    unweighted node's is the mean of its children's, so the largest is a
+    weighted node's, or 0.
     """
-    depth = _depth(keys[-1:])  # the last key is the deepest
+    depth = _depth(keys)
     sums = dict.fromkeys(keys, 0)  # weighted node key -> scaled length of the weights inside it
     if len(sums) < len(keys):
         for key, w in zip(keys, values):
@@ -361,14 +376,14 @@ def _spans(subset: DyadicSet, fine: int) -> tuple[list[int], list[int], list[int
 def _walk(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple[dict, int, int, int]:
     """Each weighted node's scaled value, the cells reaching num/den (den > 0), depth and fine.
 
-    One forward pass over the keys as stored, coarsest first: each weight
+    One forward pass over the keys as stored, ancestors first: each weight
     adds its share of the set (see ``_spans``) to its base, the value of its
     nearest weighted ancestor (key 0, of value 0, if none), or, for a node
     listed twice, whose weights are side by side, its own running value.
     Values are over ``_den << fine``; a node reaching the level while its
     base does not adds its cells of size 2**-depth (key 0 all, at a level <= 0).
     """
-    depth = _depth(seq._keys[-1:])  # the weights' depth: the last key is the deepest
+    depth = _depth(seq._keys)  # the weights' depth
     fine = max(depth, _depth(subset._keys))  # the finest depth of the set and the weights
     los, his, covered = _spans(subset, fine)
     least = -(-num * (seq._den << fine) // den)  # the least scaled value reaching the level
@@ -397,18 +412,21 @@ def _walk(subset: DyadicSet, seq: CarlesonSequence, num: int, den: int) -> tuple
     return values, cells, depth, fine
 
 
-def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[int, int]], int, int]:
-    """``step_pieces`` as ``(key, value)`` pairs over the scale ``_den << fine``, the scale and depth.
+def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
+    """Adaptive piecewise-constant form of the weighted-average sum.
 
-    A piece's value is ``_walk``'s, its own or its nearest weighted ancestor's.
+    Returns disjoint intervals tiling [0, 1), left to right, with the exact
+    operator value on each: the nodes of the weight tree with no weight
+    strictly inside, at ``_walk``'s value of their nearest weighted node.
     """
-    values, _, depth, fine = _walk(subset, seq, 0, 1)
+    values, _, _, fine = _walk(subset, seq, 0, 1)
     inner: set[int] = set()  # nodes with a weight strictly inside
     for key in values:
         key >>= 1
         while key and key not in inner:
             inner.add(key)
             key >>= 1
+    scale = seq._den << fine
     pieces, stack = [], [(1, 0)]
     while stack:
         key, value = stack.pop()
@@ -417,28 +435,26 @@ def _piece_walk(subset: DyadicSet, seq: CarlesonSequence) -> tuple[list[tuple[in
             stack.append((2 * key + 1, value))
             stack.append((2 * key, value))
         else:
-            pieces.append((key, value))
-    return pieces, seq._den << fine, depth
-
-
-def step_pieces(subset: DyadicSet, seq: CarlesonSequence) -> list[tuple[DyadicInterval, Fraction]]:
-    """Adaptive piecewise-constant form of the weighted-average sum.
-
-    Returns disjoint intervals tiling [0, 1), left to right, with the exact
-    operator value on each: the nodes of the weight tree with no weight
-    strictly inside.
-    """
-    pieces, scale, _ = _piece_walk(subset, seq)
-    return [(DyadicInterval(*_depth_index(key)), Fraction(value, scale)) for key, value in pieces]
+            pieces.append((DyadicInterval(*_depth_index(key)), Fraction(value, scale)))
+    return pieces
 
 
 def _value_cells(subset: DyadicSet, seq: CarlesonSequence) -> tuple[dict[int, int], int, int]:
-    """The cells of size 2**-depth taking each scaled value, the scale and the depth: the pieces counted."""
-    pieces, scale, depth = _piece_walk(subset, seq)
-    cells: dict[int, int] = {}
-    for key, value in pieces:
-        cells[value] = cells.get(value, 0) + (1 << (depth + 1 - key.bit_length()))
-    return cells, scale, depth
+    """The cells of size 2**-depth taking each scaled value, the scale and the depth.
+
+    Every cell starts at value 0; each weighted node of ``_walk``, after its
+    ancestors, moves its cells from its nearest weighted ancestor's value to its own.
+    """
+    values, _, depth, fine = _walk(subset, seq, 0, 1)
+    cells = {0: 1 << depth}
+    for key in islice(values, 1, None):  # past key 0
+        up = key >> 1
+        while up not in values:
+            up >>= 1
+        n = 1 << (depth + 1 - key.bit_length())
+        cells[values[up]] -= n
+        cells[values[key]] = cells.get(values[key], 0) + n
+    return {value: n for value, n in cells.items() if n}, seq._den << fine, depth
 
 
 def level_set_measure(subset: DyadicSet, seq: CarlesonSequence, level: Fraction) -> Fraction:
@@ -473,11 +489,6 @@ def concat_sets(first: DyadicSet, second: DyadicSet) -> DyadicSet:
     return _trusted(DyadicSet, _keys=tuple(_halved(first._keys, second._keys)))
 
 
-# From this many keys on, concatenation merges its halves faster depth by
-# depth, on one slice of keys per depth, than by one sort.
-_BY_DEPTH_KEYS = 200
-
-
 def concat_seqs(
     first: CarlesonSequence, second: CarlesonSequence, gamma: Fraction
 ) -> CarlesonSequence:
@@ -487,10 +498,8 @@ def concat_seqs(
     its Carleson constant the largest of its height and the two constants:
     when both halves hold their ``_sums``, the result's are composed from
     them in integers, and otherwise are left for a walk.
-    Each halved sequence stays in key order, and at each depth the first's
-    nodes come before the second's.  So from ``_BY_DEPTH_KEYS`` keys on the
-    halves are merged depth by depth, each depth's slice moved by one
-    addition; below that, one stable sort merges the two runs.
+    The root, then the halved first, then the halved second are already in
+    storage order, as in ``concat_sets``.
     Only gamma is checked, on its numerator and denominator as the
     constructor checks weights: the halves' were checked when they were
     built.  The denominator, the lcm of the halves' and gamma's, is least.
@@ -502,25 +511,9 @@ def concat_seqs(
         den = math.lcm(den, second._den, gamma.denominator)
         left, right = (tuple(v * (den // seq._den) for v in seq._values) for seq in (first, second))
     root = gamma.numerator * (den // gamma.denominator)
-    ahead, behind = first._keys, second._keys
-    if len(ahead) + len(behind) < _BY_DEPTH_KEYS:
-        pairs = sorted(zip(_halved(ahead, behind), left + right), key=itemgetter(0))
-        if root:
-            pairs.insert(0, (1, root))
-        keys, values = zip(*pairs) if pairs else ((), ())
-    else:
-        keys, values = ([1], [root]) if root else ([], [])
-        a = b = 0
-        for depth in range(max(_depth(ahead[-1:]), _depth(behind[-1:])) + 1):
-            top = 2 << depth  # the first key below this depth, and the right half's offset
-            stop_a, stop_b = bisect_left(ahead, top, a), bisect_left(behind, top, b)
-            keys += map((top >> 1).__add__, ahead[a:stop_a])
-            keys += map(top.__add__, behind[b:stop_b])
-            values += left[a:stop_a]
-            values += right[b:stop_b]
-            a, b = stop_a, stop_b
-        keys, values = tuple(keys), tuple(values)
-    seq = _trusted(CarlesonSequence, _keys=keys, _values=values, _den=den)
+    keys = ([1] if root else []) + _halved(first._keys, second._keys)
+    values = ((root,) if root else ()) + left + right
+    seq = _trusted(CarlesonSequence, _keys=tuple(keys), _values=values, _den=den)
     if "_sums" in vars(first) and "_sums" in vars(second):
         # Over den << D, D one more than the deeper of the halves' Di, each
         # half's sums are scaled by den // _den and shifted: its height,

@@ -56,6 +56,7 @@ from .dyadic import (
     Config,
     DyadicInterval,
     DyadicSet,
+    _by_left_end,
     _level_cells,
     _trusted,
     _value_cells,
@@ -460,18 +461,21 @@ def _cell_set(mask: int) -> DyadicSet:
     return DyadicSet.from_cells(3, mask)
 
 
+_STORED_TO_DEPTH_2 = tuple(sorted(range(1, 8), key=_by_left_end(2)))  # in storage order
+
+
 def _random_config(rng: random.Random) -> Config:
     """A set of depth-3 cells and weights in quarters on the nodes down to depth 2."""
     subset = _cell_set(rng.getrandbits(8))
-    keys, weights = [], []
-    for key in range(1, 8):  # every node down to depth 2, by depth and then index
+    drawn = {}  # key -> weight in quarters
+    for key in range(1, 8):  # every node down to depth 2, drawn by depth and then index
         roll = rng.random()
         if roll < 0.4:
-            keys.append(key)
-            weights.append(4 if roll < 0.25 else 1 + _below(rng.getrandbits, 4))  # in quarters
-    g = math.gcd(4, *weights)  # over the least denominator, as the constructor stores them
-    values, den = tuple(w // g for w in weights), 4 // g
-    seq = _trusted(CarlesonSequence, _keys=tuple(keys), _values=values, _den=den)
+            drawn[key] = 4 if roll < 0.25 else 1 + _below(rng.getrandbits, 4)
+    keys = tuple(key for key in _STORED_TO_DEPTH_2 if key in drawn)
+    g = math.gcd(4, *drawn.values())  # over the least denominator, as the constructor stores them
+    values, den = tuple(drawn[key] // g for key in keys), 4 // g
+    seq = _trusted(CarlesonSequence, _keys=keys, _values=values, _den=den)
     return _trusted(Config, subset=subset, seq=seq)
 
 
@@ -729,10 +733,11 @@ def _sampled_configs(depth: int, sample: int, seed: int) -> Iterator[Config]:
     """
     rng = random.Random(seed)
     nodes = range(1, 2 << depth)  # the keys of ``intervals_to_depth(depth)``, in its order
+    stored = _by_left_end(depth)
     for _ in range(sample):
         for _attempt in range(100):
             k = rng.randint(0, 2 * (depth + 1))
-            keys = tuple(sorted(rng.sample(nodes, min(k, len(nodes)))))
+            keys = tuple(sorted(rng.sample(nodes, min(k, len(nodes))), key=stored))
             seq = _trusted(CarlesonSequence, _keys=keys, _values=(1,) * len(keys), _den=1)
             if carleson_constant(seq) <= 2:
                 yield Config(DyadicSet.from_cells(depth, rng.getrandbits(1 << depth)), seq)

@@ -33,7 +33,6 @@ from sparsebound.dyadic import (
     concat_configs,
     concat_seqs,
     concat_sets,
-    _BY_DEPTH_KEYS,
     _level_cells,
     _value_cells,
     level_set_measure,
@@ -461,8 +460,21 @@ def by_key(pairs):
     return sorted(pairs, key=lambda pair: (pair[0].depth, pair[0].index))
 
 
+def by_left_end(pairs):
+    """The (interval, weight) pairs sorted stably by left end, coarser first: the stored order."""
+    return sorted(pairs, key=lambda pair: (F(pair[0].index, 2 ** pair[0].depth), pair[0].depth))
+
+
+def assert_stored_by_left_end(seq):
+    """The keys are by left end, coarser first, so a node listed twice is listed side by side."""
+    nodes = [iv(*dyadic._depth_index(key)) for key in seq._keys]
+    ends = [(F(node.index, 2**node.depth), node.depth) for node in nodes]
+    assert ends == sorted(ends)  # an equal pair is one node listed twice
+
+
 def assert_key_ordered(seq):
-    """The weights are in key order, and the constructor given them builds the same sequence."""
+    """Stored by left end, read in key order, and built again equal from that view."""
+    assert_stored_by_left_end(seq)
     assert list(seq.weights) == by_key(seq.weights)
     assert CarlesonSequence(seq.weights) == seq
 
@@ -473,9 +485,10 @@ def assert_key_ordered(seq):
 @example([(iv(2, 3), F(1)), (iv(2, 0), F(0)), (iv(1, 1), F(1, 2)), (iv(2, 0), F(1, 3))])
 def test_constructor_keeps_key_order(pairs):
     # Sorted stably: a repeated node's weights side by side in the order
-    # given, zero weights kept.
+    # given, zero weights kept, stored by left end and read in key order.
     seq = CarlesonSequence(pairs)
     assert list(seq.weights) == by_key(pairs)
+    assert seq._values == scale_per_weight([w for _, w in by_left_end(pairs)])[1]
     assert_key_ordered(seq)
 
 
@@ -511,9 +524,8 @@ def big_pairs(rng, n):
     return [(node, F(rng.randint(0, 4), 4)) for node in nodes]
 
 
-# Key counts on either side of the switch from a sorted merge to a merge depth by depth.
-MERGE_SIZES = [(0, 0), (5, 0), (0, 9), (_BY_DEPTH_KEYS - 1, 0), (0, _BY_DEPTH_KEYS)]
-MERGE_SIZES += [(_BY_DEPTH_KEYS // 2, _BY_DEPTH_KEYS // 2 - 1), (150, 150), (700, 3), (1, 900)]
+# Key counts of the two halves: none, few, balanced and lopsided.
+MERGE_SIZES = [(0, 0), (5, 0), (0, 9), (150, 150), (700, 3), (1, 900)]
 
 
 @pytest.mark.parametrize("sizes", MERGE_SIZES)
@@ -649,7 +661,7 @@ def test_vertex_sums_are_composed(m):
 # The root's own value covers no cell: its children are weighted.
 @example(Config(DyadicSet.full(), CarlesonSequence(((ROOT, F(1)), (iv(1, 0), F(1)), (iv(1, 1), F(1, 2))))), None)
 def test_value_cells_match_uniform_cells(config, raw):
-    # The value counts, read off the pieces, against the operator summed on
+    # The value counts, read off the walk's node values, against the operator summed on
     # uniform cells, which shares no code with the walk.
     if raw is not None:
         config = Config(config.subset, raw)
@@ -978,10 +990,10 @@ def test_attainment_text_edge_configs():
 @example([(iv(1, 1), F(1, 6)), (ROOT, F(0)), (iv(1, 1), F(3, 4))])
 @example([(iv(2, 1), F(0)), (iv(2, 1), F(1)), (ROOT, F(1))])
 def test_scale_matches_per_weight(weights):
-    # Against the drawn weights, not the ``weights`` view, which is read from these fields:
-    # the constructor stores them in key order, a repeated node's weights in the order given.
+    # Against the drawn weights, not the ``weights`` view, which is read from these fields: the
+    # constructor stores them by left end, coarser first, a repeated node's weights in the order given.
     seq = CarlesonSequence(weights)
-    assert (seq._den, seq._values) == scale_per_weight([w for _, w in by_key(weights)])
+    assert (seq._den, seq._values) == scale_per_weight([w for _, w in by_left_end(weights)])
     assert type(seq._den) is int and type(seq._values) is tuple
     assert all(type(v) is int for v in seq._values)
 
@@ -1060,6 +1072,25 @@ def test_concat_dags_compose_sums(leaves, moves):
         assert got == walked_anew(seq)
         if len(seq._keys) <= 40 and shallow(seq):
             assert got == (height_sum(seq), carleson_constant_scan(seq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(sequences() | raw_sequences() | st.just(CarlesonSequence.empty()), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), ROOT_GAMMAS), min_size=1, max_size=6),
+)
+@example([STRADDLE, CarlesonSequence.empty()], [(0, 1, F(0)), (1, 0, F(1, 3)), (2, 2, F(1))])
+def test_concat_dags_store_by_left_end(leaves, moves):
+    # Random concatenation DAGs, with empty halves, root weight 0 and nodes
+    # listed twice: each node's keys, the root's then each half's with no
+    # sort, stay by left end, coarser first, and equal the constructor's.
+    nodes = list(leaves)
+    for a, b, gamma in moves:
+        first, second = nodes[a % len(nodes)], nodes[b % len(nodes)]
+        seq = concat_seqs(first, second, gamma)
+        assert_stored_by_left_end(seq)
+        assert seq == concat_by_constructor(first, second, gamma)
+        nodes.append(seq)
 
 
 @settings(max_examples=50, deadline=None)
